@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
         return fail("nonCrossing")
     if abs(md["value"] - rep.value) > 1e-9 * abs(rep.value):
         return fail("value")
-    decomp = structure.cascade_decomposition(P, matching)
+    decomp = structure._decompose_verified(P, matching)
     print(
         f"OK perfect nonCrossing value={formats.fmt17(rep.value)} "
         f"cascades={decomp.cascade_count} "

@@ -63,13 +63,6 @@ class SubproblemTable:
         return bool(self.necessary[size // 2, start])
 
 
-def _offset_sq(xs: np.ndarray, ys: np.ndarray, off: int) -> np.ndarray:
-    """d^2 from each vertex s to vertex s+off (mod n), vectorized."""
-    dx = np.roll(xs, -off) - xs
-    dy = np.roll(ys, -off) - ys
-    return dx * dx + dy * dy
-
-
 def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     """Fill the table for all (start, even size) in O(n^2) time and space.
 
@@ -83,32 +76,60 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     Each size is computed for all starts at once; ties pick the earliest
     move in (pair, left, right) order. The pair move is flagged necessary
     only when it wins by more than a relative 1e-9.
+
+    The coordinates and edge lengths are kept twice over (length 2n) and the
+    previous row with its first two entries repeated (length n+2), so every
+    cyclic shift above is a slice view. Each row is computed with ``out=``
+    ufuncs into two reused float64 temporaries and the row's own slots of
+    ``S``, ``choice`` and ``necessary``, so the loop allocates nothing. The
+    float operations and their order are those of the recurrence as written
+    (dx*dx + dy*dy, min(pair, min(left, right)), other * (1 - 1e-9)), so all
+    three tables equal a direct transcription bit for bit, ties included.
     """
     n = P.n
-    xs, ys = P.xs, P.ys
     half = n // 2
     S = np.zeros((half + 1, n))
     choice = np.zeros((half + 1, n), dtype=np.uint8)
     necessary = np.zeros((half + 1, n), dtype=bool)
 
-    edge2 = _offset_sq(xs, ys, 1)
+    xs2 = np.concatenate((P.xs, P.xs))
+    ys2 = np.concatenate((P.ys, P.ys))
+    xs, ys = xs2[:n], ys2[:n]
+    a = np.empty(n)
+    b = np.empty(n)
+    prev = np.empty(n + 2)  # S row k-1, then its entries 0 and 1 again
+
+    def sq_dist_to(off: int, out: np.ndarray) -> np.ndarray:
+        """d2(s, s+off) for every s into ``out``; clobbers ``b``."""
+        np.subtract(xs2[off:off + n], xs, out=out)
+        np.subtract(ys2[off:off + n], ys, out=b)
+        np.multiply(out, out, out=out)
+        np.multiply(b, b, out=b)
+        return np.add(out, b, out=out)
+
+    edge2_twice = np.empty(2 * n)
+    edge2 = sq_dist_to(1, edge2_twice[:n])
+    edge2_twice[n:] = edge2
     S[1] = edge2
     # size 2: all three moves coincide, so the pair is never forced
 
+    keep = 1.0 - _NECESSARY_REL_TOL
     for k in range(2, half + 1):
         m = 2 * k
-        prev = S[k - 1]
-        case_pair = np.maximum(np.roll(prev, -1), _offset_sq(xs, ys, m - 1))
-        case_left = np.maximum(np.roll(prev, -2), edge2)
-        case_right = np.maximum(prev, np.roll(edge2, -(m - 2)))
-        best = np.minimum(case_pair, np.minimum(case_left, case_right))
-        S[k] = best
-        choice[k] = np.where(
-            case_pair == best, USE_PAIR,
-            np.where(case_left == best, USE_LEFT_EDGE, USE_RIGHT_EDGE),
-        )
-        other = np.minimum(case_left, case_right)
-        necessary[k] = case_pair < other * (1.0 - _NECESSARY_REL_TOL)
+        prev[:n] = S[k - 1]
+        prev[n:] = prev[:2]
+        row, tag, nec = S[k], choice[k], necessary[k]
+        pair = np.maximum(prev[1:n + 1], sq_dist_to(m - 1, a), out=a)
+        left = np.maximum(prev[2:], edge2, out=b)
+        right = np.maximum(prev[:n], edge2_twice[m - 2:m - 2 + n], out=row)
+        np.less(right, left, out=tag)                   # 1 iff right beats left
+        other = np.minimum(left, right, out=row)
+        np.less(other, pair, out=nec)                   # pair loses
+        np.add(tag, 1, out=tag)
+        np.multiply(tag, nec, out=tag)                  # 0 pair, 1 left, 2 right
+        np.multiply(other, keep, out=b)
+        np.less(pair, b, out=nec)
+        np.minimum(pair, other, out=row)
 
     return SubproblemTable(n=n, S=S, choice=choice, necessary=necessary)
 

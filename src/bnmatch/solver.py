@@ -21,7 +21,7 @@ from .circular import arc_size
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .errors import InvalidMatchingError
 from .geometry import CANDIDATE_ANGLE, ConvexPointSet, PolarityRegion, classify_polarity_region
-from .structure import Matching, cascade_decomposition, verify_matching
+from .structure import Matching, _decompose_verified, verify_matching
 
 ANGLE_SLACK = 1e-9  # widening the angle test can only add candidates
 
@@ -108,10 +108,11 @@ def enumerate_candidates(
     cum = P._ext_cum2
     a_idx = (np.arange(n) + 1) % n
     out: list[CandidateDiagonal] = []
-    for m in range(4, n - 1, 2):
-        nec = T.necessary[m // 2]
-        if not nec.any():
-            continue
+    # rows k = 2 .. n/2 - 1 hold the diagonals' arc sizes m = 2k in [4, n-2]
+    rows = np.flatnonzero(T.necessary[2:n // 2].any(axis=1)) + 2
+    for k in rows.tolist():
+        m = 2 * k
+        nec = T.necessary[k]
         tau = cum[a_idx + (m - 2)] - cum[a_idx]
         mask = nec & (tau <= CANDIDATE_ANGLE + ANGLE_SLACK)
         for s in np.nonzero(mask)[0]:
@@ -186,7 +187,7 @@ def solve(P: ConvexPointSet, annotate_polarity: bool = False) -> SolveReport:
         raise InvalidMatchingError(
             f"reconstructed bottleneck {report.value!r} != table value {value!r}"
         )
-    decomposition = cascade_decomposition(P, matching)
+    decomposition = _decompose_verified(P, matching)
     return SolveReport(
         value=value,
         matching=matching,

@@ -16,8 +16,6 @@ from .circular import segments_cross
 from .errors import InvalidMatchingError
 from .geometry import ConvexPointSet, sq_dist
 
-_PAIRWISE_LIMIT = 64  # above this, use the O(n) stack scan
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -57,21 +55,17 @@ class MatchingReport:
 
 
 def _crossing_free(n: int, pairs, perfect: bool) -> bool:
-    if perfect and n > _PAIRWISE_LIMIT:
+    if perfect:
         # balanced-parentheses scan over the chords as linear intervals
-        opens: dict[int, list[tuple[int, int]]] = {}
-        for a, b in pairs:
-            lo, hi = (a, b) if a < b else (b, a)
-            opens.setdefault(lo, []).append((lo, hi))
-        stack: list[tuple[int, int]] = []
+        close_of = {min(a, b): max(a, b) for a, b in pairs}
+        stack: list[int] = []  # closing ends of the open chords
         for v in range(n):
-            if stack and stack[-1][1] == v:
+            if stack and stack[-1] == v:
                 stack.pop()
-                continue
-            ivs = opens.get(v)
-            if ivs is None:
-                return False
-            stack.append(ivs[0])
+            elif v in close_of:
+                stack.append(close_of[v])
+            else:
+                return False  # v closes a chord that is not innermost
         return not stack
     for idx in range(len(pairs)):
         a, b = pairs[idx]
@@ -146,11 +140,15 @@ def cascade_decomposition(P: ConvexPointSet, M: Matching) -> CascadeDecompositio
 
     Raises InvalidMatchingError unless M is perfect and non-crossing.
     """
-    n = P.n
     rep = verify_matching(P, M)
     if not (rep.perfect and rep.non_crossing):
         raise InvalidMatchingError("need a perfect non-crossing matching")
+    return _decompose_verified(P, M)
 
+
+def _decompose_verified(P: ConvexPointSet, M: Matching) -> CascadeDecomposition:
+    """cascade_decomposition for an M the caller has already verified."""
+    n = P.n
     diagonals = sorted(
         (min(a, b), max(a, b)) for a, b in M.pairs if not is_edge(a, b, n)
     )

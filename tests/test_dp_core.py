@@ -6,11 +6,15 @@ most one chain, with the arc's closing segment facing at most one of them),
 entirely separately from the DP code.
 """
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from bnmatch import (
+    GenSpec,
     build_subproblem_table,
+    generate,
     gen_circle,
     gen_valtr,
     one_cascade_optimum,
@@ -19,7 +23,7 @@ from bnmatch import (
     sq_dist,
     validate_convex_ccw,
 )
-from bnmatch.dp_core import USE_PAIR
+from bnmatch.dp_core import USE_LEFT_EDGE, USE_PAIR, USE_RIGHT_EDGE
 from bnmatch.errors import BadDomainError
 from conftest import SKEW4_VALUE
 
@@ -256,3 +260,80 @@ class TestAgainstConstrainedBruteForce:
                         for t in range(0, size, 2)
                     )
                     assert T.value(start, size) <= cap
+
+
+def _roll_fill(P):
+    """(S, choice, necessary) from the recurrence written with np.roll.
+
+    A direct transcription of the docstring recurrence, one temporary per
+    term, kept as the reference the buffered fill must match bit for bit.
+    """
+    n, xs, ys = P.n, P.xs, P.ys
+    half = n // 2
+
+    def offset_sq(off):
+        dx = np.roll(xs, -off) - xs
+        dy = np.roll(ys, -off) - ys
+        return dx * dx + dy * dy
+
+    S = np.zeros((half + 1, n))
+    choice = np.zeros((half + 1, n), dtype=np.uint8)
+    necessary = np.zeros((half + 1, n), dtype=bool)
+    edge2 = offset_sq(1)
+    S[1] = edge2
+    for k in range(2, half + 1):
+        m = 2 * k
+        prev = S[k - 1]
+        case_pair = np.maximum(np.roll(prev, -1), offset_sq(m - 1))
+        case_left = np.maximum(np.roll(prev, -2), edge2)
+        case_right = np.maximum(prev, np.roll(edge2, -(m - 2)))
+        best = np.minimum(case_pair, np.minimum(case_left, case_right))
+        S[k] = best
+        choice[k] = np.where(
+            case_pair == best, USE_PAIR,
+            np.where(case_left == best, USE_LEFT_EDGE, USE_RIGHT_EDGE),
+        )
+        other = np.minimum(case_left, case_right)
+        necessary[k] = case_pair < other * (1.0 - 1e-9)
+    return S, choice, necessary
+
+
+def _assert_matches_roll_fill(P):
+    T = build_subproblem_table(P)
+    S, choice, necessary = _roll_fill(P)
+    assert T.S.shape == S.shape and T.S.dtype == np.float64
+    assert T.choice.dtype == np.uint8 and T.necessary.dtype == np.bool_
+    assert T.S.tobytes() == S.tobytes()
+    assert np.array_equal(T.choice, choice)
+    assert np.array_equal(T.necessary, necessary)
+
+
+def test_fill_bit_identical_to_roll_recurrence_on_fixtures():
+    import conftest
+
+    _assert_matches_roll_fill(validate_convex_ccw([(0.0, 0.0), (1.0, 0.0)]))
+    for coords in (conftest.SQ4_COORDS, conftest.SKEW4_COORDS, conftest.HEX6_COORDS):
+        _assert_matches_roll_fill(validate_convex_ccw(coords))
+
+
+@pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
+@pytest.mark.parametrize("n", [6, 8, 16, 64, 250, 512])
+def test_fill_bit_identical_to_roll_recurrence(n, mode):
+    _assert_matches_roll_fill(generate(GenSpec(n, mode, 11 + n)))
+
+
+def test_fill_scratch_memory_per_point():
+    # the fill's own working memory is O(n): everything tracemalloc sees
+    # beyond the three tables stays under 128 bytes per point. P.xs and P.ys
+    # are cached on the point set, so they are built before measuring.
+    n = 2048
+    P = generate(GenSpec(n, "valtr", 3))
+    P.xs, P.ys
+    tracemalloc.start()
+    try:
+        T = build_subproblem_table(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = T.S.nbytes + T.choice.nbytes + T.necessary.nbytes
+    assert peak - tables <= 128 * n, (peak - tables) / n

@@ -11,6 +11,7 @@ from bnmatch import (
     validate_convex_ccw,
     verify_matching,
 )
+from bnmatch.circular import segments_cross
 from bnmatch.errors import InvalidMatchingError
 from bnmatch.structure import canonical_pairs
 
@@ -57,6 +58,42 @@ class TestVerifyMatching:
         bad = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(4, n, 2)]
         rep = verify_matching(P, M(n, bad))
         assert rep.perfect and not rep.non_crossing
+
+    def test_stack_scan_matches_pairwise_exhaustively(self):
+        # every perfect matching, crossing or not, of up to 12 points; the
+        # pairs alternate orientation so the scan sees both (a, b) and (b, a)
+        def all_perfect(vs):
+            if not vs:
+                yield ()
+                return
+            for t in range(1, len(vs)):
+                for rest in all_perfect(vs[1:t] + vs[t + 1:]):
+                    yield ((vs[0], vs[t]),) + rest
+
+        for n in range(2, 13, 2):
+            P = validate_convex_ccw(
+                [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+            )
+            crossing = 0
+            for m in all_perfect(tuple(range(n))):
+                pairs = [(b, a) if t % 2 else (a, b) for t, (a, b) in enumerate(m)]
+                want = not any(
+                    segments_cross(*pairs[x], *pairs[y], n)
+                    for x in range(len(pairs))
+                    for y in range(x + 1, len(pairs))
+                )
+                rep = verify_matching(P, M(n, pairs))
+                assert rep.perfect and rep.non_crossing == want, (n, pairs)
+                crossing += not want
+            assert crossing > 0 or n <= 2
+
+    def test_pairwise_path_for_non_perfect(self, hex6):
+        rep = verify_matching(hex6, M(6, [(0, 3), (1, 4)]))
+        assert not rep.perfect and not rep.non_crossing
+        rep = verify_matching(hex6, M(6, [(0, 3), (1, 2)]))
+        assert not rep.perfect and rep.non_crossing
+        rep = verify_matching(hex6, M(6, [(0, 3), (0, 3), (1, 2)]))
+        assert not rep.perfect and rep.non_crossing
 
     def test_value_matches_longest(self, skew4):
         rep = verify_matching(skew4, M(4, [(0, 1), (2, 3)]))
