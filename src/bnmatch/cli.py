@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/read error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import statistics
 import sys
@@ -177,7 +178,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="bnmatch",
         description="Bottleneck non-crossing matchings of points in convex position.",

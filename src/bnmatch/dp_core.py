@@ -7,9 +7,22 @@ recurrence moves achieved it and whether the closing pair was forced.
 
 Indexing is (start, size) rather than endpoint pairs so that the full-circle
 entries (size n) are first class; an interval of size 0 contributes 0.
+
+Values are checkpointed (Hirschberg 1975, Griewank 1992: recompute instead
+of store). The fill keeps the value rows of sizes 0, 2s, 4s, ... for a
+stride s, plus the full-circle row; the choice tags and necessity flags stay
+dense. Row r0 + d at start t depends only on row r0 at starts t .. t + 2d,
+so any other value is replayed from the checkpoint row below it on a window
+of at most 2s - 1 starts, with the fill's own float operations, and comes
+out bit for bit as the fill computed it. Stride 1 keeps every row. From
+n = 1024 on the default stride is isqrt(n/2): values then take
+8n(sqrt(n/2) + 2) bytes instead of 4n(n + 2), the whole table about 2 bytes
+per entry instead of 10, and replaying a column of n/2 values costs about
+n * sqrt(n/2) entry updates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,21 +37,39 @@ USE_RIGHT_EDGE = 2  # take edge (start+size-2, start+size-1), recurse on the res
 
 _NECESSARY_REL_TOL = 1e-9
 
+# dense value rows up to this many bytes: below it a replay costs more in
+# numpy calls than the pages it saves
+_DENSE_VALUES_BYTES = 4 << 20
+
+
+def checkpoint_stride(n: int) -> int:
+    """Default stride: 1 while the dense value rows fit, else isqrt(n/2)."""
+    half = n // 2
+    if 8 * n * (half + 1) <= _DENSE_VALUES_BYTES:
+        return 1
+    return math.isqrt(half)
+
 
 @dataclass(frozen=True)
 class SubproblemTable:
     """Values, choice tags and necessity flags for all even-size arcs.
 
-    Row k of each array covers arcs of size 2k, indexed by start; row 0 is
-    the empty-interval convention (all zeros). ``necessary[k, s]`` is True
-    iff closing the pair strictly beat both edge moves, i.e. every optimal
-    matching of that constrained subproblem contains the closing pair.
+    Row k of ``choice`` and ``necessary`` covers arcs of size 2k, indexed by
+    start; row 0 is the empty-interval convention. ``necessary[k, s]`` is
+    True iff closing the pair strictly beat both edge moves, i.e. every
+    optimal matching of that constrained subproblem contains the closing
+    pair. ``S`` holds the value rows k = 0, stride, 2*stride, ... and, last,
+    the full-circle row k = n/2; read any value with ``value``, ``values``
+    or ``arc_values``; a replay needs the coordinates ``xs`` and ``ys``.
     """
 
     n: int
-    S: np.ndarray          # float64, shape (n//2 + 1, n)
-    choice: np.ndarray     # uint8, same shape
+    stride: int
+    S: np.ndarray          # float64, the kept value rows, each of length n
+    choice: np.ndarray     # uint8, shape (n//2 + 1, n)
     necessary: np.ndarray  # bool, same shape
+    xs: np.ndarray
+    ys: np.ndarray
 
     def _check(self, start: int, size: int) -> None:
         if not 0 <= start < self.n:
@@ -48,7 +79,81 @@ class SubproblemTable:
 
     def value(self, start: int, size: int) -> float:
         self._check(start, size)
-        return float(self.S[size // 2, start])
+        return float(self.values(np.array([size // 2]), np.array([start]))[0])
+
+    def values(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Values of the arcs of sizes 2 * rows at ``starts`` (1-d, in range).
+
+        Equals ``S[rows, starts]`` of the stride-1 table bit for bit.
+        """
+        if self.stride == 1:
+            return self.S[rows, starts]
+        d = rows % self.stride
+        first, _ = self._replay(rows - d, starts, int(d.max(initial=0)))
+        return first[np.arange(rows.size), d]
+
+    def arc_values(
+        self, starts: np.ndarray, ends: np.ndarray, kmax: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the arcs of sizes 0, 2, ..., 2*kmax (kmax <= n/2) that
+        start at each of ``starts``, and of those that end at each of ``ends``.
+
+        Entry [a, k] of the first array is the value of the arc of size 2k
+        starting at starts[a]; of the second, that of the arc of size 2k
+        ending at ends[a]. One replay serves both: per block of ``stride``
+        rows, one window per anchor, left-aligned at a start or right-aligned
+        at an end.
+        """
+        if self.stride == 1:
+            k = np.arange(kmax + 1)
+            return self.S[k, starts[:, None]], self.S[k, (ends[:, None] - 2 * k + 1) % self.n]
+        steps = min(self.stride - 1, kmax)
+        r0 = np.arange(0, kmax + 1, self.stride)
+        s0 = np.concatenate((
+            np.broadcast_to(starts[:, None], (starts.size, r0.size)),
+            ends[:, None] - 2 * r0 - 2 * steps + 1,
+        )) % self.n
+        first, last = self._replay(np.tile(r0, starts.size + ends.size), s0.ravel(), steps)
+        split = starts.size * r0.size
+        return (
+            first[:split].reshape(starts.size, -1)[:, :kmax + 1],
+            last[split:].reshape(ends.size, -1)[:, :kmax + 1],
+        )
+
+    def _replay(
+        self, r0: np.ndarray, s0: np.ndarray, steps: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows r0 .. r0+steps over the windows of starts s0 .. s0 + 2*steps.
+
+        ``r0`` are checkpoint rows (multiples of the stride) and steps <= n/2.
+        Row r0 + d is known at the window's first 2*(steps - d) + 1 starts;
+        entry [w, d] of the two results is its value at the first and at
+        the last of them. The float operations are the fill's, in its order;
+        indices past n wrap.
+        """
+        n = self.n
+        width = 2 * steps + 1
+        starts = (s0[:, None] + np.arange(width)) % n
+        cur = self.S[(r0 // self.stride)[:, None], starts]
+        first = np.empty((r0.size, steps + 1))
+        last = np.empty((r0.size, steps + 1))
+        first[:, 0], last[:, 0] = cur[:, 0], cur[:, -1]
+        ex = np.roll(self.xs, -1) - self.xs
+        ey = np.roll(self.ys, -1) - self.ys
+        edge2 = ex * ex + ey * ey  # d2(s, s+1), as the fill computes it
+        x0, y0, e0 = self.xs[starts], self.ys[starts], edge2[starts]
+        far0 = starts + 2 * r0[:, None]  # the arc of row r0+d ends at far0 + 2d - 1
+        for d in range(1, steps + 1):
+            w = width - 2 * d
+            far = far0[:, :w] + (2 * d - 1)
+            dx = np.take(self.xs, far, mode="wrap") - x0[:, :w]
+            dy = np.take(self.ys, far, mode="wrap") - y0[:, :w]
+            pair = np.maximum(cur[:, 1:w + 1], dx * dx + dy * dy)
+            left = np.maximum(cur[:, 2:], e0[:, :w])
+            right = np.maximum(cur[:, :w], np.take(edge2, far - 1, mode="wrap"))
+            cur = np.minimum(pair, np.minimum(left, right))
+            first[:, d], last[:, d] = cur[:, 0], cur[:, -1]
+        return first, last
 
     def choice_at(self, start: int, size: int) -> int:
         self._check(start, size)
@@ -63,8 +168,8 @@ class SubproblemTable:
         return bool(self.necessary[size // 2, start])
 
 
-def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
-    """Fill the table for all (start, even size) in O(n^2) time and space.
+def build_subproblem_table(P: ConvexPointSet, stride: int | None = None) -> SubproblemTable:
+    """Fill the table for all (start, even size) in O(n^2) time.
 
     For an arc of size m starting at s, with d2 the squared distances:
 
@@ -77,18 +182,31 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     move in (pair, left, right) order. The pair move is flagged necessary
     only when it wins by more than a relative 1e-9.
 
-    The coordinates and edge lengths are kept twice over (length 2n) and the
-    previous row with its first two entries repeated (length n+2), so every
-    cyclic shift above is a slice view. Each row is computed with ``out=``
-    ufuncs into two reused float64 temporaries and the row's own slots of
-    ``S``, ``choice`` and ``necessary``, so the loop allocates nothing. The
-    float operations and their order are those of the recurrence as written
-    (dx*dx + dy*dy, min(pair, min(left, right)), other * (1 - 1e-9)), so all
-    three tables equal a direct transcription bit for bit, ties included.
+    ``stride`` (default ``checkpoint_stride(n)``) selects the value rows
+    kept: sizes 2k with k % stride == 0, and the full circle. ``choice`` and
+    ``necessary`` are kept whole, 2 bytes per entry, (n/2 + 1) * n entries;
+    the kept value rows add 8 bytes per entry at stride 1 and about
+    8n * sqrt(n/2) bytes in all at stride isqrt(n/2). Stride 1 keeps every
+    row, the dense table.
+
+    The coordinates and edge lengths are kept twice over (length 2n) and
+    the latest row is kept in one buffer of length n+2 that repeats its
+    first two entries at the end, so every cyclic shift above is a slice
+    view. Each row is computed with ``out=`` ufuncs into two reused float64
+    temporaries, that buffer (overwriting the previous row once the three
+    moves have read it) and the row's own slots of ``choice`` and
+    ``necessary``, so the loop allocates nothing. The float operations
+    and their order are those of the recurrence as written (dx*dx + dy*dy,
+    min(pair, min(left, right)), other * (1 - 1e-9)), so all three tables
+    equal a direct transcription bit for bit, ties included.
     """
     n = P.n
     half = n // 2
-    S = np.zeros((half + 1, n))
+    if stride is None:
+        stride = checkpoint_stride(n)
+    if stride < 1:
+        raise BadDomainError(f"stride {stride} < 1")
+    S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     choice = np.zeros((half + 1, n), dtype=np.uint8)
     necessary = np.zeros((half + 1, n), dtype=bool)
 
@@ -97,7 +215,8 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     xs, ys = xs2[:n], ys2[:n]
     a = np.empty(n)
     b = np.empty(n)
-    prev = np.empty(n + 2)  # S row k-1, then its entries 0 and 1 again
+    buf = np.empty(n + 2)  # the latest row, then its entries 0 and 1 again
+    row = buf[:n]
 
     def sq_dist_to(off: int, out: np.ndarray) -> np.ndarray:
         """d2(s, s+off) for every s into ``out``; clobbers ``b``."""
@@ -107,21 +226,29 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         np.multiply(b, b, out=b)
         return np.add(out, b, out=out)
 
+    def finish_row(k: int) -> None:
+        """Repeat row k's first entries after it; keep it if a checkpoint."""
+        buf[n:] = row[:2]
+        if k % stride == 0:
+            S[k // stride] = row
+        elif k == half:
+            S[-1] = row
+
     edge2_twice = np.empty(2 * n)
     edge2 = sq_dist_to(1, edge2_twice[:n])
     edge2_twice[n:] = edge2
-    S[1] = edge2
+    row[:] = edge2
+    finish_row(1)
     # size 2: all three moves coincide, so the pair is never forced
 
     keep = 1.0 - _NECESSARY_REL_TOL
     for k in range(2, half + 1):
         m = 2 * k
-        prev[:n] = S[k - 1]
-        prev[n:] = prev[:2]
-        row, tag, nec = S[k], choice[k], necessary[k]
-        pair = np.maximum(prev[1:n + 1], sq_dist_to(m - 1, a), out=a)
-        left = np.maximum(prev[2:], edge2, out=b)
-        right = np.maximum(prev[:n], edge2_twice[m - 2:m - 2 + n], out=row)
+        tag, nec = choice[k], necessary[k]
+        pair = np.maximum(buf[1:n + 1], sq_dist_to(m - 1, a), out=a)
+        left = np.maximum(buf[2:], edge2, out=b)
+        # the last read of row k-1, which row k overwrites in place from here
+        right = np.maximum(row, edge2_twice[m - 2:m - 2 + n], out=row)
         np.less(right, left, out=tag)                   # 1 iff right beats left
         other = np.minimum(left, right, out=row)
         np.less(other, pair, out=nec)                   # pair loses
@@ -130,8 +257,12 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         np.multiply(other, keep, out=b)
         np.less(pair, b, out=nec)
         np.minimum(pair, other, out=row)
+        finish_row(k)
 
-    return SubproblemTable(n=n, S=S, choice=choice, necessary=necessary)
+    return SubproblemTable(
+        n=n, stride=stride, S=S, choice=choice, necessary=necessary,
+        xs=P.xs, ys=P.ys,
+    )
 
 
 def one_cascade_optimum(T: SubproblemTable) -> tuple[float, int]:
@@ -139,7 +270,7 @@ def one_cascade_optimum(T: SubproblemTable) -> tuple[float, int]:
 
     Ties go to the smallest start.
     """
-    row = T.S[T.n // 2]
+    row = T.S[-1]
     s = int(np.argmin(row))
     return float(row[s]), s
 

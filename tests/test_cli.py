@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -153,6 +154,22 @@ class TestVerifyCommand:
         )
         assert main(["verify", sq4_file, m]) == 1
         assert "perfect" in capsys.readouterr().out
+
+    def test_repeat_call_leaves_no_cyclic_garbage(self, sq4_file, tmp_path, capsys):
+        # the parser is built once per process, so a second verify creates
+        # no reference cycles for the collector to find
+        m = write(
+            tmp_path / "m.json",
+            matching_to_json(4, 1.0, [(0, 1), (2, 3)], "one-cascade", 0, 0),
+        )
+        assert main(["verify", sq4_file, m]) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["verify", sq4_file, m]) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_n_mismatch_fails(self, sq4_file, tmp_path, capsys):
         m = write(

@@ -23,7 +23,7 @@ from bnmatch import (
     sq_dist,
     validate_convex_ccw,
 )
-from bnmatch.dp_core import USE_LEFT_EDGE, USE_PAIR, USE_RIGHT_EDGE
+from bnmatch.dp_core import USE_LEFT_EDGE, USE_PAIR, USE_RIGHT_EDGE, checkpoint_stride
 from bnmatch.errors import BadDomainError
 from conftest import SKEW4_VALUE
 
@@ -337,3 +337,61 @@ def test_fill_scratch_memory_per_point():
         tracemalloc.stop()
     tables = T.S.nbytes + T.choice.nbytes + T.necessary.nbytes
     assert peak - tables <= 128 * n, (peak - tables) / n
+
+
+def _assert_stride_matches_dense(P, stride):
+    """A checkpointed table reads back the stride-1 table bit for bit."""
+    n, half = P.n, P.n // 2
+    D = build_subproblem_table(P, stride=1)
+    T = build_subproblem_table(P, stride=stride)
+    assert T.stride == stride and D.S.shape == (half + 1, n)
+    assert T.choice.dtype == np.uint8 and T.choice.shape == D.choice.shape
+    assert np.array_equal(T.choice, D.choice)
+    assert np.array_equal(T.necessary, D.necessary)
+    kept = sorted({*range(0, half + 1, stride), half})
+    assert T.S.tobytes() == D.S[kept].tobytes()
+    for start in range(n):
+        for size in range(0, n + 1, 2):
+            assert T.value(start, size).hex() == D.value(start, size).hex(), (start, size)
+    rows, starts = np.divmod(np.arange((half + 1) * n), n)
+    assert T.values(rows, starts).tobytes() == D.S[rows, starts].tobytes()
+    anchors = np.arange(n)
+    ends = anchors[::-1].copy()
+    for kmax in range(half + 1):
+        k = np.arange(kmax + 1)
+        first, last = T.arc_values(anchors, ends, kmax)
+        assert first.tobytes() == D.S[k, anchors[:, None]].tobytes(), kmax
+        assert last.tobytes() == D.S[k, (ends[:, None] - 2 * k + 1) % n].tobytes(), kmax
+
+
+def _strides(n):
+    return sorted({1, 2, 3, 7, math.isqrt(n // 2)})
+
+
+def test_checkpointed_table_matches_dense_on_fixtures():
+    import conftest
+
+    for coords in (conftest.SQ4_COORDS, conftest.SKEW4_COORDS, conftest.HEX6_COORDS):
+        P = validate_convex_ccw(coords)
+        for stride in _strides(P.n):
+            _assert_stride_matches_dense(P, stride)
+
+
+@pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
+@pytest.mark.parametrize("n", [6, 8, 16, 30, 64])
+def test_checkpointed_table_matches_dense(n, mode):
+    P = generate(GenSpec(n, mode, 23 + n))
+    for stride in _strides(n):
+        _assert_stride_matches_dense(P, stride)
+
+
+def test_default_stride_rule():
+    # dense value rows while they take at most 4 MiB, then isqrt(n/2)
+    for n in (2, 256, 512, 1022):
+        assert checkpoint_stride(n) == 1
+        assert 8 * n * (n // 2 + 1) <= 4 << 20
+    for n in (1024, 2048, 8192, 16384):
+        assert checkpoint_stride(n) == math.isqrt(n // 2) > 1
+    P = generate(GenSpec(2048, "valtr", 1))
+    T = build_subproblem_table(P)
+    assert T.stride == 32 and T.S.shape == (33, 2048)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from bnmatch import (
     validate_convex_ccw,
     verify_matching,
 )
+from bnmatch import dp_core
 from bnmatch.circular import arc_size, feasible
 from bnmatch.geometry import CANDIDATE_ANGLE
 from bnmatch.solver import Polarity
@@ -223,3 +225,50 @@ class TestThreeCascadePath:
 
     def test_one_cascade_tie_prefers_one_cascade_label(self, sq4):
         assert solve(sq4).structure == "one-cascade"
+
+
+def _report_key(rep):
+    return (rep.value.hex(), rep.matching.pairs, rep.structure, rep.candidate_count)
+
+
+def _solve_at_stride(P, monkeypatch, stride):
+    monkeypatch.setattr(dp_core, "checkpoint_stride", lambda n: stride(n))
+    return _report_key(solve(P))
+
+
+class TestCheckpointStride:
+    """solve answers the same whichever value rows the table keeps."""
+
+    @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
+    def test_forced_strides_match_stride_one(self, mode, monkeypatch):
+        structures = set()
+        for n in (8, 16, 32, 64, 128, 256, 512):
+            for seed in range(3):
+                P = generate(GenSpec(n, mode, 100 + seed))
+                dense = _solve_at_stride(P, monkeypatch, lambda n: 1)
+                for stride in (lambda n: 3, lambda n: max(1, math.isqrt(n // 2))):
+                    assert _solve_at_stride(P, monkeypatch, stride) == dense, (n, seed)
+                structures.add(dense[2])
+        if mode == "cluster3":
+            assert "three-cascade" in structures
+
+    def test_cluster3_2048_default_stride_matches_stride_one(self, monkeypatch):
+        P = generate(GenSpec(2048, "cluster3", 5))
+        assert dp_core.checkpoint_stride(2048) > 1
+        default = _report_key(solve(P))
+        assert default[2] == "three-cascade"
+        assert _solve_at_stride(P, monkeypatch, lambda n: 1) == default
+
+    def test_solve_memory_per_table_entry(self):
+        # choice and necessary take 2 bytes per entry; the value checkpoints,
+        # replays and everything else in solve stay under 1 more
+        n = 2048
+        P = generate(GenSpec(n, "valtr", 3))
+        tracemalloc.start()
+        try:
+            solve(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = (n // 2 + 1) * n
+        assert peak <= 3 * entries, peak / entries
