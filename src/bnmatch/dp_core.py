@@ -37,8 +37,11 @@ USE_RIGHT_EDGE = 2  # take edge (start+size-2, start+size-1), recurse on the res
 
 _NECESSARY_REL_TOL = 1e-9
 
-# dense value rows up to this many bytes: below it a replay costs more in
-# numpy calls than the pages it saves
+# dense value rows up to this many bytes (n <= 1022). The cutoff is not
+# tuned: between n = 256 and 1536, solve ran 3-12% faster at stride
+# isqrt(n/2) on valtr (no candidates) and 16-58% slower on cluster3 (three
+# candidates, whose replays are numpy calls on a few entries each); from
+# n = 8192 on, the saved pages win on both
 _DENSE_VALUES_BYTES = 4 << 20
 
 
@@ -59,8 +62,9 @@ class SubproblemTable:
     True iff closing the pair strictly beat both edge moves, i.e. every
     optimal matching of that constrained subproblem contains the closing
     pair. ``S`` holds the value rows k = 0, stride, 2*stride, ... and, last,
-    the full-circle row k = n/2; read any value with ``value``, ``values``
-    or ``arc_values``; a replay needs the coordinates ``xs`` and ``ys``.
+    the full-circle row k = n/2; read any value with ``value`` or
+    ``arc_values``; a replay needs the coordinates ``xs`` and ``ys`` and the
+    fill's squared edge lengths ``edge2``.
     """
 
     n: int
@@ -70,6 +74,7 @@ class SubproblemTable:
     necessary: np.ndarray  # bool, same shape
     xs: np.ndarray
     ys: np.ndarray
+    edge2: np.ndarray      # float64, d2(s, s+1) for every start s
 
     def _check(self, start: int, size: int) -> None:
         if not 0 <= start < self.n:
@@ -78,47 +83,29 @@ class SubproblemTable:
             raise BadDomainError(f"size {size} not even in [0, {self.n}]")
 
     def value(self, start: int, size: int) -> float:
+        """Value of the arc of ``size`` starting at ``start``, bit for bit
+        the stride-1 table's."""
         self._check(start, size)
-        return float(self.values(np.array([size // 2]), np.array([start]))[0])
+        k = size // 2
+        d = k % self.stride
+        first, _ = self._replay(np.array([k - d]), np.array([start]), d)
+        return float(first[0, d])
 
-    def values(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Values of the arcs of sizes 2 * rows at ``starts`` (1-d, in range).
-
-        Equals ``S[rows, starts]`` of the stride-1 table bit for bit.
-        """
-        if self.stride == 1:
-            return self.S[rows, starts]
-        d = rows % self.stride
-        first, _ = self._replay(rows - d, starts, int(d.max(initial=0)))
-        return first[np.arange(rows.size), d]
-
-    def arc_values(
-        self, starts: np.ndarray, ends: np.ndarray, kmax: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def arc_values(self, start: int, end: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Values of the arcs of sizes 0, 2, ..., 2*kmax (kmax <= n/2) that
-        start at each of ``starts``, and of those that end at each of ``ends``.
+        start at ``start``, and of those that end at ``end``.
 
-        Entry [a, k] of the first array is the value of the arc of size 2k
-        starting at starts[a]; of the second, that of the arc of size 2k
-        ending at ends[a]. One replay serves both: per block of ``stride``
-        rows, one window per anchor, left-aligned at a start or right-aligned
-        at an end.
+        Entry k of the first array is the value of the arc of size 2k
+        starting at ``start``; of the second, that of the arc of size 2k
+        ending at ``end``. Each comes from one replay with one window per
+        block of ``stride`` rows, left-aligned at the start or right-aligned
+        at the end; both take O(n) entries.
         """
-        if self.stride == 1:
-            k = np.arange(kmax + 1)
-            return self.S[k, starts[:, None]], self.S[k, (ends[:, None] - 2 * k + 1) % self.n]
         steps = min(self.stride - 1, kmax)
         r0 = np.arange(0, kmax + 1, self.stride)
-        s0 = np.concatenate((
-            np.broadcast_to(starts[:, None], (starts.size, r0.size)),
-            ends[:, None] - 2 * r0 - 2 * steps + 1,
-        )) % self.n
-        first, last = self._replay(np.tile(r0, starts.size + ends.size), s0.ravel(), steps)
-        split = starts.size * r0.size
-        return (
-            first[:split].reshape(starts.size, -1)[:, :kmax + 1],
-            last[split:].reshape(ends.size, -1)[:, :kmax + 1],
-        )
+        first, _ = self._replay(r0, np.full(r0.size, start), steps)
+        _, last = self._replay(r0, (end - 2 * r0 - 2 * steps + 1) % self.n, steps)
+        return first.ravel()[:kmax + 1], last.ravel()[:kmax + 1]
 
     def _replay(
         self, r0: np.ndarray, s0: np.ndarray, steps: int
@@ -138,10 +125,7 @@ class SubproblemTable:
         first = np.empty((r0.size, steps + 1))
         last = np.empty((r0.size, steps + 1))
         first[:, 0], last[:, 0] = cur[:, 0], cur[:, -1]
-        ex = np.roll(self.xs, -1) - self.xs
-        ey = np.roll(self.ys, -1) - self.ys
-        edge2 = ex * ex + ey * ey  # d2(s, s+1), as the fill computes it
-        x0, y0, e0 = self.xs[starts], self.ys[starts], edge2[starts]
+        x0, y0, e0 = self.xs[starts], self.ys[starts], self.edge2[starts]
         far0 = starts + 2 * r0[:, None]  # the arc of row r0+d ends at far0 + 2d - 1
         for d in range(1, steps + 1):
             w = width - 2 * d
@@ -150,7 +134,7 @@ class SubproblemTable:
             dy = np.take(self.ys, far, mode="wrap") - y0[:, :w]
             pair = np.maximum(cur[:, 1:w + 1], dx * dx + dy * dy)
             left = np.maximum(cur[:, 2:], e0[:, :w])
-            right = np.maximum(cur[:, :w], np.take(edge2, far - 1, mode="wrap"))
+            right = np.maximum(cur[:, :w], np.take(self.edge2, far - 1, mode="wrap"))
             cur = np.minimum(pair, np.minimum(left, right))
             first[:, d], last[:, d] = cur[:, 0], cur[:, -1]
         return first, last
@@ -234,9 +218,8 @@ def build_subproblem_table(P: ConvexPointSet, stride: int | None = None) -> Subp
         elif k == half:
             S[-1] = row
 
-    edge2_twice = np.empty(2 * n)
-    edge2 = sq_dist_to(1, edge2_twice[:n])
-    edge2_twice[n:] = edge2
+    edge2 = sq_dist_to(1, np.empty(n))
+    edge2_twice = np.concatenate((edge2, edge2))
     row[:] = edge2
     finish_row(1)
     # size 2: all three moves coincide, so the pair is never forced
@@ -261,7 +244,7 @@ def build_subproblem_table(P: ConvexPointSet, stride: int | None = None) -> Subp
 
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=choice, necessary=necessary,
-        xs=P.xs, ys=P.ys,
+        xs=P.xs, ys=P.ys, edge2=edge2,
     )
 
 

@@ -140,23 +140,20 @@ def solve(P: ConvexPointSet, annotate_polarity: bool = False) -> SolveReport:
 
     best_three = math.inf
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
-    ci = np.array([c.i for c in candidates], dtype=np.intp)
-    m1s = (np.array([c.j for c in candidates], dtype=np.intp) - ci) % n + 1
-    bases = T.values(m1s // 2, ci)
-    # a split can beat best_one only if base does, and needs rest >= 4
-    live = np.flatnonzero((bases < best_one) & (m1s <= n - 4))
-    if live.size:
-        kmax = (n - int(m1s[live].min())) // 2 - 1
-        # complements: arcs starting at j+1 and arcs ending at i-1
-        from_j, to_i = T.arc_values((ci[live] + m1s[live]) % n, (ci[live] - 1) % n, kmax)
-    for row, c in enumerate(live.tolist()):
-        base = bases[c]
-        if base >= best_three:
+    for cand in candidates:
+        i, j = cand.i, cand.j
+        m1 = arc_size(i, j, n)
+        base = T.value(i, m1)
+        if base >= best_one or base >= best_three:
             continue  # the max over the split cannot beat the incumbent
-        i, j, rest = candidates[c].i, candidates[c].j, n - int(m1s[c])
+        rest = n - m1
+        if rest < 4:
+            continue
         t_vals = np.arange(2, rest - 1, 2)
-        left = from_j[row, 1:rest // 2]
-        right = to_i[row, rest // 2 - 1:0:-1]
+        # complements: arcs starting at j+1 and arcs ending at i-1
+        from_j, to_i = T.arc_values((j + 1) % n, (i - 1) % n, rest // 2 - 1)
+        left = from_j[1:]
+        right = to_i[:0:-1]
         vals = np.maximum(np.maximum(left, right), base)
         pos = int(np.argmin(vals))
         v = float(vals[pos])

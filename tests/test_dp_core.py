@@ -353,15 +353,14 @@ def _assert_stride_matches_dense(P, stride):
     for start in range(n):
         for size in range(0, n + 1, 2):
             assert T.value(start, size).hex() == D.value(start, size).hex(), (start, size)
-    rows, starts = np.divmod(np.arange((half + 1) * n), n)
-    assert T.values(rows, starts).tobytes() == D.S[rows, starts].tobytes()
-    anchors = np.arange(n)
-    ends = anchors[::-1].copy()
-    for kmax in range(half + 1):
+    # every anchor at the longest slice, and every slice length at some anchor
+    reads = [(a, half) for a in range(n)] + [(kmax % n, kmax) for kmax in range(half + 1)]
+    for anchor, kmax in reads:
+        end = n - 1 - anchor
         k = np.arange(kmax + 1)
-        first, last = T.arc_values(anchors, ends, kmax)
-        assert first.tobytes() == D.S[k, anchors[:, None]].tobytes(), kmax
-        assert last.tobytes() == D.S[k, (ends[:, None] - 2 * k + 1) % n].tobytes(), kmax
+        first, last = T.arc_values(anchor, end, kmax)
+        assert first.tobytes() == D.S[k, anchor].tobytes(), (anchor, kmax)
+        assert last.tobytes() == D.S[k, (end - 2 * k + 1) % n].tobytes(), (anchor, kmax)
 
 
 def _strides(n):

@@ -259,11 +259,13 @@ class TestCheckpointStride:
         assert default[2] == "three-cascade"
         assert _solve_at_stride(P, monkeypatch, lambda n: 1) == default
 
-    def test_solve_memory_per_table_entry(self):
+    @pytest.mark.parametrize("mode", ["valtr", "cluster3"])
+    def test_solve_memory_per_table_entry(self, mode):
         # choice and necessary take 2 bytes per entry; the value checkpoints,
-        # replays and everything else in solve stay under 1 more
+        # replays and everything else in solve stay under 1 more (cluster3
+        # replays the complements of its candidates, valtr has none)
         n = 2048
-        P = generate(GenSpec(n, "valtr", 3))
+        P = generate(GenSpec(n, mode, 3))
         tracemalloc.start()
         try:
             solve(P)
