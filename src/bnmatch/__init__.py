@@ -7,7 +7,7 @@ rendering and a CLI.
 """
 
 from .baselines import cubic_solve, oracle_enumerate, oracle_solve
-from .circular import ArcInterval, arc_contains, arc_size, feasible, segments_cross
+from .circular import arc_size, segments_cross
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .generators import GenSpec, gen_circle, gen_cluster3, gen_valtr, generate
 from .geometry import (
@@ -31,7 +31,6 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcInterval",
     "CandidateDiagonal",
     "CascadeDecomposition",
     "ConvexPointSet",
@@ -42,7 +41,6 @@ __all__ = [
     "PolarityRegion",
     "SolveReport",
     "SubproblemTable",
-    "arc_contains",
     "arc_size",
     "build_subproblem_table",
     "cascade_decomposition",
@@ -50,7 +48,6 @@ __all__ = [
     "classify_polarity_region",
     "cubic_solve",
     "enumerate_candidates",
-    "feasible",
     "gen_circle",
     "gen_cluster3",
     "gen_valtr",

@@ -8,7 +8,6 @@ non-crossing perfect matching outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -22,20 +21,9 @@ ORACLE_MAX_N = 20
 _OPT_SQ_FACTOR = (1.0 + 1e-9) ** 2
 
 
-@dataclass(frozen=True)
-class CubicTable:
-    """b[i][j] = squared bottleneck of the points i..j (j - i odd)."""
-
-    n: int
-    b: tuple[tuple[float, ...], ...]
-
-    def value(self, i: int, j: int) -> float:
-        return self.b[i][j]
-
-
 def _sq_dist_matrix(P: ConvexPointSet) -> list[list[float]]:
-    xs = [p.x for p in P.points]
-    ys = [p.y for p in P.points]
+    xs = P.xs.tolist()
+    ys = P.ys.tolist()
     n = P.n
     out = []
     for i in range(n):
@@ -105,12 +93,6 @@ def cubic_solve(P: ConvexPointSet) -> tuple[float, Matching]:
 
     retrace(0, n - 1)
     return math.sqrt(b[0][n - 1]), Matching.of(n, pairs)
-
-
-def cubic_table(P: ConvexPointSet) -> CubicTable:
-    """The filled DP table, for inspection in tests."""
-    _, b = _fill_cubic(P)
-    return CubicTable(P.n, tuple(tuple(row) for row in b[: P.n]))
 
 
 @lru_cache(maxsize=None)

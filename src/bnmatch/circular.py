@@ -6,29 +6,12 @@ lie in [0, n); they do no range checking of their own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from .errors import SharedEndpointError
 
 
 def arc_size(i: int, j: int, n: int) -> int:
     """Number of points on the arc <i, j>, between 1 and n."""
     return (j - i) % n + 1
-
-
-def feasible(i: int, j: int, n: int) -> bool:
-    """True iff some perfect matching can contain the pair (i, j).
-
-    Equivalent to the arc <i, j> having even size: the points strictly
-    inside the arc must pair up among themselves.
-    """
-    return arc_size(i, j, n) % 2 == 0
-
-
-def arc_contains(i: int, j: int, k: int, n: int) -> bool:
-    """True iff k lies on the arc <i, j> (endpoints included)."""
-    return (k - i) % n <= (j - i) % n
 
 
 def segments_cross(a: int, b: int, c: int, d: int, n: int) -> bool:
@@ -45,22 +28,3 @@ def segments_cross(a: int, b: int, c: int, d: int, n: int) -> bool:
     in_d = 0 < (d - a) % n < span
     return in_c != in_d
 
-
-@dataclass(frozen=True)
-class ArcInterval:
-    """The arc <start, end> of an n-point cycle."""
-
-    start: int
-    end: int
-    n: int
-
-    @property
-    def size(self) -> int:
-        return arc_size(self.start, self.end, self.n)
-
-    def contains(self, k: int) -> bool:
-        return arc_contains(self.start, self.end, k, self.n)
-
-    def indices(self) -> Iterator[int]:
-        for t in range(self.size):
-            yield (self.start + t) % self.n

@@ -118,8 +118,8 @@ def cmd_verify(args) -> int:
         return fail("perfect")
     if not rep.non_crossing:
         return fail("nonCrossing")
-    if abs(md["value"] - rep.value) > 1e-9 * abs(rep.value):
-        return fail("value")
+    if not abs(md["value"] - rep.value) <= 1e-9 * abs(rep.value):
+        return fail("value")  # also a non-finite value
     decomp = structure._decompose_verified(P, matching)
     print(
         f"OK perfect nonCrossing value={formats.fmt17(rep.value)} "
@@ -145,6 +145,10 @@ def cmd_render(args) -> int:
     md = formats.parse_matching(_read(args.matching))
     if not md["pairs"]:
         raise formats.ParseError("matching file has no pairs")
+    n = len(points)
+    for a, b in md["pairs"]:
+        if not (0 <= a < n and 0 <= b < n):
+            raise formats.ParseError(f"pair ({a}, {b}) outside [0, {n})")
     svg = render.render_svg(points, md["pairs"], md["value"])
     _write(args.out, svg)
     return EXIT_OK

@@ -139,18 +139,6 @@ class SubproblemTable:
             first[:, d], last[:, d] = cur[:, 0], cur[:, -1]
         return first, last
 
-    def choice_at(self, start: int, size: int) -> int:
-        self._check(start, size)
-        if size == 0:
-            raise BadDomainError("empty interval has no choice")
-        return int(self.choice[size // 2, start])
-
-    def necessary_at(self, start: int, size: int) -> bool:
-        self._check(start, size)
-        if size == 0:
-            return False
-        return bool(self.necessary[size // 2, start])
-
 
 def build_subproblem_table(P: ConvexPointSet, stride: int | None = None) -> SubproblemTable:
     """Fill the table for all (start, even size) in O(n^2) time.

@@ -62,8 +62,7 @@ def gen_circle(n: int, seed: int) -> ConvexPointSet:
         wrap = 2.0 * math.pi - (ang[-1] - ang[0])
         if len(gaps) == 0 or (gaps.min() > _MIN_ANGLE_GAP and wrap > _MIN_ANGLE_GAP):
             break
-    pts = np.column_stack((np.cos(ang), np.sin(ang)))
-    return validate_convex_ccw([(float(x), float(y)) for x, y in pts])
+    return validate_convex_ccw(np.column_stack((np.cos(ang), np.sin(ang))))
 
 
 def _valtr_coords(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -91,9 +90,8 @@ def gen_valtr(n: int, seed: int) -> ConvexPointSet:
     _check_n(n)
     rng = np.random.default_rng(seed)
     while True:
-        pts = _valtr_coords(rng, n)
         try:
-            return validate_convex_ccw([(float(x), float(y)) for x, y in pts])
+            return validate_convex_ccw(_valtr_coords(rng, n))
         except (ValueError,):
             continue
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,100 +46,117 @@ def _as_point(p) -> Point:
     return Point(float(x), float(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexPointSet:
     """An even-sized, strictly convex, counterclockwise point sequence.
 
+    ``xs``, ``ys`` and ``ext`` are read-only float64 arrays of length n.
     ``ext[t]`` is the exterior angle at vertex t (the ccw turn from edge
     t-1 -> t to edge t -> t+1); ``ext_prefix[t]`` is the sum of exterior
     angles at vertices 0 .. t-1, so ``ext_prefix[n]`` is the full 2*pi turn.
     Instances are immutable; construct them via :func:`validate_convex_ccw`.
     """
 
-    points: tuple[Point, ...]
-    ext: tuple[float, ...]
-    ext_prefix: tuple[float, ...]
+    xs: np.ndarray
+    ys: np.ndarray
+    ext: np.ndarray
+    # prefix sums of exterior angles tiled twice: O(1) wraparound sums
+    _ext_cum2: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
-    @cached_property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points], dtype=np.float64)
-
-    @cached_property
-    def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.points], dtype=np.float64)
-
-    @cached_property
-    def _ext_cum2(self) -> np.ndarray:
-        # prefix sums of exterior angles tiled twice: O(1) wraparound sums
-        doubled = np.array(self.ext + self.ext, dtype=np.float64)
-        out = np.zeros(2 * self.n + 1)
-        np.cumsum(doubled, out=out[1:])
-        return out
+    @property
+    def ext_prefix(self) -> np.ndarray:
+        return self._ext_cum2[: self.n + 1]
 
     def coords(self) -> list[tuple[float, float]]:
-        return [(p.x, p.y) for p in self.points]
+        return list(zip(self.xs.tolist(), self.ys.tolist()))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask))
 
 
 def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     """Validate a point sequence as strictly convex, ccw and even-sized.
 
-    Raises TooFewError, OddCountError, NonFiniteError, DuplicatePointError,
-    NotCcwError (all turns clockwise) or NotStrictlyConvexError (collinear
-    triple, mixed turns, or total turning angle differing from 2*pi).
+    ``points`` is any iterable of (x, y) pairs or an (n, 2) array; rows of
+    any other length raise ValueError. Raises TooFewError, OddCountError,
+    NonFiniteError, DuplicatePointError, NotCcwError (all turns clockwise)
+    or NotStrictlyConvexError (collinear triple, mixed turns, or total
+    turning angle differing from 2*pi).
     """
-    pts = tuple(_as_point(p) for p in points)
-    n = len(pts)
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    try:
+        xy = np.array(points, dtype=np.float64)
+    except TypeError:  # Point objects
+        points = [(p.x, p.y) if isinstance(p, Point) else p for p in points]
+        xy = np.array(points, dtype=np.float64)
+    if xy.size == 0:
+        xy = xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"expected (x, y) rows, got shape {xy.shape}")
+    n = len(xy)
     if n < 2:
         raise TooFewError(f"need at least 2 points, got {n}")
     if n % 2 != 0:
         raise OddCountError(f"point count must be even, got {n}")
-    for p in pts:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise NonFiniteError(f"({p.x}, {p.y})")
-    seen = set()
-    for p in pts:
-        key = (p.x, p.y)
-        if key in seen:
-            raise DuplicatePointError(f"({p.x}, {p.y})")
-        seen.add(key)
+    xs, ys = xy.T.copy()
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        t = _first(~finite)
+        raise NonFiniteError(f"({float(xs[t])}, {float(ys[t])})")
+    # + 0.0 folds -0.0 into 0.0; a stable sort keeps equal points in index
+    # order, so the first repeated point is the smallest later index
+    kx, ky = xs + 0.0, ys + 0.0
+    order = np.lexsort((ky, kx))
+    kx, ky = kx[order], ky[order]
+    repeat = (kx[1:] == kx[:-1]) & (ky[1:] == ky[:-1])
+    if repeat.any():
+        t = int(order[1:][repeat].min())
+        raise DuplicatePointError(f"({float(xs[t])}, {float(ys[t])})")
 
     if n == 2:
         # a 2-gon: both "turns" are half-circle reversals
-        ext = (math.pi, math.pi)
+        ext = np.array([math.pi, math.pi])
     else:
-        crosses = []
-        dots = []
-        for t in range(n):
-            a, b, c = pts[t - 1], pts[t], pts[(t + 1) % n]
-            ux, uy = b.x - a.x, b.y - a.y
-            vx, vy = c.x - b.x, c.y - b.y
-            crosses.append(ux * vy - uy * vx)
-            dots.append(ux * vx + uy * vy)
-        if any(cr == 0.0 for cr in crosses):
-            t = crosses.index(0.0)
-            raise NotStrictlyConvexError(f"collinear triple at vertex {t}")
-        if all(cr < 0.0 for cr in crosses):
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
+            ux = xs - np.roll(xs, 1)
+            uy = ys - np.roll(ys, 1)
+            vx = np.roll(xs, -1) - xs
+            vy = np.roll(ys, -1) - ys
+            crosses = ux * vy - uy * vx
+            dots = ux * vx + uy * vy
+        flat = crosses == 0.0
+        if flat.any():
+            raise NotStrictlyConvexError(f"collinear triple at vertex {_first(flat)}")
+        right = crosses < 0.0
+        if right.all():
             raise NotCcwError("all turns are clockwise")
-        if any(cr < 0.0 for cr in crosses):
-            t = next(i for i, cr in enumerate(crosses) if cr < 0.0)
-            raise NotStrictlyConvexError(f"right turn at vertex {t}")
-        ext = tuple(math.atan2(cr, d) for cr, d in zip(crosses, dots))
+        if right.any():
+            raise NotStrictlyConvexError(f"right turn at vertex {_first(right)}")
+        # math.atan2, not np.arctan2: the two differ in the last bit on rare inputs
+        ext = np.array(list(map(math.atan2, crosses.tolist(), dots.tolist())))
 
-    prefix = [0.0]
-    acc = 0.0
-    for e in ext:
-        acc += e
-        prefix.append(acc)
-    if abs(prefix[-1] - TWO_PI) > ANGLE_TOL:
+    cum2 = np.zeros(2 * n + 1)
+    np.cumsum(np.concatenate((ext, ext)), out=cum2[1:])
+    if abs(cum2[n] - TWO_PI) > ANGLE_TOL:
         # all-left-turn but multiply wound vertex orderings end up here
         raise NotStrictlyConvexError(
-            f"total turning angle {prefix[-1]:.12f} != 2*pi"
+            f"total turning angle {cum2[n]:.12f} != 2*pi"
         )
-    return ConvexPointSet(points=pts, ext=ext, ext_prefix=tuple(prefix))
+    return ConvexPointSet(
+        xs=_read_only(xs), ys=_read_only(ys), ext=_read_only(ext),
+        _ext_cum2=_read_only(cum2),
+    )
 
 
 def _check_index(P: ConvexPointSet, i: int) -> None:
@@ -170,10 +186,9 @@ def sq_dist(P: ConvexPointSet, i: int, j: int) -> float:
     """Squared Euclidean distance between vertices i and j."""
     _check_index(P, i)
     _check_index(P, j)
-    pi, pj = P.points[i], P.points[j]
-    dx = pj.x - pi.x
-    dy = pj.y - pi.y
-    return dx * dx + dy * dy
+    dx = P.xs[j] - P.xs[i]
+    dy = P.ys[j] - P.ys[i]
+    return float(dx * dx + dy * dy)
 
 
 class PolarityRegion(Enum):

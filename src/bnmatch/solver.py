@@ -71,11 +71,12 @@ def _annotate_polarity(P: ConvexPointSet, i: int, j: int) -> Polarity:
     uniformly POSITIVE; anything else is surfaced as UNKNOWN, not an error.
     """
     n = P.n
-    vi, vj = P.points[i], P.points[j]
+    xs, ys = P.xs, P.ys
+    vi, vj = (xs[i], ys[i]), (xs[j], ys[j])
     seen: PolarityRegion | None = None
     t = (i + 1) % n
     while t != j:
-        r = classify_polarity_region(vi, vj, P.points[t])
+        r = classify_polarity_region(vi, vj, (xs[t], ys[t]))
         if r not in (PolarityRegion.NEGATIVE, PolarityRegion.POSITIVE):
             return Polarity.UNKNOWN
         if seen is None:
@@ -124,7 +125,7 @@ def enumerate_candidates(
     return out
 
 
-def solve(P: ConvexPointSet, annotate_polarity: bool = False) -> SolveReport:
+def solve(P: ConvexPointSet) -> SolveReport:
     """Find a bottleneck non-crossing perfect matching in O(n^2).
 
     Ties between the two branches go to the one-cascade branch; within the
@@ -136,7 +137,7 @@ def solve(P: ConvexPointSet, annotate_polarity: bool = False) -> SolveReport:
     n = P.n
     T = build_subproblem_table(P)
     best_one, best_start = one_cascade_optimum(T)
-    candidates = enumerate_candidates(P, T, annotate=annotate_polarity)
+    candidates = enumerate_candidates(P, T, annotate=False)
 
     best_three = math.inf
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circular import segments_cross
 from .errors import InvalidMatchingError
-from .geometry import ConvexPointSet, sq_dist
+from .geometry import ConvexPointSet
 
 
 @dataclass(frozen=True)
@@ -99,15 +101,14 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
     perfect = len(M.pairs) == n // 2 and all(c == 1 for c in counts)
     non_crossing = _crossing_free(n, M.pairs, perfect)
 
-    best = -1.0
-    longest = None
-    for a, b in M.pairs:
-        d2 = sq_dist(P, a, b)
-        if d2 > best:
-            best = d2
-            longest = (a, b)
-    value = math.sqrt(best) if longest is not None else math.nan
-    return MatchingReport(perfect, non_crossing, value, longest)
+    if not M.pairs:
+        return MatchingReport(perfect, non_crossing, math.nan, None)
+    a, b = np.array(M.pairs).T
+    dx = P.xs[b] - P.xs[a]
+    dy = P.ys[b] - P.ys[a]
+    d2 = dx * dx + dy * dy
+    k = int(np.argmax(d2))  # the first longest pair
+    return MatchingReport(perfect, non_crossing, math.sqrt(d2[k]), tuple(M.pairs[k]))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from bnmatch import ArcInterval, arc_contains, arc_size, feasible, gen_circle, segments_cross
+from bnmatch import arc_size, gen_circle, segments_cross
 from bnmatch.errors import SharedEndpointError
 
 
@@ -20,15 +20,8 @@ def test_arc_size(i, j, n, expect):
     [(0, 3, 6, True), (0, 2, 6, False), (5, 2, 6, True), (1, 1, 8, False)],
 )
 def test_feasible(i, j, n, expect):
-    assert feasible(i, j, n) is expect
-
-
-@pytest.mark.parametrize(
-    "i,j,k,n,expect",
-    [(5, 2, 0, 6, True), (0, 3, 4, 6, False), (0, 3, 0, 6, True), (0, 3, 3, 6, True)],
-)
-def test_arc_contains(i, j, k, n, expect):
-    assert arc_contains(i, j, k, n) is expect
+    # a perfect matching can hold (i, j) iff the arc <i, j> has even size
+    assert (arc_size(i, j, n) % 2 == 0) is expect
 
 
 def test_segments_cross_examples():
@@ -89,10 +82,3 @@ def test_segments_cross_matches_coordinates():
             assert segments_cross(a, b, c, d, 12) == _coord_cross(
                 pts[a], pts[b], pts[c], pts[d]
             ), (seed, a, b, c, d)
-
-
-def test_arc_interval():
-    iv = ArcInterval(5, 2, 6)
-    assert iv.size == 4
-    assert list(iv.indices()) == [5, 0, 1, 2]
-    assert iv.contains(0) and not iv.contains(3)

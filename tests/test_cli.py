@@ -147,6 +147,15 @@ class TestVerifyCommand:
         assert main(["verify", sq4_file, m]) == 1
         assert "value" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_fails(self, sq4_file, tmp_path, capsys, value):
+        m = write(
+            tmp_path / "m.json",
+            '{"n": 4, "value": %s, "pairs": [[0, 1], [2, 3]]}' % value,
+        )
+        assert main(["verify", sq4_file, m]) == 1
+        assert capsys.readouterr().out == "FAIL value\n"
+
     def test_imperfect_fails(self, sq4_file, tmp_path, capsys):
         m = write(
             tmp_path / "m.json",
@@ -228,6 +237,18 @@ class TestRenderCommand:
         m = write(tmp_path / "m.json", '{"n": 4, "value": 0.0, "pairs": []}')
         assert main(["render", sq4_file, m, "--out", str(tmp_path / "o.svg")]) == 2
 
+    @pytest.mark.parametrize("pair", [(2, 4), (-1, 2)])
+    def test_index_out_of_range_exits_2(self, sq4_file, tmp_path, capsys, pair):
+        # too large used to escape as IndexError; negative wrapped silently
+        m = write(
+            tmp_path / "m.json",
+            matching_to_json(4, 1.0, [(0, 1), pair], "one-cascade", 0, 0),
+        )
+        out = tmp_path / "o.svg"
+        assert main(["render", sq4_file, m, "--out", str(out)]) == 2
+        assert "parse error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchCommand:
     def test_rows_and_slope(self, capsys):
@@ -275,13 +296,20 @@ class TestRoundTrip:
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys
 
+    import bnmatch
+
+    # the child finds the same bnmatch, also when only pytest's pythonpath has it
+    src = os.path.dirname(os.path.dirname(bnmatch.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "bnmatch.cli", "gen", "--n", "4", "--seed", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert '"points"' in proc.stdout

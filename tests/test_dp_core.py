@@ -130,15 +130,15 @@ class TestTableBasics:
         T = build_subproblem_table(skew4)
         for s in range(4):
             assert T.value(s, 2) == sq_dist(skew4, s, (s + 1) % 4)
-            assert T.necessary_at(s, 2) is False
+            assert not T.necessary[1, s]
 
     def test_sq4_entries(self, sq4):
         T = build_subproblem_table(sq4)
         assert T.value(0, 2) == 1.0
         assert T.value(1, 4) == 1.0
         # the closing pair ties with the edge moves, so it is not forced
-        assert T.necessary_at(0, 4) is False
-        assert T.choice_at(0, 4) == USE_PAIR
+        assert not T.necessary[2, 0]
+        assert T.choice[2, 0] == USE_PAIR
 
     def test_skew4_full_circle(self, skew4):
         T = build_subproblem_table(skew4)
@@ -246,7 +246,7 @@ class TestAgainstConstrainedBruteForce:
                 for size in range(2, n + 1, 2):
                     best, every_opt_has_pair = _constrained_best(P, start, size)
                     assert T.value(start, size) == best, (n, start, size)
-                    if T.necessary_at(start, size):
+                    if T.necessary[size // 2, start]:
                         assert every_opt_has_pair, (n, start, size)
 
     def test_all_edges_upper_bound(self):
@@ -324,11 +324,9 @@ def test_fill_bit_identical_to_roll_recurrence(n, mode):
 
 def test_fill_scratch_memory_per_point():
     # the fill's own working memory is O(n): everything tracemalloc sees
-    # beyond the three tables stays under 128 bytes per point. P.xs and P.ys
-    # are cached on the point set, so they are built before measuring.
+    # beyond the three tables stays under 128 bytes per point
     n = 2048
     P = generate(GenSpec(n, "valtr", 3))
-    P.xs, P.ys
     tracemalloc.start()
     try:
         T = build_subproblem_table(P)

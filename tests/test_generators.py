@@ -62,8 +62,8 @@ def test_bad_arguments():
 
 def test_circle_points_on_unit_circle():
     P = gen_circle(16, 9)
-    for p in P.points:
-        assert p.x * p.x + p.y * p.y == approx(1.0, rel=1e-12)
+    for x, y in P.coords():
+        assert x * x + y * y == approx(1.0, rel=1e-12)
 
 
 def test_cluster3_three_cascade_sweep():

@@ -1,14 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bnmatch import (
+    GenSpec,
     Point,
     PolarityRegion,
     classify_polarity_region,
     gen_circle,
     gen_valtr,
+    generate,
     sq_dist,
     turning_angle,
     validate_convex_ccw,
@@ -85,6 +88,134 @@ class TestValidate:
                 assert abs(P.ext_prefix[-1] - 2 * math.pi) <= 1e-9
 
 
+def _loop_turns(coords):
+    """Exterior angles, their prefix sums and the doubled prefix sums,
+    one vertex at a time in plain float arithmetic."""
+    n = len(coords)
+    if n == 2:
+        ext = [math.pi, math.pi]
+    else:
+        ext = []
+        for t in range(n):
+            (ax, ay), (bx, by), (cx, cy) = coords[t - 1], coords[t], coords[(t + 1) % n]
+            ux, uy = bx - ax, by - ay
+            vx, vy = cx - bx, cy - by
+            ext.append(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
+    cum2 = [0.0]
+    for e in ext + ext:
+        cum2.append(cum2[-1] + e)
+    return ext, cum2[: n + 1], cum2
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestArrayRepresentation:
+    @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
+    @pytest.mark.parametrize("n", [2, 4, 16, 256, 1024])
+    def test_turns_bit_identical_to_vertex_loop(self, mode, n):
+        if n == 2:  # a 2-gon: the first two vertices of a 4-gon
+            P = validate_convex_ccw(generate(GenSpec(4, mode, 3)).coords()[:2])
+        else:
+            P = generate(GenSpec(n, mode, 3))
+        ext, prefix, cum2 = _loop_turns(P.coords())
+        assert _bits(P.ext) == _bits(ext)
+        assert _bits(P.ext_prefix) == _bits(prefix)
+        rnd = random.Random(n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j] if n <= 16 else [
+            tuple(rnd.sample(range(n), 2)) for _ in range(2000)
+        ]
+        got = [turning_angle(P, i, j) for i, j in pairs]
+        starts = [(i + 1) % n for i, _ in pairs]
+        want = [cum2[a + (j - i - 1) % n] - cum2[a] for a, (i, j) in zip(starts, pairs)]
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "points,cls,message",
+        [
+            ([(0, 0), (1, 0), (math.nan, 1), (0, 1)], NonFiniteError, "NonFinite: (nan, 1.0)"),
+            (
+                [(0, 0), (1, 0), (1, 1), (0, -math.inf), (2, 2), (3, 3)],
+                NonFiniteError,
+                "NonFinite: (0.0, -inf)",
+            ),
+            ([(0, 0), (1, 0), (0, 0), (0, 1)], DuplicatePointError, "DuplicatePoint: (0.0, 0.0)"),
+            (  # the first repeat by position, not by coordinate order
+                [(1, 1), (5, 5), (2, 0), (5, 5), (1, 1), (0, 3)],
+                DuplicatePointError,
+                "DuplicatePoint: (5.0, 5.0)",
+            ),
+            (
+                [(0.0, 1.0), (1, 0), (-0.0, 1.0), (2, 2)],
+                DuplicatePointError,
+                "DuplicatePoint: (-0.0, 1.0)",
+            ),
+            (
+                [(0, 0), (1, 0), (2, 0), (0, 1)],
+                NotStrictlyConvexError,
+                "NotStrictlyConvex: collinear triple at vertex 1",
+            ),
+            (list(reversed(SQ4_COORDS)), NotCcwError, "NotCcw: all turns are clockwise"),
+            (
+                [(0, 0), (2, 0), (1, 0.1), (1, 2)],
+                NotStrictlyConvexError,
+                "NotStrictlyConvex: right turn at vertex 2",
+            ),
+            (  # the star polygon {8/3}: all left turns, wound three times
+                [(math.cos(3 * k * math.pi / 4), math.sin(3 * k * math.pi / 4)) for k in range(8)],
+                NotStrictlyConvexError,
+                "NotStrictlyConvex: total turning angle 18.849555921539 != 2*pi",
+            ),
+        ],
+        ids=[
+            "nan", "inf", "duplicate", "first-duplicate", "signed-zero",
+            "collinear", "clockwise", "mixed-turns", "double-winding",
+        ],
+    )
+    def test_error_cases(self, points, cls, message):
+        with pytest.raises(cls) as info:
+            validate_convex_ccw(points)
+        assert str(info.value) == message
+
+    def test_input_forms(self):
+        expect = validate_convex_ccw(SQ4_COORDS).coords()
+        for pts in (
+            list(SQ4_COORDS),
+            tuple(SQ4_COORDS),
+            np.array(SQ4_COORDS),
+            (p for p in SQ4_COORDS),
+            [Point(x, y) for x, y in SQ4_COORDS],
+        ):
+            assert validate_convex_ccw(pts).coords() == expect
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+            np.zeros((4, 3)),
+            [(0, 0), (1, 0), (1, 1, 5), (0, 1)],
+            [(0, 0), (1,), (1, 1), (0, 1)],
+        ],
+        ids=["rows-of-3", "array-of-3", "ragged-long", "ragged-short"],
+    )
+    def test_malformed_rows_rejected(self, points):
+        with pytest.raises(ValueError):
+            validate_convex_ccw(points)
+
+    def test_arrays_read_only(self, sq4):
+        for a in (sq4.xs, sq4.ys, sq4.ext, sq4.ext_prefix):
+            with pytest.raises(ValueError):
+                a[0] = 7.0
+        assert sq4.coords() == SQ4_COORDS
+
+    def test_caller_array_not_aliased(self):
+        pts = np.array(SQ4_COORDS)
+        P = validate_convex_ccw(pts)
+        pts[0] = (9.0, 9.0)
+        assert P.coords() == SQ4_COORDS
+
+
 class TestTurningAngle:
     def test_square(self, sq4):
         assert turning_angle(sq4, 0, 3) == approx(math.pi)
@@ -146,6 +277,9 @@ class TestSqDist:
     def test_bad_index(self, sq4):
         with pytest.raises(BadIndexError):
             sq_dist(sq4, 0, 7)
+
+    def test_python_float(self, hex6):
+        assert type(sq_dist(hex6, 1, 4)) is float
 
 
 class TestPolarity:

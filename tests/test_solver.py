@@ -19,7 +19,7 @@ from bnmatch import (
     verify_matching,
 )
 from bnmatch import dp_core
-from bnmatch.circular import arc_size, feasible
+from bnmatch.circular import arc_size
 from bnmatch.geometry import CANDIDATE_ANGLE
 from bnmatch.solver import Polarity
 from bnmatch.structure import canonical_pairs
@@ -75,9 +75,10 @@ class TestCandidates:
                     assert len(cands) <= 2 * n, (mode, n, seed)
                     seen = set()
                     for c in cands:
-                        assert feasible(c.i, c.j, n)
-                        assert 4 <= arc_size(c.i, c.j, n) <= n - 2
-                        assert T.necessary_at(c.i, arc_size(c.i, c.j, n))
+                        m = arc_size(c.i, c.j, n)
+                        assert m % 2 == 0
+                        assert 4 <= m <= n - 2
+                        assert T.necessary[m // 2, c.i]
                         assert c.tau <= CANDIDATE_ANGLE + 1e-9
                         assert c.tau == approx(turning_angle(P, c.i, c.j))
                         assert (c.i, c.j) not in seen
@@ -125,10 +126,10 @@ class TestCandidates:
         with_pair = max(sq_dist(P, 5, 2), sq_dist(P, 0, 1))
         without_pair = max(sq_dist(P, 5, 0), sq_dist(P, 1, 2))
         assert with_pair < without_pair * 0.95
-        assert T.necessary_at(5, 4)
+        assert T.necessary[2, 5]
 
-        vi, vj = P.points[5], P.points[2]
-        labels = [classify_polarity_region(vi, vj, P.points[t]) for t in (0, 1)]
+        pts = P.coords()
+        labels = [classify_polarity_region(pts[5], pts[2], pts[t]) for t in (0, 1)]
         assert labels == [PolarityRegion.NEUTRAL, PolarityRegion.NEGATIVE]
         # the neutral point is well inside both distance bounds, not a tie
         d2 = sq_dist(P, 5, 2)
@@ -187,7 +188,7 @@ class TestInvariance:
             c, s = math.cos(ang), math.sin(ang)
             tx, ty = rnd.uniform(-10, 10), rnd.uniform(-10, 10)
             moved = validate_convex_ccw(
-                [(c * p.x - s * p.y + tx, s * p.x + c * p.y + ty) for p in P.points]
+                [(c * x - s * y + tx, s * x + c * y + ty) for x, y in P.coords()]
             )
             got = solve(moved)
             assert got.value == approx(base.value, rel=1e-9)
@@ -196,7 +197,7 @@ class TestInvariance:
         P = gen_circle(12, 4)
         base = solve(P)
         for scale in (0.125, 3.0, 1024.0):
-            scaled = validate_convex_ccw([(scale * p.x, scale * p.y) for p in P.points])
+            scaled = validate_convex_ccw([(scale * x, scale * y) for x, y in P.coords()])
             got = solve(scaled)
             assert got.value == approx(scale * base.value, rel=1e-9)
             assert canonical_pairs(got.matching.pairs) == canonical_pairs(

@@ -98,10 +98,34 @@ class TestVerifyMatching:
     def test_value_matches_longest(self, skew4):
         rep = verify_matching(skew4, M(4, [(0, 1), (2, 3)]))
         assert rep.longest_pair == (2, 3)
-        assert rep.value == math.sqrt(
-            (skew4.points[3].x - skew4.points[2].x) ** 2
-            + (skew4.points[3].y - skew4.points[2].y) ** 2
-        )
+        (x2, y2), (x3, y3) = skew4.coords()[2:]
+        assert rep.value == math.sqrt((x3 - x2) ** 2 + (y3 - y2) ** 2)
+
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
+    def test_ties_report_first_longest_pair(self, sq4, n):
+        # regular n-gons: the square's edges tie exactly, the others up to
+        # rounding; the first maximum wins, as in a strict > scan
+        if n == 4:
+            P = sq4
+        else:
+            P = validate_convex_ccw(
+                [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+            )
+        pts = P.coords()
+        for shift in (0, 1):
+            edges = [((t + shift) % n, (t + shift + 1) % n) for t in range(0, n, 2)]
+            for pairs in (edges, edges[::-1]):
+                rep = verify_matching(P, M(n, pairs))
+                best, longest = -1.0, None
+                for a, b in pairs:
+                    dx, dy = pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]
+                    if dx * dx + dy * dy > best:
+                        best, longest = dx * dx + dy * dy, (a, b)
+                assert rep.longest_pair == longest
+                assert type(rep.value) is float
+                assert rep.value.hex() == math.sqrt(best).hex()
+        assert verify_matching(sq4, M(4, [(2, 3), (0, 1)])).longest_pair == (2, 3)
 
 
 class TestClassifyPairs:
