@@ -52,14 +52,6 @@ def _load_instance(args) -> ConvexPointSet:
     return validate_convex_ccw(points)
 
 
-def _structure_label(cascades: int) -> str:
-    return (
-        solver.STRUCTURE_THREE_CASCADE
-        if cascades >= 3
-        else solver.STRUCTURE_ONE_CASCADE
-    )
-
-
 def cmd_solve(args) -> int:
     P = _load_instance(args)
     rep = solver.solve(P)
@@ -73,33 +65,25 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
+def cmd_reference(args) -> int:
+    """baseline and oracle: a reference solver's matching, in solve's format."""
     P = _load_instance(args)
-    value, matching = baselines.cubic_solve(P)
-    decomp = structure.cascade_decomposition(P, matching)
+    value, matching = args.reference(P)
+    cascades = structure.cascade_decomposition(P, matching).cascade_count
+    label = (
+        solver.STRUCTURE_THREE_CASCADE if cascades >= 3 else solver.STRUCTURE_ONE_CASCADE
+    )
     _write(
         args.output,
-        formats.matching_to_json(
-            P.n, value, matching.pairs,
-            _structure_label(decomp.cascade_count), decomp.cascade_count, None,
-        ),
+        formats.matching_to_json(P.n, value, matching.pairs, label, cascades, None),
     )
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    P = _load_instance(args)
+def _oracle_first(P: ConvexPointSet):
+    """oracle_solve's value and the first of its optimal matchings."""
     value, optimal = baselines.oracle_solve(P)
-    matching = optimal[0]
-    decomp = structure.cascade_decomposition(P, matching)
-    _write(
-        args.output,
-        formats.matching_to_json(
-            P.n, value, matching.pairs,
-            _structure_label(decomp.cascade_count), decomp.cascade_count, None,
-        ),
-    )
-    return EXIT_OK
+    return value, optimal[0]
 
 
 def cmd_verify(args) -> int:
@@ -120,7 +104,7 @@ def cmd_verify(args) -> int:
         return fail("nonCrossing")
     if not abs(md["value"] - rep.value) <= 1e-9 * abs(rep.value):
         return fail("value")  # also a non-finite value
-    decomp = structure._decompose_verified(P, matching)
+    decomp = structure._decompose_verified(matching)
     print(
         f"OK perfect nonCrossing value={formats.fmt17(rep.value)} "
         f"cascades={decomp.cascade_count} "
@@ -158,6 +142,11 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if any(n % 2 for n in sizes):
         raise BnmatchError("bench sizes must be even")
+    run = (
+        (lambda P: baselines.cubic_solve(P)[0])
+        if args.algo == "cubic"
+        else (lambda P: solver.solve(P).value)
+    )
     medians = []
     print("n,rep,seed,elapsed_ns,value")
     for n in sizes:
@@ -165,14 +154,9 @@ def cmd_bench(args) -> int:
         for rep in range(args.reps):
             seed = args.seed + rep
             P = generators.generate(generators.GenSpec(n, args.mode, seed, args.spread))
-            if args.algo == "cubic":
-                t0 = time.perf_counter_ns()
-                value, _ = baselines.cubic_solve(P)
-                dt = time.perf_counter_ns() - t0
-            else:
-                t0 = time.perf_counter_ns()
-                value = solver.solve(P).value
-                dt = time.perf_counter_ns() - t0
+            t0 = time.perf_counter_ns()
+            value = run(P)
+            dt = time.perf_counter_ns() - t0
             cells.append(dt)
             print(f"{n},{rep},{seed},{dt},{formats.fmt17(value)}")
         medians.append(statistics.median(cells))
@@ -204,12 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="cubic dynamic-programming baseline")
     add_instance(p)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_baseline)
+    p.set_defaults(func=cmd_reference, reference=baselines.cubic_solve)
 
     p = sub.add_parser("oracle", help="exhaustive oracle (n <= 20)")
     add_instance(p)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_reference, reference=_oracle_first)
 
     p = sub.add_parser("verify", help="check a matching file against an instance")
     add_instance(p)

@@ -81,6 +81,15 @@ def matching_to_json(
     )
 
 
+def _index(v) -> int:
+    """An integer from JSON: an int (not a bool), or an integral float."""
+    if type(v) is int:
+        return v
+    if type(v) is float and v.is_integer():
+        return int(v)
+    raise ParseError(f"not an integer: {v!r}")
+
+
 def parse_matching(text: str) -> dict:
     try:
         obj = json.loads(text)
@@ -92,9 +101,9 @@ def parse_matching(text: str) -> dict:
         if key not in obj:
             raise ParseError(f"matching file missing key {key!r}")
     try:
-        obj["n"] = int(obj["n"])
+        obj["n"] = _index(obj["n"])
         obj["value"] = float(obj["value"])
-        obj["pairs"] = [(int(a), int(b)) for a, b in obj["pairs"]]
+        obj["pairs"] = [(_index(a), _index(b)) for a, b in obj["pairs"]]
     except (TypeError, ValueError) as e:
         raise ParseError(f"bad matching entry: {e}") from e
     return obj

@@ -148,8 +148,9 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
 
     cum2 = np.zeros(2 * n + 1)
     np.cumsum(np.concatenate((ext, ext)), out=cum2[1:])
-    if abs(cum2[n] - TWO_PI) > ANGLE_TOL:
-        # all-left-turn but multiply wound vertex orderings end up here
+    if not abs(cum2[n] - TWO_PI) <= ANGLE_TOL:
+        # all-left-turn but multiply wound vertex orderings end up here, and
+        # so do overflowed cross products, whose NaN turns fail any comparison
         raise NotStrictlyConvexError(
             f"total turning angle {cum2[n]:.12f} != 2*pi"
         )

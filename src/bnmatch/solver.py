@@ -189,7 +189,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
         raise InvalidMatchingError(
             f"reconstructed bottleneck {report.value!r} != table value {value!r}"
         )
-    decomposition = _decompose_verified(P, matching)
+    decomposition = _decompose_verified(matching)
     return SolveReport(
         value=value,
         matching=matching,

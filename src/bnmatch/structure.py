@@ -1,11 +1,12 @@
 """Matching validation and structural analysis.
 
-A non-crossing matching's diagonals cut the polygon into regions; regions
-touching exactly two diagonals chain those diagonals together, and the
-maximal chains ("cascades") plus the count of 3-bounded regions describe
-the matching's shape. Because non-crossing chords of a convex polygon are
-a laminar family of index intervals, the whole decomposition falls out of
-a nesting forest built with one stack sweep.
+A non-crossing matching's diagonals cut the polygon into faces; faces
+bounded by exactly two diagonals chain those diagonals together, and the
+maximal chains ("cascades") plus the count of 3-bounded faces describe
+the matching's shape. Chords of a convex polygon are non-crossing exactly
+when their index intervals (min, max) are laminar, so one stack sweep
+both checks crossing-freeness and builds the nesting forest; the faces,
+cascades and 3-bounded count follow from the forest's parent links.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import segments_cross
 from .errors import InvalidMatchingError
 from .geometry import ConvexPointSet
 
@@ -56,28 +56,26 @@ class MatchingReport:
     longest_pair: tuple[int, int] | None
 
 
-def _crossing_free(n: int, pairs, perfect: bool) -> bool:
-    if perfect:
-        # balanced-parentheses scan over the chords as linear intervals
-        close_of = {min(a, b): max(a, b) for a, b in pairs}
-        stack: list[int] = []  # closing ends of the open chords
-        for v in range(n):
-            if stack and stack[-1] == v:
-                stack.pop()
-            elif v in close_of:
-                stack.append(close_of[v])
-            else:
-                return False  # v closes a chord that is not innermost
-        return not stack
-    for idx in range(len(pairs)):
-        a, b = pairs[idx]
-        for jdx in range(idx + 1, len(pairs)):
-            c, d = pairs[jdx]
-            if a in (c, d) or b in (c, d):
-                continue  # shared endpoint: not a crossing (caught by perfect)
-            if segments_cross(a, b, c, d, n):
-                return False
-    return True
+def _nesting(pairs) -> tuple[list[tuple[int, int]], list[int] | None]:
+    """Sort chords as intervals (lo, hi) and find their nesting forest.
+
+    Returns the sorted keys (lo, -hi), in which an interval follows all
+    intervals containing it, and each interval's parent: the index of the
+    innermost interval containing it, or -1. The parents are None when two
+    intervals properly interleave; intervals sharing an end never do.
+    """
+    keys = sorted([(a, -b) if a < b else (b, -a) for a, b in pairs])
+    parents = [-1] * len(keys)
+    stack: list[tuple[int, int]] = []  # (hi, index) of open intervals, innermost last
+    for t, (lo, neg_hi) in enumerate(keys):
+        while stack and stack[-1][0] <= lo:
+            stack.pop()
+        if stack:
+            if -neg_hi > stack[-1][0]:
+                return keys, None
+            parents[t] = stack[-1][1]
+        stack.append((-neg_hi, t))
+    return keys, parents
 
 
 def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
@@ -94,12 +92,9 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
     if not indices_ok:
         return MatchingReport(False, False, math.nan, None)
 
-    counts = [0] * n
-    for a, b in M.pairs:
-        counts[a] += 1
-        counts[b] += 1
-    perfect = len(M.pairs) == n // 2 and all(c == 1 for c in counts)
-    non_crossing = _crossing_free(n, M.pairs, perfect)
+    # n/2 pairs over n distinct ends cover every point once
+    perfect = len(M.pairs) == n // 2 and len({v for pair in M.pairs for v in pair}) == n
+    non_crossing = _nesting(M.pairs)[1] is not None
 
     if not M.pairs:
         return MatchingReport(perfect, non_crossing, math.nan, None)
@@ -112,31 +107,34 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
 
 
 @dataclass(frozen=True)
-class Region:
-    """One face of the polygon cut along matching diagonals."""
-
-    bounding_diagonals: tuple[tuple[int, int], ...]
-    bounding_edge_count: int
-
-
-@dataclass(frozen=True)
 class CascadeDecomposition:
-    regions: tuple[Region, ...]
     cascades: tuple[tuple[tuple[int, int], ...], ...]
     three_bounded_count: int
+    # the diagonals in (min, max) order and their parents in the nesting forest
+    _diagonals: tuple[tuple[int, int], ...]
+    _parents: tuple[int, ...]
 
     @property
     def cascade_count(self) -> int:
         return len(self.cascades)
 
+    @property
+    def regions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each face's bounding diagonals: the face just inside each
+        diagonal, in (min, max) order of the diagonals, then the outer face."""
+        faces = [[d] for d in self._diagonals] + [[]]
+        for d, p in zip(self._diagonals, self._parents):
+            faces[p].append(d)
+        return tuple(map(tuple, faces))
+
 
 def cascade_decomposition(P: ConvexPointSet, M: Matching) -> CascadeDecomposition:
     """Cut the polygon along the matching's diagonals and group them.
 
-    Cutting along the d diagonals (edges are not cut) yields d+1 regions:
+    Cutting along the d diagonals (edges are not cut) yields d+1 faces:
     one per diagonal (the face just inside it, bounded by the diagonal and
     its immediate children in the nesting forest) plus the outer face
-    bounded by the forest roots. Diagonals joined through 2-bounded regions
+    bounded by the forest roots. Diagonals joined through 2-bounded faces
     form one cascade; an all-edges matching has no cascades.
 
     Raises InvalidMatchingError unless M is perfect and non-crossing.
@@ -144,86 +142,29 @@ def cascade_decomposition(P: ConvexPointSet, M: Matching) -> CascadeDecompositio
     rep = verify_matching(P, M)
     if not (rep.perfect and rep.non_crossing):
         raise InvalidMatchingError("need a perfect non-crossing matching")
-    return _decompose_verified(P, M)
+    return _decompose_verified(M)
 
 
-def _decompose_verified(P: ConvexPointSet, M: Matching) -> CascadeDecomposition:
-    """cascade_decomposition for an M the caller has already verified."""
-    n = P.n
-    diagonals = sorted(
-        (min(a, b), max(a, b)) for a, b in M.pairs if not is_edge(a, b, n)
-    )
-    edges = [(min(a, b), max(a, b)) for a, b in M.pairs if is_edge(a, b, n)]
+def _decompose_verified(M: Matching) -> CascadeDecomposition:
+    """cascade_decomposition for an M the caller has already verified.
 
-    # nesting forest: intervals sorted by (lo, -hi); the stack holds ancestors
-    order = sorted(diagonals, key=lambda iv: (iv[0], -iv[1]))
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {d: [] for d in diagonals}
-    roots: list[tuple[int, int]] = []
-    stack: list[tuple[int, int]] = []
-    for iv in order:
-        while stack and not (stack[-1][0] <= iv[0] and iv[1] <= stack[-1][1]):
-            stack.pop()
-        if stack:
-            children[stack[-1]].append(iv)
+    M's ends are distinct, so the sweep's order is (min, max) order.
+    """
+    keys, parents = _nesting(classify_pairs(M)[1])
+    diagonals = [(lo, -neg_hi) for lo, neg_hi in keys]
+    sizes = [1] * len(diagonals) + [0]  # diagonals per face; sizes[-1]: outer
+    for p in parents:
+        sizes[p] += 1
+    cascade_of: list[list[tuple[int, int]]] = []
+    cascades = []
+    for t, p in enumerate(parents):
+        first = p if p >= 0 else 0  # a face's first diagonal; root 0 is first
+        if sizes[p] == 2 and t != first:  # a 2-bounded face joins the two
+            cascade_of.append(cascade_of[first])
         else:
-            roots.append(iv)
-        stack.append(iv)
-
-    # assign each matching edge to the innermost enclosing diagonal (or outer)
-    edge_owner: dict[tuple[int, int], tuple[int, int] | None] = {}
-    starts: dict[int, list[tuple[int, int]]] = {}
-    for iv in order:
-        starts.setdefault(iv[0], []).append(iv)
-    sweep: list[tuple[int, int]] = []
-    gap_owner: list[tuple[int, int] | None] = [None] * n
-    for g in range(n):
-        while sweep and sweep[-1][1] == g:
-            sweep.pop()
-        for iv in starts.get(g, ()):
-            sweep.append(iv)
-        gap_owner[g] = sweep[-1] if sweep else None
-    for e in edges:
-        lo, hi = e
-        if (hi - lo) % n == 1:
-            edge_owner[e] = gap_owner[lo]
-        else:
-            edge_owner[e] = None  # the wraparound edge (n-1, 0) is outer
-
-    edge_count: dict[tuple[int, int] | None, int] = {}
-    for owner in edge_owner.values():
-        edge_count[owner] = edge_count.get(owner, 0) + 1
-
-    regions = []
-    links: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    three = 0
-    for d in diagonals:
-        bound = (d,) + tuple(children[d])
-        regions.append(Region(bound, edge_count.get(d, 0)))
-        if len(bound) == 2:
-            links.append((d, children[d][0]))
-        elif len(bound) == 3:
-            three += 1
-    regions.append(Region(tuple(roots), edge_count.get(None, 0)))
-    if len(roots) == 2:
-        links.append((roots[0], roots[1]))
-    elif len(roots) == 3:
-        three += 1
-
-    # cascades: connected components under the 2-bounded-region links
-    comp = {d: d for d in diagonals}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for a, b in links:
-        comp[find(a)] = find(b)
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for d in diagonals:
-        groups.setdefault(find(d), []).append(d)
-    cascades = tuple(
-        tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g))
+            cascade_of.append([])
+            cascades.append(cascade_of[t])
+        cascade_of[t].append(diagonals[t])
+    return CascadeDecomposition(
+        tuple(map(tuple, cascades)), sizes.count(3), tuple(diagonals), tuple(parents)
     )
-    return CascadeDecomposition(tuple(regions), cascades, three)

@@ -1,6 +1,9 @@
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import settings
 
 from bnmatch import validate_convex_ccw
 
@@ -28,3 +31,13 @@ def hex6():
 @pytest.fixture
 def skew4():
     return validate_convex_ccw(SKEW4_COORDS)
+
+
+# the same examples on every run, and nothing written into the checkout:
+# no example database, and hypothesis's cache of constants parsed from the
+# source goes to the temp directory
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "bnmatch-hypothesis")
+)

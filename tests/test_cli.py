@@ -250,6 +250,33 @@ class TestRenderCommand:
         assert not out.exists()
 
 
+NON_INTEGER_INDICES = {
+    "fractional": '{"n": 4.9, "value": 1.0, "pairs": [[0.9, 1.7], [2, 3.2]]}',
+    "bool-pair": '{"n": 4, "value": 1.0, "pairs": [[true, 0], [2, 3]]}',
+    "bool-n": '{"n": true, "value": 1.0, "pairs": [[0, 1], [2, 3]]}',
+    "infinite-n": '{"n": Infinity, "value": 1.0, "pairs": [[0, 1], [2, 3]]}',
+    "string-pair": '{"n": 4, "value": 1.0, "pairs": [["0", 1], [2, 3]]}',
+}
+
+
+@pytest.mark.parametrize("text", NON_INTEGER_INDICES.values(), ids=NON_INTEGER_INDICES)
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_non_integer_index_exits_2(sq4_file, tmp_path, capsys, command, text):
+    # int() used to truncate these, so verify printed OK and render drew
+    m = write(tmp_path / "m.json", text)
+    out = tmp_path / "o.svg"
+    extra = ["--out", str(out)] if command == "render" else []
+    assert main([command, sq4_file, m] + extra) == 2
+    assert "parse error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_index_accepted():
+    md = parse_matching('{"n": 4.0, "value": 1, "pairs": [[0, 1.0], [2, 3]]}')
+    assert md["n"] == 4 and md["pairs"] == [(0, 1), (2, 3)]
+    assert all(type(v) is int for v in (md["n"], *md["pairs"][0]))
+
+
 class TestBenchCommand:
     def test_rows_and_slope(self, capsys):
         assert main([

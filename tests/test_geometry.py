@@ -167,10 +167,16 @@ class TestArrayRepresentation:
                 NotStrictlyConvexError,
                 "NotStrictlyConvex: total turning angle 18.849555921539 != 2*pi",
             ),
+            (  # the turn cross products overflow, so every turn is NaN
+                [(0, 0), (1e300, -1e300), (2e300, 0), (1e300, 1e300)],
+                NotStrictlyConvexError,
+                "NotStrictlyConvex: total turning angle nan != 2*pi",
+            ),
         ],
         ids=[
             "nan", "inf", "duplicate", "first-duplicate", "signed-zero",
             "collinear", "clockwise", "mixed-turns", "double-winding",
+            "overflowed-turns",
         ],
     )
     def test_error_cases(self, points, cls, message):

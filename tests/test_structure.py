@@ -1,6 +1,9 @@
+import functools
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnmatch import (
     Matching,
@@ -20,6 +23,22 @@ approx = pytest.approx
 
 def M(n, pairs):
     return Matching.of(n, pairs)
+
+
+@functools.cache
+def regular(n):
+    return validate_convex_ccw(
+        [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+    )
+
+
+def pairwise_non_crossing(pairs, n):
+    """The reference crossing test: no two chords with four distinct ends cross."""
+    return not any(
+        segments_cross(a, b, c, d, n)
+        for (a, b), (c, d) in itertools.combinations(pairs, 2)
+        if len({a, b, c, d}) == 4
+    )
 
 
 class TestVerifyMatching:
@@ -95,6 +114,18 @@ class TestVerifyMatching:
         rep = verify_matching(hex6, M(6, [(0, 3), (0, 3), (1, 2)]))
         assert not rep.perfect and rep.non_crossing
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_sweep_matches_pairwise_on_short_lists(self, n):
+        # pins the one sweep to the pairwise test that every non-perfect
+        # list used to take: all lists of 1-3 chords, both orientations,
+        # repeated chords and shared endpoints included
+        P = regular(n)
+        chords = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for size in (1, 2, 3):
+            for pairs in itertools.product(chords, repeat=size):
+                rep = verify_matching(P, M(n, pairs))
+                assert rep.non_crossing == pairwise_non_crossing(pairs, n), pairs
+
     def test_value_matches_longest(self, skew4):
         rep = verify_matching(skew4, M(4, [(0, 1), (2, 3)]))
         assert rep.longest_pair == (2, 3)
@@ -128,6 +159,48 @@ class TestVerifyMatching:
         assert verify_matching(sq4, M(4, [(2, 3), (0, 1)])).longest_pair == (2, 3)
 
 
+@st.composite
+def bracket_matchings(draw):
+    """A random non-crossing perfect matching on n <= 400 points.
+
+    Built from a balanced bracket string, rotated by a random shift, with
+    each pair in a random orientation.
+    """
+    n = 2 * draw(st.integers(1, 200))
+    opens = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flips = draw(st.lists(st.booleans(), min_size=n // 2, max_size=n // 2))
+    shift = draw(st.integers(0, n - 1))
+    pairs, stack = [], []
+    for v, want_open in enumerate(opens):
+        if not stack or (want_open and len(pairs) + len(stack) < n // 2):
+            stack.append(v)
+        else:
+            pairs.append((stack.pop(), v))
+    pairs = [((a + shift) % n, (b + shift) % n) for a, b in pairs]
+    return n, [(b, a) if f else (a, b) for (a, b), f in zip(pairs, flips)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_matchings(), st.data())
+def test_random_bracket_matchings(matching, data):
+    # pins the sweep on large inputs: a bracket matching verifies as
+    # non-crossing, and swapping the ends of two of its chords crosses
+    # exactly when pairwise segments_cross says so
+    n, pairs = matching
+    P = regular(n)
+    rep = verify_matching(P, M(n, pairs))
+    assert rep.perfect and rep.non_crossing
+    if n < 4:
+        return
+    i, j = data.draw(st.lists(st.integers(0, n // 2 - 1), min_size=2, max_size=2, unique=True))
+    (a, b), (c, d) = pairs[i], pairs[j]
+    swapped = list(pairs)
+    swapped[i], swapped[j] = data.draw(st.sampled_from([((a, c), (b, d)), ((a, d), (c, b))]))
+    rep = verify_matching(P, M(n, swapped))
+    assert rep.perfect
+    assert rep.non_crossing == pairwise_non_crossing(swapped, n)
+
+
 class TestClassifyPairs:
     def test_mixed(self):
         edges, diagonals = classify_pairs(M(6, [(0, 3), (1, 2), (4, 5)]))
@@ -148,9 +221,7 @@ class TestCascadeDecomposition:
         d = cascade_decomposition(hex6, M(6, [(0, 1), (2, 3), (4, 5)]))
         assert d.cascade_count == 0
         assert d.three_bounded_count == 0
-        assert len(d.regions) == 1
-        assert d.regions[0].bounding_diagonals == ()
-        assert d.regions[0].bounding_edge_count == 3
+        assert d.regions == ((),)
 
     def test_nested_pair(self):
         P = gen_circle(8, 0)
@@ -158,12 +229,8 @@ class TestCascadeDecomposition:
         assert d.cascade_count == 1
         assert d.cascades[0] == ((1, 6), (2, 5))
         assert d.three_bounded_count == 0
-        # regions: inside (2,5) holds edge (3,4); between the diagonals,
-        # nothing; the outer region holds the wraparound edge (0,7)
-        by_bound = {r.bounding_diagonals: r for r in d.regions}
-        assert by_bound[((2, 5),)].bounding_edge_count == 1
-        assert by_bound[((1, 6), (2, 5))].bounding_edge_count == 0
-        assert by_bound[((1, 6),)].bounding_edge_count == 1
+        # faces: inside (2,5); between the diagonals; outside (1,6)
+        assert d.regions == (((1, 6), (2, 5)), ((2, 5),), ((1, 6),))
 
     def test_five_cascade_archetype(self):
         # 3 singleton cascades, one 2-chain, one 3-chain
@@ -190,9 +257,8 @@ class TestCascadeDecomposition:
         for m in oracle_enumerate(10):
             d = cascade_decomposition(P, M(10, m))
             diag_count = sum(len(c) for c in d.cascades)
-            assert sum(len(r.bounding_diagonals) for r in d.regions) == 2 * diag_count
+            assert sum(len(r) for r in d.regions) == 2 * diag_count
             assert len(d.regions) == diag_count + 1
-            assert sum(r.bounding_edge_count for r in d.regions) == 5 - diag_count
 
     def test_never_exactly_two_cascades(self):
         # over every matching of every size up to 12
@@ -226,10 +292,50 @@ class TestCascadeDecomposition:
                     ):
                         d = cascade_decomposition(P, M(n, m))
                         assert all(
-                            len(r.bounding_diagonals) <= 3 for r in d.regions
+                            len(r) <= 3 for r in d.regions
                         ), (n, seed, m)
                         checked += 1
         assert checked > 0
+
+    def test_matches_forest_union_find_reference(self):
+        # pins the derivation from parent links to the nesting forest,
+        # edge-free faces and union-find the decomposition used to run
+        def reference(n, pairs):
+            diagonals = sorted(
+                (min(a, b), max(a, b)) for a, b in pairs if (b - a) % n not in (1, n - 1)
+            )
+            children = {d: [] for d in diagonals}
+            roots, stack = [], []
+            for iv in sorted(diagonals, key=lambda iv: (iv[0], -iv[1])):
+                while stack and not (stack[-1][0] <= iv[0] and iv[1] <= stack[-1][1]):
+                    stack.pop()
+                (children[stack[-1]] if stack else roots).append(iv)
+                stack.append(iv)
+            faces = tuple((d, *children[d]) for d in diagonals) + (tuple(roots),)
+            comp = {d: d for d in diagonals}
+
+            def find(x):
+                while comp[x] != x:
+                    x = comp[x]
+                return x
+
+            for face in faces:
+                if len(face) == 2:
+                    comp[find(face[0])] = find(face[1])
+            groups = {}
+            for d in diagonals:
+                groups.setdefault(find(d), []).append(d)
+            cascades = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+            return faces, cascades, sum(len(face) == 3 for face in faces)
+
+        checked = 0
+        for n in range(2, 17, 2):  # n = 16 is the first with a 4-bounded face
+            for m in oracle_enumerate(n):
+                pairs = [(b, a) if t % 2 else (a, b) for t, (a, b) in enumerate(m)]
+                d = cascade_decomposition(regular(n), M(n, pairs))
+                assert (d.regions, d.cascades, d.three_bounded_count) == reference(n, pairs), pairs
+                checked += 1
+        assert checked == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
 
     def test_rejects_invalid(self, sq4):
         with pytest.raises(InvalidMatchingError):
