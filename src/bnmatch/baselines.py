@@ -129,11 +129,6 @@ def oracle_enumerate(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from _matchings_of_size(n)
 
 
-def oracle_count(n: int) -> int:
-    _guard(n)
-    return len(_matchings_of_size(n))
-
-
 def oracle_solve(P: ConvexPointSet) -> tuple[float, list[Matching]]:
     """Exhaustive minimum plus every matching achieving it.
 
@@ -146,26 +141,16 @@ def oracle_solve(P: ConvexPointSet) -> tuple[float, list[Matching]]:
     _guard(n)
     D = _sq_dist_matrix(P)
     matchings = _matchings_of_size(n)
-    best = math.inf
+    scores = []
     for m in matchings:
         mx = 0.0
         for a, b in m:
             d = D[a][b]
             if d > mx:
                 mx = d
-        if mx < best:
-            best = mx
+        scores.append(mx)
+    best = min(scores)
     cutoff = best * _OPT_SQ_FACTOR
-    exact = []
-    close = []
-    for m in matchings:
-        mx = 0.0
-        for a, b in m:
-            d = D[a][b]
-            if d > mx:
-                mx = d
-        if mx == best:
-            exact.append(Matching.of(n, m))
-        elif mx <= cutoff:
-            close.append(Matching.of(n, m))
+    exact = [Matching.of(n, m) for m, mx in zip(matchings, scores) if mx == best]
+    close = [Matching.of(n, m) for m, mx in zip(matchings, scores) if best < mx <= cutoff]
     return math.sqrt(best), exact + close

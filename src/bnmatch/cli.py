@@ -69,13 +69,12 @@ def cmd_reference(args) -> int:
     """baseline and oracle: a reference solver's matching, in solve's format."""
     P = _load_instance(args)
     value, matching = args.reference(P)
-    cascades = structure.cascade_decomposition(P, matching).cascade_count
-    label = (
-        solver.STRUCTURE_THREE_CASCADE if cascades >= 3 else solver.STRUCTURE_ONE_CASCADE
-    )
+    d = structure.cascade_decomposition(P, matching)
     _write(
         args.output,
-        formats.matching_to_json(P.n, value, matching.pairs, label, cascades, None),
+        formats.matching_to_json(
+            P.n, value, matching.pairs, d.structure, d.cascade_count, None
+        ),
     )
     return EXIT_OK
 
@@ -240,10 +239,7 @@ def main(argv=None) -> int:
     except TooLargeError as e:
         print(str(e), file=sys.stderr)
         return EXIT_SIZE
-    except BnmatchError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_VALIDATE
-    except ValueError as e:  # e.g. out-of-range generator parameters
+    except ValueError as e:  # a BnmatchError, or e.g. a bad generator parameter
         print(str(e), file=sys.stderr)
         return EXIT_VALIDATE
 

@@ -14,11 +14,11 @@ stride s, plus the full-circle row; the choice tags and necessity flags stay
 dense. Row r0 + d at start t depends only on row r0 at starts t .. t + 2d,
 so any other value is replayed from the checkpoint row below it on a window
 of at most 2s - 1 starts, with the fill's own float operations, and comes
-out bit for bit as the fill computed it. Stride 1 keeps every row. From
-n = 1024 on the default stride is isqrt(n/2): values then take
-8n(sqrt(n/2) + 2) bytes instead of 4n(n + 2), the whole table about 2 bytes
-per entry instead of 10, and replaying a column of n/2 values costs about
-n * sqrt(n/2) entry updates.
+out bit for bit as the fill computed it. Stride 1 keeps every row.
+``checkpoint_stride`` alone picks s from n; from n = 1024 on it is
+isqrt(n/2): values then take 8n(sqrt(n/2) + 2) bytes instead of 4n(n + 2),
+the whole table about 2 bytes per entry instead of 10, and replaying a
+column of n/2 values costs about n * sqrt(n/2) entry updates.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ _DENSE_VALUES_BYTES = 4 << 20
 
 
 def checkpoint_stride(n: int) -> int:
-    """Default stride: 1 while the dense value rows fit, else isqrt(n/2)."""
+    """The table's stride: 1 while the dense value rows fit, else isqrt(n/2)."""
     half = n // 2
     if 8 * n * (half + 1) <= _DENSE_VALUES_BYTES:
         return 1
@@ -140,7 +140,7 @@ class SubproblemTable:
         return first, last
 
 
-def build_subproblem_table(P: ConvexPointSet, stride: int | None = None) -> SubproblemTable:
+def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     """Fill the table for all (start, even size) in O(n^2) time.
 
     For an arc of size m starting at s, with d2 the squared distances:
@@ -154,8 +154,8 @@ def build_subproblem_table(P: ConvexPointSet, stride: int | None = None) -> Subp
     move in (pair, left, right) order. The pair move is flagged necessary
     only when it wins by more than a relative 1e-9.
 
-    ``stride`` (default ``checkpoint_stride(n)``) selects the value rows
-    kept: sizes 2k with k % stride == 0, and the full circle. ``choice`` and
+    The value rows kept are sizes 2k with k % stride == 0, for the stride
+    ``checkpoint_stride(n)`` picks, and the full circle. ``choice`` and
     ``necessary`` are kept whole, 2 bytes per entry, (n/2 + 1) * n entries;
     the kept value rows add 8 bytes per entry at stride 1 and about
     8n * sqrt(n/2) bytes in all at stride isqrt(n/2). Stride 1 keeps every
@@ -174,10 +174,7 @@ def build_subproblem_table(P: ConvexPointSet, stride: int | None = None) -> Subp
     """
     n = P.n
     half = n // 2
-    if stride is None:
-        stride = checkpoint_stride(n)
-    if stride < 1:
-        raise BadDomainError(f"stride {stride} < 1")
+    stride = checkpoint_stride(n)
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     choice = np.zeros((half + 1, n), dtype=np.uint8)
     necessary = np.zeros((half + 1, n), dtype=bool)

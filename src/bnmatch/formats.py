@@ -8,6 +8,8 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
+from .structure import _index
+
 
 class ParseError(Exception):
     """Unreadable or malformed input file."""
@@ -79,15 +81,6 @@ def matching_to_json(
         f'"candidates": {cand}'
         "}\n"
     )
-
-
-def _index(v) -> int:
-    """An integer from JSON: an int (not a bool), or an integral float."""
-    if type(v) is int:
-        return v
-    if type(v) is float and v.is_integer():
-        return int(v)
-    raise ParseError(f"not an integer: {v!r}")
 
 
 def parse_matching(text: str) -> dict:

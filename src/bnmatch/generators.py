@@ -48,20 +48,19 @@ def _check_n(n: int) -> None:
 
 
 def gen_circle(n: int, seed: int) -> ConvexPointSet:
-    """n points at sorted uniform angles on the unit circle.
+    """n points at sorted uniform angles on the unit circle, from one draw.
 
-    Angle draws are rejected wholesale while any two angles (including the
-    wraparound pair) are closer than 1e-6 rad, so the result is strictly
-    convex with margin.
+    If two angles (the wraparound pair included) are at most g = 1e-6 rad
+    apart, the sorted angles a_t become a_t * (1 - n*g/2pi) + g*t, which
+    keeps their order and makes every gap at least g, so the result is
+    strictly convex with margin.
     """
     _check_n(n)
-    rng = np.random.default_rng(seed)
-    while True:
-        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
-        gaps = np.diff(ang)
-        wrap = 2.0 * math.pi - (ang[-1] - ang[0])
-        if len(gaps) == 0 or (gaps.min() > _MIN_ANGLE_GAP and wrap > _MIN_ANGLE_GAP):
-            break
+    ang = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n))
+    wrap = 2.0 * math.pi - (ang[-1] - ang[0])
+    if min(np.diff(ang).min(), wrap) <= _MIN_ANGLE_GAP:
+        g = _MIN_ANGLE_GAP
+        ang = ang * (1.0 - n * g / (2.0 * math.pi)) + g * np.arange(n)
     return validate_convex_ccw(np.column_stack((np.cos(ang), np.sin(ang))))
 
 

@@ -25,9 +25,6 @@ from .structure import Matching, _decompose_verified, verify_matching
 
 ANGLE_SLACK = 1e-9  # widening the angle test can only add candidates
 
-STRUCTURE_ONE_CASCADE = "one-cascade"
-STRUCTURE_THREE_CASCADE = "three-cascade"
-
 
 class Polarity(Enum):
     NEGATIVE = "negative"   # interior hugs endpoint i (the pole)
@@ -174,11 +171,9 @@ def solve(P: ConvexPointSet) -> SolveReport:
             + reconstruct(T, (k + 1) % n, n - m1 - t)
         )
         value_sq = best_three
-        structure = STRUCTURE_THREE_CASCADE
     else:
         pairs = reconstruct(T, best_start, n)
         value_sq = best_one
-        structure = STRUCTURE_ONE_CASCADE
 
     matching = Matching.of(n, pairs)
     report = verify_matching(P, matching)
@@ -195,6 +190,6 @@ def solve(P: ConvexPointSet) -> SolveReport:
         matching=matching,
         candidate_count=len(candidates),
         cascades=decomposition.cascade_count,
-        structure=structure,
+        structure=decomposition.structure,
         elapsed=time.perf_counter() - t0,
     )

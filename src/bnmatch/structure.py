@@ -15,8 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatchingError
+from .errors import BadIndexError, InvalidMatchingError
 from .geometry import ConvexPointSet
+
+
+def _index(v) -> int:
+    """A point index from a Python or NumPy integer (no bool) or integral float."""
+    if type(v) is int:
+        return v
+    if isinstance(v, np.integer) or isinstance(v, (float, np.floating)) and v.is_integer():
+        return int(v)
+    raise BadIndexError(f"not an integer: {v!r}")
 
 
 @dataclass(frozen=True)
@@ -28,12 +37,8 @@ class Matching:
 
     @staticmethod
     def of(n: int, pairs) -> "Matching":
-        return Matching(n, tuple((int(a), int(b)) for a, b in pairs))
-
-
-def canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    """Order-independent form: sorted (min, max) pairs, for comparisons."""
-    return tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+        """Raises BadIndexError for an index that is not an integer."""
+        return Matching(n, tuple((_index(a), _index(b)) for a, b in pairs))
 
 
 def is_edge(a: int, b: int, n: int) -> bool:
@@ -117,6 +122,13 @@ class CascadeDecomposition:
     @property
     def cascade_count(self) -> int:
         return len(self.cascades)
+
+    @property
+    def structure(self) -> str:
+        """three-cascade with 3 or more cascades, else one-cascade. With any
+        diagonal the count is 1 + the sum of (degree - 1) over the faces of
+        degree >= 3 in the tree of faces and diagonals, so it is never 2."""
+        return "three-cascade" if self.cascade_count >= 3 else "one-cascade"
 
     @property
     def regions(self) -> tuple[tuple[tuple[int, int], ...], ...]:

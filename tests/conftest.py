@@ -1,11 +1,12 @@
 import math
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
-from bnmatch import validate_convex_ccw
+from bnmatch import dp_core, validate_convex_ccw
 
 DEG = math.pi / 180.0
 
@@ -16,6 +17,19 @@ SKEW4_COORDS = [(math.cos(a * DEG), math.sin(a * DEG)) for a in (0, 10, 20, 180)
 
 # bottleneck of SKEW4 is the chord from 20 to 180 degrees: 2*cos(10 deg)
 SKEW4_VALUE = 2.0 * math.cos(10 * DEG)
+
+
+def canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
+    """Order-independent form: sorted (min, max) pairs, for comparisons."""
+    return tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+
+
+def forced_stride(stride: int):
+    """Context manager: tables built inside it keep every stride-th value row.
+
+    dp_core.checkpoint_stride alone picks the stride, so it is the one seam.
+    """
+    return mock.patch.object(dp_core, "checkpoint_stride", lambda n: stride)
 
 
 @pytest.fixture

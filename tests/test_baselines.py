@@ -3,20 +3,23 @@ import math
 import pytest
 
 from bnmatch import (
+    GenSpec,
     cascade_decomposition,
     cubic_solve,
     gen_circle,
     gen_valtr,
+    generate,
     oracle_enumerate,
     oracle_solve,
     sq_dist,
     turning_angle,
+    validate_convex_ccw,
     verify_matching,
 )
-from bnmatch.baselines import _fill_cubic, oracle_count
+from bnmatch.baselines import _fill_cubic, _sq_dist_matrix
 from bnmatch.errors import OddCountError, TooLargeError
-from bnmatch.structure import canonical_pairs, classify_pairs, Matching
-from conftest import SKEW4_VALUE
+from bnmatch.structure import classify_pairs, Matching
+from conftest import SKEW4_VALUE, canonical_pairs
 
 approx = pytest.approx
 
@@ -58,7 +61,6 @@ class TestCubic:
 class TestOracleEnumerate:
     @pytest.mark.parametrize("n,count", sorted(CATALAN.items()))
     def test_catalan_counts(self, n, count):
-        assert oracle_count(n) == count
         assert sum(1 for _ in oracle_enumerate(n)) == count
 
     def test_all_distinct(self):
@@ -107,6 +109,52 @@ class TestOracleSolve:
         P = gen_circle(22, 0)
         with pytest.raises(TooLargeError):
             oracle_solve(P)
+
+    @staticmethod
+    def _two_pass(P):
+        """The reference: one pass finds the minimum, a second sorts the
+        exact achievers before the tolerance-only ones."""
+        n = P.n
+        D = _sq_dist_matrix(P)
+        matchings = list(oracle_enumerate(n))
+
+        def score(m):
+            mx = 0.0
+            for a, b in m:
+                if D[a][b] > mx:
+                    mx = D[a][b]
+            return mx
+
+        best = math.inf
+        for m in matchings:
+            mx = score(m)
+            if mx < best:
+                best = mx
+        exact, close = [], []
+        for m in matchings:
+            mx = score(m)
+            if mx == best:
+                exact.append(m)
+            elif mx <= best * (1.0 + 1e-9) ** 2:
+                close.append(m)
+        return math.sqrt(best), exact + close
+
+    def test_matches_two_pass_reference(self):
+        def polygons(n):
+            for r in (1.0, 0.6, 0.3):  # regular, then elliptic: full of ties
+                angles = [2 * math.pi * (k + 0.25) / n for k in range(n)]
+                yield [(math.cos(a), r * math.sin(a)) for a in angles]
+            for mode in ("circle", "valtr", "cluster3"):
+                for seed in range(3):
+                    yield generate(GenSpec(n, mode, seed)).coords()
+
+        for n in range(4, 15, 2):
+            for coords in polygons(n):
+                P = validate_convex_ccw(coords)
+                value, optimal = oracle_solve(P)
+                ref_value, ref_optimal = self._two_pass(P)
+                assert value.hex() == ref_value.hex(), n
+                assert [m.pairs for m in optimal] == ref_optimal, n
 
 
 class TestStructuralExistence:

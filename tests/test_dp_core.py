@@ -25,7 +25,7 @@ from bnmatch import (
 )
 from bnmatch.dp_core import USE_LEFT_EDGE, USE_PAIR, USE_RIGHT_EDGE, checkpoint_stride
 from bnmatch.errors import BadDomainError
-from conftest import SKEW4_VALUE
+from conftest import SKEW4_VALUE, forced_stride
 
 approx = pytest.approx
 
@@ -340,8 +340,10 @@ def test_fill_scratch_memory_per_point():
 def _assert_stride_matches_dense(P, stride):
     """A checkpointed table reads back the stride-1 table bit for bit."""
     n, half = P.n, P.n // 2
-    D = build_subproblem_table(P, stride=1)
-    T = build_subproblem_table(P, stride=stride)
+    with forced_stride(1):
+        D = build_subproblem_table(P)
+    with forced_stride(stride):
+        T = build_subproblem_table(P)
     assert T.stride == stride and D.S.shape == (half + 1, n)
     assert T.choice.dtype == np.uint8 and T.choice.shape == D.choice.shape
     assert np.array_equal(T.choice, D.choice)

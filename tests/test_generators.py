@@ -1,5 +1,7 @@
 import math
+import time
 
+import numpy as np
 import pytest
 
 from bnmatch import (
@@ -58,6 +60,27 @@ def test_bad_arguments():
         gen_cluster3(12, 0, spread=0.5)
     with pytest.raises(ValueError):
         generate(GenSpec(8, "hexgrid", 0))
+
+
+def test_circle_keeps_a_first_draw_with_margin():
+    # a draw whose gaps all exceed 1e-6 rad is used as drawn
+    for n, seed in ((6, 0), (256, 1), (1024, 1)):
+        ang = np.sort(np.random.default_rng(seed).uniform(0.0, 2 * math.pi, n))
+        assert min(np.diff(ang).min(), 2 * math.pi - (ang[-1] - ang[0])) > 1e-6
+        P = gen_circle(n, seed)
+        assert P.xs.tobytes() == np.cos(ang).tobytes()
+        assert P.ys.tobytes() == np.sin(ang).tobytes()
+
+
+@pytest.mark.parametrize("n,seed", [(6, 275), (1024, 0), (12000, 1)])
+def test_circle_spreads_a_close_draw(n, seed):
+    # each of these draws has a gap <= 1e-6; redrawing would not end at n = 12000
+    t0 = time.perf_counter()
+    P = gen_circle(n, seed)
+    assert time.perf_counter() - t0 < 1.0
+    ang = np.sort(np.arctan2(P.ys, P.xs))
+    gaps = np.append(np.diff(ang), 2 * math.pi - (ang[-1] - ang[0]))
+    assert P.n == n and gaps.min() >= 1e-6 * (1 - 1e-6)
 
 
 def test_circle_points_on_unit_circle():

@@ -22,8 +22,7 @@ from bnmatch import dp_core
 from bnmatch.circular import arc_size
 from bnmatch.geometry import CANDIDATE_ANGLE
 from bnmatch.solver import Polarity
-from bnmatch.structure import canonical_pairs
-from conftest import SKEW4_VALUE
+from conftest import SKEW4_VALUE, canonical_pairs, forced_stride
 
 approx = pytest.approx
 
@@ -205,6 +204,34 @@ class TestInvariance:
             )
 
 
+class TestStructureLabel:
+    def test_label_follows_cascade_count(self):
+        # three-cascade iff 3 cascades; otherwise at most 1 (2 cannot occur)
+        def instances():
+            for n in range(4, 37, 2):
+                angles = [2 * math.pi * k / n for k in range(n)]
+                for r in (1.0, 0.5, 0.1):  # regular and elliptic polygons: ties
+                    yield [(math.cos(a), r * math.sin(a)) for a in angles]
+                for seed in range(4):
+                    yield gen_circle(n, seed).coords()
+                    yield generate(GenSpec(n, "valtr", seed)).coords()
+                    coords = gen_cluster3(n, seed).coords()
+                    yield coords
+                    yield [(round(x, 3), round(y, 3)) for x, y in coords]  # ties on a grid
+
+        labels = set()
+        for coords in instances():
+            try:
+                P = validate_convex_ccw(coords)
+            except ValueError:
+                continue  # rounding can flatten a cluster
+            rep = solve(P)
+            assert (rep.structure == "three-cascade") == (rep.cascades == 3), coords
+            assert rep.cascades == 3 or rep.cascades <= 1, coords
+            labels.add(rep.structure)
+        assert labels == {"one-cascade", "three-cascade"}
+
+
 class TestThreeCascadePath:
     def test_cluster3_forces_three_cascades(self):
         hits = 0
@@ -232,33 +259,33 @@ def _report_key(rep):
     return (rep.value.hex(), rep.matching.pairs, rep.structure, rep.candidate_count)
 
 
-def _solve_at_stride(P, monkeypatch, stride):
-    monkeypatch.setattr(dp_core, "checkpoint_stride", lambda n: stride(n))
-    return _report_key(solve(P))
+def _solve_at_stride(P, stride):
+    with forced_stride(stride):
+        return _report_key(solve(P))
 
 
 class TestCheckpointStride:
     """solve answers the same whichever value rows the table keeps."""
 
     @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
-    def test_forced_strides_match_stride_one(self, mode, monkeypatch):
+    def test_forced_strides_match_stride_one(self, mode):
         structures = set()
         for n in (8, 16, 32, 64, 128, 256, 512):
             for seed in range(3):
                 P = generate(GenSpec(n, mode, 100 + seed))
-                dense = _solve_at_stride(P, monkeypatch, lambda n: 1)
-                for stride in (lambda n: 3, lambda n: max(1, math.isqrt(n // 2))):
-                    assert _solve_at_stride(P, monkeypatch, stride) == dense, (n, seed)
+                dense = _solve_at_stride(P, 1)
+                for stride in (3, max(1, math.isqrt(n // 2))):
+                    assert _solve_at_stride(P, stride) == dense, (n, seed)
                 structures.add(dense[2])
         if mode == "cluster3":
             assert "three-cascade" in structures
 
-    def test_cluster3_2048_default_stride_matches_stride_one(self, monkeypatch):
+    def test_cluster3_2048_default_stride_matches_stride_one(self):
         P = generate(GenSpec(2048, "cluster3", 5))
         assert dp_core.checkpoint_stride(2048) > 1
         default = _report_key(solve(P))
         assert default[2] == "three-cascade"
-        assert _solve_at_stride(P, monkeypatch, lambda n: 1) == default
+        assert _solve_at_stride(P, 1) == default
 
     @pytest.mark.parametrize("mode", ["valtr", "cluster3"])
     def test_solve_memory_per_table_entry(self, mode):

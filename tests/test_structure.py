@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +16,8 @@ from bnmatch import (
     verify_matching,
 )
 from bnmatch.circular import segments_cross
-from bnmatch.errors import InvalidMatchingError
-from bnmatch.structure import canonical_pairs
+from bnmatch.errors import BadIndexError, InvalidMatchingError
+from conftest import canonical_pairs
 
 approx = pytest.approx
 
@@ -39,6 +40,21 @@ def pairwise_non_crossing(pairs, n):
         for (a, b), (c, d) in itertools.combinations(pairs, 2)
         if len({a, b, c, d}) == 4
     )
+
+
+class TestMatchingOf:
+    def test_integers_and_integral_floats(self):
+        m = Matching.of(4, [(np.int64(0), 1.0), (np.int32(2), np.float64(3.0))])
+        assert m.pairs == ((0, 1), (2, 3))
+        assert all(type(v) is int for pair in m.pairs for v in pair)
+
+    @pytest.mark.parametrize(
+        "bad", [0.9, 3.2, True, np.bool_(False), math.nan, math.inf, np.float32(1.5), "1", None]
+    )
+    def test_rejects_non_integers(self, bad):
+        # truncating 0.9 or 3.2 would make this a perfect matching
+        with pytest.raises(BadIndexError):
+            Matching.of(4, [(0, 1), (2, bad)])
 
 
 class TestVerifyMatching:
