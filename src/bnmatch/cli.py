@@ -139,8 +139,12 @@ def cmd_render(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if not sizes:
+        raise BnmatchError("bench needs at least one size")
     if any(n % 2 for n in sizes):
         raise BnmatchError("bench sizes must be even")
+    if args.reps < 1:
+        raise BnmatchError(f"bench needs --reps >= 1, got {args.reps}")
     run = (
         (lambda P: baselines.cubic_solve(P)[0])
         if args.algo == "cubic"

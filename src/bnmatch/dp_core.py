@@ -10,15 +10,21 @@ entries (size n) are first class; an interval of size 0 contributes 0.
 
 Values are checkpointed (Hirschberg 1975, Griewank 1992: recompute instead
 of store). The fill keeps the value rows of sizes 0, 2s, 4s, ... for a
-stride s, plus the full-circle row; the choice tags and necessity flags stay
-dense. Row r0 + d at start t depends only on row r0 at starts t .. t + 2d,
-so any other value is replayed from the checkpoint row below it on a window
-of at most 2s - 1 starts, with the fill's own float operations, and comes
-out bit for bit as the fill computed it. Stride 1 keeps every row.
-``checkpoint_stride`` alone picks s from n; from n = 1024 on it is
-isqrt(n/2): values then take 8n(sqrt(n/2) + 2) bytes instead of 4n(n + 2),
-the whole table about 2 bytes per entry instead of 10, and replaying a
-column of n/2 values costs about n * sqrt(n/2) entry updates.
+stride s, plus the full-circle row. Row r0 + d at start t depends only on
+row r0 at starts t .. t + 2d, so any other value is replayed from the
+checkpoint row below it on a window of at most 2s - 1 starts, with the
+fill's own float operations, and comes out bit for bit as the fill computed
+it. Stride 1 keeps every row. ``checkpoint_stride`` alone picks s from n;
+from n = 1024 on it is isqrt(n/2): values then take 8n(sqrt(n/2) + 2)
+bytes instead of 4n(n + 2), and replaying a column of n/2 values costs
+about n * sqrt(n/2) entry updates.
+
+The move tags are two bits each (0 pair, 1 left, 2 right), four rows to a
+byte: a quarter byte per entry, read only by ``reconstruct``. The necessity
+flags, a byte each, are read only for candidate diagonals, whose arcs turn
+by at most 2*pi/3, so they are kept for the rows 0 .. kmax that hold such
+arcs: on circle, valtr and cluster3 polygons kmax is 0.34 to 0.41 of n/2,
+so the flags take about 0.35 to 0.4 bytes per entry.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDomainError
-from .geometry import ConvexPointSet
+from .geometry import ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns
 
 # recurrence moves, in tie-break priority order
 USE_PAIR = 0        # close the pair (start, start+size-1), recurse inside
@@ -57,21 +63,25 @@ def checkpoint_stride(n: int) -> int:
 class SubproblemTable:
     """Values, choice tags and necessity flags for all even-size arcs.
 
-    Row k of ``choice`` and ``necessary`` covers arcs of size 2k, indexed by
-    start; row 0 is the empty-interval convention. ``necessary[k, s]`` is
-    True iff closing the pair strictly beat both edge moves, i.e. every
-    optimal matching of that constrained subproblem contains the closing
-    pair. ``S`` holds the value rows k = 0, stride, 2*stride, ... and, last,
-    the full-circle row k = n/2; read any value with ``value`` or
-    ``arc_values``; a replay needs the coordinates ``xs`` and ``ys`` and the
-    fill's squared edge lengths ``edge2``.
+    Row k covers arcs of size 2k, indexed by start; row 0 is the
+    empty-interval convention. The move tag of the arc (s, 2k) is
+    ``(choice[k >> 2, s] >> 2*(k & 3)) & 3``, one of USE_PAIR, USE_LEFT_EDGE
+    and USE_RIGHT_EDGE. ``necessary[k, s]`` is True iff closing the pair
+    strictly beat both edge moves, i.e. every optimal matching of that
+    constrained subproblem contains the closing pair; it has the rows
+    k = 0 .. kmax only, kmax being the last row below n/2 in which some arc
+    turns by at most CANDIDATE_ANGLE + ANGLE_SLACK. ``S`` holds the value
+    rows k = 0, stride, 2*stride, ... and, last, the full-circle row
+    k = n/2; read any value with ``value`` or ``arc_values``; a replay needs
+    the coordinates ``xs`` and ``ys`` and the fill's squared edge lengths
+    ``edge2``.
     """
 
     n: int
     stride: int
     S: np.ndarray          # float64, the kept value rows, each of length n
-    choice: np.ndarray     # uint8, shape (n//2 + 1, n)
-    necessary: np.ndarray  # bool, same shape
+    choice: np.ndarray     # uint8, shape (n//2 // 4 + 1, n): 2-bit tags, 4 rows a byte
+    necessary: np.ndarray  # bool, shape (kmax + 1, n)
     xs: np.ndarray
     ys: np.ndarray
     edge2: np.ndarray      # float64, d2(s, s+1) for every start s
@@ -140,6 +150,25 @@ class SubproblemTable:
         return first, last
 
 
+def _last_candidate_row(P: ConvexPointSet) -> int:
+    """The largest k < n/2 at which some arc of size 2k turns by at most
+    CANDIDATE_ANGLE + ANGLE_SLACK, or 0 if there is no such k (n = 2).
+
+    The smallest turn over all arcs of size 2k never falls as k grows (the
+    exterior angles are positive and their prefix sums rounded
+    monotonically), so a binary search over k finds it; the size-2 arcs
+    turn by 0, so the answer is at least 1 from n = 4 on.
+    """
+    lo, hi = 0, P.n // 2  # the answer is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if arc_turns(P, 2 * mid).min() <= CANDIDATE_ANGLE + ANGLE_SLACK:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     """Fill the table for all (start, even size) in O(n^2) time.
 
@@ -155,45 +184,54 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     only when it wins by more than a relative 1e-9.
 
     The value rows kept are sizes 2k with k % stride == 0, for the stride
-    ``checkpoint_stride(n)`` picks, and the full circle. ``choice`` and
-    ``necessary`` are kept whole, 2 bytes per entry, (n/2 + 1) * n entries;
-    the kept value rows add 8 bytes per entry at stride 1 and about
-    8n * sqrt(n/2) bytes in all at stride isqrt(n/2). Stride 1 keeps every
-    row, the dense table.
+    ``checkpoint_stride(n)`` picks, and the full circle: 8 bytes per entry
+    at stride 1 and about 8n * sqrt(n/2) bytes in all at stride
+    isqrt(n/2). The move tag of row k is the two bits p << r, with p for
+    min(left, right) < pair and r for right < left, at bits 2*(k & 3) of
+    ``choice[k >> 2]``: a quarter byte per entry. Necessity flags are kept,
+    one byte each, for rows 0 .. kmax only, kmax being the last row below
+    n/2 with an arc that turns by at most CANDIDATE_ANGLE + ANGLE_SLACK;
+    the rows above it hold no candidate, and the fill skips their test.
 
-    The coordinates and edge lengths are kept twice over (length 2n) and
-    the latest row is kept in one buffer of length n+2 that repeats its
-    first two entries at the end, so every cyclic shift above is a slice
-    view. Each row is computed with ``out=`` ufuncs into two reused float64
-    temporaries, that buffer (overwriting the previous row once the three
-    moves have read it) and the row's own slots of ``choice`` and
-    ``necessary``, so the loop allocates nothing. The float operations
-    and their order are those of the recurrence as written (dx*dx + dy*dy,
-    min(pair, min(left, right)), other * (1 - 1e-9)), so all three tables
-    equal a direct transcription bit for bit, ties included.
+    The coordinates are kept twice over as complex numbers (length 2n), the
+    edge lengths likewise as floats, and the latest row in one buffer of
+    length n+2 that repeats its first two entries at the end, so every
+    cyclic shift above is a slice view. Each row is computed with ``out=``
+    ufuncs into reused temporaries, that buffer (overwriting the previous
+    row once the three moves have read it) and the row's own slots of
+    ``choice`` and ``necessary``, so the loop allocates nothing. d2 is one
+    complex subtraction, one in-place square of its float view and one add
+    of the view's real and imaginary halves: the float operations of
+    dx*dx + dy*dy. Those and the rest (min(pair, min(left, right)),
+    other * (1 - 1e-9)) are the recurrence's own, in its order, so all
+    three tables equal a direct transcription bit for bit, ties included.
     """
     n = P.n
     half = n // 2
     stride = checkpoint_stride(n)
+    kmax = _last_candidate_row(P)
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
-    choice = np.zeros((half + 1, n), dtype=np.uint8)
-    necessary = np.zeros((half + 1, n), dtype=bool)
+    choice = np.zeros((half // 4 + 1, n), dtype=np.uint8)
+    necessary = np.zeros((kmax + 1, n), dtype=bool)
 
-    xs2 = np.concatenate((P.xs, P.xs))
-    ys2 = np.concatenate((P.ys, P.ys))
-    xs, ys = xs2[:n], ys2[:n]
+    z2 = np.empty(2 * n, dtype=np.complex128)
+    z2.real[:n], z2.imag[:n] = P.xs, P.ys
+    z2[n:] = z2[:n]
+    z = z2[:n]
+    diff = np.empty(n, dtype=np.complex128)
+    diff_xy = diff.view(np.float64)  # dx, dy interleaved
     a = np.empty(n)
     b = np.empty(n)
+    r = np.empty(n, dtype=np.uint8)
+    p = np.empty(n, dtype=np.uint8)
     buf = np.empty(n + 2)  # the latest row, then its entries 0 and 1 again
     row = buf[:n]
 
     def sq_dist_to(off: int, out: np.ndarray) -> np.ndarray:
-        """d2(s, s+off) for every s into ``out``; clobbers ``b``."""
-        np.subtract(xs2[off:off + n], xs, out=out)
-        np.subtract(ys2[off:off + n], ys, out=b)
-        np.multiply(out, out, out=out)
-        np.multiply(b, b, out=b)
-        return np.add(out, b, out=out)
+        """d2(s, s+off) for every s into ``out``."""
+        np.subtract(z2[off:off + n], z, out=diff)
+        np.multiply(diff_xy, diff_xy, out=diff_xy)
+        return np.add(diff_xy[0::2], diff_xy[1::2], out=out)
 
     def finish_row(k: int) -> None:
         """Repeat row k's first entries after it; keep it if a checkpoint."""
@@ -207,23 +245,29 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     edge2_twice = np.concatenate((edge2, edge2))
     row[:] = edge2
     finish_row(1)
-    # size 2: all three moves coincide, so the pair is never forced
+    # size 2: all three moves coincide, so the pair is never forced; its
+    # tag is 0, the pair
 
     keep = 1.0 - _NECESSARY_REL_TOL
     for k in range(2, half + 1):
         m = 2 * k
-        tag, nec = choice[k], necessary[k]
+        tags, shift = choice[k >> 2], 2 * (k & 3)
         pair = np.maximum(buf[1:n + 1], sq_dist_to(m - 1, a), out=a)
         left = np.maximum(buf[2:], edge2, out=b)
         # the last read of row k-1, which row k overwrites in place from here
         right = np.maximum(row, edge2_twice[m - 2:m - 2 + n], out=row)
-        np.less(right, left, out=tag)                   # 1 iff right beats left
+        np.less(right, left, out=r)                     # 1 iff right beats left
         other = np.minimum(left, right, out=row)
-        np.less(other, pair, out=nec)                   # pair loses
-        np.add(tag, 1, out=tag)
-        np.multiply(tag, nec, out=tag)                  # 0 pair, 1 left, 2 right
-        np.multiply(other, keep, out=b)
-        np.less(pair, b, out=nec)
+        np.less(other, pair, out=p)                     # 1 iff the pair loses
+        if shift:                                       # p << r: 0 pair, 1 left, 2 right
+            np.add(r, shift, out=r)
+            np.left_shift(p, r, out=p)
+            np.bitwise_or(tags, p, out=tags)
+        else:  # the first row of its byte: nothing to keep
+            np.left_shift(p, r, out=tags)
+        if k <= kmax:
+            np.multiply(other, keep, out=b)
+            np.less(pair, b, out=necessary[k])
         np.minimum(pair, other, out=row)
         finish_row(k)
 
@@ -255,7 +299,8 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
     pairs: list[tuple[int, int]] = []
     s, m = start, size
     while m > 0:
-        c = T.choice[m // 2, s]
+        k = m // 2
+        c = (T.choice[k >> 2, s] >> 2 * (k & 3)) & 3
         if c == USE_PAIR:
             pairs.append((s, (s + m - 1) % n))
             s = (s + 1) % n

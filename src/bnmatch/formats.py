@@ -6,6 +6,7 @@ exactly; matching-file keys always appear in the same order.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Sequence
 
 from .structure import _index
@@ -13,6 +14,18 @@ from .structure import _index
 
 class ParseError(Exception):
     """Unreadable or malformed input file."""
+
+
+# what a JSON number decodes to; bool is a subclass of int but not a number here
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers_only(values, what: str) -> None:
+    """Raise ParseError unless every value is a JSON number (not a bool or string)."""
+    bad = set(map(type, values)) - _NUMBER_TYPES
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise ParseError(f"{what} must be numbers, got {names}")
 
 
 def fmt17(v: float) -> str:
@@ -29,7 +42,10 @@ def instance_to_csv(points: Sequence[tuple[float, float]]) -> str:
 
 
 def parse_instance(text: str) -> list[tuple[float, float]]:
-    """Accept either the JSON form or bare "x,y" CSV lines."""
+    """Accept either the JSON form or bare "x,y" CSV lines.
+
+    JSON coordinates must be numbers; CSV cells are anything ``float`` reads.
+    """
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty instance file")
@@ -41,6 +57,10 @@ def parse_instance(text: str) -> list[tuple[float, float]]:
         if not isinstance(obj, dict) or "points" not in obj:
             raise ParseError('instance JSON must be an object with a "points" key')
         raw = obj["points"]
+        try:
+            _numbers_only(chain.from_iterable(raw), "point coordinates")
+        except TypeError as e:
+            raise ParseError(f"bad point entry: {e}") from e
     else:
         raw = []
         for ln, line in enumerate(text.splitlines(), 1):
@@ -51,14 +71,10 @@ def parse_instance(text: str) -> list[tuple[float, float]]:
             if len(cells) != 2:
                 raise ParseError(f"line {ln}: expected 'x,y', got {line!r}")
             raw.append(cells)
-    out = []
     try:
-        for p in raw:
-            x, y = p
-            out.append((float(x), float(y)))
-    except (TypeError, ValueError) as e:
+        return [(float(x), float(y)) for x, y in raw]
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad point entry: {e}") from e
-    return out
 
 
 def matching_to_json(
@@ -93,10 +109,11 @@ def parse_matching(text: str) -> dict:
     for key in ("n", "value", "pairs"):
         if key not in obj:
             raise ParseError(f"matching file missing key {key!r}")
+    _numbers_only((obj["value"],), "value")
     try:
         obj["n"] = _index(obj["n"])
         obj["value"] = float(obj["value"])
         obj["pairs"] = [(_index(a), _index(b)) for a, b in obj["pairs"]]
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad matching entry: {e}") from e
     return obj

@@ -31,6 +31,7 @@ SQ_REL_TOL = 2e-9         # relative, on squared distances (~1e-9 on lengths)
 
 TWO_PI = 2.0 * math.pi
 CANDIDATE_ANGLE = 2.0 * math.pi / 3.0
+ANGLE_SLACK = 1e-9  # widening the candidate angle test can only add candidates
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,16 @@ def turning_angle(P: ConvexPointSet, i: int, j: int) -> float:
     steps = (j - i - 1) % n
     cum = P._ext_cum2
     return float(cum[a + steps] - cum[a])
+
+
+def arc_turns(P: ConvexPointSet, m: int) -> np.ndarray:
+    """Turning angle of every arc of ``m`` vertices (2 <= m <= n), by start.
+
+    Entry s is turning_angle(P, s, s+m-1), bit for bit.
+    """
+    a = (np.arange(P.n) + 1) % P.n
+    cum = P._ext_cum2
+    return cum[a + (m - 2)] - cum[a]
 
 
 def sq_dist(P: ConvexPointSet, i: int, j: int) -> float:

@@ -20,10 +20,15 @@ import numpy as np
 from .circular import arc_size
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .errors import InvalidMatchingError
-from .geometry import CANDIDATE_ANGLE, ConvexPointSet, PolarityRegion, classify_polarity_region
+from .geometry import (
+    ANGLE_SLACK,
+    CANDIDATE_ANGLE,
+    ConvexPointSet,
+    PolarityRegion,
+    arc_turns,
+    classify_polarity_region,
+)
 from .structure import Matching, _decompose_verified, verify_matching
-
-ANGLE_SLACK = 1e-9  # widening the angle test can only add candidates
 
 
 class Polarity(Enum):
@@ -103,16 +108,14 @@ def enumerate_candidates(
     if T is None:
         T = build_subproblem_table(P)
     n = P.n
-    cum = P._ext_cum2
-    a_idx = (np.arange(n) + 1) % n
     out: list[CandidateDiagonal] = []
-    # rows k = 2 .. n/2 - 1 hold the diagonals' arc sizes m = 2k in [4, n-2]
-    rows = np.flatnonzero(T.necessary[2:n // 2].any(axis=1)) + 2
+    # rows k = 2 .. n/2 - 1 hold the diagonals' arc sizes m = 2k in [4, n-2];
+    # the table keeps the flags of those that can hold a candidate
+    rows = np.flatnonzero(T.necessary[2:].any(axis=1)) + 2
     for k in rows.tolist():
         m = 2 * k
-        nec = T.necessary[k]
-        tau = cum[a_idx + (m - 2)] - cum[a_idx]
-        mask = nec & (tau <= CANDIDATE_ANGLE + ANGLE_SLACK)
+        tau = arc_turns(P, m)
+        mask = T.necessary[k] & (tau <= CANDIDATE_ANGLE + ANGLE_SLACK)
         for s in np.nonzero(mask)[0]:
             i = int(s)
             j = (i + m - 1) % n

@@ -3,6 +3,7 @@ import os
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -22,6 +23,13 @@ SKEW4_VALUE = 2.0 * math.cos(10 * DEG)
 def canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
     """Order-independent form: sorted (min, max) pairs, for comparisons."""
     return tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+
+
+def dense_choice(T) -> np.ndarray:
+    """The table's move tags unpacked: entry [k, s] is the tag of the arc (s, 2k)."""
+    k = np.arange(T.n // 2 + 1)
+    shifts = (2 * (k & 3)).astype(np.uint8)[:, None]
+    return (T.choice[k >> 2] >> shifts) & 3
 
 
 def forced_stride(stride: int):

@@ -271,6 +271,45 @@ def test_non_integer_index_exits_2(sq4_file, tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+NON_NUMBER_POINTS = {
+    "bool": "[[true, false], [1, 0], [1, 1], [0, 1]]",
+    "string": '[["0", 0], [1, 0], [1, 1], [0, 1]]',
+    "null": "[[0, null], [1, 0], [1, 1], [0, 1]]",
+    "nested": "[[[0], 0], [1, 0], [1, 1], [0, 1]]",
+    "object": '[{"x": 0, "y": 0}, [1, 0], [1, 1], [0, 1]]',
+    "not-a-list": "4",
+    "huge-integer": "[[1" + "0" * 400 + ", 0], [1, 0], [1, 1], [0, 1]]",
+}
+
+
+@pytest.mark.parametrize("points", NON_NUMBER_POINTS.values(), ids=NON_NUMBER_POINTS)
+def test_non_number_coordinates_exit_2(tmp_path, capsys, points):
+    # float() used to read true as 1 and "0" as 0, so these were solved
+    inst = write(tmp_path / "i.json", '{"points": ' + points + "}")
+    assert main(["solve", inst]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ") and not captured.out
+
+
+NON_NUMBER_VALUES = {
+    "bool": "true", "string": '"1"', "null": "null", "list": "[1]",
+    "huge-integer": "1" + "0" * 400,
+}
+
+
+@pytest.mark.parametrize("value", NON_NUMBER_VALUES.values(), ids=NON_NUMBER_VALUES)
+def test_non_number_value_exits_2(sq4_file, tmp_path, capsys, value):
+    # the sq4 matching's value is 1; true and "1" used to verify as OK
+    m = write(tmp_path / "m.json", '{"n": 4, "value": ' + value + ', "pairs": [[0, 1], [2, 3]]}')
+    assert main(["verify", sq4_file, m]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ") and not captured.out
+
+
+def test_csv_cells_are_read_by_float():
+    assert parse_instance(" 1 ,2\n3e0,-4.5\n") == [(1.0, 2.0), (3.0, -4.5)]
+
+
 def test_integral_float_index_accepted():
     md = parse_matching('{"n": 4.0, "value": 1, "pairs": [[0, 1.0], [2, 3]]}')
     assert md["n"] == 4 and md["pairs"] == [(0, 1), (2, 3)]
@@ -298,6 +337,17 @@ class TestBenchCommand:
 
     def test_odd_size_rejected(self, capsys):
         assert main(["bench", "--sizes", "7"]) == 3
+
+    @pytest.mark.parametrize("args, message", [
+        (["--sizes", "8", "--reps", "0"], "--reps >= 1, got 0"),
+        (["--sizes", "8", "--reps", "-2"], "--reps >= 1, got -2"),
+        (["--sizes", ","], "at least one size"),
+        (["--sizes", ""], "at least one size"),
+    ])
+    def test_bad_arguments_rejected_before_timing(self, capsys, args, message):
+        assert main(["bench"] + args) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
 
 
 class TestRoundTrip:

@@ -10,22 +10,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnmatch import (
+    CandidateDiagonal,
     GenSpec,
     build_subproblem_table,
+    enumerate_candidates,
     generate,
     gen_circle,
+    gen_cluster3,
     gen_valtr,
     one_cascade_optimum,
     oracle_enumerate,
     reconstruct,
     sq_dist,
+    turning_angle,
     validate_convex_ccw,
 )
 from bnmatch.dp_core import USE_LEFT_EDGE, USE_PAIR, USE_RIGHT_EDGE, checkpoint_stride
 from bnmatch.errors import BadDomainError
-from conftest import SKEW4_VALUE, forced_stride
+from bnmatch.geometry import ANGLE_SLACK, CANDIDATE_ANGLE, arc_turns
+from conftest import SKEW4_VALUE, dense_choice, forced_stride
 
 approx = pytest.approx
 
@@ -134,11 +140,15 @@ class TestTableBasics:
 
     def test_sq4_entries(self, sq4):
         T = build_subproblem_table(sq4)
+        _, choice, necessary = _roll_fill(sq4)
         assert T.value(0, 2) == 1.0
         assert T.value(1, 4) == 1.0
         # the closing pair ties with the edge moves, so it is not forced
-        assert not T.necessary[2, 0]
-        assert T.choice[2, 0] == USE_PAIR
+        assert not necessary[2, 0]
+        assert choice[2, 0] == USE_PAIR
+        assert dense_choice(T)[2, 0] == USE_PAIR
+        # the full circle holds no diagonal: flags are kept below it only
+        assert np.array_equal(T.necessary, necessary[:2])
 
     def test_skew4_full_circle(self, skew4):
         T = build_subproblem_table(skew4)
@@ -242,11 +252,14 @@ class TestAgainstConstrainedBruteForce:
         for P in _instances():
             n = P.n
             T = build_subproblem_table(P)
+            _, choice, necessary = _roll_fill(P)
+            assert np.array_equal(dense_choice(T), choice)
+            assert np.array_equal(T.necessary, necessary[:T.necessary.shape[0]])
             for start in range(n):
                 for size in range(2, n + 1, 2):
                     best, every_opt_has_pair = _constrained_best(P, start, size)
                     assert T.value(start, size) == best, (n, start, size)
-                    if T.necessary[size // 2, start]:
+                    if necessary[size // 2, start]:
                         assert every_opt_has_pair, (n, start, size)
 
     def test_all_edges_upper_bound(self):
@@ -298,14 +311,27 @@ def _roll_fill(P):
     return S, choice, necessary
 
 
+def _scanned_last_candidate_row(P):
+    """kmax by a full scan: the last k < n/2 with an arc of size 2k turning
+    by at most the candidate angle, or 0."""
+    rows = [
+        k for k in range(1, P.n // 2)
+        if arc_turns(P, 2 * k).min() <= CANDIDATE_ANGLE + ANGLE_SLACK
+    ]
+    return max(rows, default=0)
+
+
 def _assert_matches_roll_fill(P):
     T = build_subproblem_table(P)
     S, choice, necessary = _roll_fill(P)
+    n, half = P.n, P.n // 2
+    kmax = _scanned_last_candidate_row(P)
     assert T.S.shape == S.shape and T.S.dtype == np.float64
-    assert T.choice.dtype == np.uint8 and T.necessary.dtype == np.bool_
+    assert T.choice.dtype == np.uint8 and T.choice.shape == (half // 4 + 1, n)
+    assert T.necessary.dtype == np.bool_ and T.necessary.shape == (kmax + 1, n)
     assert T.S.tobytes() == S.tobytes()
-    assert np.array_equal(T.choice, choice)
-    assert np.array_equal(T.necessary, necessary)
+    assert np.array_equal(dense_choice(T), choice)
+    assert np.array_equal(T.necessary, necessary[:kmax + 1])
 
 
 def test_fill_bit_identical_to_roll_recurrence_on_fixtures():
@@ -320,6 +346,108 @@ def test_fill_bit_identical_to_roll_recurrence_on_fixtures():
 @pytest.mark.parametrize("n", [6, 8, 16, 64, 250, 512])
 def test_fill_bit_identical_to_roll_recurrence(n, mode):
     _assert_matches_roll_fill(generate(GenSpec(n, mode, 11 + n)))
+
+
+def _polygons(n_max=512):
+    for mode in ("circle", "valtr", "cluster3"):
+        for n in (4, 6, 8, 10, 12, 16, 24, 32, 64, 128, 256, 512):
+            if n <= n_max:
+                for seed in range(2):
+                    yield generate(GenSpec(n, mode, 31 + seed))
+
+
+def _assert_turn_cutoff(P):
+    """The smallest arc turn never falls as the arcs grow, and every
+    necessary entry above the kept flag rows turns too far to be a candidate."""
+    n, half = P.n, P.n // 2
+    lowest = [arc_turns(P, 2 * k).min() for k in range(1, half)]
+    assert all(a <= b for a, b in zip(lowest, lowest[1:]))
+    T = build_subproblem_table(P)
+    kmax = T.necessary.shape[0] - 1
+    assert kmax == _scanned_last_candidate_row(P)
+    _, _, necessary = _roll_fill(P)
+    for k in range(kmax + 1, half):
+        tau = arc_turns(P, 2 * k)
+        assert not (necessary[k] & (tau <= CANDIDATE_ANGLE + ANGLE_SLACK)).any(), k
+
+
+def _dense_candidates(P):
+    """enumerate_candidates (unannotated) from the roll reference's flags."""
+    n = P.n
+    _, _, necessary = _roll_fill(P)
+    out = []
+    for k in range(2, n // 2):
+        for i in np.flatnonzero(necessary[k]).tolist():
+            j = (i + 2 * k - 1) % n
+            tau = turning_angle(P, i, j)
+            if tau <= CANDIDATE_ANGLE + ANGLE_SLACK:
+                out.append(CandidateDiagonal(i, j, tau))
+    return sorted(out, key=lambda c: (c.i, c.j))
+
+
+def _assert_candidates_match_dense(P):
+    def key(cands):
+        return [(c.i, c.j, c.tau.hex(), c.polarity) for c in cands]
+
+    assert key(enumerate_candidates(P, annotate=False)) == key(_dense_candidates(P))
+
+
+def test_turn_cutoff():
+    for P in _polygons():
+        _assert_turn_cutoff(P)
+
+
+def test_candidates_match_dense_reference():
+    found = 0
+    for P in _polygons():
+        _assert_candidates_match_dense(P)
+        found += len(enumerate_candidates(P, annotate=False))
+    assert found > 0  # cluster3 polygons have candidates
+
+
+@st.composite
+def convex_polygons(draw):
+    """Points on an ellipse at angles with random positive gaps: strictly convex."""
+    gaps = draw(st.lists(st.integers(1, 1000), min_size=4, max_size=80))
+    if len(gaps) % 2:
+        gaps.pop()
+    squash = draw(st.floats(0.05, 1.0))
+    total, angles, acc = sum(gaps), [], 0
+    for g in gaps:
+        angles.append(2 * math.pi * acc / total)
+        acc += g
+    return [(math.cos(a), squash * math.sin(a)) for a in angles]
+
+
+@st.composite
+def cluster_rings(draw):
+    """K tight clusters of points around a circle, n even."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=3, max_size=8))
+    if sum(sizes) % 2:
+        sizes[0] += 1
+    spread = draw(st.floats(1e-4, 0.05))
+    jitter = draw(st.floats(0.0, 0.3))
+    angles = []
+    for c, size in enumerate(sizes):
+        center = 2 * math.pi * (c + jitter * (c % 2)) / len(sizes)
+        angles += [center + spread * t for t in range(size)]
+    return [(math.cos(a), math.sin(a)) for a in angles]
+
+
+# cluster3 draws, the family with candidates, at random sizes, seeds and spreads
+cluster3_polygons = st.builds(
+    lambda n, seed, spread: gen_cluster3(n, seed, spread).coords(),
+    st.integers(2, 40).map(lambda h: 2 * h), st.integers(0, 2**32 - 1), st.floats(0.01, 0.2),
+)
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.one_of(convex_polygons(), cluster_rings(), cluster3_polygons))
+def test_turn_cutoff_and_candidates_on_random_polygons(coords):
+    P = validate_convex_ccw(coords)
+    _assert_matches_roll_fill(P)
+    _assert_turn_cutoff(P)
+    _assert_candidates_match_dense(P)
 
 
 def test_fill_scratch_memory_per_point():

@@ -26,6 +26,7 @@ from bnmatch.errors import (
     OddCountError,
     TooFewError,
 )
+from bnmatch.geometry import arc_turns
 from conftest import SQ4_COORDS
 
 approx = pytest.approx
@@ -262,6 +263,14 @@ class TestTurningAngle:
                 lhs = turning_angle(P, i, k)
                 rhs = turning_angle(P, i, j) + P.ext[j] + turning_angle(P, j, k)
                 assert lhs == approx(rhs, abs=1e-11)
+
+    def test_arc_turns_bit_identical(self, sq4):
+        # every arc size, the full circle included, at every start
+        for P in (sq4, gen_circle(12, 3), gen_valtr(14, 2), generate(GenSpec(10, "cluster3", 1))):
+            n = P.n
+            for m in range(2, n + 1):
+                want = [turning_angle(P, s, (s + m - 1) % n) for s in range(n)]
+                assert _bits(arc_turns(P, m)) == _bits(want), (n, m)
 
     def test_bad_index(self, sq4):
         with pytest.raises(BadIndexError):

@@ -289,9 +289,11 @@ class TestCheckpointStride:
 
     @pytest.mark.parametrize("mode", ["valtr", "cluster3"])
     def test_solve_memory_per_table_entry(self, mode):
-        # choice and necessary take 2 bytes per entry; the value checkpoints,
-        # replays and everything else in solve stay under 1 more (cluster3
-        # replays the complements of its candidates, valtr has none)
+        # the 2-bit tags take a quarter byte per entry and the necessity
+        # flags, kept for the rows up to the last that can hold a candidate,
+        # about 0.4 more; the value checkpoints, replays and everything else
+        # in solve stay within the rest (cluster3 replays the complements of
+        # its candidates, valtr has none)
         n = 2048
         P = generate(GenSpec(n, mode, 3))
         tracemalloc.start()
@@ -301,4 +303,4 @@ class TestCheckpointStride:
         finally:
             tracemalloc.stop()
         entries = (n // 2 + 1) * n
-        assert peak <= 3 * entries, peak / entries
+        assert peak <= 1.25 * entries, peak / entries
