@@ -47,7 +47,7 @@ def _sort_ccw(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 def _load_instance(args) -> ConvexPointSet:
     points = formats.parse_instance(_read(args.instance))
-    if getattr(args, "sort_ccw", False):
+    if getattr(args, "sort_ccw", False) and points:  # no centroid: validation names it
         points = _sort_ccw(points)
     return validate_convex_ccw(points)
 
@@ -95,7 +95,7 @@ def cmd_verify(args) -> int:
 
     if md["n"] != P.n:
         return fail("n")
-    matching = structure.Matching.of(P.n, md["pairs"])
+    matching = structure.Matching(P.n, tuple(md["pairs"]))  # indices checked by the parse
     rep = structure.verify_matching(P, matching)
     if not rep.perfect:
         return fail("perfect")
@@ -141,8 +141,11 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise BnmatchError("bench needs at least one size")
-    if any(n % 2 for n in sizes):
-        raise BnmatchError("bench sizes must be even")
+    bad = [n for n in sizes if n % 2 or n < 4]
+    if bad:
+        raise BnmatchError(f"bench sizes must be even and >= 4, got {bad[0]}")
+    if len(set(sizes)) < len(sizes):
+        raise BnmatchError("bench sizes must be distinct: the slope fit needs one median per size")
     if args.reps < 1:
         raise BnmatchError(f"bench needs --reps >= 1, got {args.reps}")
     run = (

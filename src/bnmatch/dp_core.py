@@ -21,10 +21,9 @@ about n * sqrt(n/2) entry updates.
 
 The move tags are two bits each (0 pair, 1 left, 2 right), four rows to a
 byte: a quarter byte per entry, read only by ``reconstruct``. The necessity
-flags, a byte each, are read only for candidate diagonals, whose arcs turn
-by at most 2*pi/3, so they are kept for the rows 0 .. kmax that hold such
-arcs: on circle, valtr and cluster3 polygons kmax is 0.34 to 0.41 of n/2,
-so the flags take about 0.35 to 0.4 bytes per entry.
+flags are read only for diagonals, so they are kept, one bit each, for the
+rows 2 <= k < n/2 that hold at least one: on circle, valtr and cluster3
+polygons of n = 256 .. 8192 points, 4 to 9 rows do.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDomainError
-from .geometry import ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns
+from .geometry import ConvexPointSet
 
 # recurrence moves, in tie-break priority order
 USE_PAIR = 0        # close the pair (start, start+size-1), recurse inside
@@ -66,22 +65,23 @@ class SubproblemTable:
     Row k covers arcs of size 2k, indexed by start; row 0 is the
     empty-interval convention. The move tag of the arc (s, 2k) is
     ``(choice[k >> 2, s] >> 2*(k & 3)) & 3``, one of USE_PAIR, USE_LEFT_EDGE
-    and USE_RIGHT_EDGE. ``necessary[k, s]`` is True iff closing the pair
-    strictly beat both edge moves, i.e. every optimal matching of that
-    constrained subproblem contains the closing pair; it has the rows
-    k = 0 .. kmax only, kmax being the last row below n/2 in which some arc
-    turns by at most CANDIDATE_ANGLE + ANGLE_SLACK. ``S`` holds the value
-    rows k = 0, stride, 2*stride, ... and, last, the full-circle row
-    k = n/2; read any value with ``value`` or ``arc_values``; a replay needs
-    the coordinates ``xs`` and ``ys`` and the fill's squared edge lengths
-    ``edge2``.
+    and USE_RIGHT_EDGE. An arc is necessary iff closing the pair strictly
+    beat both edge moves, i.e. every optimal matching of that constrained
+    subproblem contains the closing pair. Only the rows 2 <= k < n/2 with a
+    necessary arc are kept, by increasing k: bit s of
+    ``np.unpackbits(necessary[r])`` flags the arc (s, 2*necessary_rows[r]).
+    ``S`` holds the value rows k = 0, stride, 2*stride, ... and, last, the
+    full-circle row k = n/2; read any value with ``value`` or ``arc_values``;
+    a replay needs the coordinates ``xs`` and ``ys`` and the fill's squared
+    edge lengths ``edge2``.
     """
 
     n: int
     stride: int
     S: np.ndarray          # float64, the kept value rows, each of length n
     choice: np.ndarray     # uint8, shape (n//2 // 4 + 1, n): 2-bit tags, 4 rows a byte
-    necessary: np.ndarray  # bool, shape (kmax + 1, n)
+    necessary: np.ndarray  # uint8, shape (rows, ceil(n/8)): the kept rows' flags, packed
+    necessary_rows: np.ndarray  # int, the k of each kept row
     xs: np.ndarray
     ys: np.ndarray
     edge2: np.ndarray      # float64, d2(s, s+1) for every start s
@@ -150,25 +150,6 @@ class SubproblemTable:
         return first, last
 
 
-def _last_candidate_row(P: ConvexPointSet) -> int:
-    """The largest k < n/2 at which some arc of size 2k turns by at most
-    CANDIDATE_ANGLE + ANGLE_SLACK, or 0 if there is no such k (n = 2).
-
-    The smallest turn over all arcs of size 2k never falls as k grows (the
-    exterior angles are positive and their prefix sums rounded
-    monotonically), so a binary search over k finds it; the size-2 arcs
-    turn by 0, so the answer is at least 1 from n = 4 on.
-    """
-    lo, hi = 0, P.n // 2  # the answer is in [lo, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if arc_turns(P, 2 * mid).min() <= CANDIDATE_ANGLE + ANGLE_SLACK:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     """Fill the table for all (start, even size) in O(n^2) time.
 
@@ -188,10 +169,10 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     at stride 1 and about 8n * sqrt(n/2) bytes in all at stride
     isqrt(n/2). The move tag of row k is the two bits p << r, with p for
     min(left, right) < pair and r for right < left, at bits 2*(k & 3) of
-    ``choice[k >> 2]``: a quarter byte per entry. Necessity flags are kept,
-    one byte each, for rows 0 .. kmax only, kmax being the last row below
-    n/2 with an arc that turns by at most CANDIDATE_ANGLE + ANGLE_SLACK;
-    the rows above it hold no candidate, and the fill skips their test.
+    ``choice[k >> 2]``: a quarter byte per entry. A row 2 <= k < n/2 is
+    tested for necessity only if the pair move wins somewhere (a pair that
+    loses everywhere cannot win by 1e-9), and it is kept, packed to a bit
+    per start, only if some arc in it is necessary.
 
     The coordinates are kept twice over as complex numbers (length 2n), the
     edge lengths likewise as floats, and the latest row in one buffer of
@@ -199,7 +180,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     cyclic shift above is a slice view. Each row is computed with ``out=``
     ufuncs into reused temporaries, that buffer (overwriting the previous
     row once the three moves have read it) and the row's own slots of
-    ``choice`` and ``necessary``, so the loop allocates nothing. d2 is one
+    ``choice``, so the loop allocates only the kept necessity rows. d2 is one
     complex subtraction, one in-place square of its float view and one add
     of the view's real and imaginary halves: the float operations of
     dx*dx + dy*dy. Those and the rest (min(pair, min(left, right)),
@@ -209,10 +190,9 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     n = P.n
     half = n // 2
     stride = checkpoint_stride(n)
-    kmax = _last_candidate_row(P)
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     choice = np.zeros((half // 4 + 1, n), dtype=np.uint8)
-    necessary = np.zeros((kmax + 1, n), dtype=bool)
+    necessary, necessary_rows = [], []  # the kept flag rows, packed, and their k
 
     z2 = np.empty(2 * n, dtype=np.complex128)
     z2.real[:n], z2.imag[:n] = P.xs, P.ys
@@ -265,14 +245,19 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
             np.bitwise_or(tags, p, out=tags)
         else:  # the first row of its byte: nothing to keep
             np.left_shift(p, r, out=tags)
-        if k <= kmax:
+        # p is still nonzero exactly where the pair loses; losing everywhere, it is never necessary
+        if k < half and np.count_nonzero(p) < n:
             np.multiply(other, keep, out=b)
-            np.less(pair, b, out=necessary[k])
+            if np.count_nonzero(np.less(pair, b, out=p)):
+                necessary.append(np.packbits(p))
+                necessary_rows.append(k)
         np.minimum(pair, other, out=row)
         finish_row(k)
 
     return SubproblemTable(
-        n=n, stride=stride, S=S, choice=choice, necessary=necessary,
+        n=n, stride=stride, S=S, choice=choice,
+        necessary=np.array(necessary, dtype=np.uint8).reshape(len(necessary_rows), (n + 7) // 8),
+        necessary_rows=np.array(necessary_rows, dtype=np.intp),
         xs=P.xs, ys=P.ys, edge2=edge2,
     )
 

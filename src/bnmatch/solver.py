@@ -109,13 +109,12 @@ def enumerate_candidates(
         T = build_subproblem_table(P)
     n = P.n
     out: list[CandidateDiagonal] = []
-    # rows k = 2 .. n/2 - 1 hold the diagonals' arc sizes m = 2k in [4, n-2];
-    # the table keeps the flags of those that can hold a candidate
-    rows = np.flatnonzero(T.necessary[2:].any(axis=1)) + 2
-    for k in rows.tolist():
+    # the table keeps, one bit per start, the flags of the rows k = 2 .. n/2 - 1
+    # (the diagonals' arc sizes m = 2k in [4, n-2]) that hold a necessary arc
+    for flags, k in zip(T.necessary, T.necessary_rows.tolist()):
         m = 2 * k
         tau = arc_turns(P, m)
-        mask = T.necessary[k] & (tau <= CANDIDATE_ANGLE + ANGLE_SLACK)
+        mask = np.unpackbits(flags, count=n) & (tau <= CANDIDATE_ANGLE + ANGLE_SLACK)
         for s in np.nonzero(mask)[0]:
             i = int(s)
             j = (i + m - 1) % n

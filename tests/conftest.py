@@ -32,6 +32,30 @@ def dense_choice(T) -> np.ndarray:
     return (T.choice[k >> 2] >> shifts) & 3
 
 
+def dense_necessary(T) -> np.ndarray:
+    """The table's necessity flags unpacked: entry [k, s] is the flag of the
+    arc (s, 2k), False in every row the table does not keep."""
+    out = np.zeros((T.n // 2 + 1, T.n), dtype=bool)
+    out[T.necessary_rows] = np.unpackbits(T.necessary, axis=1, count=T.n)
+    return out
+
+
+def parabola_cap(n: int) -> list[tuple[float, float]]:
+    """n points (x, x^2) at evenly spaced x in [-1, 1], ccw: a quarter of
+    the arcs of even size below n are necessary."""
+    x = np.linspace(-1.0, 1.0, n)
+    return list(zip(x.tolist(), (x * x).tolist()))
+
+
+def two_arcs(n: int) -> list[tuple[float, float]]:
+    """n/2 points evenly spaced on each of two opposite arcs of the unit
+    circle, one radian wide, ccw: an eighth of the arcs of even size below
+    n are necessary."""
+    t = np.linspace(-0.5, 0.5, n // 2)
+    t = np.concatenate((t, t + math.pi))
+    return list(zip(np.cos(t).tolist(), np.sin(t).tolist()))
+
+
 def forced_stride(stride: int):
     """Context manager: tables built inside it keep every stride-th value row.
 

@@ -101,6 +101,12 @@ class TestSolveCommand:
         inst = write(tmp_path / "sh.json", instance_to_json(shuffled))
         assert main(["solve", inst, "--sort-ccw", "--output", str(tmp_path / "o.json")]) == 0
 
+    @pytest.mark.parametrize("sort", [[], ["--sort-ccw"]])
+    def test_empty_instance_exits_3(self, tmp_path, capsys, sort):
+        inst = write(tmp_path / "e.json", '{"points": []}')
+        assert main(["solve", inst] + sort) == 3
+        assert "TooFew" in capsys.readouterr().err
+
 
 class TestBaselineAndOracle:
     def test_baseline(self, sq4_file, capsys):
@@ -343,6 +349,12 @@ class TestBenchCommand:
         (["--sizes", "8", "--reps", "-2"], "--reps >= 1, got -2"),
         (["--sizes", ","], "at least one size"),
         (["--sizes", ""], "at least one size"),
+        (["--sizes", "7"], "even and >= 4, got 7"),
+        (["--sizes", "8,2"], "even and >= 4, got 2"),
+        (["--sizes", "0"], "even and >= 4, got 0"),
+        (["--sizes", "-4"], "even and >= 4, got -4"),
+        (["--sizes", "8,8"], "distinct"),
+        (["--sizes", "8,16,8"], "distinct"),
     ])
     def test_bad_arguments_rejected_before_timing(self, capsys, args, message):
         assert main(["bench"] + args) == 3

@@ -30,8 +30,10 @@ from bnmatch import (
 )
 from bnmatch.dp_core import USE_LEFT_EDGE, USE_PAIR, USE_RIGHT_EDGE, checkpoint_stride
 from bnmatch.errors import BadDomainError
-from bnmatch.geometry import ANGLE_SLACK, CANDIDATE_ANGLE, arc_turns
-from conftest import SKEW4_VALUE, dense_choice, forced_stride
+from bnmatch.geometry import ANGLE_SLACK, CANDIDATE_ANGLE
+from conftest import (
+    SKEW4_VALUE, dense_choice, dense_necessary, forced_stride, parabola_cap, two_arcs,
+)
 
 approx = pytest.approx
 
@@ -136,7 +138,7 @@ class TestTableBasics:
         T = build_subproblem_table(skew4)
         for s in range(4):
             assert T.value(s, 2) == sq_dist(skew4, s, (s + 1) % 4)
-            assert not T.necessary[1, s]
+            assert not dense_necessary(T)[1, s]
 
     def test_sq4_entries(self, sq4):
         T = build_subproblem_table(sq4)
@@ -148,7 +150,7 @@ class TestTableBasics:
         assert choice[2, 0] == USE_PAIR
         assert dense_choice(T)[2, 0] == USE_PAIR
         # the full circle holds no diagonal: flags are kept below it only
-        assert np.array_equal(T.necessary, necessary[:2])
+        assert np.array_equal(dense_necessary(T)[:2], necessary[:2])
 
     def test_skew4_full_circle(self, skew4):
         T = build_subproblem_table(skew4)
@@ -254,7 +256,7 @@ class TestAgainstConstrainedBruteForce:
             T = build_subproblem_table(P)
             _, choice, necessary = _roll_fill(P)
             assert np.array_equal(dense_choice(T), choice)
-            assert np.array_equal(T.necessary, necessary[:T.necessary.shape[0]])
+            assert np.array_equal(dense_necessary(T)[:n // 2], necessary[:n // 2])
             for start in range(n):
                 for size in range(2, n + 1, 2):
                     best, every_opt_has_pair = _constrained_best(P, start, size)
@@ -311,27 +313,24 @@ def _roll_fill(P):
     return S, choice, necessary
 
 
-def _scanned_last_candidate_row(P):
-    """kmax by a full scan: the last k < n/2 with an arc of size 2k turning
-    by at most the candidate angle, or 0."""
-    rows = [
-        k for k in range(1, P.n // 2)
-        if arc_turns(P, 2 * k).min() <= CANDIDATE_ANGLE + ANGLE_SLACK
-    ]
-    return max(rows, default=0)
+def _assert_flags_match(T, necessary):
+    """T keeps, packed, exactly the reference's rows 2 <= k < n/2 with a flag."""
+    n = T.n
+    rows = [k for k in range(2, n // 2) if necessary[k].any()]
+    assert T.necessary.dtype == np.uint8 and T.necessary.shape == (len(rows), (n + 7) // 8)
+    assert T.necessary_rows.tolist() == rows
+    assert T.necessary.tobytes() == np.packbits(necessary[rows], axis=1).tobytes()
 
 
 def _assert_matches_roll_fill(P):
     T = build_subproblem_table(P)
     S, choice, necessary = _roll_fill(P)
     n, half = P.n, P.n // 2
-    kmax = _scanned_last_candidate_row(P)
     assert T.S.shape == S.shape and T.S.dtype == np.float64
     assert T.choice.dtype == np.uint8 and T.choice.shape == (half // 4 + 1, n)
-    assert T.necessary.dtype == np.bool_ and T.necessary.shape == (kmax + 1, n)
     assert T.S.tobytes() == S.tobytes()
     assert np.array_equal(dense_choice(T), choice)
-    assert np.array_equal(T.necessary, necessary[:kmax + 1])
+    _assert_flags_match(T, necessary)
 
 
 def test_fill_bit_identical_to_roll_recurrence_on_fixtures():
@@ -348,27 +347,23 @@ def test_fill_bit_identical_to_roll_recurrence(n, mode):
     _assert_matches_roll_fill(generate(GenSpec(n, mode, 11 + n)))
 
 
+@pytest.mark.parametrize("family", [parabola_cap, two_arcs])
+@pytest.mark.parametrize("n", [4, 6, 30, 64, 250])
+def test_fill_bit_identical_to_roll_recurrence_dense_necessity(n, family):
+    _assert_matches_roll_fill(validate_convex_ccw(family(n)))
+
+
 def _polygons(n_max=512):
     for mode in ("circle", "valtr", "cluster3"):
         for n in (4, 6, 8, 10, 12, 16, 24, 32, 64, 128, 256, 512):
             if n <= n_max:
                 for seed in range(2):
                     yield generate(GenSpec(n, mode, 31 + seed))
-
-
-def _assert_turn_cutoff(P):
-    """The smallest arc turn never falls as the arcs grow, and every
-    necessary entry above the kept flag rows turns too far to be a candidate."""
-    n, half = P.n, P.n // 2
-    lowest = [arc_turns(P, 2 * k).min() for k in range(1, half)]
-    assert all(a <= b for a, b in zip(lowest, lowest[1:]))
-    T = build_subproblem_table(P)
-    kmax = T.necessary.shape[0] - 1
-    assert kmax == _scanned_last_candidate_row(P)
-    _, _, necessary = _roll_fill(P)
-    for k in range(kmax + 1, half):
-        tau = arc_turns(P, 2 * k)
-        assert not (necessary[k] & (tau <= CANDIDATE_ANGLE + ANGLE_SLACK)).any(), k
+    # half or more of these families' rows hold necessary arcs; 36 is no multiple of 8
+    for n in (4, 6, 8, 12, 36, 64, 128):
+        if n <= n_max:
+            yield validate_convex_ccw(parabola_cap(n))
+            yield validate_convex_ccw(two_arcs(n))
 
 
 def _dense_candidates(P):
@@ -390,11 +385,6 @@ def _assert_candidates_match_dense(P):
         return [(c.i, c.j, c.tau.hex(), c.polarity) for c in cands]
 
     assert key(enumerate_candidates(P, annotate=False)) == key(_dense_candidates(P))
-
-
-def test_turn_cutoff():
-    for P in _polygons():
-        _assert_turn_cutoff(P)
 
 
 def test_candidates_match_dense_reference():
@@ -434,19 +424,22 @@ def cluster_rings(draw):
     return [(math.cos(a), math.sin(a)) for a in angles]
 
 
+even_sizes = st.integers(2, 40).map(lambda h: 2 * h)
 # cluster3 draws, the family with candidates, at random sizes, seeds and spreads
 cluster3_polygons = st.builds(
     lambda n, seed, spread: gen_cluster3(n, seed, spread).coords(),
-    st.integers(2, 40).map(lambda h: 2 * h), st.integers(0, 2**32 - 1), st.floats(0.01, 0.2),
+    even_sizes, st.integers(0, 2**32 - 1), st.floats(0.01, 0.2),
 )
 
 
 @settings(max_examples=90, deadline=None)
-@given(st.one_of(convex_polygons(), cluster_rings(), cluster3_polygons))
-def test_turn_cutoff_and_candidates_on_random_polygons(coords):
+@given(st.one_of(
+    convex_polygons(), cluster_rings(), cluster3_polygons,
+    st.builds(parabola_cap, even_sizes), st.builds(two_arcs, even_sizes),
+))
+def test_fill_and_candidates_on_random_polygons(coords):
     P = validate_convex_ccw(coords)
     _assert_matches_roll_fill(P)
-    _assert_turn_cutoff(P)
     _assert_candidates_match_dense(P)
 
 
@@ -475,7 +468,7 @@ def _assert_stride_matches_dense(P, stride):
     assert T.stride == stride and D.S.shape == (half + 1, n)
     assert T.choice.dtype == np.uint8 and T.choice.shape == D.choice.shape
     assert np.array_equal(T.choice, D.choice)
-    assert np.array_equal(T.necessary, D.necessary)
+    _assert_flags_match(T, _roll_fill(P)[2])
     kept = sorted({*range(0, half + 1, stride), half})
     assert T.S.tobytes() == D.S[kept].tobytes()
     for start in range(n):
@@ -509,6 +502,13 @@ def test_checkpointed_table_matches_dense_on_fixtures():
 def test_checkpointed_table_matches_dense(n, mode):
     P = generate(GenSpec(n, mode, 23 + n))
     for stride in _strides(n):
+        _assert_stride_matches_dense(P, stride)
+
+
+@pytest.mark.parametrize("family", [parabola_cap, two_arcs])
+def test_checkpointed_table_matches_dense_necessity(family):
+    P = validate_convex_ccw(family(30))
+    for stride in _strides(P.n):
         _assert_stride_matches_dense(P, stride)
 
 
