@@ -1,13 +1,12 @@
 """Bottleneck non-crossing matchings of points in convex position.
 
 Find a perfect non-crossing matching minimizing the longest segment, in
-O(n^2) time, with an O(n^3) baseline and an exhaustive oracle for
-cross-checking, plus instance generators, structural analysis, SVG
-rendering and a CLI.
+O(n^2 + c*n^1.5) time for c surviving candidates (see `solver`), with an
+O(n^3) baseline and an exhaustive oracle for cross-checking, plus instance
+generators, structural analysis, SVG rendering and a CLI.
 """
 
 from .baselines import cubic_solve, oracle_enumerate, oracle_solve
-from .circular import arc_size, segments_cross
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .generators import GenSpec, gen_circle, gen_cluster3, gen_valtr, generate
 from .geometry import (
@@ -41,7 +40,6 @@ __all__ = [
     "PolarityRegion",
     "SolveReport",
     "SubproblemTable",
-    "arc_size",
     "build_subproblem_table",
     "cascade_decomposition",
     "classify_pairs",
@@ -56,7 +54,6 @@ __all__ = [
     "oracle_enumerate",
     "oracle_solve",
     "reconstruct",
-    "segments_cross",
     "solve",
     "sq_dist",
     "turning_angle",

@@ -92,7 +92,7 @@ def cubic_solve(P: ConvexPointSet) -> tuple[float, Matching]:
                 raise AssertionError("retrace found no achieving split")
 
     retrace(0, n - 1)
-    return math.sqrt(b[0][n - 1]), Matching.of(n, pairs)
+    return math.sqrt(b[0][n - 1]), Matching(n, tuple(pairs))
 
 
 @lru_cache(maxsize=None)
@@ -151,6 +151,6 @@ def oracle_solve(P: ConvexPointSet) -> tuple[float, list[Matching]]:
         scores.append(mx)
     best = min(scores)
     cutoff = best * _OPT_SQ_FACTOR
-    exact = [Matching.of(n, m) for m, mx in zip(matchings, scores) if mx == best]
-    close = [Matching.of(n, m) for m, mx in zip(matchings, scores) if best < mx <= cutoff]
+    exact = [Matching(n, m) for m, mx in zip(matchings, scores) if mx == best]
+    close = [Matching(n, m) for m, mx in zip(matchings, scores) if best < mx <= cutoff]
     return math.sqrt(best), exact + close

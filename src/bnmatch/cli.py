@@ -141,9 +141,6 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise BnmatchError("bench needs at least one size")
-    bad = [n for n in sizes if n % 2 or n < 4]
-    if bad:
-        raise BnmatchError(f"bench sizes must be even and >= 4, got {bad[0]}")
     if len(set(sizes)) < len(sizes):
         raise BnmatchError("bench sizes must be distinct: the slope fit needs one median per size")
     if args.reps < 1:
@@ -153,18 +150,20 @@ def cmd_bench(args) -> int:
         if args.algo == "cubic"
         else (lambda P: solver.solve(P).value)
     )
+    instances = [  # every instance first: a bad size, seed or spread fails before any output
+        [generators.generate(generators.GenSpec(n, args.mode, args.seed + r, args.spread))
+         for r in range(args.reps)] for n in sizes
+    ]
     medians = []
     print("n,rep,seed,elapsed_ns,value")
-    for n in sizes:
+    for n, row in zip(sizes, instances):
         cells = []
-        for rep in range(args.reps):
-            seed = args.seed + rep
-            P = generators.generate(generators.GenSpec(n, args.mode, seed, args.spread))
+        for rep, P in enumerate(row):
             t0 = time.perf_counter_ns()
             value = run(P)
             dt = time.perf_counter_ns() - t0
             cells.append(dt)
-            print(f"{n},{rep},{seed},{dt},{formats.fmt17(value)}")
+            print(f"{n},{rep},{args.seed + rep},{dt},{formats.fmt17(value)}")
         medians.append(statistics.median(cells))
     if len(sizes) >= 2:
         slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])

@@ -42,10 +42,6 @@ class BadIndexError(BnmatchError):
     code = "BadIndex"
 
 
-class SharedEndpointError(BnmatchError):
-    code = "SharedEndpoint"
-
-
 class DegenerateSegmentError(BnmatchError):
     code = "DegenerateSegment"
 

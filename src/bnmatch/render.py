@@ -6,7 +6,6 @@ longest pair restyled, not duplicated), the polygon boundary as a light
 """
 from __future__ import annotations
 
-import math
 import xml.etree.ElementTree as ET
 from typing import Sequence
 
@@ -16,8 +15,7 @@ _MARGIN = 0.05
 def render_svg(
     points: Sequence[tuple[float, float]],
     pairs: Sequence[tuple[int, int]],
-    value: float | None = None,
-    width: int = 640,
+    value: float,
 ) -> str:
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -35,13 +33,11 @@ def render_svg(
         if d > best:
             best = d
             longest = (a, b)
-    if value is None and longest is not None:
-        value = math.sqrt(best)
 
     svg = ET.Element(
         "svg",
         xmlns="http://www.w3.org/2000/svg",
-        width=str(width),
+        width="640",
         viewBox=f"{vb[0]:.6g} {vb[1]:.6g} {vb[2]:.6g} {vb[3]:.6g}",
     )
     sw = span * 0.004
@@ -74,7 +70,7 @@ def render_svg(
             r=f"{span * 0.009:.6g}",
             fill="#333333",
         )
-    if value is not None and longest is not None:
+    if longest is not None:
         a, b = longest
         mx = (xs[a] + xs[b]) / 2
         my = -(ys[a] + ys[b]) / 2

@@ -5,8 +5,11 @@ branches: the best full-circle table entry (matchings whose diagonals form
 at most one chain), and a search over 3-chain matchings assembled from
 three table entries. The 3-chain search only fixes pairs (i, j) that are
 *candidates* - pairs forced into every optimum of their own subproblem and
-spanning a turning angle of at most 2*pi/3. At most ~2n candidates exist,
-so trying every split point k for each keeps the whole search quadratic.
+spanning a turning angle of at most 2*pi/3; at most ~2n of them exist.
+Each candidate that survives the prunes costs one replayed table value
+(about n/2 entry updates) and one arc_values call (about n*sqrt(n/2)), so
+with c survivors the search takes O(n^2 + c*n^1.5), Theta(n^2.5) if
+c = Theta(n); every generator gives c <= 3.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .circular import arc_size
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .errors import InvalidMatchingError
 from .geometry import (
@@ -125,7 +127,7 @@ def enumerate_candidates(
 
 
 def solve(P: ConvexPointSet) -> SolveReport:
-    """Find a bottleneck non-crossing perfect matching in O(n^2).
+    """Find a bottleneck non-crossing perfect matching in O(n^2 + c*n^1.5).
 
     Ties between the two branches go to the one-cascade branch; within the
     3-chain search the lexicographically smallest achieving (i, j, k) wins.
@@ -142,7 +144,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
     for cand in candidates:
         i, j = cand.i, cand.j
-        m1 = arc_size(i, j, n)
+        m1 = (j - i) % n + 1  # points on the arc <i, j>
         base = T.value(i, m1)
         if base >= best_one or base >= best_three:
             continue  # the max over the split cannot beat the incumbent
@@ -166,7 +168,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
 
     if argmin is not None and best_three < best_one:
         i, j, k, t = argmin
-        m1 = arc_size(i, j, n)
+        m1 = (j - i) % n + 1
         pairs = (
             reconstruct(T, i, m1)
             + reconstruct(T, (j + 1) % n, t)
@@ -177,7 +179,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
         pairs = reconstruct(T, best_start, n)
         value_sq = best_one
 
-    matching = Matching.of(n, pairs)
+    matching = Matching(n, tuple(pairs))
     report = verify_matching(P, matching)
     value = math.sqrt(value_sq)
     if not (report.perfect and report.non_crossing):

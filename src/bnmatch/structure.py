@@ -91,9 +91,11 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
     output is meaningful.
     """
     n = P.n
-    indices_ok = all(
-        0 <= a < n and 0 <= b < n and a != b for a, b in M.pairs
-    ) and M.n == n
+    indices_ok = M.n == n and all(  # a bool, float or str index is out of range
+        (type(a) is int or isinstance(a, np.integer))
+        and (type(b) is int or isinstance(b, np.integer))
+        and 0 <= a < n and 0 <= b < n and a != b for a, b in M.pairs
+    )
     if not indices_ok:
         return MatchingReport(False, False, math.nan, None)
 

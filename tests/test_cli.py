@@ -349,12 +349,15 @@ class TestBenchCommand:
         (["--sizes", "8", "--reps", "-2"], "--reps >= 1, got -2"),
         (["--sizes", ","], "at least one size"),
         (["--sizes", ""], "at least one size"),
-        (["--sizes", "7"], "even and >= 4, got 7"),
-        (["--sizes", "8,2"], "even and >= 4, got 2"),
-        (["--sizes", "0"], "even and >= 4, got 0"),
-        (["--sizes", "-4"], "even and >= 4, got -4"),
+        (["--sizes", "7"], "OddCount: 7"),
+        (["--sizes", "8,2"], "TooFew: generators need n >= 4, got 2"),
+        (["--sizes", "0"], "TooFew: generators need n >= 4, got 0"),
+        (["--sizes", "-4"], "TooFew: generators need n >= 4, got -4"),
         (["--sizes", "8,8"], "distinct"),
         (["--sizes", "8,16,8"], "distinct"),
+        (["--sizes", "8", "--mode", "cluster3", "--spread", "0.5"],
+         "spread must be in (0, 0.2], got 0.5"),
+        (["--sizes", "8", "--seed", "-1"], "expected non-negative integer"),
     ])
     def test_bad_arguments_rejected_before_timing(self, capsys, args, message):
         assert main(["bench"] + args) == 3

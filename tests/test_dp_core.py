@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from bnmatch import (
     CandidateDiagonal,
@@ -19,7 +19,6 @@ from bnmatch import (
     enumerate_candidates,
     generate,
     gen_circle,
-    gen_cluster3,
     gen_valtr,
     one_cascade_optimum,
     oracle_enumerate,
@@ -32,7 +31,8 @@ from bnmatch.dp_core import USE_LEFT_EDGE, USE_PAIR, USE_RIGHT_EDGE, checkpoint_
 from bnmatch.errors import BadDomainError
 from bnmatch.geometry import ANGLE_SLACK, CANDIDATE_ANGLE
 from conftest import (
-    SKEW4_VALUE, dense_choice, dense_necessary, forced_stride, parabola_cap, two_arcs,
+    SKEW4_VALUE, dense_choice, dense_necessary, forced_stride, parabola_cap, random_polygons,
+    two_arcs,
 )
 
 approx = pytest.approx
@@ -395,48 +395,8 @@ def test_candidates_match_dense_reference():
     assert found > 0  # cluster3 polygons have candidates
 
 
-@st.composite
-def convex_polygons(draw):
-    """Points on an ellipse at angles with random positive gaps: strictly convex."""
-    gaps = draw(st.lists(st.integers(1, 1000), min_size=4, max_size=80))
-    if len(gaps) % 2:
-        gaps.pop()
-    squash = draw(st.floats(0.05, 1.0))
-    total, angles, acc = sum(gaps), [], 0
-    for g in gaps:
-        angles.append(2 * math.pi * acc / total)
-        acc += g
-    return [(math.cos(a), squash * math.sin(a)) for a in angles]
-
-
-@st.composite
-def cluster_rings(draw):
-    """K tight clusters of points around a circle, n even."""
-    sizes = draw(st.lists(st.integers(1, 5), min_size=3, max_size=8))
-    if sum(sizes) % 2:
-        sizes[0] += 1
-    spread = draw(st.floats(1e-4, 0.05))
-    jitter = draw(st.floats(0.0, 0.3))
-    angles = []
-    for c, size in enumerate(sizes):
-        center = 2 * math.pi * (c + jitter * (c % 2)) / len(sizes)
-        angles += [center + spread * t for t in range(size)]
-    return [(math.cos(a), math.sin(a)) for a in angles]
-
-
-even_sizes = st.integers(2, 40).map(lambda h: 2 * h)
-# cluster3 draws, the family with candidates, at random sizes, seeds and spreads
-cluster3_polygons = st.builds(
-    lambda n, seed, spread: gen_cluster3(n, seed, spread).coords(),
-    even_sizes, st.integers(0, 2**32 - 1), st.floats(0.01, 0.2),
-)
-
-
 @settings(max_examples=90, deadline=None)
-@given(st.one_of(
-    convex_polygons(), cluster_rings(), cluster3_polygons,
-    st.builds(parabola_cap, even_sizes), st.builds(two_arcs, even_sizes),
-))
+@given(random_polygons)
 def test_fill_and_candidates_on_random_polygons(coords):
     P = validate_convex_ccw(coords)
     _assert_matches_roll_fill(P)

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnmatch import (
     GenSpec,
@@ -19,11 +20,11 @@ from bnmatch import (
     verify_matching,
 )
 from bnmatch import dp_core
-from bnmatch.circular import arc_size
 from bnmatch.geometry import CANDIDATE_ANGLE
 from bnmatch.solver import Polarity
 from conftest import (
-    SKEW4_VALUE, canonical_pairs, dense_necessary, forced_stride, parabola_cap, two_arcs,
+    SKEW4_VALUE, canonical_pairs, dense_necessary, forced_stride, parabola_cap, random_polygons,
+    two_arcs,
 )
 
 approx = pytest.approx
@@ -76,7 +77,7 @@ class TestCandidates:
                     assert len(cands) <= 2 * n, (mode, n, seed)
                     seen = set()
                     for c in cands:
-                        m = arc_size(c.i, c.j, n)
+                        m = (c.j - c.i) % n + 1
                         assert m % 2 == 0
                         assert 4 <= m <= n - 2
                         assert dense_necessary(T)[m // 2, c.i]
@@ -212,6 +213,23 @@ class TestInvariance:
             assert canonical_pairs(got.matching.pairs) == canonical_pairs(
                 base.matching.pairs
             )
+
+    @settings(max_examples=400, deadline=None)
+    @given(random_polygons, st.integers(0, 79), st.integers(-200, 200))
+    def test_relabel_mirror_and_power_of_two_scaling_are_exact(self, coords, shift, e):
+        # squared lengths are sums of squared coordinate differences, which
+        # negating x, reordering points or scaling by 2^e leaves exact (no
+        # product leaves the normal range for |x|, |y| <= 2 and |e| <= 200)
+        P = validate_convex_ccw(coords)
+        value = solve(P).value
+        assert cubic_solve(P)[0] == value
+        shift %= len(coords)
+        rotated = coords[shift:] + coords[:shift]
+        assert solve(validate_convex_ccw(rotated)).value == value
+        mirrored = [(-x, y) for x, y in reversed(coords)]
+        assert solve(validate_convex_ccw(mirrored)).value == value
+        scaled = [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in coords]
+        assert solve(validate_convex_ccw(scaled)).value == math.ldexp(value, e)
 
 
 class TestStructureLabel:

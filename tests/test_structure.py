@@ -15,9 +15,8 @@ from bnmatch import (
     validate_convex_ccw,
     verify_matching,
 )
-from bnmatch.circular import segments_cross
 from bnmatch.errors import BadIndexError, InvalidMatchingError
-from conftest import canonical_pairs
+from conftest import canonical_pairs, segments_cross
 
 approx = pytest.approx
 
@@ -40,6 +39,49 @@ def pairwise_non_crossing(pairs, n):
         for (a, b), (c, d) in itertools.combinations(pairs, 2)
         if len({a, b, c, d}) == 4
     )
+
+
+def test_segments_cross_examples():
+    assert segments_cross(0, 2, 1, 3, 4) is True
+    assert segments_cross(0, 1, 2, 3, 4) is False
+    assert segments_cross(0, 3, 1, 2, 6) is False  # nested
+
+
+@given(n=st.integers(min_value=4, max_value=30), picks=st.permutations(range(30)))
+def test_segments_cross_symmetry(n, picks):
+    a, b, c, d = [p % n for p in picks[:4]]
+    if len({a, b, c, d}) < 4:
+        return
+    r = segments_cross(a, b, c, d, n)
+    assert segments_cross(b, a, c, d, n) is r
+    assert segments_cross(a, b, d, c, n) is r
+    assert segments_cross(c, d, a, b, n) is r
+
+
+def _coord_cross(p1, p2, p3, p4) -> bool:
+    # proper-intersection test via orientations (oracle for convex position)
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(p3, p4, p1)
+    d2 = orient(p3, p4, p2)
+    d3 = orient(p1, p2, p3)
+    d4 = orient(p1, p2, p4)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+def test_segments_cross_matches_coordinates():
+    import random
+
+    rnd = random.Random(417)
+    for seed in range(20):
+        P = gen_circle(12, seed)
+        pts = P.coords()
+        for _ in range(120):
+            a, b, c, d = rnd.sample(range(12), 4)
+            assert segments_cross(a, b, c, d, 12) == _coord_cross(
+                pts[a], pts[b], pts[c], pts[d]
+            ), (seed, a, b, c, d)
 
 
 class TestMatchingOf:
@@ -80,6 +122,26 @@ class TestVerifyMatching:
         rep = verify_matching(sq4, M(4, [(0, 9), (1, 2)]))
         assert not rep.perfect and not rep.non_crossing
         assert math.isnan(rep.value)
+
+    @pytest.mark.parametrize("pairs", [
+        ((0.0, 1.0), (2.0, 3.0)),
+        ((0.5, 1), (2, 3)),
+        ((np.float64(0.0), 1), (2, 3)),
+        (("0", 1), (2, 3)),
+        ((True, False), (2, 3)),
+        ((0, 1), (2, np.bool_(True))),
+        ((0, 1), (2, None)),
+    ])
+    def test_non_integer_index_is_out_of_range(self, sq4, pairs):
+        # a Matching built directly skips Matching.of's index check; the
+        # verifier reports such an index as out of range and never raises
+        rep = verify_matching(sq4, Matching(4, pairs))
+        assert (rep.perfect, rep.non_crossing, rep.longest_pair) == (False, False, None)
+        assert math.isnan(rep.value)
+
+    def test_numpy_integer_indices_accepted(self, sq4):
+        rep = verify_matching(sq4, Matching(4, ((np.int64(0), np.int32(1)), (np.uint8(2), 3))))
+        assert rep.perfect and rep.non_crossing and rep.value == 1.0
 
     def test_n_mismatch(self, sq4):
         rep = verify_matching(sq4, M(6, [(0, 1), (2, 3)]))
