@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -150,25 +154,85 @@ def cmd_bench(args) -> int:
         if args.algo == "cubic"
         else (lambda P: solver.solve(P).value)
     )
-    instances = [  # every instance first: a bad size, seed or spread fails before any output
-        [generators.generate(generators.GenSpec(n, args.mode, args.seed + r, args.spread))
-         for r in range(args.reps)] for n in sizes
-    ]
-    medians = []
+    # a bad size, seed, spread or --json file fails before any output; only
+    # the smallest instance is made here, so that with --json the children's
+    # peak RSS, which counts this process's peak at their start, is their own
+    for n in sizes:
+        generators.check_n(n)
+    generators.generate(generators.GenSpec(min(sizes), args.mode, args.seed, args.spread))
+    runs = None if args.json is None else _bench_runs(args.json)
     print("n,rep,seed,elapsed_ns,value")
-    for n, row in zip(sizes, instances):
-        cells = []
-        for rep, P in enumerate(row):
-            t0 = time.perf_counter_ns()
-            value = run(P)
-            dt = time.perf_counter_ns() - t0
-            cells.append(dt)
-            print(f"{n},{rep},{args.seed + rep},{dt},{formats.fmt17(value)}")
-        medians.append(statistics.median(cells))
+    cells = []
+    for n in sizes:
+        if args.json is None:
+            row = [generators.generate(generators.GenSpec(n, args.mode, args.seed + r, args.spread))
+                   for r in range(args.reps)]
+            cells.append({"n": n, "elapsed_ns": _time_size(run, n, row, args.seed)})
+        else:
+            cells.append(_time_size_in_child(args, n))
+    medians = [statistics.median(c["elapsed_ns"]) for c in cells]
+    slope = None
     if len(sizes) >= 2:
         slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
         print(f"# slope {slope:.3f}")
+    if args.json is not None:
+        for c, median in zip(cells, medians):
+            q1, q3 = np.percentile(c["elapsed_ns"], [25, 75])
+            c.update(median_ns=median, iqr_ns=float(q3 - q1))
+        runs.append({
+            "algo": args.algo, "mode": args.mode, "seed": args.seed, "spread": args.spread,
+            "reps": args.reps, "cells": cells, "slope": slope,
+            "python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(), "cpus": os.cpu_count(),
+        })
+        _write(args.json, json.dumps(runs, indent=1) + "\n")
     return EXIT_OK
+
+
+def _time_size(run, n: int, row, seed: int) -> list[int]:
+    """The timing loop: wall ns of ``run`` on each instance, a CSV row each."""
+    elapsed = []
+    for rep, P in enumerate(row):
+        t0 = time.perf_counter_ns()
+        value = run(P)
+        dt = time.perf_counter_ns() - t0
+        elapsed.append(dt)
+        print(f"{n},{rep},{seed + rep},{dt},{formats.fmt17(value)}")
+    return elapsed
+
+
+def _time_size_in_child(args, n: int) -> dict:
+    """One size timed by ``bnmatch bench`` in a fresh process, whose peak
+    RSS then belongs to that size alone; its CSV rows are passed on."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cmd = [sys.executable, "-m", "bnmatch.cli", "bench", "--sizes", str(n), "--mode", args.mode,
+           "--seed", str(args.seed), "--spread", repr(args.spread), "--reps", str(args.reps),
+           "--algo", args.algo]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env) as proc:
+        rows = proc.stdout.read().splitlines()[1:]
+        _, status, usage = os.wait4(proc.pid, 0)  # the child's own rusage
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != EXIT_OK:
+        raise BnmatchError(f"bench child for n = {n} exited {proc.returncode}")
+    print("\n".join(rows), flush=True)
+    kib = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB elsewhere
+    return {"n": n, "elapsed_ns": [int(r.split(",")[3]) for r in rows],
+            "peak_rss_bytes": usage.ru_maxrss * kib}
+
+
+def _bench_runs(path: str) -> list:
+    """The JSON list of bench runs in ``path``; empty if there is no file."""
+    if not os.path.exists(path):
+        return []
+    try:
+        runs = json.loads(_read(path))
+    except json.JSONDecodeError as e:
+        raise formats.ParseError(f"{path}: {e}") from None
+    if not isinstance(runs, list):
+        raise formats.ParseError(f"{path} holds no JSON list of bench runs")
+    return runs
 
 
 @functools.cache
@@ -227,6 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spread", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--algo", choices=("solve", "cubic"), default="solve")
+    p.add_argument("--json", metavar="PATH",
+                   help="time each size in a fresh process and append the run's medians, "
+                        "IQRs, peak RSS and slope to the JSON list in PATH")
     p.set_defaults(func=cmd_bench)
 
     return ap

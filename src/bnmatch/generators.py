@@ -40,7 +40,8 @@ def generate(spec: GenSpec) -> ConvexPointSet:
     raise ValueError(f"unknown mode {spec.mode!r}; expected one of {MODES}")
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
+    """Raise the generators' error for a point count they refuse."""
     if n % 2 != 0:
         raise OddCountError(f"{n}")
     if n < 4:
@@ -55,7 +56,7 @@ def gen_circle(n: int, seed: int) -> ConvexPointSet:
     keeps their order and makes every gap at least g, so the result is
     strictly convex with margin.
     """
-    _check_n(n)
+    check_n(n)
     ang = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n))
     wrap = 2.0 * math.pi - (ang[-1] - ang[0])
     if min(np.diff(ang).min(), wrap) <= _MIN_ANGLE_GAP:
@@ -86,7 +87,7 @@ def gen_valtr(n: int, seed: int) -> ConvexPointSet:
     Draws yielding collinear or duplicate vertices (possible when two
     increment vectors tie in angle) are discarded and resampled.
     """
-    _check_n(n)
+    check_n(n)
     rng = np.random.default_rng(seed)
     while True:
         try:
@@ -151,7 +152,7 @@ def gen_cluster3(n: int, seed: int, spread: float = 0.05) -> ConvexPointSet:
     matching then has exactly three cascades. The whole construction is
     randomly rotated and jittered per seed.
     """
-    _check_n(n)
+    check_n(n)
     if spread <= 0 or spread > 0.2:
         raise ValueError(f"spread must be in (0, 0.2], got {spread}")
     rng = np.random.default_rng(seed)

@@ -35,13 +35,6 @@ def segments_cross(a: int, b: int, c: int, d: int, n: int) -> bool:
     return (0 < (c - a) % n < span) != (0 < (d - a) % n < span)
 
 
-def dense_choice(T) -> np.ndarray:
-    """The table's move tags unpacked: entry [k, s] is the tag of the arc (s, 2k)."""
-    k = np.arange(T.n // 2 + 1)
-    shifts = (2 * (k & 3)).astype(np.uint8)[:, None]
-    return (T.choice[k >> 2] >> shifts) & 3
-
-
 def dense_necessary(T) -> np.ndarray:
     """The table's necessity flags unpacked: entry [k, s] is the flag of the
     arc (s, 2k), False in every row the table does not keep."""

@@ -341,6 +341,40 @@ class TestBenchCommand:
         assert len(lines) == 2
         assert not lines[-1].startswith("#")
 
+    def test_json_schema(self, tmp_path, capsys):
+        # each run appends one record; the schema is checked, no timing value is
+        path = tmp_path / "bench.json"
+        for mode in ("circle", "cluster3"):
+            assert main([
+                "bench", "--sizes", "8,16", "--reps", "2", "--seed", "1", "--mode", mode,
+                "--json", str(path),
+            ]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[:2] == ["n,rep,seed,elapsed_ns,value", lines[1]] and lines[1].startswith("8,0,1,")
+        assert len(lines) == 2 * (1 + 4 + 1) and lines[5].startswith("# slope ")
+        runs = json.loads(path.read_text())
+        assert [r["mode"] for r in runs] == ["circle", "cluster3"]
+        for run in runs:
+            assert set(run) == {
+                "algo", "mode", "seed", "spread", "reps", "cells", "slope",
+                "python", "numpy", "machine", "cpus",
+            }
+            assert (run["algo"], run["seed"], run["reps"]) == ("solve", 1, 2)
+            assert isinstance(run["slope"], float)
+            assert [c["n"] for c in run["cells"]] == [8, 16]
+            for cell in run["cells"]:
+                assert set(cell) == {"n", "elapsed_ns", "median_ns", "iqr_ns", "peak_rss_bytes"}
+                assert len(cell["elapsed_ns"]) == 2
+                assert all(isinstance(v, int) and v > 0 for v in cell["elapsed_ns"])
+                assert cell["iqr_ns"] >= 0 and cell["peak_rss_bytes"] > 0
+
+    def test_json_file_not_a_list_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path / "bench.json", "{}")
+        assert main(["bench", "--sizes", "8", "--json", path]) == 2
+        captured = capsys.readouterr()
+        assert "no JSON list" in captured.err and not captured.out
+        assert (tmp_path / "bench.json").read_text() == "{}"
+
     def test_odd_size_rejected(self, capsys):
         assert main(["bench", "--sizes", "7"]) == 3
 

@@ -27,15 +27,19 @@ from bnmatch import (
     turning_angle,
     validate_convex_ccw,
 )
-from bnmatch.dp_core import USE_LEFT_EDGE, USE_PAIR, USE_RIGHT_EDGE, checkpoint_stride
+from bnmatch.dp_core import checkpoint_stride
 from bnmatch.errors import BadDomainError
 from bnmatch.geometry import ANGLE_SLACK, CANDIDATE_ANGLE
 from conftest import (
-    SKEW4_VALUE, dense_choice, dense_necessary, forced_stride, parabola_cap, random_polygons,
-    two_arcs,
+    SKEW4_VALUE, dense_necessary, forced_stride, parabola_cap, random_polygons, two_arcs,
 )
 
 approx = pytest.approx
+
+# the reference's move tags, in tie-break priority order
+USE_PAIR = 0        # close the pair (start, start+size-1), recurse inside
+USE_LEFT_EDGE = 1   # take edge (start, start+1), recurse on the rest
+USE_RIGHT_EDGE = 2  # take edge (start+size-2, start+size-1), recurse on the rest
 
 
 def _enum_noncross(m):
@@ -148,7 +152,7 @@ class TestTableBasics:
         # the closing pair ties with the edge moves, so it is not forced
         assert not necessary[2, 0]
         assert choice[2, 0] == USE_PAIR
-        assert dense_choice(T)[2, 0] == USE_PAIR
+        assert reconstruct(T, 0, 4) == _walk(choice, 0, 4) == [(0, 3), (1, 2)]
         # the full circle holds no diagonal: flags are kept below it only
         assert np.array_equal(dense_necessary(T)[:2], necessary[:2])
 
@@ -255,10 +259,10 @@ class TestAgainstConstrainedBruteForce:
             n = P.n
             T = build_subproblem_table(P)
             _, choice, necessary = _roll_fill(P)
-            assert np.array_equal(dense_choice(T), choice)
             assert np.array_equal(dense_necessary(T)[:n // 2], necessary[:n // 2])
             for start in range(n):
                 for size in range(2, n + 1, 2):
+                    assert reconstruct(T, start, size) == _walk(choice, start, size)
                     best, every_opt_has_pair = _constrained_best(P, start, size)
                     assert T.value(start, size) == best, (n, start, size)
                     if necessary[size // 2, start]:
@@ -313,6 +317,28 @@ def _roll_fill(P):
     return S, choice, necessary
 
 
+def _walk(choice, start, size):
+    """The pairs the reference's dense move tags give for the arc (start, size)."""
+    n = choice.shape[1]
+    pairs, s = [], start
+    for k in range(size // 2, 0, -1):
+        j = (s + 2 * k - 1) % n
+        if choice[k, s] == USE_PAIR:
+            pairs.append((s, j))
+            s = (s + 1) % n
+        elif choice[k, s] == USE_LEFT_EDGE:
+            pairs.append((s, (s + 1) % n))
+            s = (s + 2) % n
+        else:
+            pairs.append(((j - 1) % n, j))
+    return pairs
+
+
+def _assert_walks_match(T, choice, arcs):
+    for start, size in arcs:
+        assert reconstruct(T, start, size) == _walk(choice, start, size), (T.stride, start, size)
+
+
 def _assert_flags_match(T, necessary):
     """T keeps, packed, exactly the reference's rows 2 <= k < n/2 with a flag."""
     n = T.n
@@ -327,10 +353,12 @@ def _assert_matches_roll_fill(P):
     S, choice, necessary = _roll_fill(P)
     n, half = P.n, P.n // 2
     assert T.S.shape == S.shape and T.S.dtype == np.float64
-    assert T.choice.dtype == np.uint8 and T.choice.shape == (half // 4 + 1, n)
+    assert T.choice.dtype == np.uint8 and T.choice.shape == (0, n)
     assert T.S.tobytes() == S.tobytes()
-    assert np.array_equal(dense_choice(T), choice)
     _assert_flags_match(T, necessary)
+    # the moves along every full-circle walk and every walk from start 0
+    arcs = [(s, n) for s in range(n)] + [(0, 2 * k) for k in range(half + 1)]
+    _assert_walks_match(T, choice, arcs)
 
 
 def test_fill_bit_identical_to_roll_recurrence_on_fixtures():
@@ -414,8 +442,28 @@ def test_fill_scratch_memory_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = T.S.nbytes + T.choice.nbytes + T.necessary.nbytes
+    tables = T.S.nbytes + T.necessary.nbytes
     assert peak - tables <= 128 * n, (peak - tables) / n
+
+
+def test_table_and_reconstruct_memory_sub_quadratic():
+    # no field grows as n^2: values at about 8n * sqrt(n/2) bytes, a flag
+    # bit per start in each kept row, no move tags; a walk over the full
+    # circle replays one block at a time
+    n = 8192
+    P = generate(GenSpec(n, "valtr", 3))
+    T = build_subproblem_table(P)
+    rows = len(T.necessary_rows)
+    assert T.choice.nbytes == 0
+    assert T.S.nbytes + T.necessary.nbytes <= 8 * n * (math.sqrt(n / 2) + 2) + n / 8 * rows
+    _, start = one_cascade_optimum(T)
+    tracemalloc.start()
+    try:
+        reconstruct(T, start, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def _assert_stride_matches_dense(P, stride):
@@ -426,9 +474,9 @@ def _assert_stride_matches_dense(P, stride):
     with forced_stride(stride):
         T = build_subproblem_table(P)
     assert T.stride == stride and D.S.shape == (half + 1, n)
-    assert T.choice.dtype == np.uint8 and T.choice.shape == D.choice.shape
-    assert np.array_equal(T.choice, D.choice)
-    _assert_flags_match(T, _roll_fill(P)[2])
+    _, choice, necessary = _roll_fill(P)
+    _assert_flags_match(T, necessary)
+    _assert_walks_match(T, choice, [(s, m) for s in range(n) for m in range(0, n + 1, 2)])
     kept = sorted({*range(0, half + 1, stride), half})
     assert T.S.tobytes() == D.S[kept].tobytes()
     for start in range(n):
@@ -473,12 +521,25 @@ def test_checkpointed_table_matches_dense_necessity(family):
 
 
 def test_default_stride_rule():
-    # dense value rows while they take at most 4 MiB, then isqrt(n/2)
-    for n in (2, 256, 512, 1022):
+    # dense value rows while they take at most 16 MiB, then isqrt(n/2)
+    for n in (2, 256, 1022, 1024, 1536, 2046):
         assert checkpoint_stride(n) == 1
-        assert 8 * n * (n // 2 + 1) <= 4 << 20
-    for n in (1024, 2048, 8192, 16384):
+        assert 8 * n * (n // 2 + 1) <= 16 << 20
+    for n in (2048, 4096, 8192, 16384):
         assert checkpoint_stride(n) == math.isqrt(n // 2) > 1
     P = generate(GenSpec(2048, "valtr", 1))
     T = build_subproblem_table(P)
     assert T.stride == 32 and T.S.shape == (33, 2048)
+
+
+def test_default_stride_walks_match_dense():
+    # the replayed moves of the default stride against the stride-1 table's
+    n = 2048
+    P = generate(GenSpec(n, "valtr", 5))
+    T = build_subproblem_table(P)
+    with forced_stride(1):
+        D = build_subproblem_table(P)
+    assert T.stride > 1 == D.stride
+    rng = np.random.default_rng(7)
+    for start, k in zip(rng.integers(0, n, 200).tolist(), rng.integers(0, n // 2 + 1, 200).tolist()):
+        assert reconstruct(T, start, 2 * k) == reconstruct(D, start, 2 * k), (start, 2 * k)
