@@ -178,7 +178,8 @@ def cmd_bench(args) -> int:
     if args.json is not None:
         for c, median in zip(cells, medians):
             q1, q3 = np.percentile(c["elapsed_ns"], [25, 75])
-            c.update(median_ns=median, iqr_ns=float(q3 - q1))
+            # per entry of the table's n/2 rows of n: the fill's cost, at large n
+            c.update(median_ns=median, iqr_ns=float(q3 - q1), ns_per_entry=median / (c["n"] ** 2 / 2))
         runs.append({
             "algo": args.algo, "mode": args.mode, "seed": args.seed, "spread": args.spread,
             "reps": args.reps, "cells": cells, "slope": slope,

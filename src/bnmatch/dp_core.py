@@ -22,9 +22,15 @@ about n * sqrt(n/2) entry updates.
 No move is stored: ``reconstruct`` recomputes each move of its walk from
 the values, replaying one block of rows at a time, in O(size * stride)
 time and O(n + stride^2) scratch. The necessity flags are read only for
-diagonals, so they are kept, one bit each, for the rows 2 <= k < n/2 that
-hold at least one: on circle, valtr and cluster3 polygons of n = 256 ..
-8192 points, 4 to 9 rows do. So the table holds no quadratic field.
+candidate diagonals, whose arcs turn by at most 2*pi/3, so they are
+computed only for the rows 2 <= k <= ``last_candidate_row(P)`` and kept,
+one bit each, for those rows that hold at least one: on polygons of
+n = 256 .. 8192 points (seed 1), circle and valtr keep none and cluster3
+two. So the table holds no quadratic field.
+
+The fill works on real float64 arrays only: the coordinates are one
+(2, 2n) array, x and y each twice over, so d2 to every start at once is
+three ufunc calls on contiguous slices.
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDomainError
-from .geometry import ConvexPointSet
+from .geometry import ConvexPointSet, last_candidate_row
 
 _NECESSARY_REL_TOL = 1e-9
 
@@ -64,9 +70,12 @@ class SubproblemTable:
     ``nbytes`` (the benchmark's table_bytes) still runs; it can go with the
     next change to the benchmark. An arc is necessary iff closing the pair
     strictly beat both edge moves, i.e. every optimal matching of that
-    constrained subproblem contains the closing pair. Only the rows
-    2 <= k < n/2 with a necessary arc are kept, by increasing k: bit s of
-    ``np.unpackbits(necessary[r])`` flags the arc (s, 2*necessary_rows[r]).
+    constrained subproblem contains the closing pair. Flags are computed
+    only for the rows 2 <= k <= ``last_candidate_row(P)``, above which no
+    arc turns by at most 2*pi/3 (+ slack) and so no flag can make a
+    candidate, and only those of them with a necessary arc are kept, by
+    increasing k: bit s of ``np.unpackbits(necessary[r])`` flags the arc
+    (s, 2*necessary_rows[r]).
     ``S`` holds the value rows k = 0, stride, 2*stride, ... and, last, the
     full-circle row k = n/2; read any value with ``value`` or ``arc_values``;
     a replay needs the coordinates ``xs`` and ``ys`` and the fill's squared
@@ -197,40 +206,43 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
 
     Each size is computed for all starts at once; ties pick the earliest
     move in (pair, left, right) order. The pair move is flagged necessary
-    only when it wins by more than a relative 1e-9.
+    only when it wins by more than a relative 1e-9, and only tested in the
+    rows k <= ``last_candidate_row(P)``, the last at which an arc turns
+    little enough for a candidate.
 
     The value rows kept are sizes 2k with k % stride == 0, for the stride
     ``checkpoint_stride(n)`` picks, and the full circle: 8 bytes per entry
     at stride 1 and about 8n * sqrt(n/2) bytes in all at stride
     isqrt(n/2). No move is stored; ``reconstruct`` recomputes the moves it
-    follows. A row 2 <= k < n/2 is kept, packed to a necessity bit per
-    start, only if some arc in it is necessary.
+    follows. A tested row is kept, packed to a necessity bit per start,
+    only if some arc in it is necessary.
 
-    The coordinates are kept twice over as complex numbers (length 2n), the
-    edge lengths likewise as floats, and the latest row in one buffer of
+    The coordinates are kept twice over in one (2, 2n) float64 array, x
+    above y, the edge lengths likewise, and the latest row in one buffer of
     length n+2 that repeats its first two entries at the end, so every
     cyclic shift above is a slice view. Each row is computed with ``out=``
     ufuncs into reused temporaries and that buffer (overwriting the
     previous row once the three moves have read it), so the loop allocates
-    only the kept necessity rows. d2 is one complex subtraction, one
-    in-place square of its float view and one add of the view's real and
-    imaginary halves: the float operations of
-    dx*dx + dy*dy. Those and the rest (min(pair, min(left, right)),
-    other * (1 - 1e-9)) are the recurrence's own, in its order, so the
-    values and flags equal a direct transcription bit for bit.
+    only the kept necessity rows. d2 is three calls on contiguous (2, n)
+    blocks: subtract, square in place, add the x and y halves, the float
+    operations of dx*dx + dy*dy. Those and the rest
+    (min(pair, min(left, right)), other * (1 - 1e-9)) are the recurrence's
+    own, in its order, so the values and flags equal a direct
+    transcription bit for bit.
     """
     n = P.n
     half = n // 2
     stride = checkpoint_stride(n)
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     necessary, necessary_rows = [], []  # the kept flag rows, packed, and their k
+    kmax = last_candidate_row(P)  # no flag above it can make a candidate
 
-    z2 = np.empty(2 * n, dtype=np.complex128)
-    z2.real[:n], z2.imag[:n] = P.xs, P.ys
-    z2[n:] = z2[:n]
-    z = z2[:n]
-    diff = np.empty(n, dtype=np.complex128)
-    diff_xy = diff.view(np.float64)  # dx, dy interleaved
+    xy2 = np.empty((2, 2 * n))  # x and y, each twice over
+    xy2[0, :n], xy2[1, :n] = P.xs, P.ys
+    xy2[:, n:] = xy2[:, :n]
+    xy = xy2[:, :n]
+    dxy = np.empty((2, n))
+    dx, dy = dxy
     a = np.empty(n)
     b = np.empty(n)
     p = np.empty(n, dtype=bool)
@@ -239,9 +251,9 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
 
     def sq_dist_to(off: int, out: np.ndarray) -> np.ndarray:
         """d2(s, s+off) for every s into ``out``."""
-        np.subtract(z2[off:off + n], z, out=diff)
-        np.multiply(diff_xy, diff_xy, out=diff_xy)
-        return np.add(diff_xy[0::2], diff_xy[1::2], out=out)
+        np.subtract(xy2[:, off:off + n], xy, out=dxy)
+        np.multiply(dxy, dxy, out=dxy)
+        return np.add(dx, dy, out=out)
 
     def finish_row(k: int) -> None:
         """Repeat row k's first entries after it; keep it if a checkpoint."""
@@ -265,7 +277,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         # the last read of row k-1, which row k overwrites in place from here
         right = np.maximum(row, edge2_twice[m - 2:m - 2 + n], out=row)
         other = np.minimum(left, right, out=row)
-        if k < half:
+        if k <= kmax:
             np.multiply(other, keep, out=b)
             if np.count_nonzero(np.less(pair, b, out=p)):
                 necessary.append(np.packbits(p))

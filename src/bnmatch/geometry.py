@@ -184,14 +184,36 @@ def turning_angle(P: ConvexPointSet, i: int, j: int) -> float:
     return float(cum[a + steps] - cum[a])
 
 
-def arc_turns(P: ConvexPointSet, m: int) -> np.ndarray:
-    """Turning angle of every arc of ``m`` vertices (2 <= m <= n), by start.
+def arc_turns(P: ConvexPointSet, m: int, starts: np.ndarray | None = None) -> np.ndarray:
+    """Turning angle of the arcs of ``m`` vertices (2 <= m <= n) that begin
+    at ``starts`` (default: every start, in order).
 
-    Entry s is turning_angle(P, s, s+m-1), bit for bit.
+    Entry t is turning_angle(P, s, s+m-1) for s = starts[t], bit for bit.
     """
-    a = (np.arange(P.n) + 1) % P.n
+    if starts is None:
+        starts = np.arange(P.n)
+    a = (starts + 1) % P.n
     cum = P._ext_cum2
     return cum[a + (m - 2)] - cum[a]
+
+
+def last_candidate_row(P: ConvexPointSet) -> int:
+    """The largest k < n/2 at which some arc of 2k vertices turns by at most
+    CANDIDATE_ANGLE + ANGLE_SLACK, or 0 if there is no such k (n = 2).
+
+    The smallest turn over the arcs of 2k vertices never falls as k grows
+    (the exterior angles are positive and their prefix sums rounded
+    monotonically), so a binary search over k finds it; arcs of 2 vertices
+    turn by 0, so the answer is at least 1 from n = 4 on.
+    """
+    lo, hi = 0, P.n // 2  # the answer is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if arc_turns(P, 2 * mid).min() <= CANDIDATE_ANGLE + ANGLE_SLACK:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def sq_dist(P: ConvexPointSet, i: int, j: int) -> float:

@@ -6,10 +6,12 @@ at most one chain), and a search over 3-chain matchings assembled from
 three table entries. The 3-chain search only fixes pairs (i, j) that are
 *candidates* - pairs forced into every optimum of their own subproblem and
 spanning a turning angle of at most 2*pi/3; at most ~2n of them exist.
-Each candidate that survives the prunes costs one replayed table value
-(about n/2 entry updates) and one arc_values call (about n*sqrt(n/2)), so
-with c survivors the search takes O(n^2 + c*n^1.5), Theta(n^2.5) if
-c = Theta(n); every generator gives c <= 3.
+Each candidate costs O(n): its turning angle, gathered at its flagged
+start, and one replayed table value (about n/2 entry updates). Each of the
+s candidates that survive the prunes costs one arc_values call on top
+(about n*sqrt(n/2)), so with c candidates the search takes
+O(n^2 + c*n + s*n^1.5), Theta(n^2.5) if s = Theta(n); every generator
+gives s <= 3.
 """
 from __future__ import annotations
 
@@ -112,22 +114,25 @@ def enumerate_candidates(
     n = P.n
     out: list[CandidateDiagonal] = []
     # the table keeps, one bit per start, the flags of the rows k = 2 .. n/2 - 1
-    # (the diagonals' arc sizes m = 2k in [4, n-2]) that hold a necessary arc
+    # (the diagonals' arc sizes m = 2k in [4, n-2]) that hold a necessary arc,
+    # up to the last row at which some arc turns little enough; tau is
+    # computed at the flagged starts only
     for flags, k in zip(T.necessary, T.necessary_rows.tolist()):
         m = 2 * k
-        tau = arc_turns(P, m)
-        mask = np.unpackbits(flags, count=n) & (tau <= CANDIDATE_ANGLE + ANGLE_SLACK)
-        for s in np.nonzero(mask)[0]:
-            i = int(s)
+        starts = np.flatnonzero(np.unpackbits(flags, count=n))
+        tau = arc_turns(P, m, starts)
+        ok = tau <= CANDIDATE_ANGLE + ANGLE_SLACK
+        for i, t in zip(starts[ok].tolist(), tau[ok].tolist()):
             j = (i + m - 1) % n
             pol = _annotate_polarity(P, i, j) if annotate else Polarity.UNKNOWN
-            out.append(CandidateDiagonal(i, j, float(tau[s]), pol))
+            out.append(CandidateDiagonal(i, j, t, pol))
     out.sort(key=lambda c: (c.i, c.j))
     return out
 
 
 def solve(P: ConvexPointSet) -> SolveReport:
-    """Find a bottleneck non-crossing perfect matching in O(n^2 + c*n^1.5).
+    """Find a bottleneck non-crossing perfect matching in O(n^2 + c*n + s*n^1.5)
+    for c candidates, s of which survive the prunes.
 
     Ties between the two branches go to the one-cascade branch; within the
     3-chain search the lexicographically smallest achieving (i, j, k) wins.

@@ -59,6 +59,38 @@ def two_arcs(n: int) -> list[tuple[float, float]]:
     return list(zip(np.cos(t).tolist(), np.sin(t).tolist()))
 
 
+def regular(n: int) -> list[tuple[float, float]]:
+    """The regular n-gon, ccw from (1, 0): with 6 | n its arcs of n/3 + 2
+    vertices turn by 2*pi/3 up to rounding, the edge of the candidate
+    angle test, but tie everywhere, so it has no necessary arc."""
+    a = 2 * math.pi * np.arange(n) / n
+    return list(zip(np.cos(a).tolist(), np.sin(a).tolist()))
+
+
+def equiangular(n: int, seed: int = 0) -> list[tuple[float, float]]:
+    """An n-gon, 6 | n, whose edge t points at angle 2*pi*t/n, so every
+    exterior angle is 2*pi/n up to rounding, as in the regular n-gon.
+
+    Edges 0 and n/3 have lengths 1 and 1/2, edges n/2 and 5n/6 close the
+    polygon, and the others are short, of seeded random lengths in
+    [0.1/n, 0.2/n]. The arcs from edge 0 to edge n/3 and from edge n/2
+    to edge 5n/6 (n/3 + 2 vertices each) turn by 2*pi/3 up to rounding and
+    are candidates (n = 6 .. 120, seed 0), so the last row that can hold a
+    candidate holds them.
+    """
+    u = np.exp(2j * math.pi * np.arange(n) / n)
+    lengths = np.random.default_rng(seed).uniform(0.1 / n, 0.2 / n, n)
+    t = n // 6
+    lengths[[0, 2 * t, 3 * t, 5 * t]] = 0.0
+    rest = (lengths * u).sum()
+    # 1*u[0] + 0.5*u[2t] + x*u[3t] + y*u[5t] + rest == 0
+    y = 0.5 + 2 * rest.imag / math.sqrt(3)
+    x = 1.0 + rest.real + rest.imag / math.sqrt(3)
+    lengths[[0, 2 * t, 3 * t, 5 * t]] = 1.0, 0.5, x, y
+    z = np.concatenate(([0], np.cumsum(lengths * u)[:-1]))
+    return list(zip(z.real.tolist(), z.imag.tolist()))
+
+
 @st.composite
 def convex_polygons(draw):
     """Points on an ellipse at angles with random positive gaps: strictly convex."""
@@ -98,6 +130,7 @@ cluster3_polygons = st.builds(
 random_polygons = st.one_of(
     convex_polygons(), cluster_rings(), cluster3_polygons,
     st.builds(parabola_cap, even_sizes), st.builds(two_arcs, even_sizes),
+    st.builds(equiangular, st.integers(1, 13).map(lambda h: 6 * h), st.integers(0, 2**32 - 1)),
 )
 
 

@@ -363,10 +363,13 @@ class TestBenchCommand:
             assert isinstance(run["slope"], float)
             assert [c["n"] for c in run["cells"]] == [8, 16]
             for cell in run["cells"]:
-                assert set(cell) == {"n", "elapsed_ns", "median_ns", "iqr_ns", "peak_rss_bytes"}
+                assert set(cell) == {
+                    "n", "elapsed_ns", "median_ns", "iqr_ns", "ns_per_entry", "peak_rss_bytes",
+                }
                 assert len(cell["elapsed_ns"]) == 2
                 assert all(isinstance(v, int) and v > 0 for v in cell["elapsed_ns"])
                 assert cell["iqr_ns"] >= 0 and cell["peak_rss_bytes"] > 0
+                assert cell["ns_per_entry"] == cell["median_ns"] / (cell["n"] ** 2 / 2)
 
     def test_json_file_not_a_list_exits_2(self, tmp_path, capsys):
         path = write(tmp_path / "bench.json", "{}")

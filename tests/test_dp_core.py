@@ -29,9 +29,10 @@ from bnmatch import (
 )
 from bnmatch.dp_core import checkpoint_stride
 from bnmatch.errors import BadDomainError
-from bnmatch.geometry import ANGLE_SLACK, CANDIDATE_ANGLE
+from bnmatch.geometry import ANGLE_SLACK, CANDIDATE_ANGLE, arc_turns, last_candidate_row
 from conftest import (
-    SKEW4_VALUE, dense_necessary, forced_stride, parabola_cap, random_polygons, two_arcs,
+    SKEW4_VALUE, dense_necessary, equiangular, forced_stride, parabola_cap, random_polygons,
+    regular, two_arcs,
 )
 
 approx = pytest.approx
@@ -259,7 +260,10 @@ class TestAgainstConstrainedBruteForce:
             n = P.n
             T = build_subproblem_table(P)
             _, choice, necessary = _roll_fill(P)
-            assert np.array_equal(dense_necessary(T)[:n // 2], necessary[:n // 2])
+            # flags are kept up to the last row that can hold a candidate
+            kmax = last_candidate_row(P)
+            assert np.array_equal(dense_necessary(T)[:kmax + 1], necessary[:kmax + 1])
+            assert not dense_necessary(T)[kmax + 1:].any()
             for start in range(n):
                 for size in range(2, n + 1, 2):
                     assert reconstruct(T, start, size) == _walk(choice, start, size)
@@ -339,10 +343,11 @@ def _assert_walks_match(T, choice, arcs):
         assert reconstruct(T, start, size) == _walk(choice, start, size), (T.stride, start, size)
 
 
-def _assert_flags_match(T, necessary):
-    """T keeps, packed, exactly the reference's rows 2 <= k < n/2 with a flag."""
+def _assert_flags_match(P, T, necessary):
+    """T keeps, packed, exactly the reference's rows 2 <= k <= the last
+    candidate row with a flag."""
     n = T.n
-    rows = [k for k in range(2, n // 2) if necessary[k].any()]
+    rows = [k for k in range(2, last_candidate_row(P) + 1) if necessary[k].any()]
     assert T.necessary.dtype == np.uint8 and T.necessary.shape == (len(rows), (n + 7) // 8)
     assert T.necessary_rows.tolist() == rows
     assert T.necessary.tobytes() == np.packbits(necessary[rows], axis=1).tobytes()
@@ -355,7 +360,7 @@ def _assert_matches_roll_fill(P):
     assert T.S.shape == S.shape and T.S.dtype == np.float64
     assert T.choice.dtype == np.uint8 and T.choice.shape == (0, n)
     assert T.S.tobytes() == S.tobytes()
-    _assert_flags_match(T, necessary)
+    _assert_flags_match(P, T, necessary)
     # the moves along every full-circle walk and every walk from start 0
     arcs = [(s, n) for s in range(n)] + [(0, 2 * k) for k in range(half + 1)]
     _assert_walks_match(T, choice, arcs)
@@ -392,6 +397,26 @@ def _polygons(n_max=512):
         if n <= n_max:
             yield validate_convex_ccw(parabola_cap(n))
             yield validate_convex_ccw(two_arcs(n))
+    # arcs that turn by 2*pi/3 up to rounding, at the last candidate row
+    for n in (6, 12, 18, 36, 60, 96, 120):
+        if n <= n_max:
+            yield validate_convex_ccw(regular(n))
+            yield validate_convex_ccw(equiangular(n))
+
+
+def _scanned_last_candidate_row(P):
+    """last_candidate_row by a scan over every k and every start."""
+    bound = CANDIDATE_ANGLE + ANGLE_SLACK
+    return max((k for k in range(1, P.n // 2) if (arc_turns(P, 2 * k) <= bound).any()), default=0)
+
+
+def test_last_candidate_row_matches_scan():
+    assert last_candidate_row(validate_convex_ccw([(0.0, 0.0), (1.0, 0.0)])) == 0
+    for P in _polygons():
+        assert last_candidate_row(P) == _scanned_last_candidate_row(P), P.n
+    for n in range(6, 241, 6):
+        for P in (validate_convex_ccw(regular(n)), validate_convex_ccw(equiangular(n, n))):
+            assert last_candidate_row(P) == _scanned_last_candidate_row(P) == n // 6 + 1, n
 
 
 def _dense_candidates(P):
@@ -423,10 +448,19 @@ def test_candidates_match_dense_reference():
     assert found > 0  # cluster3 polygons have candidates
 
 
+def test_candidates_at_the_last_candidate_row():
+    # the cap keeps the row whose arcs turn by 2*pi/3 up to rounding
+    for n in (6, 12, 36, 96):
+        P = validate_convex_ccw(equiangular(n))
+        rows = {(c.j - c.i) % n + 1 for c in enumerate_candidates(P, annotate=False)}
+        assert rows == {2 * last_candidate_row(P)}, n
+
+
 @settings(max_examples=90, deadline=None)
 @given(random_polygons)
 def test_fill_and_candidates_on_random_polygons(coords):
     P = validate_convex_ccw(coords)
+    assert last_candidate_row(P) == _scanned_last_candidate_row(P)
     _assert_matches_roll_fill(P)
     _assert_candidates_match_dense(P)
 
@@ -475,7 +509,7 @@ def _assert_stride_matches_dense(P, stride):
         T = build_subproblem_table(P)
     assert T.stride == stride and D.S.shape == (half + 1, n)
     _, choice, necessary = _roll_fill(P)
-    _assert_flags_match(T, necessary)
+    _assert_flags_match(P, T, necessary)
     _assert_walks_match(T, choice, [(s, m) for s in range(n) for m in range(0, n + 1, 2)])
     kept = sorted({*range(0, half + 1, stride), half})
     assert T.S.tobytes() == D.S[kept].tobytes()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +24,8 @@ from bnmatch import dp_core
 from bnmatch.geometry import CANDIDATE_ANGLE
 from bnmatch.solver import Polarity
 from conftest import (
-    SKEW4_VALUE, canonical_pairs, dense_necessary, forced_stride, parabola_cap, random_polygons,
-    two_arcs,
+    SKEW4_VALUE, canonical_pairs, dense_necessary, equiangular, forced_stride, parabola_cap,
+    random_polygons, regular, two_arcs,
 )
 
 approx = pytest.approx
@@ -105,6 +106,27 @@ class TestCandidates:
         cands = enumerate_candidates(P, annotate=False)
         assert cands and all(c.polarity is Polarity.UNKNOWN for c in cands)
         assert all(c.pole is None for c in cands)
+
+    def test_flag_cap_drops_no_candidate(self):
+        # the table tests necessity only up to the last row at which an arc
+        # turns by at most 2*pi/3 (+ slack); flags in every row 2 <= k < n/2
+        # give the same candidates and the same answer
+        dropped = 0
+        for coords in (
+            *(f(n) for f in (regular, equiangular) for n in (6, 12, 36, 96)),
+            *(f(n) for f in (parabola_cap, two_arcs) for n in (8, 36, 128)),
+            *(gen_cluster3(n, seed).coords() for n in (12, 64, 256) for seed in range(2)),
+        ):
+            P = validate_convex_ccw(coords)
+            T = build_subproblem_table(P)
+            capped = (enumerate_candidates(P, T), _report_key(solve(P)))
+            with mock.patch.object(dp_core, "last_candidate_row", lambda P: P.n // 2 - 1):
+                U = build_subproblem_table(P)
+                uncapped = (enumerate_candidates(P, U), _report_key(solve(P)))
+            assert capped == uncapped, P.n
+            assert set(T.necessary_rows.tolist()) <= set(U.necessary_rows.tolist())
+            dropped += len(U.necessary_rows) - len(T.necessary_rows)
+        assert dropped > 0
 
     def test_uniform_polarity_counterexample(self):
         # Candidate interiors are *usually* uniformly one-sided, but not
