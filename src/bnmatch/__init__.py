@@ -1,9 +1,10 @@
 """Bottleneck non-crossing matchings of points in convex position.
 
 Find a perfect non-crossing matching minimizing the longest segment, in
-O(n^2 + c*n^1.5) time for c surviving candidates (see `solver`), with an
-O(n^3) baseline and an exhaustive oracle for cross-checking, plus instance
-generators, structural analysis, SVG rendering and a CLI.
+O(n^2 + c*n + s*n^1.5) time for c candidates, s of which survive the
+prunes (see `solver`), with an O(n^3) baseline and an exhaustive oracle
+for cross-checking, plus instance generators, structural analysis, SVG
+rendering and a CLI.
 """
 
 from .baselines import cubic_solve, oracle_enumerate, oracle_solve

@@ -107,11 +107,10 @@ def cmd_verify(args) -> int:
         return fail("nonCrossing")
     if not abs(md["value"] - rep.value) <= 1e-9 * abs(rep.value):
         return fail("value")  # also a non-finite value
-    decomp = structure._decompose_verified(matching)
     print(
         f"OK perfect nonCrossing value={formats.fmt17(rep.value)} "
-        f"cascades={decomp.cascade_count} "
-        f"threeBounded={decomp.three_bounded_count}"
+        f"cascades={rep.decomposition.cascade_count} "
+        f"threeBounded={rep.decomposition.three_bounded_count}"
     )
     return EXIT_OK
 

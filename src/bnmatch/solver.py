@@ -16,7 +16,6 @@ gives s <= 3.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +31,7 @@ from .geometry import (
     arc_turns,
     classify_polarity_region,
 )
-from .structure import Matching, _decompose_verified, verify_matching
+from .structure import Matching, verify_matching
 
 
 class Polarity(Enum):
@@ -66,7 +65,6 @@ class SolveReport:
     candidate_count: int
     cascades: int
     structure: str
-    elapsed: float
 
 
 def _annotate_polarity(P: ConvexPointSet, i: int, j: int) -> Polarity:
@@ -139,7 +137,6 @@ def solve(P: ConvexPointSet) -> SolveReport:
     The returned matching is re-verified (perfect, non-crossing, longest
     segment equal to the value) before reporting.
     """
-    t0 = time.perf_counter()
     n = P.n
     T = build_subproblem_table(P)
     best_one, best_start = one_cascade_optimum(T)
@@ -193,12 +190,10 @@ def solve(P: ConvexPointSet) -> SolveReport:
         raise InvalidMatchingError(
             f"reconstructed bottleneck {report.value!r} != table value {value!r}"
         )
-    decomposition = _decompose_verified(matching)
     return SolveReport(
         value=value,
         matching=matching,
         candidate_count=len(candidates),
-        cascades=decomposition.cascade_count,
-        structure=decomposition.structure,
-        elapsed=time.perf_counter() - t0,
+        cascades=report.decomposition.cascade_count,
+        structure=report.decomposition.structure,
     )

@@ -4,9 +4,11 @@ A non-crossing matching's diagonals cut the polygon into faces; faces
 bounded by exactly two diagonals chain those diagonals together, and the
 maximal chains ("cascades") plus the count of 3-bounded faces describe
 the matching's shape. Chords of a convex polygon are non-crossing exactly
-when their index intervals (min, max) are laminar, so one stack sweep
-both checks crossing-freeness and builds the nesting forest; the faces,
-cascades and 3-bounded count follow from the forest's parent links.
+when their index intervals (min, max) are laminar. An edge crosses
+nothing: (t, t+1) has no end strictly inside it, and (0, n-1) contains
+every other end. So one stack sweep over the diagonals alone checks
+crossing-freeness and builds their nesting forest, and the cascades and
+3-bounded count follow from the forest's parent links.
 """
 from __future__ import annotations
 
@@ -59,6 +61,8 @@ class MatchingReport:
     non_crossing: bool
     value: float
     longest_pair: tuple[int, int] | None
+    # the cascades of a perfect non-crossing matching, else None
+    decomposition: CascadeDecomposition | None
 
 
 def _nesting(pairs) -> tuple[list[tuple[int, int]], list[int] | None]:
@@ -88,7 +92,8 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
 
     The reported value is sqrt of the max squared pair length, computed by
     the same arithmetic the solver uses, so exact equality against solver
-    output is meaningful.
+    output is meaningful. A perfect non-crossing matching also gets its
+    cascade decomposition, from the same sweep that checked it.
     """
     n = P.n
     indices_ok = M.n == n and all(  # a bool, float or str index is out of range
@@ -97,29 +102,29 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
         and 0 <= a < n and 0 <= b < n and a != b for a, b in M.pairs
     )
     if not indices_ok:
-        return MatchingReport(False, False, math.nan, None)
+        return MatchingReport(False, False, math.nan, None, None)
 
     # n/2 pairs over n distinct ends cover every point once
     perfect = len(M.pairs) == n // 2 and len({v for pair in M.pairs for v in pair}) == n
-    non_crossing = _nesting(M.pairs)[1] is not None
+    value, longest_pair = math.nan, None
+    if M.pairs:
+        a, b = np.array(M.pairs).T
+        dx = P.xs[b] - P.xs[a]
+        dy = P.ys[b] - P.ys[a]
+        d2 = dx * dx + dy * dy
+        k = int(np.argmax(d2))  # the first longest pair
+        value, longest_pair = math.sqrt(d2[k]), tuple(M.pairs[k])
 
-    if not M.pairs:
-        return MatchingReport(perfect, non_crossing, math.nan, None)
-    a, b = np.array(M.pairs).T
-    dx = P.xs[b] - P.xs[a]
-    dy = P.ys[b] - P.ys[a]
-    d2 = dx * dx + dy * dy
-    k = int(np.argmax(d2))  # the first longest pair
-    return MatchingReport(perfect, non_crossing, math.sqrt(d2[k]), tuple(M.pairs[k]))
+    keys, parents = _nesting(classify_pairs(M)[1])
+    non_crossing = parents is not None
+    decomposition = _decompose(keys, parents) if perfect and non_crossing else None
+    return MatchingReport(perfect, non_crossing, value, longest_pair, decomposition)
 
 
 @dataclass(frozen=True)
 class CascadeDecomposition:
     cascades: tuple[tuple[tuple[int, int], ...], ...]
     three_bounded_count: int
-    # the diagonals in (min, max) order and their parents in the nesting forest
-    _diagonals: tuple[tuple[int, int], ...]
-    _parents: tuple[int, ...]
 
     @property
     def cascade_count(self) -> int:
@@ -131,15 +136,6 @@ class CascadeDecomposition:
         diagonal the count is 1 + the sum of (degree - 1) over the faces of
         degree >= 3 in the tree of faces and diagonals, so it is never 2."""
         return "three-cascade" if self.cascade_count >= 3 else "one-cascade"
-
-    @property
-    def regions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each face's bounding diagonals: the face just inside each
-        diagonal, in (min, max) order of the diagonals, then the outer face."""
-        faces = [[d] for d in self._diagonals] + [[]]
-        for d, p in zip(self._diagonals, self._parents):
-            faces[p].append(d)
-        return tuple(map(tuple, faces))
 
 
 def cascade_decomposition(P: ConvexPointSet, M: Matching) -> CascadeDecomposition:
@@ -153,32 +149,30 @@ def cascade_decomposition(P: ConvexPointSet, M: Matching) -> CascadeDecompositio
 
     Raises InvalidMatchingError unless M is perfect and non-crossing.
     """
-    rep = verify_matching(P, M)
-    if not (rep.perfect and rep.non_crossing):
+    decomposition = verify_matching(P, M).decomposition
+    if decomposition is None:
         raise InvalidMatchingError("need a perfect non-crossing matching")
-    return _decompose_verified(M)
+    return decomposition
 
 
-def _decompose_verified(M: Matching) -> CascadeDecomposition:
-    """cascade_decomposition for an M the caller has already verified.
+def _decompose(keys: list[tuple[int, int]], parents: list[int]) -> CascadeDecomposition:
+    """cascade_decomposition from the diagonals' sorted keys and nesting
+    forest, as _nesting returns them.
 
-    M's ends are distinct, so the sweep's order is (min, max) order.
+    The diagonals' ends must be distinct, so that the sweep's order is
+    (min, max) order.
     """
-    keys, parents = _nesting(classify_pairs(M)[1])
-    diagonals = [(lo, -neg_hi) for lo, neg_hi in keys]
-    sizes = [1] * len(diagonals) + [0]  # diagonals per face; sizes[-1]: outer
+    sizes = [1] * len(keys) + [0]  # diagonals per face; sizes[-1]: outer
     for p in parents:
         sizes[p] += 1
     cascade_of: list[list[tuple[int, int]]] = []
     cascades = []
-    for t, p in enumerate(parents):
+    for t, (p, (lo, neg_hi)) in enumerate(zip(parents, keys)):
         first = p if p >= 0 else 0  # a face's first diagonal; root 0 is first
         if sizes[p] == 2 and t != first:  # a 2-bounded face joins the two
             cascade_of.append(cascade_of[first])
         else:
             cascade_of.append([])
             cascades.append(cascade_of[t])
-        cascade_of[t].append(diagonals[t])
-    return CascadeDecomposition(
-        tuple(map(tuple, cascades)), sizes.count(3), tuple(diagonals), tuple(parents)
-    )
+        cascade_of[t].append((lo, -neg_hi))
+    return CascadeDecomposition(tuple(map(tuple, cascades)), sizes.count(3))

@@ -196,7 +196,6 @@ class TestReportIntegrity:
                 check = verify_matching(P, rep.matching)
                 assert check.perfect and check.non_crossing
                 assert check.value == rep.value  # same computation path
-                assert rep.elapsed >= 0.0
                 d = cascade_decomposition(P, rep.matching)
                 assert d.cascade_count == rep.cascades
                 assert d.cascade_count <= 3
@@ -339,11 +338,12 @@ class TestCheckpointStride:
 
     @pytest.mark.parametrize("mode", ["valtr", "cluster3"])
     def test_solve_memory_per_table_entry(self, mode):
-        # the 2-bit tags take a quarter byte per entry and the value
-        # checkpoints about as much; the necessity flags (a bit each, and only
-        # in the few rows that hold one), replays and everything else in
-        # solve stay within the rest (cluster3 replays the complements of its
-        # candidates, valtr has none). Measured: 0.63 and 0.64 B/entry
+        # no move tags are stored; the value checkpoints at stride 32 take
+        # 8n(32 + 2) bytes, 0.27 B/entry, and the necessity flags (a bit
+        # each, only in the few rows that hold one), the fill's row scratch,
+        # replays and everything else in solve stay within the rest
+        # (cluster3 replays the complements of its candidates, valtr has
+        # none). Measured: 0.41 (valtr) and 0.39 (cluster3) B/entry
         n = 2048
         P = generate(GenSpec(n, mode, 3))
         tracemalloc.start()
@@ -353,4 +353,4 @@ class TestCheckpointStride:
         finally:
             tracemalloc.stop()
         entries = (n // 2 + 1) * n
-        assert peak <= 0.75 * entries, peak / entries
+        assert peak <= 0.5 * entries, peak / entries

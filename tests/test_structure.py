@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +12,16 @@ from bnmatch import (
     cascade_decomposition,
     classify_pairs,
     gen_circle,
+    gen_cluster3,
     oracle_enumerate,
+    solve,
     validate_convex_ccw,
     verify_matching,
 )
+from bnmatch import structure
+from bnmatch.cli import main
 from bnmatch.errors import BadIndexError, InvalidMatchingError
+from bnmatch.formats import instance_to_json, matching_to_json
 from conftest import canonical_pairs, segments_cross
 
 approx = pytest.approx
@@ -30,6 +36,38 @@ def regular(n):
     return validate_convex_ccw(
         [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     )
+
+
+def forest_reference(n, pairs):
+    """The reference decomposition: each diagonal's face and the outer face
+    from the nesting forest, cascades by union-find over the 2-bounded
+    faces, and the count of 3-bounded faces."""
+    diagonals = sorted(
+        (min(a, b), max(a, b)) for a, b in pairs if (b - a) % n not in (1, n - 1)
+    )
+    children = {d: [] for d in diagonals}
+    roots, stack = [], []
+    for iv in sorted(diagonals, key=lambda iv: (iv[0], -iv[1])):
+        while stack and not (stack[-1][0] <= iv[0] and iv[1] <= stack[-1][1]):
+            stack.pop()
+        (children[stack[-1]] if stack else roots).append(iv)
+        stack.append(iv)
+    faces = tuple((d, *children[d]) for d in diagonals) + (tuple(roots),)
+    comp = {d: d for d in diagonals}
+
+    def find(x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    for face in faces:
+        if len(face) == 2:
+            comp[find(face[0])] = find(face[1])
+    groups = {}
+    for d in diagonals:
+        groups.setdefault(find(d), []).append(d)
+    cascades = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    return faces, cascades, sum(len(face) == 3 for face in faces)
 
 
 def pairwise_non_crossing(pairs, n):
@@ -278,6 +316,22 @@ def test_random_bracket_matchings(matching, data):
     assert rep.perfect
     assert rep.non_crossing == pairwise_non_crossing(swapped, n)
 
+    # the sweep skips the edges: off perfect lists too, its verdict is the
+    # pairwise one. Drop a pair or move one end onto another pair's end,
+    # and maybe add the wrap edge (0, n - 1), which contains every end
+    k, other = data.draw(st.lists(st.integers(0, n // 2 - 1), min_size=2, max_size=2, unique=True))
+    lists = list(swapped)
+    if data.draw(st.booleans()):
+        del lists[k]
+    else:
+        lists[k] = (data.draw(st.sampled_from(swapped[other])), swapped[k][1])
+    if data.draw(st.booleans()):
+        wrap = data.draw(st.sampled_from([(0, n - 1), (n - 1, 0)]))
+        lists.insert(data.draw(st.integers(0, len(lists))), wrap)
+    rep = verify_matching(P, M(n, lists))
+    assert not rep.perfect and rep.decomposition is None
+    assert rep.non_crossing == pairwise_non_crossing(lists, n)
+
 
 class TestClassifyPairs:
     def test_mixed(self):
@@ -299,7 +353,6 @@ class TestCascadeDecomposition:
         d = cascade_decomposition(hex6, M(6, [(0, 1), (2, 3), (4, 5)]))
         assert d.cascade_count == 0
         assert d.three_bounded_count == 0
-        assert d.regions == ((),)
 
     def test_nested_pair(self):
         P = gen_circle(8, 0)
@@ -307,8 +360,6 @@ class TestCascadeDecomposition:
         assert d.cascade_count == 1
         assert d.cascades[0] == ((1, 6), (2, 5))
         assert d.three_bounded_count == 0
-        # faces: inside (2,5); between the diagonals; outside (1,6)
-        assert d.regions == (((1, 6), (2, 5)), ((2, 5),), ((1, 6),))
 
     def test_five_cascade_archetype(self):
         # 3 singleton cascades, one 2-chain, one 3-chain
@@ -329,14 +380,6 @@ class TestCascadeDecomposition:
         assert sizes == [1, 1, 1, 2, 3]
         # the fork region and the 3-root outer region
         assert d.three_bounded_count == 2
-
-    def test_bounding_counts_sum(self):
-        P = gen_circle(10, 1)
-        for m in oracle_enumerate(10):
-            d = cascade_decomposition(P, M(10, m))
-            diag_count = sum(len(c) for c in d.cascades)
-            assert sum(len(r) for r in d.regions) == 2 * diag_count
-            assert len(d.regions) == diag_count + 1
 
     def test_never_exactly_two_cascades(self):
         # over every matching of every size up to 12
@@ -368,50 +411,21 @@ class TestCascadeDecomposition:
                         > math.pi / 2
                         for a, b in diagonals
                     ):
-                        d = cascade_decomposition(P, M(n, m))
-                        assert all(
-                            len(r) <= 3 for r in d.regions
-                        ), (n, seed, m)
+                        faces = forest_reference(n, m)[0]
+                        assert all(len(f) <= 3 for f in faces), (n, seed, m)
                         checked += 1
         assert checked > 0
 
     def test_matches_forest_union_find_reference(self):
-        # pins the derivation from parent links to the nesting forest,
-        # edge-free faces and union-find the decomposition used to run
-        def reference(n, pairs):
-            diagonals = sorted(
-                (min(a, b), max(a, b)) for a, b in pairs if (b - a) % n not in (1, n - 1)
-            )
-            children = {d: [] for d in diagonals}
-            roots, stack = [], []
-            for iv in sorted(diagonals, key=lambda iv: (iv[0], -iv[1])):
-                while stack and not (stack[-1][0] <= iv[0] and iv[1] <= stack[-1][1]):
-                    stack.pop()
-                (children[stack[-1]] if stack else roots).append(iv)
-                stack.append(iv)
-            faces = tuple((d, *children[d]) for d in diagonals) + (tuple(roots),)
-            comp = {d: d for d in diagonals}
-
-            def find(x):
-                while comp[x] != x:
-                    x = comp[x]
-                return x
-
-            for face in faces:
-                if len(face) == 2:
-                    comp[find(face[0])] = find(face[1])
-            groups = {}
-            for d in diagonals:
-                groups.setdefault(find(d), []).append(d)
-            cascades = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-            return faces, cascades, sum(len(face) == 3 for face in faces)
-
+        # pins the derivation from parent links to the reference's nesting
+        # forest, edge-free faces and union-find
         checked = 0
         for n in range(2, 17, 2):  # n = 16 is the first with a 4-bounded face
             for m in oracle_enumerate(n):
                 pairs = [(b, a) if t % 2 else (a, b) for t, (a, b) in enumerate(m)]
                 d = cascade_decomposition(regular(n), M(n, pairs))
-                assert (d.regions, d.cascades, d.three_bounded_count) == reference(n, pairs), pairs
+                _, cascades, three_bounded = forest_reference(n, pairs)
+                assert (d.cascades, d.three_bounded_count) == (cascades, three_bounded), pairs
                 checked += 1
         assert checked == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
 
@@ -424,3 +438,60 @@ class TestCascadeDecomposition:
 
 def test_canonical_pairs():
     assert canonical_pairs([(3, 0), (2, 1)]) == ((0, 3), (1, 2))
+
+
+class TestOneSweep:
+    """Each check of a matching sorts and sweeps its chords once."""
+
+    @staticmethod
+    def counted():
+        return mock.patch.object(structure, "_nesting", wraps=structure._nesting)
+
+    def test_solve(self):
+        P = gen_cluster3(14, 5)
+        with self.counted() as nesting:
+            solve(P)
+        assert nesting.call_count == 1
+
+    def test_cascade_decomposition(self, hex6):
+        with self.counted() as nesting:
+            cascade_decomposition(hex6, M(6, [(0, 5), (1, 4), (2, 3)]))
+        assert nesting.call_count == 1
+
+    def test_cli_verify(self, tmp_path, capsys):
+        P = gen_cluster3(14, 5)
+        rep = solve(P)
+        inst, m = tmp_path / "p.json", tmp_path / "m.json"
+        inst.write_text(instance_to_json(P.coords()), encoding="utf-8")
+        m.write_text(
+            matching_to_json(P.n, rep.value, rep.matching.pairs, rep.structure, rep.cascades, None),
+            encoding="utf-8",
+        )
+        with self.counted() as nesting:
+            assert main(["verify", str(inst), str(m)]) == 0
+        assert nesting.call_count == 1
+        assert capsys.readouterr().out.startswith("OK")
+
+    def test_report_carries_the_decomposition(self):
+        # every pair list over distinct chords of up to 8 points with n/2
+        # pairs or one fewer: perfect or not, crossing or not
+        for n in (4, 6, 8):
+            P = regular(n)
+            chords = list(itertools.combinations(range(n), 2))
+            for size in (n // 2 - 1, n // 2):
+                for pairs in itertools.combinations(chords, size):
+                    rep = verify_matching(P, M(n, pairs))
+                    d = rep.decomposition
+                    assert (d is None) == (not (rep.perfect and rep.non_crossing)), pairs
+                    if d is not None:
+                        ref = cascade_decomposition(P, M(n, pairs))
+                        got = (d.cascades, d.three_bounded_count)
+                        assert got == (ref.cascades, ref.three_bounded_count)
+                        assert got == forest_reference(n, pairs)[1:]
+
+    def test_solve_reports_the_verified_decomposition(self):
+        for seed in range(8):
+            for P in (gen_circle(14, seed), gen_cluster3(14, seed)):
+                rep = solve(P)
+                d = verify_matching(P, rep.matching).decomposition
+                assert (d.cascade_count, d.structure) == (rep.cascades, rep.structure)
