@@ -223,8 +223,14 @@ def _time_size_in_child(args, n: int) -> dict:
 
 
 def _bench_runs(path: str) -> list:
-    """The JSON list of bench runs in ``path``; empty if there is no file."""
-    if not os.path.exists(path):
+    """The JSON list of bench runs in ``path``; empty if there is no file.
+    An unwritable ``path`` fails here, before any timing: it is opened for
+    appending, and removed again if that created it."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
         return []
     try:
         runs = json.loads(_read(path))

@@ -21,12 +21,11 @@ about n * sqrt(n/2) entry updates.
 
 No move is stored: ``reconstruct`` recomputes each move of its walk from
 the values, replaying one block of rows at a time, in O(size * stride)
-time and O(n + stride^2) scratch. The necessity flags are read only for
-candidate diagonals, whose arcs turn by at most 2*pi/3, so they are
-computed only for the rows 2 <= k <= ``last_candidate_row(P)`` and kept,
-one bit each, for those rows that hold at least one: on polygons of
-n = 256 .. 8192 points (seed 1), circle and valtr keep none and cluster3
-two. So the table holds no quadratic field.
+time and O(n + stride^2) scratch. Of the necessary arcs, the table keeps
+the (k, start) of the candidates only, those that turn by at most 2*pi/3
+(``candidate_reach``): none on circle and valtr polygons of n = 256 ..
+8192 (seed 1), three on cluster3, about n/15 on a parabola cap. So the
+table holds no quadratic field.
 
 The fill works on real float64 arrays only: the coordinates are one
 (2, 2n) array, x and y each twice over, so d2 to every start at once is
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDomainError
-from .geometry import ConvexPointSet, last_candidate_row
+from .geometry import ConvexPointSet, candidate_reach
 
 _NECESSARY_REL_TOL = 1e-9
 
@@ -62,7 +61,7 @@ def checkpoint_stride(n: int) -> int:
 
 @dataclass(frozen=True)
 class SubproblemTable:
-    """Values and necessity flags for all even-size arcs.
+    """Values of all even-size arcs and the candidate arcs among them.
 
     Row k covers arcs of size 2k, indexed by start; row 0 is the
     empty-interval convention. No move tags are stored: ``choice`` is an
@@ -70,24 +69,21 @@ class SubproblemTable:
     ``nbytes`` (the benchmark's table_bytes) still runs; it can go with the
     next change to the benchmark. An arc is necessary iff closing the pair
     strictly beat both edge moves, i.e. every optimal matching of that
-    constrained subproblem contains the closing pair. Flags are computed
-    only for the rows 2 <= k <= ``last_candidate_row(P)``, above which no
-    arc turns by at most 2*pi/3 (+ slack) and so no flag can make a
-    candidate, and only those of them with a necessary arc are kept, by
-    increasing k: bit s of ``np.unpackbits(necessary[r])`` flags the arc
-    (s, 2*necessary_rows[r]).
+    constrained subproblem contains the closing pair. ``necessary`` holds
+    the (k, start) of every necessary arc (start, 2k) with 2 <= k <=
+    ``candidate_reach(P)[start]``, a diagonal whose arc turns by at most
+    2*pi/3 (+ slack): the candidates, by increasing k, then start.
     ``S`` holds the value rows k = 0, stride, 2*stride, ... and, last, the
-    full-circle row k = n/2; read any value with ``value`` or ``arc_values``;
-    a replay needs the coordinates ``xs`` and ``ys`` and the fill's squared
-    edge lengths ``edge2``.
+    full-circle row k = n/2; read any value with ``values`` or
+    ``arc_values``; a replay needs the coordinates ``xs`` and ``ys`` and
+    the fill's squared edge lengths ``edge2``.
     """
 
     n: int
     stride: int
     S: np.ndarray          # float64, the kept value rows, each of length n
     choice: np.ndarray     # uint8, shape (0, n): empty, see above
-    necessary: np.ndarray  # uint8, shape (rows, ceil(n/8)): the kept rows' flags, packed
-    necessary_rows: np.ndarray  # int, the k of each kept row
+    necessary: np.ndarray  # intp, shape (c, 2): the (k, start) of each candidate arc
     xs: np.ndarray
     ys: np.ndarray
     edge2: np.ndarray      # float64, d2(s, s+1) for every start s
@@ -98,14 +94,22 @@ class SubproblemTable:
         if size % 2 != 0 or not 0 <= size <= self.n:
             raise BadDomainError(f"size {size} not even in [0, {self.n}]")
 
-    def value(self, start: int, size: int) -> float:
-        """Value of the arc of ``size`` starting at ``start``, bit for bit
-        the stride-1 table's."""
-        self._check(start, size)
-        k = size // 2
+    def values(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Values of the arcs of ``sizes[t]`` starting at ``starts[t]``, bit
+        for bit the stride-1 table's. Each is replayed on a window of its
+        own, at most n/(2*stride) windows a ``_replay`` call: O(n) scratch.
+        """
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            self._check(start, size)
+        k = sizes // 2
         d = k % self.stride
-        first, _ = self._replay(np.array([k - d]), np.array([start]), d)
-        return float(first[0, d])
+        out = np.empty(len(starts))
+        per_call = max(1, self.n // (2 * self.stride))
+        for c in range(0, len(starts), per_call):
+            cut = slice(c, c + per_call)
+            first, _ = self._replay(k[cut] - d[cut], starts[cut], int(d[cut].max()))
+            out[cut] = first[np.arange(first.shape[0]), d[cut]]
+        return out
 
     def arc_values(self, start: int, end: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Values of the arcs of sizes 0, 2, ..., 2*kmax (kmax <= n/2) that
@@ -205,17 +209,17 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         S(s, m) = min(pair, left, right)
 
     Each size is computed for all starts at once; ties pick the earliest
-    move in (pair, left, right) order. The pair move is flagged necessary
-    only when it wins by more than a relative 1e-9, and only tested in the
-    rows k <= ``last_candidate_row(P)``, the last at which an arc turns
-    little enough for a candidate.
+    move in (pair, left, right) order. The pair move is necessary only when
+    it wins by more than a relative 1e-9. That is tested only in the rows
+    k <= max(``candidate_reach(P)``) and, at a start s, only while k <=
+    reach[s]: past that the pair would have to beat 0, which it never does,
+    so each arc the test flags is a candidate.
 
     The value rows kept are sizes 2k with k % stride == 0, for the stride
     ``checkpoint_stride(n)`` picks, and the full circle: 8 bytes per entry
     at stride 1 and about 8n * sqrt(n/2) bytes in all at stride
     isqrt(n/2). No move is stored; ``reconstruct`` recomputes the moves it
-    follows. A tested row is kept, packed to a necessity bit per start,
-    only if some arc in it is necessary.
+    follows.
 
     The coordinates are kept twice over in one (2, 2n) float64 array, x
     above y, the edge lengths likewise, and the latest row in one buffer of
@@ -223,7 +227,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     cyclic shift above is a slice view. Each row is computed with ``out=``
     ufuncs into reused temporaries and that buffer (overwriting the
     previous row once the three moves have read it), so the loop allocates
-    only the kept necessity rows. d2 is three calls on contiguous (2, n)
+    only the kept (k, start) pairs. d2 is three calls on contiguous (2, n)
     blocks: subtract, square in place, add the x and y halves, the float
     operations of dx*dx + dy*dy. Those and the rest
     (min(pair, min(left, right)), other * (1 - 1e-9)) are the recurrence's
@@ -234,8 +238,13 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     half = n // 2
     stride = checkpoint_stride(n)
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
-    necessary, necessary_rows = [], []  # the kept flag rows, packed, and their k
-    kmax = last_candidate_row(P)  # no flag above it can make a candidate
+    necessary = [np.empty((0, 2), dtype=np.intp)]  # the (k, start) pairs of each row
+    reach = candidate_reach(P)
+    kmax = int(reach.max())  # no row above it holds a candidate
+    by_reach = np.argsort(reach)
+    below = np.searchsorted(reach, np.arange(kmax + 1), sorter=by_reach).tolist()  # reach < k
+    del reach  # n words the loop does not need
+    keep = np.full(n, 1.0 - _NECESSARY_REL_TOL)  # zeroed at a start once k passes its reach
 
     xy2 = np.empty((2, 2 * n))  # x and y, each twice over
     xy2[0, :n], xy2[1, :n] = P.xs, P.ys
@@ -269,7 +278,6 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     finish_row(1)
     # size 2: all three moves coincide, so the pair is never forced
 
-    keep = 1.0 - _NECESSARY_REL_TOL
     for k in range(2, half + 1):
         m = 2 * k
         pair = np.maximum(buf[1:n + 1], sq_dist_to(m - 1, a), out=a)
@@ -278,18 +286,18 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         right = np.maximum(row, edge2_twice[m - 2:m - 2 + n], out=row)
         other = np.minimum(left, right, out=row)
         if k <= kmax:
+            if below[k] > below[k - 1]:
+                keep[by_reach[below[k - 1]:below[k]]] = 0.0
             np.multiply(other, keep, out=b)
             if np.count_nonzero(np.less(pair, b, out=p)):
-                necessary.append(np.packbits(p))
-                necessary_rows.append(k)
+                starts = np.flatnonzero(p)
+                necessary.append(np.column_stack((np.full(starts.size, k), starts)))
         np.minimum(pair, other, out=row)
         finish_row(k)
 
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
-        necessary=np.array(necessary, dtype=np.uint8).reshape(len(necessary_rows), (n + 7) // 8),
-        necessary_rows=np.array(necessary_rows, dtype=np.intp),
-        xs=P.xs, ys=P.ys, edge2=edge2,
+        necessary=np.concatenate(necessary), xs=P.xs, ys=P.ys, edge2=edge2,
     )
 
 
@@ -307,7 +315,7 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
     """The size/2 pairs of the table's optimum for the arc <start, start+size-1>.
 
     The pairs cover exactly the arc and their longest squared length equals
-    T.value(start, size) bit for bit (the table holds actual pair
+    the table's value of the arc bit for bit (the table holds actual pair
     distances, selected by min/max only). Each move is the one the fill's
     recurrence picks, from the fill's floats and in its tie order: the pair
     unless min(left, right) < pair, else the left edge unless right < left.

@@ -184,36 +184,34 @@ def turning_angle(P: ConvexPointSet, i: int, j: int) -> float:
     return float(cum[a + steps] - cum[a])
 
 
-def arc_turns(P: ConvexPointSet, m: int, starts: np.ndarray | None = None) -> np.ndarray:
-    """Turning angle of the arcs of ``m`` vertices (2 <= m <= n) that begin
-    at ``starts`` (default: every start, in order).
+def arc_turns(P: ConvexPointSet, m, starts: np.ndarray) -> np.ndarray:
+    """Turning angle of the arcs of ``m`` vertices (2 <= m <= n, one size
+    for all or one per start) that begin at ``starts``.
 
     Entry t is turning_angle(P, s, s+m-1) for s = starts[t], bit for bit.
     """
-    if starts is None:
-        starts = np.arange(P.n)
     a = (starts + 1) % P.n
     cum = P._ext_cum2
     return cum[a + (m - 2)] - cum[a]
 
 
-def last_candidate_row(P: ConvexPointSet) -> int:
-    """The largest k < n/2 at which some arc of 2k vertices turns by at most
-    CANDIDATE_ANGLE + ANGLE_SLACK, or 0 if there is no such k (n = 2).
+def candidate_reach(P: ConvexPointSet) -> np.ndarray:
+    """For each start s, the largest k < n/2 whose arc of 2k vertices from
+    s turns by at most CANDIDATE_ANGLE + ANGLE_SLACK, as ``arc_turns``
+    computes it (0 if n = 2): the one home of the candidate angle rule.
 
-    The smallest turn over the arcs of 2k vertices never falls as k grows
-    (the exterior angles are positive and their prefix sums rounded
-    monotonically), so a binary search over k finds it; arcs of 2 vertices
-    turn by 0, so the answer is at least 1 from n = 4 on.
+    With a = s + 1, the arc to vertex x + 1 turns by cum[x] - cum[a], which
+    never falls as x grows (positive angles, monotone rounding). A search
+    for cum[a] + bound finds the last x that passes up to the rounding of
+    that sum; the loop moves each x by one towards it until the exact test
+    settles. cum[a + n] - cum[a] = 2*pi keeps x + 1 inside cum.
     """
-    lo, hi = 0, P.n // 2  # the answer is in [lo, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if arc_turns(P, 2 * mid).min() <= CANDIDATE_ANGLE + ANGLE_SLACK:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    n, cum, bound = P.n, P._ext_cum2, CANDIDATE_ANGLE + ANGLE_SLACK
+    a = np.arange(1, n + 1) % n
+    x = np.searchsorted(cum, cum[a] + bound, side="right") - 1
+    while (step := (cum[x + 1] - cum[a] <= bound) * 1 - (cum[x] - cum[a] > bound)).any():
+        x += step
+    return np.minimum((x - a) // 2 + 1, n // 2 - 1)
 
 
 def sq_dist(P: ConvexPointSet, i: int, j: int) -> float:

@@ -5,11 +5,12 @@ branches: the best full-circle table entry (matchings whose diagonals form
 at most one chain), and a search over 3-chain matchings assembled from
 three table entries. The 3-chain search only fixes pairs (i, j) that are
 *candidates* - pairs forced into every optimum of their own subproblem and
-spanning a turning angle of at most 2*pi/3; at most ~2n of them exist.
-Each candidate costs O(n): its turning angle, gathered at its flagged
-start, and one replayed table value (about n/2 entry updates). Each of the
-s candidates that survive the prunes costs one arc_values call on top
-(about n*sqrt(n/2)), so with c candidates the search takes
+spanning a turning angle of at most 2*pi/3; at most ~2n of them exist, and
+the table lists them. Each candidate costs O(n): its turning angle, read
+off the angle prefix sums, and its value, one window of the table's
+chunked replay (about n/2 entry updates). Each of the s candidates that
+survive the prunes costs one arc_values call on top (about
+n*sqrt(n/2)), so with c candidates the search takes
 O(n^2 + c*n + s*n^1.5), Theta(n^2.5) if s = Theta(n); every generator
 gives s <= 3.
 """
@@ -23,14 +24,7 @@ import numpy as np
 
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .errors import InvalidMatchingError
-from .geometry import (
-    ANGLE_SLACK,
-    CANDIDATE_ANGLE,
-    ConvexPointSet,
-    PolarityRegion,
-    arc_turns,
-    classify_polarity_region,
-)
+from .geometry import ConvexPointSet, PolarityRegion, arc_turns, classify_polarity_region
 from .structure import Matching, verify_matching
 
 
@@ -96,36 +90,23 @@ def _annotate_polarity(P: ConvexPointSet, i: int, j: int) -> Polarity:
 
 
 def enumerate_candidates(
-    P: ConvexPointSet,
-    T: SubproblemTable | None = None,
-    annotate: bool = True,
+    P: ConvexPointSet, T: SubproblemTable, annotate: bool = True
 ) -> list[CandidateDiagonal]:
-    """All candidate diagonals, sorted by (i, j).
+    """All candidate diagonals of P's table T, sorted by (i, j).
 
     A pair qualifies if it is a diagonal (non-adjacent both ways, so its
     arc size is in [4, n-2]), its subproblem flags it necessary, and its
-    turning angle is at most 2*pi/3 + 1e-9. Polarity annotation is purely
-    diagnostic and optional; it never gates the search.
+    turning angle is at most 2*pi/3 + 1e-9: the arcs T lists. Polarity
+    annotation is purely diagnostic and optional; it never gates the search.
     """
-    if T is None:
-        T = build_subproblem_table(P)
-    n = P.n
-    out: list[CandidateDiagonal] = []
-    # the table keeps, one bit per start, the flags of the rows k = 2 .. n/2 - 1
-    # (the diagonals' arc sizes m = 2k in [4, n-2]) that hold a necessary arc,
-    # up to the last row at which some arc turns little enough; tau is
-    # computed at the flagged starts only
-    for flags, k in zip(T.necessary, T.necessary_rows.tolist()):
-        m = 2 * k
-        starts = np.flatnonzero(np.unpackbits(flags, count=n))
-        tau = arc_turns(P, m, starts)
-        ok = tau <= CANDIDATE_ANGLE + ANGLE_SLACK
-        for i, t in zip(starts[ok].tolist(), tau[ok].tolist()):
-            j = (i + m - 1) % n
-            pol = _annotate_polarity(P, i, j) if annotate else Polarity.UNKNOWN
-            out.append(CandidateDiagonal(i, j, t, pol))
-    out.sort(key=lambda c: (c.i, c.j))
-    return out
+    k, i = T.necessary.T
+    j = (i + 2 * k - 1) % P.n
+    tau = arc_turns(P, 2 * k, i)
+    order = np.lexsort((j, i))
+    return [
+        CandidateDiagonal(a, b, t, _annotate_polarity(P, a, b) if annotate else Polarity.UNKNOWN)
+        for a, b, t in zip(i[order].tolist(), j[order].tolist(), tau[order].tolist())
+    ]
 
 
 def solve(P: ConvexPointSet) -> SolveReport:
@@ -142,12 +123,13 @@ def solve(P: ConvexPointSet) -> SolveReport:
     best_one, best_start = one_cascade_optimum(T)
     candidates = enumerate_candidates(P, T, annotate=False)
 
+    # the points on each candidate's arc <i, j>, and the arc's value
+    sizes = np.array([(c.j - c.i) % n + 1 for c in candidates], dtype=np.intp)
+    bases = T.values(np.array([c.i for c in candidates], dtype=np.intp), sizes)
     best_three = math.inf
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
-    for cand in candidates:
+    for cand, m1, base in zip(candidates, sizes.tolist(), bases.tolist()):
         i, j = cand.i, cand.j
-        m1 = (j - i) % n + 1  # points on the arc <i, j>
-        base = T.value(i, m1)
         if base >= best_one or base >= best_three:
             continue  # the max over the split cannot beat the incumbent
         rest = n - m1

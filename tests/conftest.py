@@ -35,14 +35,6 @@ def segments_cross(a: int, b: int, c: int, d: int, n: int) -> bool:
     return (0 < (c - a) % n < span) != (0 < (d - a) % n < span)
 
 
-def dense_necessary(T) -> np.ndarray:
-    """The table's necessity flags unpacked: entry [k, s] is the flag of the
-    arc (s, 2k), False in every row the table does not keep."""
-    out = np.zeros((T.n // 2 + 1, T.n), dtype=bool)
-    out[T.necessary_rows] = np.unpackbits(T.necessary, axis=1, count=T.n)
-    return out
-
-
 def parabola_cap(n: int) -> list[tuple[float, float]]:
     """n points (x, x^2) at evenly spaced x in [-1, 1], ccw: a quarter of
     the arcs of even size below n are necessary."""

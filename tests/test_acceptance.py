@@ -14,6 +14,7 @@ import pytest
 from bnmatch import (
     GenSpec,
     Matching,
+    build_subproblem_table,
     cascade_decomposition,
     cubic_solve,
     enumerate_candidates,
@@ -74,7 +75,7 @@ def sweep_small():
                     if not (r.perfect and r.non_crossing):
                         data["validity_failures"] += 1
 
-                cands = enumerate_candidates(P, annotate=True)
+                cands = enumerate_candidates(P, build_subproblem_table(P), annotate=True)
                 if len(cands) > 2 * n:
                     data["candidate_bound_violations"] += 1
                 for pol in (Polarity.NEGATIVE, Polarity.POSITIVE):

@@ -378,6 +378,13 @@ class TestBenchCommand:
         assert "no JSON list" in captured.err and not captured.out
         assert (tmp_path / "bench.json").read_text() == "{}"
 
+    def test_unwritable_json_path_exits_2_before_timing(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "bench.json"
+        assert main(["bench", "--sizes", "8,16", "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "io error" in captured.err and not captured.out
+        assert not path.parent.exists()
+
     def test_odd_size_rejected(self, capsys):
         assert main(["bench", "--sizes", "7"]) == 3
 

@@ -29,10 +29,11 @@ from bnmatch import (
 )
 from bnmatch.dp_core import checkpoint_stride
 from bnmatch.errors import BadDomainError
-from bnmatch.geometry import ANGLE_SLACK, CANDIDATE_ANGLE, arc_turns, last_candidate_row
+from bnmatch.geometry import (
+    ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns, candidate_reach,
+)
 from conftest import (
-    SKEW4_VALUE, dense_necessary, equiangular, forced_stride, parabola_cap, random_polygons,
-    regular, two_arcs,
+    SKEW4_VALUE, equiangular, forced_stride, parabola_cap, random_polygons, regular, two_arcs,
 )
 
 approx = pytest.approx
@@ -138,44 +139,50 @@ def _instances():
         yield gen_circle(10, seed + 10)
 
 
+def _all_values(T):
+    """Every value of T from one ``values`` call: entry [s, k] is that of
+    the arc (s, 2k)."""
+    half = T.n // 2
+    starts, k = np.divmod(np.arange(T.n * (half + 1)), half + 1)
+    return T.values(starts, 2 * k).reshape(T.n, half + 1)
+
+
 class TestTableBasics:
     def test_size_two_rows(self, skew4):
         T = build_subproblem_table(skew4)
         for s in range(4):
-            assert T.value(s, 2) == sq_dist(skew4, s, (s + 1) % 4)
-            assert not dense_necessary(T)[1, s]
+            assert _all_values(T)[s, 1] == sq_dist(skew4, s, (s + 1) % 4)
+        assert not (T.necessary[:, 0] < 2).any()
 
     def test_sq4_entries(self, sq4):
         T = build_subproblem_table(sq4)
         _, choice, necessary = _roll_fill(sq4)
-        assert T.value(0, 2) == 1.0
-        assert T.value(1, 4) == 1.0
+        assert T.values(np.array([0, 1]), np.array([2, 4])).tolist() == [1.0, 1.0]
         # the closing pair ties with the edge moves, so it is not forced
         assert not necessary[2, 0]
         assert choice[2, 0] == USE_PAIR
         assert reconstruct(T, 0, 4) == _walk(choice, 0, 4) == [(0, 3), (1, 2)]
-        # the full circle holds no diagonal: flags are kept below it only
-        assert np.array_equal(dense_necessary(T)[:2], necessary[:2])
+        # the full circle holds no diagonal: candidates lie below it only
+        _assert_pairs_match(sq4, T, necessary)
 
     def test_skew4_full_circle(self, skew4):
         T = build_subproblem_table(skew4)
-        assert T.value(1, 4) == sq_dist(skew4, 2, 3)
-        assert T.value(1, 4) == approx(SKEW4_VALUE**2, rel=1e-12)
+        assert _all_values(T)[1, 2] == sq_dist(skew4, 2, 3)
+        assert _all_values(T)[1, 2] == approx(SKEW4_VALUE**2, rel=1e-12)
 
     def test_empty_interval_value(self, sq4):
         T = build_subproblem_table(sq4)
-        assert T.value(2, 0) == 0.0
+        assert T.values(np.array([2]), np.array([0])).tolist() == [0.0]
 
     def test_bad_domain(self, sq4):
+        # values and reconstruct share one check; one bad arc among good
+        # ones is enough
         T = build_subproblem_table(sq4)
-        with pytest.raises(BadDomainError):
-            T.value(0, 3)
-        with pytest.raises(BadDomainError):
-            T.value(4, 2)
-        with pytest.raises(BadDomainError):
-            T.value(0, 6)
-        with pytest.raises(BadDomainError):
-            reconstruct(T, 0, 5)
+        for start, size in ((0, 3), (4, 2), (0, 6), (0, 5), (-1, 2), (0, -2)):
+            with pytest.raises(BadDomainError):
+                T.values(np.array([1, start, 0]), np.array([2, size, 4]))
+            with pytest.raises(BadDomainError):
+                reconstruct(T, start, size)
 
 
 class TestOneCascadeOptimum:
@@ -231,11 +238,12 @@ class TestReconstruct:
         for P in _instances():
             n = P.n
             T = build_subproblem_table(P)
+            V = _all_values(T)
             for start in range(n):
                 for size in range(2, n + 1, 2):
                     pairs = reconstruct(T, start, size)
                     got = max(sq_dist(P, a, b) for a, b in pairs)
-                    assert got == T.value(start, size), (n, start, size)
+                    assert got == V[start, size // 2], (n, start, size)
                     covered = sorted(i for p in pairs for i in p)
                     want = sorted((start + t) % n for t in range(size))
                     assert covered == want
@@ -259,30 +267,28 @@ class TestAgainstConstrainedBruteForce:
         for P in _instances():
             n = P.n
             T = build_subproblem_table(P)
+            V = _all_values(T)
             _, choice, necessary = _roll_fill(P)
-            # flags are kept up to the last row that can hold a candidate
-            kmax = last_candidate_row(P)
-            assert np.array_equal(dense_necessary(T)[:kmax + 1], necessary[:kmax + 1])
-            assert not dense_necessary(T)[kmax + 1:].any()
+            _assert_pairs_match(P, T, necessary)
             for start in range(n):
                 for size in range(2, n + 1, 2):
                     assert reconstruct(T, start, size) == _walk(choice, start, size)
                     best, every_opt_has_pair = _constrained_best(P, start, size)
-                    assert T.value(start, size) == best, (n, start, size)
+                    assert V[start, size // 2] == best, (n, start, size)
                     if necessary[size // 2, start]:
                         assert every_opt_has_pair, (n, start, size)
 
     def test_all_edges_upper_bound(self):
         for P in _instances():
             n = P.n
-            T = build_subproblem_table(P)
+            V = _all_values(build_subproblem_table(P))
             for start in range(n):
                 for size in range(2, n + 1, 2):
                     cap = max(
                         sq_dist(P, (start + t) % n, (start + t + 1) % n)
                         for t in range(0, size, 2)
                     )
-                    assert T.value(start, size) <= cap
+                    assert V[start, size // 2] <= cap
 
 
 def _roll_fill(P):
@@ -343,14 +349,14 @@ def _assert_walks_match(T, choice, arcs):
         assert reconstruct(T, start, size) == _walk(choice, start, size), (T.stride, start, size)
 
 
-def _assert_flags_match(P, T, necessary):
-    """T keeps, packed, exactly the reference's rows 2 <= k <= the last
-    candidate row with a flag."""
-    n = T.n
-    rows = [k for k in range(2, last_candidate_row(P) + 1) if necessary[k].any()]
-    assert T.necessary.dtype == np.uint8 and T.necessary.shape == (len(rows), (n + 7) // 8)
-    assert T.necessary_rows.tolist() == rows
-    assert T.necessary.tobytes() == np.packbits(necessary[rows], axis=1).tobytes()
+def _assert_pairs_match(P, T, necessary):
+    """T lists, by k then start, the (k, start) of exactly the reference's
+    necessary arcs (start, 2k) with 2 <= k < n/2 and k <= reach[start]."""
+    half = P.n // 2
+    k = np.arange(half)[:, None]
+    keep = necessary[:half] & (k >= 2) & (k <= candidate_reach(P))
+    assert T.necessary.dtype == np.intp and T.necessary.shape[1:] == (2,)
+    assert T.necessary.tolist() == np.argwhere(keep).tolist()
 
 
 def _assert_matches_roll_fill(P):
@@ -360,7 +366,7 @@ def _assert_matches_roll_fill(P):
     assert T.S.shape == S.shape and T.S.dtype == np.float64
     assert T.choice.dtype == np.uint8 and T.choice.shape == (0, n)
     assert T.S.tobytes() == S.tobytes()
-    _assert_flags_match(P, T, necessary)
+    _assert_pairs_match(P, T, necessary)
     # the moves along every full-circle walk and every walk from start 0
     arcs = [(s, n) for s in range(n)] + [(0, 2 * k) for k in range(half + 1)]
     _assert_walks_match(T, choice, arcs)
@@ -404,19 +410,62 @@ def _polygons(n_max=512):
             yield validate_convex_ccw(equiangular(n))
 
 
+def _scanned_reach(P):
+    """candidate_reach by a scan over every k and every start: the last k
+    < n/2 whose arc passes the angle test, else 0."""
+    starts = np.arange(P.n)
+    reach = np.zeros(P.n, dtype=np.intp)
+    for k in range(1, P.n // 2):
+        reach[arc_turns(P, 2 * k, starts) <= CANDIDATE_ANGLE + ANGLE_SLACK] = k
+    return reach
+
+
 def _scanned_last_candidate_row(P):
-    """last_candidate_row by a scan over every k and every start."""
+    """The last row k < n/2 with an arc that passes the angle test, by a
+    scan over every k and every start."""
     bound = CANDIDATE_ANGLE + ANGLE_SLACK
-    return max((k for k in range(1, P.n // 2) if (arc_turns(P, 2 * k) <= bound).any()), default=0)
+    starts = np.arange(P.n)
+    return max(
+        (k for k in range(1, P.n // 2) if (arc_turns(P, 2 * k, starts) <= bound).any()),
+        default=0,
+    )
 
 
-def test_last_candidate_row_matches_scan():
-    assert last_candidate_row(validate_convex_ccw([(0.0, 0.0), (1.0, 0.0)])) == 0
+def _assert_reach_matches_scan(P):
+    reach = candidate_reach(P)
+    assert reach.tolist() == _scanned_reach(P).tolist(), P.n
+    assert reach.max() == _scanned_last_candidate_row(P), P.n
+
+
+def test_candidate_reach_matches_scan():
+    two = validate_convex_ccw([(0.0, 0.0), (1.0, 0.0)])
+    _assert_reach_matches_scan(two)
+    assert candidate_reach(two).tolist() == [0, 0]
     for P in _polygons():
-        assert last_candidate_row(P) == _scanned_last_candidate_row(P), P.n
+        _assert_reach_matches_scan(P)
     for n in range(6, 241, 6):
         for P in (validate_convex_ccw(regular(n)), validate_convex_ccw(equiangular(n, n))):
-            assert last_candidate_row(P) == _scanned_last_candidate_row(P) == n // 6 + 1, n
+            _assert_reach_matches_scan(P)
+            assert candidate_reach(P).max() == n // 6 + 1, n
+
+
+def test_candidate_reach_settles_the_rounding_of_the_search():
+    # exterior angles of 2*pi/n times a few ulps each way: arcs of n/3 + 2
+    # vertices turn by the angle bound up to rounding, where the sum the
+    # search looks up and the difference the test takes round apart. Such
+    # angles need not close a polygon, so the point set is built directly
+    bound = CANDIDATE_ANGLE + ANGLE_SLACK
+    rng = np.random.default_rng(5)
+    corrected = 0
+    for n in (6, 12, 18, 36) * 50:
+        ext = bound / (n // 3) * (1.0 + rng.integers(-8, 9, n) * 2.0**-52)
+        cum = np.concatenate(([0.0], np.cumsum(np.concatenate((ext, ext)))))
+        P = ConvexPointSet(xs=np.zeros(n), ys=np.zeros(n), ext=ext, _ext_cum2=cum)
+        _assert_reach_matches_scan(P)
+        a = np.arange(1, n + 1) % n
+        x = np.searchsorted(cum, cum[a] + bound, side="right") - 1
+        corrected += bool((cum[x + 1] - cum[a] <= bound).any() or (cum[x] - cum[a] > bound).any())
+    assert corrected > 50  # the search alone would have been off
 
 
 def _dense_candidates(P):
@@ -433,34 +482,38 @@ def _dense_candidates(P):
     return sorted(out, key=lambda c: (c.i, c.j))
 
 
+def _candidates(P):
+    return enumerate_candidates(P, build_subproblem_table(P), annotate=False)
+
+
 def _assert_candidates_match_dense(P):
     def key(cands):
         return [(c.i, c.j, c.tau.hex(), c.polarity) for c in cands]
 
-    assert key(enumerate_candidates(P, annotate=False)) == key(_dense_candidates(P))
+    assert key(_candidates(P)) == key(_dense_candidates(P))
 
 
 def test_candidates_match_dense_reference():
     found = 0
     for P in _polygons():
         _assert_candidates_match_dense(P)
-        found += len(enumerate_candidates(P, annotate=False))
+        found += len(_candidates(P))
     assert found > 0  # cluster3 polygons have candidates
 
 
 def test_candidates_at_the_last_candidate_row():
-    # the cap keeps the row whose arcs turn by 2*pi/3 up to rounding
+    # the reach keeps the row whose arcs turn by 2*pi/3 up to rounding
     for n in (6, 12, 36, 96):
         P = validate_convex_ccw(equiangular(n))
-        rows = {(c.j - c.i) % n + 1 for c in enumerate_candidates(P, annotate=False)}
-        assert rows == {2 * last_candidate_row(P)}, n
+        rows = {(c.j - c.i) % n + 1 for c in _candidates(P)}
+        assert rows == {2 * candidate_reach(P).max()}, n
 
 
 @settings(max_examples=90, deadline=None)
 @given(random_polygons)
 def test_fill_and_candidates_on_random_polygons(coords):
     P = validate_convex_ccw(coords)
-    assert last_candidate_row(P) == _scanned_last_candidate_row(P)
+    _assert_reach_matches_scan(P)
     _assert_matches_roll_fill(P)
     _assert_candidates_match_dense(P)
 
@@ -481,15 +534,14 @@ def test_fill_scratch_memory_per_point():
 
 
 def test_table_and_reconstruct_memory_sub_quadratic():
-    # no field grows as n^2: values at about 8n * sqrt(n/2) bytes, a flag
-    # bit per start in each kept row, no move tags; a walk over the full
-    # circle replays one block at a time
+    # no field grows as n^2: values at about 8n * sqrt(n/2) bytes, 16 bytes
+    # per candidate, no move tags; a walk over the full circle replays one
+    # block at a time
     n = 8192
     P = generate(GenSpec(n, "valtr", 3))
     T = build_subproblem_table(P)
-    rows = len(T.necessary_rows)
     assert T.choice.nbytes == 0
-    assert T.S.nbytes + T.necessary.nbytes <= 8 * n * (math.sqrt(n / 2) + 2) + n / 8 * rows
+    assert T.S.nbytes + T.necessary.nbytes <= 8 * n * (math.sqrt(n / 2) + 2) + 16 * len(T.necessary)
     _, start = one_cascade_optimum(T)
     tracemalloc.start()
     try:
@@ -509,13 +561,12 @@ def _assert_stride_matches_dense(P, stride):
         T = build_subproblem_table(P)
     assert T.stride == stride and D.S.shape == (half + 1, n)
     _, choice, necessary = _roll_fill(P)
-    _assert_flags_match(P, T, necessary)
+    _assert_pairs_match(P, T, necessary)
     _assert_walks_match(T, choice, [(s, m) for s in range(n) for m in range(0, n + 1, 2)])
     kept = sorted({*range(0, half + 1, stride), half})
     assert T.S.tobytes() == D.S[kept].tobytes()
-    for start in range(n):
-        for size in range(0, n + 1, 2):
-            assert T.value(start, size).hex() == D.value(start, size).hex(), (start, size)
+    # all values in one call: n/(2*stride) windows a replay, so many chunks
+    assert _all_values(T).tobytes() == _all_values(D).tobytes() == D.S.T.tobytes()
     # every anchor at the longest slice, and every slice length at some anchor
     reads = [(a, half) for a in range(n)] + [(kmax % n, kmax) for kmax in range(half + 1)]
     for anchor, kmax in reads:

@@ -265,15 +265,19 @@ class TestTurningAngle:
                 assert lhs == approx(rhs, abs=1e-11)
 
     def test_arc_turns_bit_identical(self, sq4):
-        # every arc size, the full circle included, at every start and at
-        # a few starts out of order
+        # every arc size, the full circle included, at every start, at a
+        # few starts out of order and as one size per start
         for P in (sq4, gen_circle(12, 3), gen_valtr(14, 2), generate(GenSpec(10, "cluster3", 1))):
             n = P.n
             starts = np.array([n - 1, 0, 2, 1])
-            for m in range(2, n + 1):
+            sizes = np.arange(2, n + 1)
+            for m in sizes.tolist():
                 want = [turning_angle(P, s, (s + m - 1) % n) for s in range(n)]
-                assert _bits(arc_turns(P, m)) == _bits(want), (n, m)
+                assert _bits(arc_turns(P, m, np.arange(n))) == _bits(want), (n, m)
                 assert _bits(arc_turns(P, m, starts)) == _bits([want[s] for s in starts]), (n, m)
+            for s in range(n):
+                want = [turning_angle(P, s, (s + m - 1) % n) for m in sizes.tolist()]
+                assert _bits(arc_turns(P, sizes, np.full(sizes.size, s))) == _bits(want), (n, s)
 
     def test_bad_index(self, sq4):
         with pytest.raises(BadIndexError):

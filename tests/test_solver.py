@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,8 +25,8 @@ from bnmatch import dp_core
 from bnmatch.geometry import CANDIDATE_ANGLE
 from bnmatch.solver import Polarity
 from conftest import (
-    SKEW4_VALUE, canonical_pairs, dense_necessary, equiangular, forced_stride, parabola_cap,
-    random_polygons, regular, two_arcs,
+    SKEW4_VALUE, canonical_pairs, equiangular, forced_stride, parabola_cap, random_polygons,
+    regular, two_arcs,
 )
 
 approx = pytest.approx
@@ -61,12 +62,12 @@ class TestExamples:
 
 class TestCandidates:
     def test_sq4_empty(self, sq4):
-        assert enumerate_candidates(sq4) == []
+        assert enumerate_candidates(sq4, build_subproblem_table(sq4)) == []
 
     def test_hex6_empty(self, hex6):
         # the three long diagonals have tau exactly 2*pi/3 but tie with
         # edge-only matchings, so none is forced
-        assert enumerate_candidates(hex6) == []
+        assert enumerate_candidates(hex6, build_subproblem_table(hex6)) == []
 
     def test_invariants_on_random_instances(self):
         for mode in ("circle", "valtr", "cluster3"):
@@ -81,7 +82,7 @@ class TestCandidates:
                         m = (c.j - c.i) % n + 1
                         assert m % 2 == 0
                         assert 4 <= m <= n - 2
-                        assert dense_necessary(T)[m // 2, c.i]
+                        assert [m // 2, c.i] in T.necessary.tolist()
                         assert c.tau <= CANDIDATE_ANGLE + 1e-9
                         assert c.tau == approx(turning_angle(P, c.i, c.j))
                         assert (c.i, c.j) not in seen
@@ -94,7 +95,7 @@ class TestCandidates:
             for n in (10, 14, 16):
                 for seed in range(10):
                     P = generate(GenSpec(n, mode, seed))
-                    cands = enumerate_candidates(P, annotate=True)
+                    cands = enumerate_candidates(P, build_subproblem_table(P), annotate=True)
                     for pol in (Polarity.NEGATIVE, Polarity.POSITIVE):
                         poles = [c.pole for c in cands if c.polarity is pol]
                         annotated += len(poles)
@@ -103,14 +104,17 @@ class TestCandidates:
 
     def test_unannotated_polarity_is_unknown(self):
         P = gen_cluster3(12, 3)
-        cands = enumerate_candidates(P, annotate=False)
+        cands = enumerate_candidates(P, build_subproblem_table(P), annotate=False)
         assert cands and all(c.polarity is Polarity.UNKNOWN for c in cands)
         assert all(c.pole is None for c in cands)
 
     def test_flag_cap_drops_no_candidate(self):
-        # the table tests necessity only up to the last row at which an arc
-        # turns by at most 2*pi/3 (+ slack); flags in every row 2 <= k < n/2
-        # give the same candidates and the same answer
+        # the table tests necessity only up to the last row any start
+        # reaches, and keeps a necessary arc only if its start reaches its
+        # row (its arc turns by at most 2*pi/3 + slack). A reach of n/2 - 1
+        # everywhere keeps every necessary diagonal: those whose start
+        # reaches their row are the same pairs in the same order, and the
+        # others, searched as candidates too, give the same value
         dropped = 0
         for coords in (
             *(f(n) for f in (regular, equiangular) for n in (6, 12, 36, 96)),
@@ -119,13 +123,14 @@ class TestCandidates:
         ):
             P = validate_convex_ccw(coords)
             T = build_subproblem_table(P)
-            capped = (enumerate_candidates(P, T), _report_key(solve(P)))
-            with mock.patch.object(dp_core, "last_candidate_row", lambda P: P.n // 2 - 1):
+            value = solve(P).value
+            reach = dp_core.candidate_reach(P)
+            with mock.patch.object(dp_core, "candidate_reach", lambda P: np.full(P.n, P.n // 2 - 1)):
                 U = build_subproblem_table(P)
-                uncapped = (enumerate_candidates(P, U), _report_key(solve(P)))
-            assert capped == uncapped, P.n
-            assert set(T.necessary_rows.tolist()) <= set(U.necessary_rows.tolist())
-            dropped += len(U.necessary_rows) - len(T.necessary_rows)
+                assert solve(P).value.hex() == value.hex(), P.n
+            k, s = U.necessary.T
+            assert U.necessary[k <= reach[s]].tolist() == T.necessary.tolist(), P.n
+            dropped += len(U.necessary) - len(T.necessary)
         assert dropped > 0
 
     def test_uniform_polarity_counterexample(self):
@@ -150,7 +155,7 @@ class TestCandidates:
         with_pair = max(sq_dist(P, 5, 2), sq_dist(P, 0, 1))
         without_pair = max(sq_dist(P, 5, 0), sq_dist(P, 1, 2))
         assert with_pair < without_pair * 0.95
-        assert dense_necessary(T)[2, 5]
+        assert [2, 5] in T.necessary.tolist()
 
         pts = P.coords()
         labels = [classify_polarity_region(pts[5], pts[2], pts[t]) for t in (0, 1)]
@@ -204,7 +209,7 @@ class TestReportIntegrity:
     def test_candidate_count_matches_enumeration(self):
         P = gen_cluster3(14, 5)
         rep = solve(P)
-        assert rep.candidate_count == len(enumerate_candidates(P))
+        assert rep.candidate_count == len(enumerate_candidates(P, build_subproblem_table(P)))
 
 
 class TestInvariance:
@@ -335,6 +340,23 @@ class TestCheckpointStride:
         default = _report_key(solve(P))
         assert default[2] == "three-cascade"
         assert _solve_at_stride(P, 1) == default
+
+    def test_candidate_values_replay_in_chunks(self):
+        # a parabola cap has about n/15 candidates (274 here), whose values
+        # solve reads in one chunked replay: beyond the kept value rows its
+        # traced peak stays O(n). Measured 171 B/point; one replay of all
+        # 274 windows at once took 864
+        n = 4096
+        P = validate_convex_ccw(parabola_cap(n))
+        with forced_stride(math.isqrt(n // 2)):
+            table = build_subproblem_table(P).S.nbytes
+            tracemalloc.start()
+            try:
+                solve(P)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - table <= 256 * n, (peak - table) / n
 
     @pytest.mark.parametrize("mode", ["valtr", "cluster3"])
     def test_solve_memory_per_table_entry(self, mode):
