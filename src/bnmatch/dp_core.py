@@ -224,12 +224,13 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     The coordinates are kept twice over in one (2, 2n) float64 array, x
     above y, the edge lengths likewise, and the latest row in one buffer of
     length n+2 that repeats its first two entries at the end, so every
-    cyclic shift above is a slice view. Each row is computed with ``out=``
+    cyclic shift above is a slice view; the views that do not move with k
+    are made once, before the loop. Each row is computed with ``out=``
     ufuncs into reused temporaries and that buffer (overwriting the
     previous row once the three moves have read it), so the loop allocates
     only the kept (k, start) pairs. d2 is three calls on contiguous (2, n)
-    blocks: subtract, square in place, add the x and y halves, the float
-    operations of dx*dx + dy*dy. Those and the rest
+    blocks, written in the loop: subtract, square in place, add the x and
+    y halves, the float operations of dx*dx + dy*dy. Those and the rest
     (min(pair, min(left, right)), other * (1 - 1e-9)) are the recurrence's
     own, in its order, so the values and flags equal a direct
     transcription bit for bit.
@@ -250,50 +251,43 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     xy2[0, :n], xy2[1, :n] = P.xs, P.ys
     xy2[:, n:] = xy2[:, :n]
     xy = xy2[:, :n]
-    dxy = np.empty((2, n))
-    dx, dy = dxy
-    a = np.empty(n)
-    b = np.empty(n)
+    dx, dy = dxy = np.empty((2, n))
+    a, b = np.empty((2, n))
     p = np.empty(n, dtype=bool)
     buf = np.empty(n + 2)  # the latest row, then its entries 0 and 1 again
-    row = buf[:n]
+    # its fixed views: the row, the row from s+1 and s+2, the repeat, its source
+    row, row1, row2, tail, head = buf[:n], buf[1:n + 1], buf[2:], buf[n:], buf[:2]
 
-    def sq_dist_to(off: int, out: np.ndarray) -> np.ndarray:
-        """d2(s, s+off) for every s into ``out``."""
-        np.subtract(xy2[:, off:off + n], xy, out=dxy)
-        np.multiply(dxy, dxy, out=dxy)
-        return np.add(dx, dy, out=out)
+    edge2 = np.add(*np.square(xy2[:, 1:n + 1] - xy))  # d2(s, s+1), as the rows compute d2
+    edge2_twice = np.concatenate((edge2, edge2))
+    row[:], tail[:] = edge2, edge2[:2]
+    if stride == 1:
+        S[1] = row
+    # size 2: all three moves coincide, so the pair is never forced
 
-    def finish_row(k: int) -> None:
-        """Repeat row k's first entries after it; keep it if a checkpoint."""
-        buf[n:] = row[:2]
+    # ufuncs as locals, out= by position where allowed: at small n lookups and keywords show
+    sub, mul, add, maximum, minimum = np.subtract, np.multiply, np.add, np.maximum, np.minimum
+    for k in range(2, half + 1):
+        m = 2 * k
+        sub(xy2[:, m - 1:m - 1 + n], xy, dxy)  # d2(s, s+m-1) into a
+        mul(dxy, dxy, dxy)
+        pair = maximum(row1, add(dx, dy, a), out=a)
+        left = maximum(row2, edge2, out=b)
+        # the last read of row k-1, which row k overwrites in place from here
+        right = maximum(row, edge2_twice[m - 2:m - 2 + n], out=row)
+        other = minimum(left, right, out=row)
+        if k <= kmax:
+            if below[k] > below[k - 1]:
+                keep[by_reach[below[k - 1]:below[k]]] = 0.0
+            if np.count_nonzero(np.less(pair, mul(other, keep, b), p)):
+                starts = np.flatnonzero(p)
+                necessary.append(np.column_stack((np.full(starts.size, k), starts)))
+        minimum(pair, other, out=row)
+        tail[:] = head
         if k % stride == 0:
             S[k // stride] = row
         elif k == half:
             S[-1] = row
-
-    edge2 = sq_dist_to(1, np.empty(n))
-    edge2_twice = np.concatenate((edge2, edge2))
-    row[:] = edge2
-    finish_row(1)
-    # size 2: all three moves coincide, so the pair is never forced
-
-    for k in range(2, half + 1):
-        m = 2 * k
-        pair = np.maximum(buf[1:n + 1], sq_dist_to(m - 1, a), out=a)
-        left = np.maximum(buf[2:], edge2, out=b)
-        # the last read of row k-1, which row k overwrites in place from here
-        right = np.maximum(row, edge2_twice[m - 2:m - 2 + n], out=row)
-        other = np.minimum(left, right, out=row)
-        if k <= kmax:
-            if below[k] > below[k - 1]:
-                keep[by_reach[below[k - 1]:below[k]]] = 0.0
-            np.multiply(other, keep, out=b)
-            if np.count_nonzero(np.less(pair, b, out=p)):
-                starts = np.flatnonzero(p)
-                necessary.append(np.column_stack((np.full(starts.size, k), starts)))
-        np.minimum(pair, other, out=row)
-        finish_row(k)
 
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
@@ -340,12 +334,16 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
             r0, s0 = (k - 1) // stride * stride, s
             rows = T._block(r0, s, k - r0)
         for kk in range(k, r0, -1):
-            prev, u = rows[kk - 1 - r0], s - s0
+            at, u = rows[kk - 1 - r0].item, s - s0
             j = (s + 2 * kk - 1) % n
             dx, dy = x(j) - x(s), y(j) - y(s)
-            pair = max(prev.item((u + 1) % n), dx * dx + dy * dy)
-            left = max(prev.item((u + 2) % n), e(s))
-            right = max(prev.item(u % n), e(j - 1))
+            # max(a, b) without a call: a unless b > a
+            a, b = at((u + 1) % n), dx * dx + dy * dy
+            pair = b if b > a else a
+            a, b = at((u + 2) % n), e(s)
+            left = b if b > a else a
+            a, b = at(u % n), e(j - 1)
+            right = b if b > a else a
             if not (left < pair or right < pair):
                 pairs.append((s, j))
                 s = (s + 1) % n

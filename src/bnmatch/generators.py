@@ -153,7 +153,7 @@ def gen_cluster3(n: int, seed: int, spread: float = 0.05) -> ConvexPointSet:
     randomly rotated and jittered per seed.
     """
     check_n(n)
-    if spread <= 0 or spread > 0.2:
+    if not 0 < spread <= 0.2:  # NaN fails too
         raise ValueError(f"spread must be in (0, 0.2], got {spread}")
     rng = np.random.default_rng(seed)
     for _ in range(64):
@@ -163,17 +163,17 @@ def gen_cluster3(n: int, seed: int, spread: float = 0.05) -> ConvexPointSet:
         side = math.dist(apexes[0], apexes[1])
         sizes = _corner_sizes(n)
         pts: list[tuple[float, float]] = []
-        for c in range(3):
-            if sizes[c] == 0:
-                continue
-            a = apexes[c]
-            prv = apexes[(c - 1) % 3]
-            nxt = apexes[(c + 1) % 3]
-            u_in = ((a[0] - prv[0]) / side, (a[1] - prv[1]) / side)
-            u_out = ((nxt[0] - a[0]) / side, (nxt[1] - a[1]) / side)
-            pts.extend(_corner_points(rng, a, u_in, u_out, sizes[c], side, spread))
         try:
+            for c in range(3):
+                if sizes[c] == 0:
+                    continue
+                a = apexes[c]
+                prv = apexes[(c - 1) % 3]
+                nxt = apexes[(c + 1) % 3]
+                u_in = ((a[0] - prv[0]) / side, (a[1] - prv[1]) / side)
+                u_out = ((nxt[0] - a[0]) / side, (nxt[1] - a[1]) / side)
+                pts.extend(_corner_points(rng, a, u_in, u_out, sizes[c], side, spread))
             return validate_convex_ccw(pts)
-        except (ValueError,):
+        except (ValueError, ZeroDivisionError):  # a corner cut rounded to a point divides by 0
             continue  # pathological jitter draw; retry with fresh draws
-    raise AssertionError("cluster3 failed to produce a convex instance")
+    raise ValueError(f"cluster3 points collapse at spread {spread} for n = {n} in 64 draws")

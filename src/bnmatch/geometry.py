@@ -81,10 +81,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _first(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
-
-
 def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     """Validate a point sequence as strictly convex, ccw and even-sized.
 
@@ -113,7 +109,7 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     xs, ys = xy.T.copy()
     finite = np.isfinite(xs) & np.isfinite(ys)
     if not finite.all():
-        t = _first(~finite)
+        t = int(np.argmax(~finite))
         raise NonFiniteError(f"({float(xs[t])}, {float(ys[t])})")
     # + 0.0 folds -0.0 into 0.0; a stable sort keeps equal points in index
     # order, so the first repeated point is the smallest later index
@@ -130,20 +126,21 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
         ext = np.array([math.pi, math.pi])
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
-            ux = xs - np.roll(xs, 1)
-            uy = ys - np.roll(ys, 1)
-            vx = np.roll(xs, -1) - xs
-            vy = np.roll(ys, -1) - ys
+            w = np.concatenate((xs[-1:], xs, xs[:1]))  # neighbours as slices; one copy alive
+            ux, vx = xs - w[:-2], w[2:] - xs
+            w = np.concatenate((ys[-1:], ys, ys[:1]))
+            uy, vy = ys - w[:-2], w[2:] - ys
             crosses = ux * vy - uy * vx
             dots = ux * vx + uy * vy
+            del w, ux, uy, vx, vy
         flat = crosses == 0.0
         if flat.any():
-            raise NotStrictlyConvexError(f"collinear triple at vertex {_first(flat)}")
+            raise NotStrictlyConvexError(f"collinear triple at vertex {int(np.argmax(flat))}")
         right = crosses < 0.0
         if right.all():
             raise NotCcwError("all turns are clockwise")
         if right.any():
-            raise NotStrictlyConvexError(f"right turn at vertex {_first(right)}")
+            raise NotStrictlyConvexError(f"right turn at vertex {int(np.argmax(right))}")
         # math.atan2, not np.arctan2: the two differ in the last bit on rare inputs
         ext = np.array(list(map(math.atan2, crosses.tolist(), dots.tolist())))
 

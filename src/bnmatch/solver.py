@@ -121,14 +121,15 @@ def solve(P: ConvexPointSet) -> SolveReport:
     n = P.n
     T = build_subproblem_table(P)
     best_one, best_start = one_cascade_optimum(T)
-    candidates = enumerate_candidates(P, T, annotate=False)
+    candidates = enumerate_candidates(P, T, annotate=False) if len(T.necessary) else []
 
     # the points on each candidate's arc <i, j>, and the arc's value
-    sizes = np.array([(c.j - c.i) % n + 1 for c in candidates], dtype=np.intp)
-    bases = T.values(np.array([c.i for c in candidates], dtype=np.intp), sizes)
+    sizes = [(c.j - c.i) % n + 1 for c in candidates]
+    bases = T.values(np.array([c.i for c in candidates], dtype=np.intp),
+                     np.array(sizes, dtype=np.intp)).tolist() if candidates else []
     best_three = math.inf
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
-    for cand, m1, base in zip(candidates, sizes.tolist(), bases.tolist()):
+    for cand, m1, base in zip(candidates, sizes, bases):
         i, j = cand.i, cand.j
         if base >= best_one or base >= best_three:
             continue  # the max over the split cannot beat the incumbent

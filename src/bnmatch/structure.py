@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, starmap
+from operator import eq
 
 import numpy as np
 
@@ -43,15 +45,11 @@ class Matching:
         return Matching(n, tuple((_index(a), _index(b)) for a, b in pairs))
 
 
-def is_edge(a: int, b: int, n: int) -> bool:
-    return (b - a) % n == 1 or (a - b) % n == 1
-
-
 def classify_pairs(M: Matching) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Split pairs into (edges, diagonals): adjacent mod n vs the rest."""
-    edges, diagonals = [], []
+    """Split pairs into (edges, diagonals): adjacent mod n either way vs the rest."""
+    n, edges, diagonals = M.n, [], []
     for a, b in M.pairs:
-        (edges if is_edge(a, b, M.n) else diagonals).append((a, b))
+        (edges if (b - a) % n in (1, n - 1) else diagonals).append((a, b))
     return edges, diagonals
 
 
@@ -95,20 +93,25 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
     output is meaningful. A perfect non-crossing matching also gets its
     cascade decomposition, from the same sweep that checked it.
     """
-    n = P.n
-    indices_ok = M.n == n and all(  # a bool, float or str index is out of range
-        (type(a) is int or isinstance(a, np.integer))
-        and (type(b) is int or isinstance(b, np.integer))
-        and 0 <= a < n and 0 <= b < n and a != b for a, b in M.pairs
+    n, ends = P.n, list(chain.from_iterable(M.pairs))
+    # a bool, float or str index is out of range; each pass runs in C
+    indices_ok = (
+        M.n == n
+        and all(t is int or issubclass(t, np.integer) for t in set(map(type, ends)))
+        and (not ends or 0 <= min(ends) and max(ends) < n)
+        and not any(starmap(eq, M.pairs))
     )
     if not indices_ok:
         return MatchingReport(False, False, math.nan, None, None)
 
+    ends = np.fromiter(ends, np.intp, len(ends))  # the list is freed here
+    covered = np.zeros(n, dtype=bool)
+    covered[ends] = True
     # n/2 pairs over n distinct ends cover every point once
-    perfect = len(M.pairs) == n // 2 and len({v for pair in M.pairs for v in pair}) == n
+    perfect = len(M.pairs) == n // 2 and bool(covered.all())
     value, longest_pair = math.nan, None
     if M.pairs:
-        a, b = np.array(M.pairs).T
+        a, b = ends.reshape(-1, 2).T
         dx = P.xs[b] - P.xs[a]
         dy = P.ys[b] - P.ys[a]
         d2 = dx * dx + dy * dy

@@ -211,6 +211,16 @@ class TestGenCommand:
         pts = parse_instance(capsys.readouterr().out)
         assert len(pts) == 6
 
+    @pytest.mark.parametrize("spread, message", [
+        ("nan", "spread must be in (0, 0.2], got nan"),
+        ("1e-16", "cluster3 points collapse at spread 1e-16 for n = 8"),
+        ("5e-324", "cluster3 points collapse at spread 5e-324 for n = 8"),
+    ])
+    def test_bad_cluster3_spread_exits_3(self, capsys, spread, message):
+        assert main(["gen", "--n", "8", "--mode", "cluster3", "--spread", spread]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
     def test_round_trip_exact(self, tmp_path, capsys):
         from bnmatch import gen_circle
 
@@ -402,6 +412,10 @@ class TestBenchCommand:
         (["--sizes", "8", "--mode", "cluster3", "--spread", "0.5"],
          "spread must be in (0, 0.2], got 0.5"),
         (["--sizes", "8", "--seed", "-1"], "expected non-negative integer"),
+        (["--sizes", "8", "--mode", "cluster3", "--spread", "nan"],
+         "spread must be in (0, 0.2], got nan"),
+        (["--sizes", "64", "--mode", "cluster3", "--spread", "1e-14"],
+         "cluster3 points collapse at spread 1e-14 for n = 64"),
     ])
     def test_bad_arguments_rejected_before_timing(self, capsys, args, message):
         assert main(["bench"] + args) == 3

@@ -62,6 +62,28 @@ def test_bad_arguments():
         generate(GenSpec(8, "hexgrid", 0))
 
 
+@pytest.mark.parametrize("spread", [math.nan, -math.inf, math.inf, 0.0, -0.0, 0.2000001])
+def test_cluster3_spread_outside_range_rejected(spread):
+    # NaN passed the old two-sided test "spread <= 0 or spread > 0.2"
+    with pytest.raises(ValueError, match=r"spread must be in \(0, 0.2\]"):
+        gen_cluster3(8, 0, spread=spread)
+
+
+@pytest.mark.parametrize("n, spread", [
+    (64, 1e-12), (64, 1e-14),  # every draw rounds to a non-convex polygon
+    (8, 1e-16), (8, 5e-324),   # the corner cut rounds to a point
+    (1024, 1e-9),
+])
+def test_cluster3_collapse_is_a_named_error(n, spread):
+    with pytest.raises(ValueError, match=f"cluster3 points collapse at spread {spread} for n = {n}"):
+        gen_cluster3(n, 1, spread=spread)
+
+
+def test_cluster3_small_spread_still_valid():
+    P = gen_cluster3(64, 1, spread=1e-9)
+    assert P.n == 64
+
+
 def test_circle_keeps_a_first_draw_with_margin():
     # a draw whose gaps all exceed 1e-6 rad is used as drawn
     for n, seed in ((6, 0), (256, 1), (1024, 1)):

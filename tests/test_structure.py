@@ -347,6 +347,15 @@ class TestClassifyPairs:
         edges, diagonals = classify_pairs(M(4, [(0, 3), (1, 2)]))
         assert len(edges) == 2 and not diagonals
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_every_ordered_pair_against_two_sided_rule(self, n):
+        # an edge is adjacent mod n either way round, tested from both ends
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        edges, diagonals = classify_pairs(Matching(n, tuple(pairs)))
+        two_sided = [(a, b) for a, b in pairs if (b - a) % n == 1 or (a - b) % n == 1]
+        assert edges == two_sided
+        assert diagonals == [pair for pair in pairs if pair not in two_sided]
+
 
 class TestCascadeDecomposition:
     def test_all_edges(self, hex6):
