@@ -1,10 +1,10 @@
 """Bottleneck non-crossing matchings of points in convex position.
 
 Find a perfect non-crossing matching minimizing the longest segment, in
-O(n^2 + c*n + s*n^1.5) time for the c candidate diagonals the interval
-table lists, s of which survive the prunes (see `solver`), with an O(n^3)
-baseline and an exhaustive oracle for cross-checking, plus instance
-generators, structural analysis, SVG rendering and a CLI.
+O(n^2 + s*n^1.5) time plus a sort of the c candidate diagonals the
+interval table lists, s of which survive the prunes (see `solver`), with
+an O(n^3) baseline and an exhaustive oracle for cross-checking, plus
+instance generators, structural analysis, SVG rendering and a CLI.
 """
 
 from .baselines import cubic_solve, oracle_enumerate, oracle_solve
@@ -12,10 +12,8 @@ from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimu
 from .generators import GenSpec, gen_circle, gen_cluster3, gen_valtr, generate
 from .geometry import (
     ConvexPointSet,
-    Point,
     PolarityRegion,
     classify_polarity_region,
-    sq_dist,
     turning_angle,
     validate_convex_ccw,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "ConvexPointSet",
     "GenSpec",
     "Matching",
-    "Point",
     "Polarity",
     "PolarityRegion",
     "SolveReport",
@@ -56,7 +53,6 @@ __all__ = [
     "oracle_solve",
     "reconstruct",
     "solve",
-    "sq_dist",
     "turning_angle",
     "validate_convex_ccw",
     "verify_matching",

@@ -24,7 +24,9 @@ the values, replaying one block of rows at a time, in O(size * stride)
 time and O(n + stride^2) scratch. Of the necessary arcs, the table keeps
 the (k, start) of the candidates only, those that turn by at most 2*pi/3
 (``candidate_reach``): none on circle and valtr polygons of n = 256 ..
-8192 (seed 1), three on cluster3, about n/15 on a parabola cap. So the
+8192 (seed 1), three on cluster3, about n/15 on a parabola cap. It also
+keeps each candidate's value, its base, which the fill has at hand where
+it flags the arc: 8 bytes a candidate, and no base is replayed. So the
 table holds no quadratic field.
 
 The fill works on real float64 arrays only: the coordinates are one
@@ -73,8 +75,9 @@ class SubproblemTable:
     the (k, start) of every necessary arc (start, 2k) with 2 <= k <=
     ``candidate_reach(P)[start]``, a diagonal whose arc turns by at most
     2*pi/3 (+ slack): the candidates, by increasing k, then start.
-    ``S`` holds the value rows k = 0, stride, 2*stride, ... and, last, the
-    full-circle row k = n/2; read any value with ``values`` or
+    ``bases[c]`` is the value of the arc ``necessary[c]``, bit for bit the
+    stride-1 table's. ``S`` holds the value rows k = 0, stride, 2*stride,
+    ... and, last, the full-circle row k = n/2; read any other value with
     ``arc_values``; a replay needs the coordinates ``xs`` and ``ys`` and
     the fill's squared edge lengths ``edge2``.
     """
@@ -84,32 +87,10 @@ class SubproblemTable:
     S: np.ndarray          # float64, the kept value rows, each of length n
     choice: np.ndarray     # uint8, shape (0, n): empty, see above
     necessary: np.ndarray  # intp, shape (c, 2): the (k, start) of each candidate arc
+    bases: np.ndarray      # float64, shape (c,): the value of each candidate arc
     xs: np.ndarray
     ys: np.ndarray
     edge2: np.ndarray      # float64, d2(s, s+1) for every start s
-
-    def _check(self, start: int, size: int) -> None:
-        if not 0 <= start < self.n:
-            raise BadDomainError(f"start {start} outside [0, {self.n})")
-        if size % 2 != 0 or not 0 <= size <= self.n:
-            raise BadDomainError(f"size {size} not even in [0, {self.n}]")
-
-    def values(self, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """Values of the arcs of ``sizes[t]`` starting at ``starts[t]``, bit
-        for bit the stride-1 table's. Each is replayed on a window of its
-        own, at most n/(2*stride) windows a ``_replay`` call: O(n) scratch.
-        """
-        for start, size in zip(starts.tolist(), sizes.tolist()):
-            self._check(start, size)
-        k = sizes // 2
-        d = k % self.stride
-        out = np.empty(len(starts))
-        per_call = max(1, self.n // (2 * self.stride))
-        for c in range(0, len(starts), per_call):
-            cut = slice(c, c + per_call)
-            first, _ = self._replay(k[cut] - d[cut], starts[cut], int(d[cut].max()))
-            out[cut] = first[np.arange(first.shape[0]), d[cut]]
-        return out
 
     def arc_values(self, start: int, end: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Values of the arcs of sizes 0, 2, ..., 2*kmax (kmax <= n/2) that
@@ -213,7 +194,8 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     it wins by more than a relative 1e-9. That is tested only in the rows
     k <= max(``candidate_reach(P)``) and, at a start s, only while k <=
     reach[s]: past that the pair would have to beat 0, which it never does,
-    so each arc the test flags is a candidate.
+    so each arc the test flags is a candidate. There the row's value is
+    the pair's, and the fill stores it with the arc's (k, start).
 
     The value rows kept are sizes 2k with k % stride == 0, for the stride
     ``checkpoint_stride(n)`` picks, and the full circle: 8 bytes per entry
@@ -228,18 +210,19 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     are made once, before the loop. Each row is computed with ``out=``
     ufuncs into reused temporaries and that buffer (overwriting the
     previous row once the three moves have read it), so the loop allocates
-    only the kept (k, start) pairs. d2 is three calls on contiguous (2, n)
-    blocks, written in the loop: subtract, square in place, add the x and
-    y halves, the float operations of dx*dx + dy*dy. Those and the rest
-    (min(pair, min(left, right)), other * (1 - 1e-9)) are the recurrence's
-    own, in its order, so the values and flags equal a direct
-    transcription bit for bit.
+    only the kept (k, start) pairs and their values. d2 is three calls on
+    contiguous (2, n) blocks, written in the loop: subtract, square in
+    place, add the x and y halves, the float operations of dx*dx + dy*dy.
+    Those and the rest (min(pair, min(left, right)), other * (1 - 1e-9))
+    are the recurrence's own, in its order, so the values, flags and bases
+    equal a direct transcription bit for bit.
     """
     n = P.n
     half = n // 2
     stride = checkpoint_stride(n)
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     necessary = [np.empty((0, 2), dtype=np.intp)]  # the (k, start) pairs of each row
+    bases = [np.empty(0)]  # their values
     reach = candidate_reach(P)
     kmax = int(reach.max())  # no row above it holds a candidate
     by_reach = np.argsort(reach)
@@ -282,6 +265,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
             if np.count_nonzero(np.less(pair, mul(other, keep, b), p)):
                 starts = np.flatnonzero(p)
                 necessary.append(np.column_stack((np.full(starts.size, k), starts)))
+                bases.append(pair[starts])  # the row's value wherever the pair is forced
         minimum(pair, other, out=row)
         tail[:] = head
         if k % stride == 0:
@@ -291,7 +275,8 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
 
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
-        necessary=np.concatenate(necessary), xs=P.xs, ys=P.ys, edge2=edge2,
+        necessary=np.concatenate(necessary), bases=np.concatenate(bases),
+        xs=P.xs, ys=P.ys, edge2=edge2,
     )
 
 
@@ -321,8 +306,11 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
     replay from row r0 gives. That is O(size * stride) time and
     O(n + stride^2) scratch.
     """
-    T._check(start, size)
     n, stride = T.n, T.stride
+    if not 0 <= start < n:
+        raise BadDomainError(f"start {start} outside [0, {n})")
+    if size % 2 != 0 or not 0 <= size <= n:
+        raise BadDomainError(f"size {size} not even in [0, {n}]")
     x, y, e = T.xs.item, T.ys.item, T.edge2.item
     pairs: list[tuple[int, int]] = []
     s, k = start, size // 2

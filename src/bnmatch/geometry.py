@@ -1,4 +1,4 @@
-"""Point primitives, convex-position validation, distances and turning angles.
+"""Convex-position validation, turning angles and polarity regions.
 
 All length comparisons throughout the package are done on squared distances
 (min/max are preserved under squaring); square roots are taken only when a
@@ -32,19 +32,6 @@ SQ_REL_TOL = 2e-9         # relative, on squared distances (~1e-9 on lengths)
 TWO_PI = 2.0 * math.pi
 CANDIDATE_ANGLE = 2.0 * math.pi / 3.0
 ANGLE_SLACK = 1e-9  # widening the candidate angle test can only add candidates
-
-
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-
-def _as_point(p) -> Point:
-    if isinstance(p, Point):
-        return p
-    x, y = p
-    return Point(float(x), float(y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +79,7 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     """
     if not isinstance(points, np.ndarray):
         points = list(points)
-    try:
-        xy = np.array(points, dtype=np.float64)
-    except TypeError:  # Point objects
-        points = [(p.x, p.y) if isinstance(p, Point) else p for p in points]
-        xy = np.array(points, dtype=np.float64)
+    xy = np.array(points, dtype=np.float64)
     if xy.size == 0:
         xy = xy.reshape(0, 2)
     if xy.ndim != 2 or xy.shape[1] != 2:
@@ -142,7 +125,7 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
         if right.any():
             raise NotStrictlyConvexError(f"right turn at vertex {int(np.argmax(right))}")
         # math.atan2, not np.arctan2: the two differ in the last bit on rare inputs
-        ext = np.array(list(map(math.atan2, crosses.tolist(), dots.tolist())))
+        ext = np.fromiter(map(math.atan2, crosses.tolist(), dots.tolist()), np.float64, n)
 
     cum2 = np.zeros(2 * n + 1)
     np.cumsum(np.concatenate((ext, ext)), out=cum2[1:])
@@ -211,15 +194,6 @@ def candidate_reach(P: ConvexPointSet) -> np.ndarray:
     return np.minimum((x - a) // 2 + 1, n // 2 - 1)
 
 
-def sq_dist(P: ConvexPointSet, i: int, j: int) -> float:
-    """Squared Euclidean distance between vertices i and j."""
-    _check_index(P, i)
-    _check_index(P, j)
-    dx = P.xs[j] - P.xs[i]
-    dy = P.ys[j] - P.ys[i]
-    return float(dx * dx + dy * dy)
-
-
 class PolarityRegion(Enum):
     """Where a point sits relative to a directed segment's polarity areas.
 
@@ -245,16 +219,15 @@ def classify_polarity_region(vi, vj, p) -> PolarityRegion:
     The cap is the region right of the line and inside the circle through
     vi and vj of radius d/sqrt(3) centered right of the line. Distance ties
     (equal to d within tolerance) classify as NEUTRAL; points on the cap
-    boundary count as inside.
+    boundary count as inside. Each point is an (x, y) pair, read as Python
+    floats.
     """
-    vi = _as_point(vi)
-    vj = _as_point(vj)
-    p = _as_point(p)
-    ex, ey = vj.x - vi.x, vj.y - vi.y
+    (xi, yi), (xj, yj), (px, py) = (map(float, q) for q in (vi, vj, p))
+    ex, ey = xj - xi, yj - yi
     dd = ex * ex + ey * ey
     if dd == 0.0:
         raise DegenerateSegmentError("vi == vj")
-    cross = ex * (p.y - vi.y) - ey * (p.x - vi.x)
+    cross = ex * (py - yi) - ey * (px - xi)
     # |cross| = d * (perpendicular distance); relative test on that product
     if abs(cross) <= 1e-9 * dd:
         return PolarityRegion.ON_LINE
@@ -263,14 +236,14 @@ def classify_polarity_region(vi, vj, p) -> PolarityRegion:
     d = math.sqrt(dd)
     # cap circle: radius d/sqrt(3), center right of the line at the
     # inscribed-angle position for pi/3
-    cx = (vi.x + vj.x) / 2.0 + ey / (2.0 * math.sqrt(3.0))
-    cy = (vi.y + vj.y) / 2.0 - ex / (2.0 * math.sqrt(3.0))
+    cx = (xi + xj) / 2.0 + ey / (2.0 * math.sqrt(3.0))
+    cy = (yi + yj) / 2.0 - ex / (2.0 * math.sqrt(3.0))
     rr = dd / 3.0
-    pcx, pcy = p.x - cx, p.y - cy
+    pcx, pcy = px - cx, py - cy
     if pcx * pcx + pcy * pcy > rr * (1.0 + SQ_REL_TOL):
         return PolarityRegion.OUTSIDE_CAP
-    dix, diy = p.x - vi.x, p.y - vi.y
-    djx, djy = p.x - vj.x, p.y - vj.y
+    dix, diy = px - xi, py - yi
+    djx, djy = px - xj, py - yj
     di2 = dix * dix + diy * diy
     dj2 = djx * djx + djy * djy
     if di2 > dd * (1.0 + SQ_REL_TOL):

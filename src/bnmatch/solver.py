@@ -6,13 +6,11 @@ at most one chain), and a search over 3-chain matchings assembled from
 three table entries. The 3-chain search only fixes pairs (i, j) that are
 *candidates* - pairs forced into every optimum of their own subproblem and
 spanning a turning angle of at most 2*pi/3; at most ~2n of them exist, and
-the table lists them. Each candidate costs O(n): its turning angle, read
-off the angle prefix sums, and its value, one window of the table's
-chunked replay (about n/2 entry updates). Each of the s candidates that
-survive the prunes costs one arc_values call on top (about
-n*sqrt(n/2)), so with c candidates the search takes
-O(n^2 + c*n + s*n^1.5), Theta(n^2.5) if s = Theta(n); every generator
-gives s <= 3.
+the table lists them with their values, so a candidate costs O(1) beyond
+the fill and one sort. Each of the s candidates that survive the prunes
+costs one arc_values call (about n*sqrt(n/2)), so the search takes
+O(n^2 + s*n^1.5) plus a sort of the c candidates, Theta(n^2.5) if
+s = Theta(n); every generator gives s <= 3.
 """
 from __future__ import annotations
 
@@ -110,8 +108,8 @@ def enumerate_candidates(
 
 
 def solve(P: ConvexPointSet) -> SolveReport:
-    """Find a bottleneck non-crossing perfect matching in O(n^2 + c*n + s*n^1.5)
-    for c candidates, s of which survive the prunes.
+    """Find a bottleneck non-crossing perfect matching in O(n^2 + s*n^1.5),
+    plus a sort of the c candidates, s of which survive the prunes.
 
     Ties between the two branches go to the one-cascade branch; within the
     3-chain search the lexicographically smallest achieving (i, j, k) wins.
@@ -121,16 +119,16 @@ def solve(P: ConvexPointSet) -> SolveReport:
     n = P.n
     T = build_subproblem_table(P)
     best_one, best_start = one_cascade_optimum(T)
-    candidates = enumerate_candidates(P, T, annotate=False) if len(T.necessary) else []
 
-    # the points on each candidate's arc <i, j>, and the arc's value
-    sizes = [(c.j - c.i) % n + 1 for c in candidates]
-    bases = T.values(np.array([c.i for c in candidates], dtype=np.intp),
-                     np.array(sizes, dtype=np.intp)).tolist() if candidates else []
+    # the candidates (i, j) in order, the points on each arc <i, j>, and its value
+    k, i = T.necessary.T
+    j = (i + 2 * k - 1) % n
+    order = np.lexsort((j, i))
+    candidates = zip(i[order].tolist(), j[order].tolist(), (2 * k[order]).tolist(),
+                     T.bases[order].tolist())
     best_three = math.inf
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
-    for cand, m1, base in zip(candidates, sizes, bases):
-        i, j = cand.i, cand.j
+    for i, j, m1, base in candidates:
         if base >= best_one or base >= best_three:
             continue  # the max over the split cannot beat the incumbent
         rest = n - m1
@@ -176,7 +174,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
     return SolveReport(
         value=value,
         matching=matching,
-        candidate_count=len(candidates),
+        candidate_count=len(T.necessary),
         cascades=report.decomposition.cascade_count,
         structure=report.decomposition.structure,
     )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from bnmatch import dp_core, gen_cluster3, validate_convex_ccw
+from bnmatch.geometry import _check_index
 
 DEG = math.pi / 180.0
 
@@ -23,6 +24,15 @@ SKEW4_VALUE = 2.0 * math.cos(10 * DEG)
 def canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
     """Order-independent form: sorted (min, max) pairs, for comparisons."""
     return tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+
+
+def sq_dist(P, i: int, j: int) -> float:
+    """Squared distance between vertices i and j of P: the tests' reference."""
+    _check_index(P, i)
+    _check_index(P, j)
+    dx = P.xs[j] - P.xs[i]
+    dy = P.ys[j] - P.ys[i]
+    return float(dx * dx + dy * dy)
 
 
 def segments_cross(a: int, b: int, c: int, d: int, n: int) -> bool:

@@ -212,28 +212,29 @@ def test_c07_catalan_counts():
     _ok("C7", f"enumeration counts {got}")
 
 
+def _interleaved_medians(fn, sizes, reps=3):
+    """Median wall time of fn(gen_circle(n, rep)) per size n, over ``reps``
+    rounds that each time every size once: a change of CPU speed during the
+    run then hits every size alike rather than bending the slope."""
+    times = {n: [] for n in sizes}
+    for rep in range(reps):
+        for n in sizes:
+            P = gen_circle(n, rep)
+            t0 = time.perf_counter()
+            fn(P)
+            times[n].append(time.perf_counter() - t0)
+    return [statistics.median(times[n]) for n in sizes]
+
+
 def test_c08_complexity_separation():
     solve(gen_circle(256, 0))  # warm-up
 
     solve_sizes = (512, 1024, 2048, 4096)
-    solve_medians = []
-    for n in solve_sizes:
-        times = []
-        for rep in range(3):
-            P = gen_circle(n, rep)
-            t0 = time.perf_counter()
-            solve(P)
-            times.append(time.perf_counter() - t0)
-        solve_medians.append(statistics.median(times))
+    solve_medians = _interleaved_medians(solve, solve_sizes)
     solve_slope = float(np.polyfit(np.log(solve_sizes), np.log(solve_medians), 1)[0])
 
     cubic_sizes = (128, 256, 512)
-    cubic_medians = []
-    for n in cubic_sizes:
-        P = gen_circle(n, 1)
-        t0 = time.perf_counter()
-        cubic_solve(P)
-        cubic_medians.append(time.perf_counter() - t0)
+    cubic_medians = _interleaved_medians(cubic_solve, cubic_sizes)
     cubic_slope = float(np.polyfit(np.log(cubic_sizes), np.log(cubic_medians), 1)[0])
 
     assert solve_slope <= 2.5, (solve_slope, solve_medians)

@@ -11,7 +11,6 @@ from bnmatch import (
     generate,
     oracle_enumerate,
     oracle_solve,
-    sq_dist,
     turning_angle,
     validate_convex_ccw,
     verify_matching,
@@ -19,7 +18,7 @@ from bnmatch import (
 from bnmatch.baselines import _fill_cubic, _sq_dist_matrix
 from bnmatch.errors import OddCountError, TooLargeError
 from bnmatch.structure import classify_pairs, Matching
-from conftest import SKEW4_VALUE, canonical_pairs
+from conftest import SKEW4_VALUE, canonical_pairs, sq_dist
 
 approx = pytest.approx
 

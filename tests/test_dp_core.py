@@ -23,7 +23,6 @@ from bnmatch import (
     one_cascade_optimum,
     oracle_enumerate,
     reconstruct,
-    sq_dist,
     turning_angle,
     validate_convex_ccw,
 )
@@ -33,7 +32,8 @@ from bnmatch.geometry import (
     ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns, candidate_reach,
 )
 from conftest import (
-    SKEW4_VALUE, equiangular, forced_stride, parabola_cap, random_polygons, regular, two_arcs,
+    SKEW4_VALUE, equiangular, forced_stride, parabola_cap, random_polygons, regular, sq_dist,
+    two_arcs,
 )
 
 approx = pytest.approx
@@ -140,11 +140,9 @@ def _instances():
 
 
 def _all_values(T):
-    """Every value of T from one ``values`` call: entry [s, k] is that of
-    the arc (s, 2k)."""
-    half = T.n // 2
-    starts, k = np.divmod(np.arange(T.n * (half + 1)), half + 1)
-    return T.values(starts, 2 * k).reshape(T.n, half + 1)
+    """Every value of T, one ``arc_values`` call per start: entry [s, k] is
+    that of the arc (s, 2k)."""
+    return np.array([T.arc_values(s, s, T.n // 2)[0] for s in range(T.n)])
 
 
 class TestTableBasics:
@@ -156,14 +154,15 @@ class TestTableBasics:
 
     def test_sq4_entries(self, sq4):
         T = build_subproblem_table(sq4)
-        _, choice, necessary = _roll_fill(sq4)
-        assert T.values(np.array([0, 1]), np.array([2, 4])).tolist() == [1.0, 1.0]
+        S, choice, necessary = _roll_fill(sq4)
+        V = _all_values(T)
+        assert [V[0, 1], V[1, 2]] == [1.0, 1.0]
         # the closing pair ties with the edge moves, so it is not forced
         assert not necessary[2, 0]
         assert choice[2, 0] == USE_PAIR
         assert reconstruct(T, 0, 4) == _walk(choice, 0, 4) == [(0, 3), (1, 2)]
         # the full circle holds no diagonal: candidates lie below it only
-        _assert_pairs_match(sq4, T, necessary)
+        _assert_pairs_match(sq4, T, S, necessary)
 
     def test_skew4_full_circle(self, skew4):
         T = build_subproblem_table(skew4)
@@ -172,15 +171,11 @@ class TestTableBasics:
 
     def test_empty_interval_value(self, sq4):
         T = build_subproblem_table(sq4)
-        assert T.values(np.array([2]), np.array([0])).tolist() == [0.0]
+        assert _all_values(T)[2, 0] == 0.0
 
     def test_bad_domain(self, sq4):
-        # values and reconstruct share one check; one bad arc among good
-        # ones is enough
         T = build_subproblem_table(sq4)
         for start, size in ((0, 3), (4, 2), (0, 6), (0, 5), (-1, 2), (0, -2)):
-            with pytest.raises(BadDomainError):
-                T.values(np.array([1, start, 0]), np.array([2, size, 4]))
             with pytest.raises(BadDomainError):
                 reconstruct(T, start, size)
 
@@ -268,8 +263,8 @@ class TestAgainstConstrainedBruteForce:
             n = P.n
             T = build_subproblem_table(P)
             V = _all_values(T)
-            _, choice, necessary = _roll_fill(P)
-            _assert_pairs_match(P, T, necessary)
+            S, choice, necessary = _roll_fill(P)
+            _assert_pairs_match(P, T, S, necessary)
             for start in range(n):
                 for size in range(2, n + 1, 2):
                     assert reconstruct(T, start, size) == _walk(choice, start, size)
@@ -349,14 +344,17 @@ def _assert_walks_match(T, choice, arcs):
         assert reconstruct(T, start, size) == _walk(choice, start, size), (T.stride, start, size)
 
 
-def _assert_pairs_match(P, T, necessary):
+def _assert_pairs_match(P, T, S, necessary):
     """T lists, by k then start, the (k, start) of exactly the reference's
-    necessary arcs (start, 2k) with 2 <= k < n/2 and k <= reach[start]."""
+    necessary arcs (start, 2k) with 2 <= k < n/2 and k <= reach[start],
+    and their bases, the reference's values S[k, start] bit for bit."""
     half = P.n // 2
     k = np.arange(half)[:, None]
     keep = necessary[:half] & (k >= 2) & (k <= candidate_reach(P))
     assert T.necessary.dtype == np.intp and T.necessary.shape[1:] == (2,)
     assert T.necessary.tolist() == np.argwhere(keep).tolist()
+    assert T.bases.dtype == np.float64 and T.bases.shape == (len(T.necessary),)
+    assert T.bases.tobytes() == S[tuple(T.necessary.T)].tobytes()
 
 
 def _assert_matches_roll_fill(P):
@@ -366,7 +364,7 @@ def _assert_matches_roll_fill(P):
     assert T.S.shape == S.shape and T.S.dtype == np.float64
     assert T.choice.dtype == np.uint8 and T.choice.shape == (0, n)
     assert T.S.tobytes() == S.tobytes()
-    _assert_pairs_match(P, T, necessary)
+    _assert_pairs_match(P, T, S, necessary)
     # the moves along every full-circle walk and every walk from start 0
     arcs = [(s, n) for s in range(n)] + [(0, 2 * k) for k in range(half + 1)]
     _assert_walks_match(T, choice, arcs)
@@ -520,7 +518,7 @@ def test_fill_and_candidates_on_random_polygons(coords):
 
 def test_fill_scratch_memory_per_point():
     # the fill's own working memory is O(n): everything tracemalloc sees
-    # beyond the three tables stays under 128 bytes per point
+    # beyond the tables stays under 128 bytes per point
     n = 2048
     P = generate(GenSpec(n, "valtr", 3))
     tracemalloc.start()
@@ -529,19 +527,20 @@ def test_fill_scratch_memory_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = T.S.nbytes + T.necessary.nbytes
+    tables = T.S.nbytes + T.necessary.nbytes + T.bases.nbytes
     assert peak - tables <= 128 * n, (peak - tables) / n
 
 
 def test_table_and_reconstruct_memory_sub_quadratic():
-    # no field grows as n^2: values at about 8n * sqrt(n/2) bytes, 16 bytes
-    # per candidate, no move tags; a walk over the full circle replays one
+    # no field grows as n^2: values at about 8n * sqrt(n/2) bytes, 24 bytes
+    # per candidate (its k, start and base), no move tags; a walk over the full circle replays one
     # block at a time
     n = 8192
     P = generate(GenSpec(n, "valtr", 3))
     T = build_subproblem_table(P)
     assert T.choice.nbytes == 0
-    assert T.S.nbytes + T.necessary.nbytes <= 8 * n * (math.sqrt(n / 2) + 2) + 16 * len(T.necessary)
+    tables = T.S.nbytes + T.necessary.nbytes + T.bases.nbytes
+    assert tables <= 8 * n * (math.sqrt(n / 2) + 2) + 24 * len(T.necessary)
     _, start = one_cascade_optimum(T)
     tracemalloc.start()
     try:
@@ -560,13 +559,11 @@ def _assert_stride_matches_dense(P, stride):
     with forced_stride(stride):
         T = build_subproblem_table(P)
     assert T.stride == stride and D.S.shape == (half + 1, n)
-    _, choice, necessary = _roll_fill(P)
-    _assert_pairs_match(P, T, necessary)
+    S, choice, necessary = _roll_fill(P)
+    _assert_pairs_match(P, T, S, necessary)
     _assert_walks_match(T, choice, [(s, m) for s in range(n) for m in range(0, n + 1, 2)])
     kept = sorted({*range(0, half + 1, stride), half})
     assert T.S.tobytes() == D.S[kept].tobytes()
-    # all values in one call: n/(2*stride) windows a replay, so many chunks
-    assert _all_values(T).tobytes() == _all_values(D).tobytes() == D.S.T.tobytes()
     # every anchor at the longest slice, and every slice length at some anchor
     reads = [(a, half) for a in range(n)] + [(kmax % n, kmax) for kmax in range(half + 1)]
     for anchor, kmax in reads:

@@ -7,13 +7,11 @@ import pytest
 
 from bnmatch import (
     GenSpec,
-    Point,
     PolarityRegion,
     classify_polarity_region,
     gen_circle,
     gen_valtr,
     generate,
-    sq_dist,
     turning_angle,
     validate_convex_ccw,
 )
@@ -28,7 +26,7 @@ from bnmatch.errors import (
     TooFewError,
 )
 from bnmatch.geometry import arc_turns
-from conftest import SQ4_COORDS
+from conftest import SQ4_COORDS, sq_dist
 
 approx = pytest.approx
 
@@ -134,10 +132,11 @@ class TestArrayRepresentation:
         assert _bits(got) == _bits(want)
 
     def test_scratch_memory_per_point(self):
-        # beyond the four arrays it returns, validation peaks while the
-        # atan2 lists are built: 140 bytes per point on a list of 4096
-        # points. Keeping the coordinate differences or both wrapped copies
-        # alive until then would add 32 or 16
+        # beyond the four arrays it returns, validation peaks while atan2
+        # maps its two input lists: 116 bytes per point on a list of 4096
+        # points. A list of the angles before the array would add 24, and
+        # keeping the coordinate differences or both wrapped copies alive
+        # until then would add 32 or 16
         n = 4096
         coords = gen_circle(n, 1).coords()
         tracemalloc.start()
@@ -147,7 +146,7 @@ class TestArrayRepresentation:
         finally:
             tracemalloc.stop()
         kept = P.xs.nbytes + P.ys.nbytes + P.ext.nbytes + P._ext_cum2.nbytes
-        assert peak - kept <= 150 * n, (peak - kept) / n
+        assert peak - kept <= 125 * n, (peak - kept) / n
 
     @pytest.mark.parametrize(
         "points,cls,message",
@@ -209,7 +208,6 @@ class TestArrayRepresentation:
             tuple(SQ4_COORDS),
             np.array(SQ4_COORDS),
             (p for p in SQ4_COORDS),
-            [Point(x, y) for x, y in SQ4_COORDS],
         ):
             assert validate_convex_ccw(pts).coords() == expect
 
@@ -341,6 +339,13 @@ class TestPolarity:
     def test_negative(self):
         assert self.classify((-0.05, -0.35)) is PolarityRegion.NEGATIVE
 
+    def test_numpy_scalars_take_float_math(self):
+        # solve's annotation passes NumPy scalars; read as Python floats
+        # they overflow to inf without NumPy's warning
+        big = np.float64(1e200)
+        got = classify_polarity_region((big, big), (-big, big), (np.float64(0.0), big / 2))
+        assert got is classify_polarity_region((1e200, 1e200), (-1e200, 1e200), (0.0, 5e199))
+
     def test_left_and_on_line(self):
         assert self.classify((0.5, 0.4)) is PolarityRegion.LEFT_OF_LINE
         assert self.classify((0.5, 0.0)) is PolarityRegion.ON_LINE
@@ -380,7 +385,3 @@ class TestPolarity:
 
                 got = classify_polarity_region(move(self.VI), move(self.VJ), move(p))
                 assert got is base, (p, ang, scale)
-
-    def test_accepts_point_objects(self):
-        r = classify_polarity_region(Point(0, 0), Point(1, 0), Point(0.85, -0.3))
-        assert r is PolarityRegion.NEUTRAL

@@ -26,7 +26,7 @@ from bnmatch.geometry import CANDIDATE_ANGLE
 from bnmatch.solver import Polarity
 from conftest import (
     SKEW4_VALUE, canonical_pairs, equiangular, forced_stride, parabola_cap, random_polygons,
-    regular, two_arcs,
+    regular, sq_dist, two_arcs,
 )
 
 approx = pytest.approx
@@ -139,7 +139,7 @@ class TestCandidates:
         # uniquely optimal through the pair, tau well under 2*pi/3) whose
         # interior holds one strictly neutral point and one negative one.
         # Acceptance criterion 5 fails on such instances by design.
-        from bnmatch import GenSpec, generate, sq_dist
+        from bnmatch import GenSpec, generate
         from bnmatch.geometry import PolarityRegion, classify_polarity_region
 
         P = generate(GenSpec(6, "valtr", 8))
@@ -341,11 +341,11 @@ class TestCheckpointStride:
         assert default[2] == "three-cascade"
         assert _solve_at_stride(P, 1) == default
 
-    def test_candidate_values_replay_in_chunks(self):
-        # a parabola cap has about n/15 candidates (274 here), whose values
-        # solve reads in one chunked replay: beyond the kept value rows its
-        # traced peak stays O(n). Measured 171 B/point; one replay of all
-        # 274 windows at once took 864
+    def test_candidate_bases_peak_without_replay(self):
+        # a parabola cap has about n/15 candidates (274 here), whose bases
+        # the fill stores, so solve replays none: beyond the kept value rows
+        # its traced peak stays O(n). Measured 143 B/point; a chunked replay
+        # of the bases took 171, one replay of all 274 windows at once 864
         n = 4096
         P = validate_convex_ccw(parabola_cap(n))
         with forced_stride(math.isqrt(n // 2)):
