@@ -14,7 +14,6 @@ from .geometry import (
     ConvexPointSet,
     PolarityRegion,
     classify_polarity_region,
-    turning_angle,
     validate_convex_ccw,
 )
 from .solver import CandidateDiagonal, Polarity, SolveReport, enumerate_candidates, solve
@@ -53,7 +52,6 @@ __all__ = [
     "oracle_solve",
     "reconstruct",
     "solve",
-    "turning_angle",
     "validate_convex_ccw",
     "verify_matching",
 ]

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/read error,
-3 input validation error (the message names the violated invariant),
-4 size guard (oracle refuses n > 20).
+3 input validation error (the message names the violated invariant;
+also a bottleneck whose squared length overflows float64), 4 size guard
+(oracle refuses n > 20).
 """
 from __future__ import annotations
 

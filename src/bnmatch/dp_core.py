@@ -15,19 +15,21 @@ row r0 at starts t .. t + 2d, so any other value is replayed from the
 checkpoint row below it on a window of at most 2s - 1 starts, with the
 fill's own float operations, and comes out bit for bit as the fill computed
 it. Stride 1 keeps every row. ``checkpoint_stride`` alone picks s from n;
-from n = 2048 on it is isqrt(n/2): values then take 8n(sqrt(n/2) + 2)
-bytes instead of 4n(n + 2), and replaying a column of n/2 values costs
-about n * sqrt(n/2) entry updates.
+from n = 2048 on it is isqrt(2n): values then take about 8n(sqrt(n/8) + 2)
+bytes instead of 4n(n + 2) (2.2 MB at n = 8192, 135 MB at 131072), and
+replaying a column of n/2 values costs about n * s / 2 = n * sqrt(n/2)
+entry updates. A replay reads its squared lengths through strided views
+of the coordinates and edges, copying only a window that wraps past n.
 
 No move is stored: ``reconstruct`` recomputes each move of its walk from
 the values, replaying one block of rows at a time, in O(size * stride)
-time and O(n + stride^2) scratch. Of the necessary arcs, the table keeps
-the (k, start) of the candidates only, those that turn by at most 2*pi/3
-(``candidate_reach``): none on circle and valtr polygons of n = 256 ..
-8192 (seed 1), three on cluster3, about n/15 on a parabola cap. It also
-keeps each candidate's value, its base, which the fill has at hand where
-it flags the arc: 8 bytes a candidate, and no base is replayed. So the
-table holds no quadratic field.
+time and O(n + stride^2) = O(n) scratch. Of the necessary arcs, the table
+keeps the (k, start) of the candidates only, those that turn by at most
+2*pi/3 (``candidate_reach``): none on circle and valtr polygons of
+n = 256 .. 8192 (seed 1), three on cluster3, about n/15 on a parabola
+cap. It also keeps each candidate's value, its base, which the fill has
+at hand where it flags the arc: 8 bytes a candidate, and no base is
+replayed. So the table holds no quadratic field.
 
 The fill works on real float64 arrays only: the coordinates are one
 (2, 2n) array, x and y each twice over, so d2 to every start at once is
@@ -46,19 +48,26 @@ from .geometry import ConvexPointSet, candidate_reach
 _NECESSARY_REL_TOL = 1e-9
 
 # dense value rows up to this many bytes (n <= 2046). With every move
-# replayed by reconstruct, solve at stride isqrt(n/2) ran 12-22% slower
-# than at stride 1 on valtr and 30-69% slower on cluster3 (three candidate
-# replays) at n = 768 .. 2048; at 3072 valtr broke even and cluster3 was 15%
-# slower, and from 4096 (valtr) and 6144 (cluster3) on the stride won
+# replayed by reconstruct, solve at stride isqrt(2n) took 1.16x the
+# stride-1 time on valtr and 1.45x on cluster3 (three candidate replays)
+# at n = 2048, 1.06x and 1.29x at 3072, and 0.98x and 1.10x at 4096
 _DENSE_VALUES_BYTES = 16 << 20
+
+# rows whose replay terms _block computes at once: its scratch is about
+# 2 * _CHUNK * (2 * stride + 1) floats beside the rows it returns
+_CHUNK = 32
 
 
 def checkpoint_stride(n: int) -> int:
-    """The table's stride: 1 while the dense value rows fit, else isqrt(n/2)."""
-    half = n // 2
-    if 8 * n * (half + 1) <= _DENSE_VALUES_BYTES:
+    """The table's stride: 1 while the dense value rows fit, else isqrt(2n).
+
+    At stride s the table keeps at most n/(2s) + 2 value rows of n
+    floats, about 8n(sqrt(n/8) + 2) bytes, and a block of s replayed rows
+    holds about s^2 = 2n entries.
+    """
+    if 8 * n * (n // 2 + 1) <= _DENSE_VALUES_BYTES:
         return 1
-    return math.isqrt(half)
+    return math.isqrt(2 * n)
 
 
 @dataclass(frozen=True)
@@ -77,9 +86,10 @@ class SubproblemTable:
     2*pi/3 (+ slack): the candidates, by increasing k, then start.
     ``bases[c]`` is the value of the arc ``necessary[c]``, bit for bit the
     stride-1 table's. ``S`` holds the value rows k = 0, stride, 2*stride,
-    ... and, last, the full-circle row k = n/2; read any other value with
-    ``arc_values``; a replay needs the coordinates ``xs`` and ``ys`` and
-    the fill's squared edge lengths ``edge2``.
+    ... and, last, the full-circle row k = n/2: 2.2 MB at n = 8192, where
+    the stride is 128. Read any other value with ``arc_values``; a replay
+    needs the coordinates ``xs`` and ``ys`` and the fill's squared edge
+    lengths ``edge2``.
     """
 
     n: int
@@ -100,28 +110,30 @@ class SubproblemTable:
         starting at ``start``; of the second, that of the arc of size 2k
         ending at ``end``. Each comes from one replay with one window per
         block of ``stride`` rows, left-aligned at the start or right-aligned
-        at the end; both take O(n) entries.
+        at the end; both take O(n) entries, about n * stride / 2 entry
+        updates and O(n) scratch. At stride 1 both are read from ``S``.
         """
+        if self.stride == 1:
+            k = np.arange(kmax + 1)
+            return self.S[k, start], self.S[k, (end - 2 * k + 1) % self.n]
         steps = min(self.stride - 1, kmax)
-        r0 = np.arange(0, kmax + 1, self.stride)
-        first, _ = self._replay(r0, np.full(r0.size, start), steps)
-        _, last = self._replay(r0, (end - 2 * r0 - 2 * steps + 1) % self.n, steps)
+        first, _ = self._replay(start, 0, kmax, steps)
+        _, last = self._replay(end - 2 * steps + 1, -2 * self.stride, kmax, steps)
         return first.ravel()[:kmax + 1], last.ravel()[:kmax + 1]
 
-    def _rows(self, r0, starts: np.ndarray, terms):
-        """Replay the rows r0, r0+1, ... over the windows ``starts``.
+    @staticmethod
+    def _rows(cur: np.ndarray, e_left: np.ndarray, terms):
+        """Replay the rows above ``cur``, a checkpoint row over windows of
+        consecutive starts along its last axis, with ``e_left`` the squared
+        lengths of the edges (t, t+1) at those starts.
 
-        ``r0`` are checkpoint rows (multiples of the stride), shaped to
-        broadcast against ``starts``, whose last axis runs along a window
-        of consecutive starts. Each row is known at two starts fewer than
-        the row below it. ``terms`` gives, for d = 1, 2, ..., the squared
-        lengths of the closing pair and of the right edge of the arcs of
-        row r0 + d, at least at the starts where that row is known. Yields
-        row r0, then one row per item of ``terms``: the one copy of the
-        recurrence outside the fill, with its float operations in its order.
+        Each row is known at two starts fewer than the row below it.
+        ``terms`` gives, for d = 1, 2, ..., the squared lengths of the
+        closing pair and of the right edge of the arcs of row r0 + d, at
+        least at the starts where that row is known. Yields ``cur``, then
+        one row per item of ``terms``: the one copy of the recurrence
+        outside the fill, with its float operations in its order.
         """
-        cur = self.S[r0 // self.stride, starts]
-        e_left = self.edge2[starts]
         yield cur
         for d2, e_right in terms:
             w = cur.shape[-1] - 2
@@ -131,54 +143,98 @@ class SubproblemTable:
             cur = np.minimum(pair, np.minimum(left, right))
             yield cur
 
-    def _sq_dist(self, x0: np.ndarray, y0: np.ndarray, far: np.ndarray) -> np.ndarray:
-        """d2 from the points (x0, y0) to the points ``far`` (indices wrap),
-        with the fill's float operations."""
-        dx = np.take(self.xs, far, mode="wrap") - x0
-        dy = np.take(self.ys, far, mode="wrap") - y0
-        return dx * dx + dy * dy
+    @staticmethod
+    def _sq_dist(xe: np.ndarray, ye: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> np.ndarray:
+        """d2 from the points (x0, y0) to the points (xe, ye), with the
+        fill's float operations."""
+        dx, dy = np.subtract(xe, x0), np.subtract(ye, y0)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return dx
 
+    @np.errstate(over="ignore")
     def _replay(
-        self, r0: np.ndarray, s0: np.ndarray, steps: int
+        self, s0: int, shift: int, kmax: int, steps: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows r0 .. r0+steps over the windows of starts s0 .. s0 + 2*steps.
+        """Rows r0 .. r0+steps for each checkpoint r0 = b * stride <= kmax,
+        on the window of starts s0 + shift*b .. s0 + shift*b + 2*steps.
 
-        ``r0`` are checkpoint rows (multiples of the stride) and steps <= n/2.
-        Row r0 + d is known at the window's first 2*(steps - d) + 1 starts;
-        entry [w, d] of the two results is its value at the first and at
-        the last of them. The terms are computed row by row, so the scratch
-        stays a few times the windows' size; indices past n wrap.
+        steps < stride, and steps <= n/2. Row r0 + d is known at the
+        window's first 2*(steps - d) + 1 starts; entry [b, d] of the two
+        results is its value at the first and at the last of them. The
+        arcs' ends advance by shift + 2*stride from one window to the
+        next, so each row's terms are read through strided views, and
+        the scratch stays a few times the windows' size; indices past n
+        wrap.
         """
+        n, stride = self.n, self.stride
         width = 2 * steps + 1
-        starts = (s0[:, None] + np.arange(width)) % self.n
+        b = np.arange(kmax // stride + 1)[:, None]
+        starts = (s0 + shift * b + np.arange(width)) % n
         x0, y0 = self.xs[starts], self.ys[starts]
-        far0 = starts + 2 * r0[:, None] - 1  # the arc of row r0+d ends at far0 + 2d
+        # the arc of row b*stride + d at entry t of window b ends at
+        # s0 - 1 + 2d + (shift + 2*stride)*b + t
+        shape, step = (steps + 1, b.size, width), (2, shift + 2 * stride, 1)
+        xe, ye = (_wrapped(a, s0 - 1, shape, step) for a in (self.xs, self.ys))
+        ee = _wrapped(self.edge2, s0 - 2, shape, step)
 
         def terms():
             for d in range(1, steps + 1):
                 w = width - 2 * d
-                far = far0[:, :w] + 2 * d
-                yield (self._sq_dist(x0[:, :w], y0[:, :w], far),
-                       np.take(self.edge2, far - 1, mode="wrap"))
+                yield (self._sq_dist(xe[d, :, :w], ye[d, :, :w], x0[:, :w], y0[:, :w]),
+                       ee[d, :, :w])
 
-        first = np.empty((r0.size, steps + 1))
-        last = np.empty((r0.size, steps + 1))
-        for d, cur in enumerate(self._rows(r0[:, None], starts, terms())):
+        first = np.empty((b.size, steps + 1))
+        last = np.empty((b.size, steps + 1))
+        for d, cur in enumerate(self._rows(self.S[b, starts], self.edge2[starts], terms())):
             first[:, d], last[:, d] = cur[:, 0], cur[:, -1]
         return first, last
 
+    @np.errstate(over="ignore")
     def _block(self, r0: int, s: int, height: int) -> list[np.ndarray]:
         """Rows r0 .. r0+height-1 replayed from checkpoint r0: entry t of
-        row r0 + d is its value at start s + t, for t <= 2(height - d)."""
+        row r0 + d is its value at start s + t, for t <= 2(height - d).
+
+        The terms of _CHUNK rows are computed at once, from strided views
+        of the coordinates and edges, so the scratch beyond the rows
+        returned (about height^2 entries) is O(height * _CHUNK).
+        """
         width = 2 * height + 1
-        starts = (s + np.arange(width)) % self.n
-        # every row's terms at once, at every start of the window
-        far = starts + (2 * np.arange(r0 + 1, r0 + height) - 1)[:, None]
-        terms = zip(self._sq_dist(self.xs[starts], self.ys[starts], far),
-                    np.take(self.edge2, far - 1, mode="wrap"))
-        return list(self._rows(r0, starts, terms))
+        x0, y0, e_left, cur = (_wrapped(a, s, (width,), (1,))
+                               for a in (self.xs, self.ys, self.edge2, self.S[r0 // self.stride]))
+        # the arc of row r0 + d at entry t ends at s + 2(r0 + d) - 1 + t
+        shape, step = (height, width), (2, 1)
+        xe, ye = (_wrapped(a, s + 2 * r0 - 1, shape, step) for a in (self.xs, self.ys))
+        ee = _wrapped(self.edge2, s + 2 * r0 - 2, shape, step)
+
+        def terms():
+            for d in range(1, height, _CHUNK):
+                rows, w = slice(d, d + _CHUNK), width - 2 * d
+                yield from zip(self._sq_dist(xe[rows, :w], ye[rows, :w], x0[:w], y0[:w]),
+                               ee[rows, :w])
+
+        return list(self._rows(cur, e_left, terms()))
 
 
+def _wrapped(
+    a: np.ndarray, first: int, shape: tuple[int, ...], step: tuple[int, ...]
+) -> np.ndarray:
+    """The array v with v[i, j, ...] = a[(first + step[0]*i + step[1]*j +
+    ...) % len(a)], for steps >= 0: a strided view of ``a``, or of a copy
+    of the entries it spans where they wrap past its end. Its entries
+    overlap, so it is only read."""
+    n = a.size
+    first %= n
+    size = sum((m - 1) * t for m, t in zip(shape, step)) + 1
+    base = a[first:first + size] if first + size <= n else np.take(
+        a, np.arange(first, first + size), mode="wrap")
+    return np.ndarray(shape, a.dtype, base, 0, tuple(t * a.itemsize for t in step))
+
+
+# a d2 past the float range is inf, as in float math (solve names it), and
+# an inf value times a zeroed keep is nan, which flags nothing
+@np.errstate(over="ignore", invalid="ignore")
 def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     """Fill the table for all (start, even size) in O(n^2) time.
 
@@ -199,8 +255,8 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
 
     The value rows kept are sizes 2k with k % stride == 0, for the stride
     ``checkpoint_stride(n)`` picks, and the full circle: 8 bytes per entry
-    at stride 1 and about 8n * sqrt(n/2) bytes in all at stride
-    isqrt(n/2). No move is stored; ``reconstruct`` recomputes the moves it
+    at stride 1 and about 8n * sqrt(n/8) bytes in all at stride
+    isqrt(2n). No move is stored; ``reconstruct`` recomputes the moves it
     follows.
 
     The coordinates are kept twice over in one (2, 2n) float64 array, x
@@ -304,7 +360,8 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
     arc (s, 2k), the moves of rows r0+1 .. k, for the checkpoint r0 below
     k, need rows r0 .. k-1 only at starts s .. s + 2(k - r0), which one
     replay from row r0 gives. That is O(size * stride) time and
-    O(n + stride^2) scratch.
+    O(n + stride^2) scratch, O(n) at stride isqrt(2n): the block's rows,
+    about stride^2 floats, and its terms, computed _CHUNK rows at a time.
     """
     n, stride = T.n, T.stride
     if not 0 <= start < n:

@@ -38,6 +38,12 @@ class NonFiniteError(BnmatchError):
     code = "NonFinite"
 
 
+class NonFiniteValueError(BnmatchError):
+    """A bottleneck whose squared length overflows float64."""
+
+    code = "NonFiniteValue"
+
+
 class BadIndexError(BnmatchError):
     code = "BadIndex"
 

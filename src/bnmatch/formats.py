@@ -6,9 +6,11 @@ exactly; matching-file keys always appear in the same order.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from typing import Sequence
 
+from .errors import NonFiniteValueError
 from .structure import _index
 
 
@@ -85,6 +87,9 @@ def matching_to_json(
     cascades: int,
     candidates: int | None,
 ) -> str:
+    """Raises NonFiniteValueError for an inf or nan value, which JSON cannot hold."""
+    if not math.isfinite(value):
+        raise NonFiniteValueError(f"value {value!r} is not a JSON number")
     pair_rows = ", ".join(f"[{int(a)}, {int(b)}]" for a, b in pairs)
     cand = "null" if candidates is None else str(int(candidates))
     return (

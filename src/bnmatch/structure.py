@@ -112,9 +112,10 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
     value, longest_pair = math.nan, None
     if M.pairs:
         a, b = ends.reshape(-1, 2).T
-        dx = P.xs[b] - P.xs[a]
-        dy = P.ys[b] - P.ys[a]
-        d2 = dx * dx + dy * dy
+        with np.errstate(over="ignore"):  # inf past the float range, as in the fill
+            dx = P.xs[b] - P.xs[a]
+            dy = P.ys[b] - P.ys[a]
+            d2 = dx * dx + dy * dy
         k = int(np.argmax(d2))  # the first longest pair
         value, longest_pair = math.sqrt(d2[k]), tuple(M.pairs[k])
 

@@ -23,11 +23,11 @@ from bnmatch import (
     oracle_enumerate,
     oracle_solve,
     solve,
-    turning_angle,
     verify_matching,
 )
 from bnmatch.cli import main
 from bnmatch.formats import parse_instance
+from bnmatch.geometry import turning_angle
 from bnmatch.solver import Polarity
 
 MODES = ("circle", "valtr", "cluster3")

@@ -11,12 +11,12 @@ from bnmatch import (
     generate,
     oracle_enumerate,
     oracle_solve,
-    turning_angle,
     validate_convex_ccw,
     verify_matching,
 )
 from bnmatch.baselines import _fill_cubic, _sq_dist_matrix
 from bnmatch.errors import OddCountError, TooLargeError
+from bnmatch.geometry import turning_angle
 from bnmatch.structure import classify_pairs, Matching
 from conftest import SKEW4_VALUE, canonical_pairs, sq_dist
 

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from bnmatch.cli import main
+from bnmatch.errors import NonFiniteValueError
 from bnmatch.formats import (
     fmt17,
     instance_to_csv,
@@ -49,6 +50,11 @@ class TestFormats:
         md = parse_matching(text)
         assert md["pairs"] == [(0, 1), (2, 3)]
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_matching_json_refuses_non_finite_value(self, value):
+        with pytest.raises(NonFiniteValueError):
+            matching_to_json(4, value, [(0, 1), (2, 3)], "one-cascade", 0, None)
+
     def test_matching_null_candidates(self):
         md = parse_matching(matching_to_json(4, 1.0, [(0, 1)], "one-cascade", 0, None))
         assert md["candidates"] is None
@@ -88,6 +94,14 @@ class TestSolveCommand:
         inst = write(tmp_path / "bad.csv", "0,0\n1,0\n2,0\n0,1\n")
         assert main(["solve", inst]) == 3
         assert "NotStrictlyConvex" in capsys.readouterr().err
+
+    def test_overflowing_value_exits_3(self, tmp_path, capsys):
+        # every squared length of this valid square overflows float64
+        s = 1e160
+        inst = write(tmp_path / "big.json", instance_to_json([(0, 0), (s, 0), (s, s), (0, s)]))
+        assert main(["solve", inst]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "NonFiniteValue" in err
 
     def test_garbage_exits_2(self, tmp_path, capsys):
         inst = write(tmp_path / "junk.json", "{nope")

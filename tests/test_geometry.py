@@ -12,7 +12,6 @@ from bnmatch import (
     gen_circle,
     gen_valtr,
     generate,
-    turning_angle,
     validate_convex_ccw,
 )
 from bnmatch.errors import (
@@ -25,7 +24,7 @@ from bnmatch.errors import (
     OddCountError,
     TooFewError,
 )
-from bnmatch.geometry import arc_turns
+from bnmatch.geometry import arc_turns, turning_angle
 from conftest import SQ4_COORDS, sq_dist
 
 approx = pytest.approx

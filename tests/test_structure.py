@@ -401,7 +401,7 @@ class TestCascadeDecomposition:
     def test_wide_diagonals_imply_no_fat_region(self):
         # if every diagonal turns by more than pi/2 both ways, the turn
         # budget of 2*pi leaves no room for a region with 4+ diagonals
-        from bnmatch import turning_angle
+        from bnmatch.geometry import turning_angle
 
         checked = 0
         for n in (8, 10, 12):
