@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import baselines, formats, generators, render, solver, structure
-from .errors import BnmatchError, TooLargeError
+from .errors import BnmatchError, NonFiniteValueError, TooLargeError
 from .geometry import ConvexPointSet, validate_convex_ccw
 
 EXIT_OK = 0
@@ -106,6 +106,8 @@ def cmd_verify(args) -> int:
         return fail("perfect")
     if not rep.non_crossing:
         return fail("nonCrossing")
+    if not math.isfinite(rep.value):  # no claimed value can be checked against it
+        raise NonFiniteValueError("the bottleneck's squared length overflows float64")
     if not abs(md["value"] - rep.value) <= 1e-9 * abs(rep.value):
         return fail("value")  # also a non-finite value
     print(

@@ -33,11 +33,19 @@ replayed. So the table holds no quadratic field.
 
 The fill works on real float64 arrays only: the coordinates are one
 (2, 2n) array, x and y each twice over, so d2 to every start at once is
-three ufunc calls on contiguous slices.
+three ufunc calls on contiguous slices. Its row loop touches that array
+(32 bytes a point), one (2, n) buffer that takes d2 and then, in its two
+halves, the pair and left moves (16), the squared edge lengths once and
+twice over (8 + 16), the latest row (8), the necessity factors (8), the
+starts sorted by reach (8) and a boolean row: about 98 bytes a point
+beside the kept rows at n = 8192. ``edge2`` stays an array of its
+own rather than a view of its doubled copy, which filled n = 16384 about
+28% slower.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,61 +272,72 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     length n+2 that repeats its first two entries at the end, so every
     cyclic shift above is a slice view; the views that do not move with k
     are made once, before the loop. Each row is computed with ``out=``
-    ufuncs into reused temporaries and that buffer (overwriting the
-    previous row once the three moves have read it), so the loop allocates
-    only the kept (k, start) pairs and their values. d2 is three calls on
-    contiguous (2, n) blocks, written in the loop: subtract, square in
-    place, add the x and y halves, the float operations of dx*dx + dy*dy.
-    Those and the rest (min(pair, min(left, right)), other * (1 - 1e-9))
-    are the recurrence's own, in its order, so the values, flags and bases
-    equal a direct transcription bit for bit.
+    ufuncs into one reused (2, n) buffer and that row buffer, so the loop
+    allocates only the kept (k, start) pairs and their values. d2 is three
+    calls on contiguous (2, n) blocks, written in the loop: subtract,
+    square in place, add the y half into the x half, the float operations
+    of dx*dx + dy*dy. The pair move then overwrites d2 in the x half, the
+    left move the y half, and other * (1 - 1e-9) the left move once
+    ``other`` has read it; right and ``other`` overwrite the previous row
+    once the three moves have read it. Those operations are the
+    recurrence's own, in its order, so the values, flags and bases equal
+    a direct transcription bit for bit.
+
+    The scratch is about 98 bytes a point beside the kept rows (see the
+    module docstring), and ``S`` is allocated only after
+    ``candidate_reach`` has returned. Measured layouts: ``edge2`` as a
+    view of its doubled copy filled n = 16384 about 28% slower, padding
+    the (2, n) buffer's rows slowed small n by about 8%, and the starts
+    sorted by reach as 32-bit ints, a cast at every use, slowed small
+    fills by about 4%.
     """
     n = P.n
     half = n // 2
     stride = checkpoint_stride(n)
-    S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     necessary = [np.empty((0, 2), dtype=np.intp)]  # the (k, start) pairs of each row
     bases = [np.empty(0)]  # their values
     reach = candidate_reach(P)
     kmax = int(reach.max())  # no row above it holds a candidate
     by_reach = np.argsort(reach)
-    below = np.searchsorted(reach, np.arange(kmax + 1), sorter=by_reach).tolist()  # reach < k
+    below = array("i", np.searchsorted(reach, np.arange(kmax + 1), sorter=by_reach).tolist())  # reach < k
     del reach  # n words the loop does not need
     keep = np.full(n, 1.0 - _NECESSARY_REL_TOL)  # zeroed at a start once k passes its reach
+    S = np.zeros((half // stride + 1 + (half % stride != 0), n))
 
+    # ufuncs as locals, out= by position where allowed: at small n lookups and keywords show
+    sub, mul, add, maximum, minimum = np.subtract, np.multiply, np.add, np.maximum, np.minimum
     xy2 = np.empty((2, 2 * n))  # x and y, each twice over
     xy2[0, :n], xy2[1, :n] = P.xs, P.ys
     xy2[:, n:] = xy2[:, :n]
     xy = xy2[:, :n]
-    dx, dy = dxy = np.empty((2, n))
-    a, b = np.empty((2, n))
+    dx, dy = dxy = np.empty((2, n))  # d2, then the pair move in dx and the left move in dy
     p = np.empty(n, dtype=bool)
     buf = np.empty(n + 2)  # the latest row, then its entries 0 and 1 again
     # its fixed views: the row, the row from s+1 and s+2, the repeat, its source
     row, row1, row2, tail, head = buf[:n], buf[1:n + 1], buf[2:], buf[n:], buf[:2]
 
-    edge2 = np.add(*np.square(xy2[:, 1:n + 1] - xy))  # d2(s, s+1), as the rows compute d2
+    sub(xy2[:, 1:n + 1], xy, dxy)
+    mul(dxy, dxy, dxy)
+    edge2 = add(dx, dy)  # d2(s, s+1), as the rows compute d2
     edge2_twice = np.concatenate((edge2, edge2))
     row[:], tail[:] = edge2, edge2[:2]
     if stride == 1:
         S[1] = row
     # size 2: all three moves coincide, so the pair is never forced
 
-    # ufuncs as locals, out= by position where allowed: at small n lookups and keywords show
-    sub, mul, add, maximum, minimum = np.subtract, np.multiply, np.add, np.maximum, np.minimum
     for k in range(2, half + 1):
         m = 2 * k
-        sub(xy2[:, m - 1:m - 1 + n], xy, dxy)  # d2(s, s+m-1) into a
+        sub(xy2[:, m - 1:m - 1 + n], xy, dxy)  # d2(s, s+m-1) into dx
         mul(dxy, dxy, dxy)
-        pair = maximum(row1, add(dx, dy, a), out=a)
-        left = maximum(row2, edge2, out=b)
+        pair = maximum(row1, add(dx, dy, dx), out=dx)
+        left = maximum(row2, edge2, out=dy)
         # the last read of row k-1, which row k overwrites in place from here
         right = maximum(row, edge2_twice[m - 2:m - 2 + n], out=row)
         other = minimum(left, right, out=row)
         if k <= kmax:
             if below[k] > below[k - 1]:
                 keep[by_reach[below[k - 1]:below[k]]] = 0.0
-            if np.count_nonzero(np.less(pair, mul(other, keep, b), p)):
+            if np.count_nonzero(np.less(pair, mul(other, keep, dy), p)):
                 starts = np.flatnonzero(p)
                 necessary.append(np.column_stack((np.full(starts.size, k), starts)))
                 bases.append(pair[starts])  # the row's value wherever the pair is forced
@@ -346,8 +365,9 @@ def one_cascade_optimum(T: SubproblemTable) -> tuple[float, int]:
     return float(row[s]), s
 
 
-def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, int]]:
-    """The size/2 pairs of the table's optimum for the arc <start, start+size-1>.
+def reconstruct(T: SubproblemTable, start: int, size: int) -> np.ndarray:
+    """The size/2 pairs of the table's optimum for the arc <start, start+size-1>,
+    as a (size/2, 2) intp array in the order the walk takes them.
 
     The pairs cover exactly the arc and their longest squared length equals
     the table's value of the arc bit for bit (the table holds actual pair
@@ -359,9 +379,13 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
     ``S``. Otherwise it goes down one block of rows at a time: from the
     arc (s, 2k), the moves of rows r0+1 .. k, for the checkpoint r0 below
     k, need rows r0 .. k-1 only at starts s .. s + 2(k - r0), which one
-    replay from row r0 gives. That is O(size * stride) time and
-    O(n + stride^2) scratch, O(n) at stride isqrt(2n): the block's rows,
-    about stride^2 floats, and its terms, computed _CHUNK rows at a time.
+    replay from row r0 gives. One block is alive at a time: the walk drops
+    a block's rows before it replays the next. That is O(size * stride)
+    time and O(n + stride^2) scratch, O(n) at stride isqrt(2n): the block's
+    rows, about stride^2 floats, and its terms, computed _CHUNK rows at a
+    time. The walk lists one block's ends as Python ints, then moves them
+    into an array of machine ints, 16 bytes a pair: no tuple is built, and
+    no int outlives its block.
     """
     n, stride = T.n, T.stride
     if not 0 <= start < n:
@@ -369,7 +393,7 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
     if size % 2 != 0 or not 0 <= size <= n:
         raise BadDomainError(f"size {size} not even in [0, {n}]")
     x, y, e = T.xs.item, T.ys.item, T.edge2.item
-    pairs: list[tuple[int, int]] = []
+    ends = array("q")  # the pairs' ends, two by two, of the blocks walked
     s, k = start, size // 2
     while k > 0:
         # rows[d] is row r0 + d, its entry t (mod n) the value at start s0 + t
@@ -378,6 +402,8 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
         else:
             r0, s0 = (k - 1) // stride * stride, s
             rows = T._block(r0, s, k - r0)
+        block: list[int] = []
+        put = block.append
         for kk in range(k, r0, -1):
             at, u = rows[kk - 1 - r0].item, s - s0
             j = (s + 2 * kk - 1) % n
@@ -390,13 +416,17 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> list[tuple[int, in
             a, b = at(u % n), e(j - 1)
             right = b if b > a else a
             if not (left < pair or right < pair):
-                pairs.append((s, j))
+                put(s)
+                put(j)
                 s = (s + 1) % n
             elif not right < left:
-                pairs.append((s, (s + 1) % n))
+                put(s)
+                put((s + 1) % n)
                 s = (s + 2) % n
             else:
-                pairs.append(((j - 1) % n, j))
+                put((j - 1) % n)
+                put(j)
+        ends.fromlist(block)
+        del rows  # the block, before the next one is replayed
         k = r0
-    return pairs
-
+    return np.array(ends, dtype=np.intp).reshape(-1, 2)

@@ -13,6 +13,12 @@ each at the table's stride isqrt(2n), with O(n) scratch (about 10 ms a
 call at n = 8192 against a 170 ms fill). So the search takes O(n^2 + s*n^1.5)
 plus a sort of the c candidates, Theta(n^2.5) if s = Theta(n); every
 generator gives s <= 3.
+
+The table is freed before the matching is built: the walks return their
+pairs as intp arrays, 16 bytes a pair, and ``solve`` reads the candidate
+count, drops the table, and only then makes the matching's n/2 tuples and
+verifies them. So its traced peak is the fill's, the kept value rows plus
+about 98 bytes a point at n = 8192.
 """
 from __future__ import annotations
 
@@ -116,7 +122,8 @@ def solve(P: ConvexPointSet) -> SolveReport:
     Ties between the two branches go to the one-cascade branch; within the
     3-chain search the lexicographically smallest achieving (i, j, k) wins.
     The returned matching is re-verified (perfect, non-crossing, longest
-    segment equal to the value) before reporting. Raises
+    segment equal to the value), after the table is freed, before
+    reporting. Raises
     NonFiniteValueError when the optimum's squared length overflows float64.
     """
     n = P.n
@@ -155,19 +162,23 @@ def solve(P: ConvexPointSet) -> SolveReport:
     if argmin is not None and best_three < best_one:
         i, j, k, t = argmin
         m1 = (j - i) % n + 1
-        pairs = (
-            reconstruct(T, i, m1)
-            + reconstruct(T, (j + 1) % n, t)
-            + reconstruct(T, (k + 1) % n, n - m1 - t)
-        )
+        pairs = np.concatenate((
+            reconstruct(T, i, m1),
+            reconstruct(T, (j + 1) % n, t),
+            reconstruct(T, (k + 1) % n, n - m1 - t),
+        ))
         value_sq = best_three
     else:
         pairs = reconstruct(T, best_start, n)
         value_sq = best_one
     if not math.isfinite(value_sq):
         raise NonFiniteValueError("the bottleneck's squared length overflows float64")
+    candidate_count = len(T.necessary)
+    del T  # the value rows, before the matching's Python tuples are built
 
-    matching = Matching(n, tuple(pairs))
+    # through a list: a tuple built from an iterator of unknown length grows
+    # by repeated reallocs, which left small-n runs about 2% more resident memory
+    matching = Matching(n, tuple(list(zip(*pairs.T.tolist()))))
     report = verify_matching(P, matching)
     value = math.sqrt(value_sq)
     if not (report.perfect and report.non_crossing):
@@ -179,7 +190,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
     return SolveReport(
         value=value,
         matching=matching,
-        candidate_count=len(T.necessary),
+        candidate_count=candidate_count,
         cascades=report.decomposition.cascade_count,
         structure=report.decomposition.structure,
     )

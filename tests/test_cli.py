@@ -176,6 +176,17 @@ class TestVerifyCommand:
         assert main(["verify", sq4_file, m]) == 1
         assert capsys.readouterr().out == "FAIL value\n"
 
+    @pytest.mark.parametrize("claim", [5, 1e160])
+    def test_overflowing_bottleneck_exits_3(self, tmp_path, capsys, claim):
+        # every squared length of this valid square overflows float64, so
+        # no claimed value can be checked: verify names it, as solve does
+        s = 1e160
+        inst = write(tmp_path / "big.json", instance_to_json([(0, 0), (s, 0), (s, s), (0, s)]))
+        m = write(tmp_path / "m.json", '{"n": 4, "value": %r, "pairs": [[0, 1], [2, 3]]}' % claim)
+        assert main(["verify", inst, m]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "NonFiniteValue" in err
+
     def test_imperfect_fails(self, sq4_file, tmp_path, capsys):
         m = write(
             tmp_path / "m.json",

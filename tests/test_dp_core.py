@@ -5,6 +5,7 @@ the structural rules the table is meant to encode (diagonals forming at
 most one chain, with the arc's closing segment facing at most one of them),
 entirely separately from the DP code.
 """
+import hashlib
 import math
 import tracemalloc
 
@@ -159,7 +160,7 @@ class TestTableBasics:
         # the closing pair ties with the edge moves, so it is not forced
         assert not necessary[2, 0]
         assert choice[2, 0] == USE_PAIR
-        assert reconstruct(T, 0, 4) == _walk(choice, 0, 4) == [(0, 3), (1, 2)]
+        assert _pairs(T, 0, 4) == _walk(choice, 0, 4) == [(0, 3), (1, 2)]
         # the full circle holds no diagonal: candidates lie below it only
         _assert_pairs_match(sq4, T, S, necessary)
 
@@ -217,16 +218,16 @@ def _chain_structure_global(n, pairs):
 class TestReconstruct:
     def test_sq4_whole(self, sq4):
         T = build_subproblem_table(sq4)
-        assert reconstruct(T, 0, 4) == [(0, 3), (1, 2)]
+        assert _pairs(T, 0, 4) == [(0, 3), (1, 2)]
 
     def test_single_edge(self, hex6):
         T = build_subproblem_table(hex6)
         for s in range(6):
-            assert reconstruct(T, s, 2) == [(s, (s + 1) % 6)]
+            assert _pairs(T, s, 2) == [(s, (s + 1) % 6)]
 
     def test_skew4(self, skew4):
         T = build_subproblem_table(skew4)
-        assert reconstruct(T, 1, 4) == [(1, 0), (2, 3)]
+        assert _pairs(T, 1, 4) == [(1, 0), (2, 3)]
 
     def test_value_and_coverage_exact(self):
         for P in _instances():
@@ -235,7 +236,7 @@ class TestReconstruct:
             V = _all_values(T)
             for start in range(n):
                 for size in range(2, n + 1, 2):
-                    pairs = reconstruct(T, start, size)
+                    pairs = _pairs(T, start, size)
                     got = max(sq_dist(P, a, b) for a, b in pairs)
                     assert got == V[start, size // 2], (n, start, size)
                     covered = sorted(i for p in pairs for i in p)
@@ -250,7 +251,7 @@ class TestReconstruct:
                 for size in range(2, n + 1, 2):
                     local = tuple(
                         ((a - start) % n, (b - start) % n)
-                        for a, b in reconstruct(T, start, size)
+                        for a, b in _pairs(T, start, size)
                     )
                     roots, chains = _chain_structure(size, local)
                     assert roots <= 1 and chains <= 1
@@ -266,7 +267,7 @@ class TestAgainstConstrainedBruteForce:
             _assert_pairs_match(P, T, S, necessary)
             for start in range(n):
                 for size in range(2, n + 1, 2):
-                    assert reconstruct(T, start, size) == _walk(choice, start, size)
+                    assert _pairs(T, start, size) == _walk(choice, start, size)
                     best, every_opt_has_pair = _constrained_best(P, start, size)
                     assert V[start, size // 2] == best, (n, start, size)
                     if necessary[size // 2, start]:
@@ -338,9 +339,17 @@ def _walk(choice, start, size):
     return pairs
 
 
+def _pairs(T, start, size):
+    """reconstruct's walk as a list of (a, b) tuples of ints, once its
+    result is checked to be a (size/2, 2) intp array."""
+    walk = reconstruct(T, start, size)
+    assert walk.dtype == np.intp and walk.shape == (size // 2, 2), (walk.dtype, walk.shape)
+    return [(a, b) for a, b in walk.tolist()]
+
+
 def _assert_walks_match(T, choice, arcs):
     for start, size in arcs:
-        assert reconstruct(T, start, size) == _walk(choice, start, size), (T.stride, start, size)
+        assert _pairs(T, start, size) == _walk(choice, start, size), (T.stride, start, size)
 
 
 def _assert_pairs_match(P, T, S, necessary):
@@ -517,7 +526,8 @@ def test_fill_and_candidates_on_random_polygons(coords):
 
 def test_fill_scratch_memory_per_point():
     # the fill's own working memory is O(n): everything tracemalloc sees
-    # beyond the tables stays under 128 bytes per point
+    # beyond the tables stays under 123 bytes per point. Measured 101; 117
+    # with the pair and left moves in two temporaries of their own
     n = 2048
     P = generate(GenSpec(n, "valtr", 3))
     tracemalloc.start()
@@ -527,7 +537,7 @@ def test_fill_scratch_memory_per_point():
     finally:
         tracemalloc.stop()
     tables = T.S.nbytes + T.necessary.nbytes + T.bases.nbytes
-    assert peak - tables <= 128 * n, (peak - tables) / n
+    assert peak - tables <= 123 * n, (peak - tables) / n
 
 
 def test_table_and_reconstruct_memory_sub_quadratic():
@@ -535,8 +545,9 @@ def test_table_and_reconstruct_memory_sub_quadratic():
     # per candidate (its k, start and base), no move tags. A walk over the
     # full circle replays one block of stride = 181 rows at a time and
     # computes the terms of 32 rows at once: beyond the pairs it returns,
-    # its traced peak stays under 64 bytes per point. Measured 47; one
-    # block's terms all at once took 89, gathered by index 176
+    # its traced peak stays under 64 bytes per point. Measured 32; 49 with
+    # the previous block alive while the next one is replayed, 89 with one
+    # block's terms all at once, 176 with them gathered by index
     n = 16384
     P = generate(GenSpec(n, "valtr", 3))
     T = build_subproblem_table(P)
@@ -550,7 +561,7 @@ def test_table_and_reconstruct_memory_sub_quadratic():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(pairs) == n // 2
+    assert pairs.shape == (n // 2, 2) and pairs.dtype == np.intp
     assert peak - kept <= 64 * n, (peak - kept) / n
 
 
@@ -627,4 +638,27 @@ def test_default_stride_walks_match_dense():
     assert T.stride > 1 == D.stride
     rng = np.random.default_rng(7)
     for start, k in zip(rng.integers(0, n, 200).tolist(), rng.integers(0, n // 2 + 1, 200).tolist()):
-        assert reconstruct(T, start, 2 * k) == reconstruct(D, start, 2 * k), (start, 2 * k)
+        assert _pairs(T, start, 2 * k) == _pairs(D, start, 2 * k), (start, 2 * k)
+
+
+def test_walk_array_lists_the_pairs_of_the_dense_moves():
+    # the walk's (size/2, 2) intp array holds, row by row, the pairs the
+    # dense move tags give, at strides 1, 3 and the default, on arcs that
+    # wrap past n. The digest pins those pairs, as lists, as the walk gave
+    # them while it returned a list of tuples
+    n = 2048
+    P = generate(GenSpec(n, "cluster3", 9))
+    _, choice, _ = _roll_fill(P)
+    arcs = [(0, n), (n - 1, n), (n - 5, n), (n - 2, 4), (n - 3, 130), (n - 200, 1024),
+            (1000, 2 * 700), (7, 2 * 500)]
+    for stride in (1, 3, checkpoint_stride(n)):
+        with forced_stride(stride):
+            T = build_subproblem_table(P)
+        digest = hashlib.sha256()
+        for start, size in arcs:
+            walk = reconstruct(T, start, size)
+            assert walk.dtype == np.intp and walk.shape == (size // 2, 2)
+            assert walk.tolist() == [list(p) for p in _walk(choice, start, size)], (stride, start)
+            digest.update(repr(walk.tolist()).encode())
+        assert digest.hexdigest() == (
+            "2d55135d12b9c54c65d306dd4fe8d848281102632534ef1de44ab92a3c2b6280"), stride
