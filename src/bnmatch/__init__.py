@@ -21,7 +21,6 @@ from .structure import (
     CascadeDecomposition,
     Matching,
     cascade_decomposition,
-    classify_pairs,
     verify_matching,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "SubproblemTable",
     "build_subproblem_table",
     "cascade_decomposition",
-    "classify_pairs",
     "classify_polarity_region",
     "cubic_solve",
     "enumerate_candidates",

@@ -32,8 +32,13 @@ EXIT_SIZE = 4
 
 
 def _read(path: str) -> str:
+    """The file's text; ParseError if it is not UTF-8 (a UnicodeDecodeError
+    is a ValueError, which ``main`` would report as invalid input)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise formats.ParseError(f"{path} is not UTF-8 text: {e}") from e
 
 
 def _write(path: str | None, text: str) -> None:
@@ -44,7 +49,7 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _sort_ccw(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _sort_ccw(points: list[list[float]]) -> list[list[float]]:
     cx = sum(p[0] for p in points) / len(points)
     cy = sum(p[1] for p in points) / len(points)
     return sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
@@ -52,8 +57,8 @@ def _sort_ccw(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 def _load_instance(args) -> ConvexPointSet:
     points = formats.parse_instance(_read(args.instance))
-    if getattr(args, "sort_ccw", False) and points:  # no centroid: validation names it
-        points = _sort_ccw(points)
+    if getattr(args, "sort_ccw", False) and len(points):  # no centroid: validation names it
+        points = _sort_ccw(points.tolist())
     return validate_convex_ccw(points)
 
 
@@ -138,7 +143,7 @@ def cmd_render(args) -> int:
     for a, b in md["pairs"]:
         if not (0 <= a < n and 0 <= b < n):
             raise formats.ParseError(f"pair ({a}, {b}) outside [0, {n})")
-    svg = render.render_svg(points, md["pairs"], md["value"])
+    svg = render.render_svg(points.tolist(), md["pairs"], md["value"])
     _write(args.out, svg)
     return EXIT_OK
 

@@ -1,7 +1,10 @@
 """Flat file formats: instance files (JSON or CSV) and matching files (JSON).
 
 Floats are serialized with 17 significant digits so IEEE doubles round-trip
-exactly; matching-file keys always appear in the same order.
+exactly; matching-file keys always appear in the same order. An instance
+file parses to an (n, 2) float64 array: the JSON form is checked in C-level
+passes over the decoded lists (types, then point lengths) and converted in
+one more, so the parse adds no Python object per point to json's lists.
 """
 from __future__ import annotations
 
@@ -9,6 +12,8 @@ import json
 import math
 from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 from .errors import NonFiniteValueError
 from .structure import _index
@@ -31,7 +36,9 @@ def _numbers_only(values, what: str) -> None:
 
 
 def fmt17(v: float) -> str:
-    return format(float(v), ".17g")
+    """17 significant digits; -0.0 keeps its point, as JSON reads "-0" as 0."""
+    s = format(float(v), ".17g")
+    return "-0.0" if s == "-0" else s
 
 
 def instance_to_json(points: Sequence[tuple[float, float]]) -> str:
@@ -43,10 +50,16 @@ def instance_to_csv(points: Sequence[tuple[float, float]]) -> str:
     return "".join(f"{fmt17(x)},{fmt17(y)}\n" for x, y in points)
 
 
-def parse_instance(text: str) -> list[tuple[float, float]]:
-    """Accept either the JSON form or bare "x,y" CSV lines.
+def parse_instance(text: str) -> np.ndarray:
+    """Read the JSON form or bare "x,y" CSV lines into an (n, 2) float64 array.
 
-    JSON coordinates must be numbers; CSV cells are anything ``float`` reads.
+    JSON coordinates must be numbers (not bools, strings or null) and every
+    point a pair; CSV cells are anything ``float`` reads. Each coordinate
+    is converted once, by one ``np.fromiter`` pass over the flattened
+    points, so no per-point tuple is built. Raises ParseError for an empty
+    file, bad JSON, a missing "points" key, a point that is not a pair, a
+    CSV line that is not "x,y", and a coordinate that is not a float
+    (including an integer past the float range).
     """
     stripped = text.lstrip()
     if not stripped:
@@ -63,6 +76,10 @@ def parse_instance(text: str) -> list[tuple[float, float]]:
             _numbers_only(chain.from_iterable(raw), "point coordinates")
         except TypeError as e:
             raise ParseError(f"bad point entry: {e}") from e
+        # each point was iterated above, so it is a JSON list, object or string
+        if set(map(len, raw)) - {2}:
+            raise ParseError("bad point entry: a point is not an (x, y) pair")
+        coords = chain.from_iterable(raw)
     else:
         raw = []
         for ln, line in enumerate(text.splitlines(), 1):
@@ -73,8 +90,9 @@ def parse_instance(text: str) -> list[tuple[float, float]]:
             if len(cells) != 2:
                 raise ParseError(f"line {ln}: expected 'x,y', got {line!r}")
             raw.append(cells)
+        coords = map(float, chain.from_iterable(raw))
     try:
-        return [(float(x), float(y)) for x, y in raw]
+        return np.fromiter(coords, np.float64, 2 * len(raw)).reshape(-1, 2)
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad point entry: {e}") from e
 

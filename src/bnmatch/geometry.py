@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,19 +72,29 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     """Validate a point sequence as strictly convex, ccw and even-sized.
 
-    ``points`` is any iterable of (x, y) pairs or an (n, 2) array; rows of
-    any other length raise ValueError. Raises TooFewError, OddCountError,
-    NonFiniteError, DuplicatePointError, NotCcwError (all turns clockwise)
-    or NotStrictlyConvexError (collinear triple, mixed turns, or total
-    turning angle differing from 2*pi).
+    ``points`` is an (n, 2) array or any iterable of (x, y) pairs, which is
+    listed once and converted by one ``np.fromiter`` pass over its
+    flattened rows; rows of any other length, or without one, raise
+    ValueError. Raises TooFewError, OddCountError, NonFiniteError,
+    DuplicatePointError, NotCcwError (all turns clockwise) or
+    NotStrictlyConvexError (collinear triple, mixed turns, or total turning
+    angle differing from 2*pi).
     """
-    if not isinstance(points, np.ndarray):
-        points = list(points)
-    xy = np.array(points, dtype=np.float64)
-    if xy.size == 0:
-        xy = xy.reshape(0, 2)
-    if xy.ndim != 2 or xy.shape[1] != 2:
-        raise ValueError(f"expected (x, y) rows, got shape {xy.shape}")
+    if isinstance(points, np.ndarray):
+        xy = np.array(points, dtype=np.float64)
+        if xy.size == 0:
+            xy = xy.reshape(0, 2)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"expected (x, y) rows, got shape {xy.shape}")
+    else:
+        rows = list(points)
+        try:
+            lengths = set(map(len, rows))
+        except TypeError as e:
+            raise ValueError(f"expected (x, y) rows: {e}") from None
+        if lengths - {2}:
+            raise ValueError(f"expected (x, y) rows, got rows of length {sorted(lengths - {2})}")
+        xy = np.fromiter(chain.from_iterable(rows), np.float64, 2 * len(rows)).reshape(-1, 2)
     n = len(xy)
     if n < 2:
         raise TooFewError(f"need at least 2 points, got {n}")

@@ -29,7 +29,8 @@ def render_svg(
     longest = None
     best = -1.0
     for a, b in pairs:
-        d = (xs[b] - xs[a]) ** 2 + (ys[b] - ys[a]) ** 2
+        dx, dy = xs[b] - xs[a], ys[b] - ys[a]
+        d = dx * dx + dy * dy  # inf past the float range, where ** would raise
         if d > best:
             best = d
             longest = (a, b)

@@ -8,7 +8,9 @@ when their index intervals (min, max) are laminar. An edge crosses
 nothing: (t, t+1) has no end strictly inside it, and (0, n-1) contains
 every other end. So one stack sweep over the diagonals alone checks
 crossing-freeness and builds their nesting forest, and the cascades and
-3-bounded count follow from the forest's parent links.
+3-bounded count follow from the forest's parent links. The pass that
+builds the diagonals' sort keys skips the edges, so no separate list of
+edges or diagonals is made.
 """
 from __future__ import annotations
 
@@ -45,14 +47,6 @@ class Matching:
         return Matching(n, tuple((_index(a), _index(b)) for a, b in pairs))
 
 
-def classify_pairs(M: Matching) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Split pairs into (edges, diagonals): adjacent mod n either way vs the rest."""
-    n, edges, diagonals = M.n, [], []
-    for a, b in M.pairs:
-        (edges if (b - a) % n in (1, n - 1) else diagonals).append((a, b))
-    return edges, diagonals
-
-
 @dataclass(frozen=True)
 class MatchingReport:
     perfect: bool
@@ -63,15 +57,18 @@ class MatchingReport:
     decomposition: CascadeDecomposition | None
 
 
-def _nesting(pairs) -> tuple[list[tuple[int, int]], list[int] | None]:
-    """Sort chords as intervals (lo, hi) and find their nesting forest.
+def _nesting(pairs, n: int) -> tuple[list[tuple[int, int]], list[int] | None]:
+    """Sort the diagonals among ``pairs`` as intervals (lo, hi) and find
+    their nesting forest; edges, adjacent mod n either way round, are
+    skipped in the same pass.
 
     Returns the sorted keys (lo, -hi), in which an interval follows all
     intervals containing it, and each interval's parent: the index of the
     innermost interval containing it, or -1. The parents are None when two
     intervals properly interleave; intervals sharing an end never do.
     """
-    keys = sorted([(a, -b) if a < b else (b, -a) for a, b in pairs])
+    adjacent = (1, n - 1)
+    keys = sorted([(a, -b) if a < b else (b, -a) for a, b in pairs if (b - a) % n not in adjacent])
     parents = [-1] * len(keys)
     stack: list[tuple[int, int]] = []  # (hi, index) of open intervals, innermost last
     for t, (lo, neg_hi) in enumerate(keys):
@@ -119,7 +116,7 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
         k = int(np.argmax(d2))  # the first longest pair
         value, longest_pair = math.sqrt(d2[k]), tuple(M.pairs[k])
 
-    keys, parents = _nesting(classify_pairs(M)[1])
+    keys, parents = _nesting(M.pairs, n)
     non_crossing = parents is not None
     decomposition = _decompose(keys, parents) if perfect and non_crossing else None
     return MatchingReport(perfect, non_crossing, value, longest_pair, decomposition)

@@ -17,7 +17,7 @@ from bnmatch import (
 from bnmatch.baselines import _fill_cubic, _sq_dist_matrix
 from bnmatch.errors import OddCountError, TooLargeError
 from bnmatch.geometry import turning_angle
-from bnmatch.structure import classify_pairs, Matching
+from bnmatch.structure import Matching
 from conftest import SKEW4_VALUE, canonical_pairs, sq_dist
 
 approx = pytest.approx
@@ -182,7 +182,7 @@ class TestStructuralExistence:
             _, optimal = oracle_solve(P)
             ok = False
             for m in optimal:
-                _, diagonals = classify_pairs(m)
+                diagonals = [(a, b) for a, b in m.pairs if (b - a) % P.n not in (1, P.n - 1)]
                 if all(
                     min(turning_angle(P, a, b), turning_angle(P, b, a)) > math.pi / 2
                     for a, b in diagonals

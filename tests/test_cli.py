@@ -3,8 +3,11 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from bnmatch import validate_convex_ccw, verify_matching
 from bnmatch.cli import main
 from bnmatch.errors import NonFiniteValueError
 from bnmatch.formats import (
@@ -15,7 +18,16 @@ from bnmatch.formats import (
     parse_instance,
     parse_matching,
 )
+from bnmatch.structure import Matching
 from conftest import SKEW4_COORDS, SQ4_COORDS
+
+# finite floats, with the signed zero, the smallest subnormal, the float
+# range's ends and integer values (written as JSON integers) drawn often
+EXACT_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    | st.integers(-(2**70), 2**70).map(float)
+)
 
 
 def write(path, text):
@@ -36,11 +48,33 @@ class TestFormats:
 
     def test_instance_json_round_trip(self):
         pts = [(1 / 3, -2 / 7), (0.1, 0.2), (-5.5, 1e-12)]
-        assert parse_instance(instance_to_json(pts)) == pts
+        assert parse_instance(instance_to_json(pts)).tolist() == [list(p) for p in pts]
 
     def test_instance_csv_round_trip(self):
         pts = [(1 / 3, -2 / 7), (0.1, 0.2)]
-        assert parse_instance(instance_to_csv(pts)) == pts
+        assert parse_instance(instance_to_csv(pts)).tolist() == [list(p) for p in pts]
+
+    @given(st.lists(st.tuples(EXACT_FLOATS, EXACT_FLOATS), min_size=1, max_size=40))
+    def test_instance_round_trip_bits(self, pts):
+        # both forms give an (n, 2) float64 array holding the input's bits
+        want = np.array(pts, dtype=np.float64)
+        for text in (instance_to_json(pts), instance_to_csv(pts)):
+            got = parse_instance(text)
+            assert got.dtype == np.float64 and got.shape == (len(pts), 2)
+            assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_round_trips(self):
+        # a bare "-0" reads back from JSON as the integer 0
+        assert fmt17(-0.0) == "-0.0" and fmt17(0.0) == "0"
+        for text in (instance_to_json([(-0.0, 0.0)]), instance_to_csv([(-0.0, 0.0)])):
+            assert np.signbit(parse_instance(text)).tolist() == [[True, False]]
+
+    def test_integer_json_numbers_round_to_nearest(self):
+        # JSON integers convert as float() converts them, also past 2**53
+        ints = [0, -1, 2**53 + 1, 2**63 + 1, -(2**64) - 1, 10**308]
+        text = '{"points": [' + ", ".join(f"[{v}, {-v}]" for v in ints) + "]}"
+        want = np.array([[float(v), float(-v)] for v in ints])
+        assert parse_instance(text).tobytes() == want.tobytes()
 
     def test_matching_json_keys_stable(self):
         text = matching_to_json(4, 1.0, [(0, 1), (2, 3)], "one-cascade", 0, 7)
@@ -251,7 +285,7 @@ class TestGenCommand:
 
         assert main(["gen", "--n", "8", "--seed", "3"]) == 0
         pts = parse_instance(capsys.readouterr().out)
-        assert pts == gen_circle(8, 3).coords()
+        assert pts.tolist() == [list(p) for p in gen_circle(8, 3).coords()]
 
 
 class TestRenderCommand:
@@ -290,6 +324,25 @@ class TestRenderCommand:
         assert "parse error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points, pairs", [
+        ([(0, 0), (1e200, 0), (1e200, 1e200), (0, 1e200)], [(0, 1), (2, 3)]),
+        ([(0, 0), (1e200, 0), (1e100, 1), (0, 1)], [(2, 3), (0, 1)]),
+    ], ids=["square", "trapezoid"])
+    def test_overflowing_lengths_render(self, tmp_path, points, pairs):
+        # squared lengths past the float range are inf, as in verify_matching;
+        # ** used to raise OverflowError out of main
+        inst = write(tmp_path / "i.json", instance_to_json(points))
+        m = write(tmp_path / "m.json", matching_to_json(4, 1e200, pairs, "one-cascade", 0, 0))
+        out = tmp_path / "o.svg"
+        assert main(["render", inst, m, "--out", str(out)]) == 0
+        ns = "{http://www.w3.org/2000/svg}"
+        hot = [ln for ln in ET.fromstring(out.read_text()).iter(f"{ns}line")
+               if ln.get("stroke") == "#d62728"]
+        a, b = verify_matching(validate_convex_ccw(points), Matching(4, tuple(pairs))).longest_pair
+        (xa, ya), (xb, yb) = (map(float, points[t]) for t in (a, b))
+        want = [f"{v:.8g}" for v in (xa, -ya, xb, -yb)]  # y is drawn flipped
+        assert [[ln.get(k) for k in ("x1", "y1", "x2", "y2")] for ln in hot] == [want]
+
 
 NON_INTEGER_INDICES = {
     "fractional": '{"n": 4.9, "value": 1.0, "pairs": [[0.9, 1.7], [2, 3.2]]}',
@@ -312,7 +365,8 @@ def test_non_integer_index_exits_2(sq4_file, tmp_path, capsys, command, text):
     assert not out.exists()
 
 
-NON_NUMBER_POINTS = {
+# "points" values that are no list of (x, y) number pairs
+MALFORMED_POINTS = {
     "bool": "[[true, false], [1, 0], [1, 1], [0, 1]]",
     "string": '[["0", 0], [1, 0], [1, 1], [0, 1]]',
     "null": "[[0, null], [1, 0], [1, 1], [0, 1]]",
@@ -320,14 +374,29 @@ NON_NUMBER_POINTS = {
     "object": '[{"x": 0, "y": 0}, [1, 0], [1, 1], [0, 1]]',
     "not-a-list": "4",
     "huge-integer": "[[1" + "0" * 400 + ", 0], [1, 0], [1, 1], [0, 1]]",
+    "length-1": "[[0], [1, 0], [1, 1], [0, 1]]",
+    "length-3": "[[0, 0], [1, 0, 0], [1, 1], [0, 1]]",
+    "scalar-point": "[[0, 0], [1, 0], 7, [0, 1]]",
+    "dict": '{"0": [0, 0]}',
+    "string-points": '"0,0"',
 }
 
 
-@pytest.mark.parametrize("points", NON_NUMBER_POINTS.values(), ids=NON_NUMBER_POINTS)
+@pytest.mark.parametrize("points", MALFORMED_POINTS.values(), ids=MALFORMED_POINTS)
 def test_non_number_coordinates_exit_2(tmp_path, capsys, points):
     # float() used to read true as 1 and "0" as 0, so these were solved
     inst = write(tmp_path / "i.json", '{"points": ' + points + "}")
     assert main(["solve", inst]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ") and not captured.out
+
+
+@pytest.mark.parametrize("points", MALFORMED_POINTS.values(), ids=MALFORMED_POINTS)
+def test_malformed_instance_verify_exits_2(tmp_path, capsys, points):
+    # the matching would verify against the unit square
+    inst = write(tmp_path / "i.json", '{"points": ' + points + "}")
+    m = write(tmp_path / "m.json", matching_to_json(4, 1.0, [(0, 1), (2, 3)], "one-cascade", 0, 0))
+    assert main(["verify", inst, m]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("parse error: ") and not captured.out
 
@@ -347,8 +416,22 @@ def test_non_number_value_exits_2(sq4_file, tmp_path, capsys, value):
     assert captured.err.startswith("parse error: ") and not captured.out
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "render"])
+def test_undecodable_file_exits_2(sq4_file, tmp_path, capsys, command):
+    # a UnicodeDecodeError is a ValueError, which used to exit 3
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "o.svg"
+    args = {"solve": [str(bad)], "verify": [sq4_file, str(bad)],
+            "render": [sq4_file, str(bad), "--out", str(out)]}[command]
+    assert main([command] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ") and "not UTF-8" in captured.err
+    assert not captured.out and not out.exists()
+
+
 def test_csv_cells_are_read_by_float():
-    assert parse_instance(" 1 ,2\n3e0,-4.5\n") == [(1.0, 2.0), (3.0, -4.5)]
+    assert parse_instance(" 1 ,2\n3e0,-4.5\n").tolist() == [[1.0, 2.0], [3.0, -4.5]]
 
 
 def test_integral_float_index_accepted():

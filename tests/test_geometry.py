@@ -24,6 +24,7 @@ from bnmatch.errors import (
     OddCountError,
     TooFewError,
 )
+from bnmatch.formats import instance_to_json, parse_instance
 from bnmatch.geometry import arc_turns, turning_angle
 from conftest import SQ4_COORDS, sq_dist
 
@@ -147,6 +148,38 @@ class TestArrayRepresentation:
         kept = P.xs.nbytes + P.ys.nbytes + P.ext.nbytes + P._ext_cum2.nbytes
         assert peak - kept <= 125 * n, (peak - kept) / n
 
+    def test_parsed_instance_peak_per_point(self):
+        # parsing a JSON instance and validating the array peaks at 166
+        # bytes per point at n = 4096 (json's lists, then validation's
+        # scratch); a (float, float) tuple per point, as the parse used to
+        # build, took it to 234
+        n = 4096
+        text = instance_to_json(gen_circle(n, 1).coords())
+        tracemalloc.start()
+        try:
+            validate_convex_ccw(parse_instance(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * n, peak / n
+
+    @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_input_forms_bit_identical(self, mode, n):
+        coords = generate(GenSpec(n, mode, 5)).coords()
+        forms = {
+            "list-of-tuples": list(coords),
+            "tuple-of-tuples": tuple(coords),
+            "list-of-lists": [list(p) for p in coords],
+            "generator": (p for p in coords),
+            "list-of-arrays": [np.array(p) for p in coords],
+        }
+        want = validate_convex_ccw(np.array(coords))
+        for name, pts in forms.items():
+            P = validate_convex_ccw(pts)
+            for field in ("xs", "ys", "ext", "ext_prefix"):
+                assert _bits(getattr(P, field)) == _bits(getattr(want, field)), (name, field)
+
     @pytest.mark.parametrize(
         "points,cls,message",
         [
@@ -217,8 +250,9 @@ class TestArrayRepresentation:
             np.zeros((4, 3)),
             [(0, 0), (1, 0), (1, 1, 5), (0, 1)],
             [(0, 0), (1,), (1, 1), (0, 1)],
+            [(0, 0), (1, 0), 1.5, (0, 1)],
         ],
-        ids=["rows-of-3", "array-of-3", "ragged-long", "ragged-short"],
+        ids=["rows-of-3", "array-of-3", "ragged-long", "ragged-short", "scalar-row"],
     )
     def test_malformed_rows_rejected(self, points):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from bnmatch import (
     Matching,
     cascade_decomposition,
-    classify_pairs,
     gen_circle,
     gen_cluster3,
     oracle_enumerate,
@@ -334,27 +333,32 @@ def test_random_bracket_matchings(matching, data):
 
 
 class TestClassifyPairs:
+    """The key pass of ``_nesting`` keeps the diagonals and skips the edges."""
+
+    @staticmethod
+    def keys(n, pairs):
+        return structure._nesting(pairs, n)[0]
+
     def test_mixed(self):
-        edges, diagonals = classify_pairs(M(6, [(0, 3), (1, 2), (4, 5)]))
-        assert edges == [(1, 2), (4, 5)]
-        assert diagonals == [(0, 3)]
+        assert self.keys(6, [(0, 3), (1, 2), (4, 5)]) == [(0, -3)]
 
     def test_all_edges(self):
-        edges, diagonals = classify_pairs(M(4, [(0, 1), (2, 3)]))
-        assert len(edges) == 2 and not diagonals
+        assert self.keys(4, [(0, 1), (2, 3)]) == []
 
     def test_wraparound_edge(self):
-        edges, diagonals = classify_pairs(M(4, [(0, 3), (1, 2)]))
-        assert len(edges) == 2 and not diagonals
+        assert self.keys(4, [(0, 3), (1, 2)]) == []
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_every_ordered_pair_against_two_sided_rule(self, n):
-        # an edge is adjacent mod n either way round, tested from both ends
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        edges, diagonals = classify_pairs(Matching(n, tuple(pairs)))
-        two_sided = [(a, b) for a, b in pairs if (b - a) % n == 1 or (a - b) % n == 1]
-        assert edges == two_sided
-        assert diagonals == [pair for pair in pairs if pair not in two_sided]
+        # an edge is adjacent mod n either way round, tested from both ends;
+        # each ordered pair alone yields its (lo, -hi) key exactly when it is
+        # a diagonal
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    two_sided = (b - a) % n == 1 or (a - b) % n == 1
+                    want = [] if two_sided else [(min(a, b), -max(a, b))]
+                    assert self.keys(n, [(a, b)]) == want, (a, b)
 
 
 class TestCascadeDecomposition:
