@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, formats, generators, render, solver, structure
 from .errors import BnmatchError, NonFiniteValueError, TooLargeError
-from .geometry import ConvexPointSet, validate_convex_ccw
+from .geometry import ConvexPointSet, check_finite, validate_convex_ccw
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -136,6 +136,7 @@ def cmd_gen(args) -> int:
 
 def cmd_render(args) -> int:
     points = formats.parse_instance(_read(args.instance))
+    check_finite(*points.T)  # an inf or nan coordinate would be drawn as one
     md = formats.parse_matching(_read(args.matching))
     if not md["pairs"]:
         raise formats.ParseError("matching file has no pairs")

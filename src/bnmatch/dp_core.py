@@ -38,12 +38,20 @@ three ufunc calls on contiguous slices. Its row loop touches that array
 halves, the pair and left moves (16), the squared edge lengths once and
 twice over (8 + 16), the latest row (8), the necessity factors (8), the
 starts sorted by reach (8) and a boolean row: about 98 bytes a point
-beside the kept rows at n = 8192. ``edge2`` stays an array of its
-own rather than a view of its doubled copy, which filled n = 16384 about
-28% slower.
+beside the kept rows at n = 8192.
+
+The float64 buffers of the row loop come from one allocation, each
+starting on a 64-byte cache line (``_aligned``). NumPy aligns data to 16
+bytes only, and its AVX-512 loops split every vector store into an
+output that starts off a line across two lines: where malloc happened to
+put the d2 buffer off a line, the fill took 1.3-1.4 times as long, and
+which placement a process got varied from run to run. ``edge2``, which
+the table keeps, has an aligned allocation of its own, so that the
+table does not hold the fill's scratch alive.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from array import array
 from dataclasses import dataclass
@@ -225,6 +233,26 @@ class SubproblemTable:
         return list(self._rows(cur, e_left, terms()))
 
 
+def _aligned(*sizes: int) -> list[np.ndarray]:
+    """float64 buffers of the given sizes, each starting on a 64-byte cache
+    line, from one allocation: at most 56 bytes of padding each.
+
+    NumPy aligns its data to 16 bytes only, and an AVX-512 loop whose
+    output starts off a line splits every vector store across two lines
+    (see ``build_subproblem_table``). One allocation and one address read
+    keep the set-up cheap at small n.
+    """
+    whole = np.empty(sum(sizes) + 7 * len(sizes))
+    # the address of its first byte (a quarter of the cost of .ctypes.data);
+    # float64 data is 8-byte aligned at least
+    at = -ctypes.addressof(ctypes.c_char.from_buffer(whole)) % 64 // 8
+    out = []
+    for size in sizes:
+        out.append(whole[at:at + size])
+        at += size + -size % 8
+    return out
+
+
 def _wrapped(
     a: np.ndarray, first: int, shape: tuple[int, ...], step: tuple[int, ...]
 ) -> np.ndarray:
@@ -285,11 +313,24 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
 
     The scratch is about 98 bytes a point beside the kept rows (see the
     module docstring), and ``S`` is allocated only after
-    ``candidate_reach`` has returned. Measured layouts: ``edge2`` as a
-    view of its doubled copy filled n = 16384 about 28% slower, padding
-    the (2, n) buffer's rows slowed small n by about 8%, and the starts
-    sorted by reach as 32-bit ints, a cast at every use, slowed small
-    fills by about 4%.
+    ``candidate_reach`` has returned. The doubled coordinates, the (2, n)
+    buffer, the row buffer, the doubled edges and ``keep`` are views of
+    one allocation, each starting on a 64-byte line, and ``edge2`` has one
+    of its own, also aligned: only where each buffer lies changes, not
+    its size, so no float operation changes. Measured on an AVX-512 host,
+    fresh fills alternating in one process with fills whose buffers lay
+    where malloc put them, which stays the same from fill to fill in a
+    process: 0.93x at n = 1024, 0.78x at 2048, 0.76x at 4096, 0.71x at
+    8192 and 0.71-0.76x at 16384 where the (2, n) buffer lay 16 to 48
+    bytes off a line, 0.98x at 8192 in a process where it lay on one. That
+    buffer decides it: alone 16 bytes off a line, it made the fill
+    1.25-1.39x slower; the row buffer 1.04-1.05x, and ``edge2``, ``keep``,
+    the coordinates or the boolean row at most 1.02x. Other measured
+    layouts: padding the (2, n) buffer's rows slowed small n by about 8%,
+    and the starts sorted by reach as 32-bit ints, a cast at every use,
+    slowed small fills by about 4%. ``edge2`` as a view of its doubled
+    copy filled n = 16384 about 28% slower, timed with no control of
+    where either buffer lay.
     """
     n = P.n
     half = n // 2
@@ -301,25 +342,29 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     by_reach = np.argsort(reach)
     below = array("i", np.searchsorted(reach, np.arange(kmax + 1), sorter=by_reach).tolist())  # reach < k
     del reach  # n words the loop does not need
-    keep = np.full(n, 1.0 - _NECESSARY_REL_TOL)  # zeroed at a start once k passes its reach
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
 
     # ufuncs as locals, out= by position where allowed: at small n lookups and keywords show
     sub, mul, add, maximum, minimum = np.subtract, np.multiply, np.add, np.maximum, np.minimum
-    xy2 = np.empty((2, 2 * n))  # x and y, each twice over
-    xy2[0, :n], xy2[1, :n] = P.xs, P.ys
-    xy2[:, n:] = xy2[:, :n]
+    xy2, dxy, buf, edge2_twice, keep = _aligned(4 * n, 2 * n, n + 2, 2 * n, n)
+    xy2 = xy2.reshape(2, 2, n)
+    # x and y, each twice over, from the coordinates: a copy of one half
+    # into the other would go through a temporary inside one allocation
+    xy2[0], xy2[1] = P.xs, P.ys
+    xy2 = xy2.reshape(2, 2 * n)
     xy = xy2[:, :n]
-    dx, dy = dxy = np.empty((2, n))  # d2, then the pair move in dx and the left move in dy
+    dx, dy = dxy = dxy.reshape(2, n)  # d2, then the pair move in dx and the left move in dy
     p = np.empty(n, dtype=bool)
-    buf = np.empty(n + 2)  # the latest row, then its entries 0 and 1 again
-    # its fixed views: the row, the row from s+1 and s+2, the repeat, its source
+    # the latest row, then its entries 0 and 1 again; its fixed views: the
+    # row, the row from s+1 and s+2, the repeat, its source
     row, row1, row2, tail, head = buf[:n], buf[1:n + 1], buf[2:], buf[n:], buf[:2]
+    keep.fill(1.0 - _NECESSARY_REL_TOL)  # zeroed at a start once k passes its reach
 
     sub(xy2[:, 1:n + 1], xy, dxy)
     mul(dxy, dxy, dxy)
-    edge2 = add(dx, dy)  # d2(s, s+1), as the rows compute d2
-    edge2_twice = np.concatenate((edge2, edge2))
+    # d2(s, s+1), as the rows compute d2, in an allocation of its own: the table keeps it
+    edge2 = add(dx, dy, _aligned(n)[0])
+    edge2_twice[:n] = edge2_twice[n:] = edge2
     row[:], tail[:] = edge2, edge2[:2]
     if stride == 1:
         S[1] = row

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    BadIndexError,
     DegenerateSegmentError,
     DuplicatePointError,
     NonFiniteError,
@@ -69,6 +68,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raises NonFiniteError naming the first point with an inf or nan coordinate."""
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        t = int(np.argmax(~finite))
+        raise NonFiniteError(f"({float(xs[t])}, {float(ys[t])})")
+
+
 def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     """Validate a point sequence as strictly convex, ccw and even-sized.
 
@@ -101,10 +108,7 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     if n % 2 != 0:
         raise OddCountError(f"point count must be even, got {n}")
     xs, ys = xy.T.copy()
-    finite = np.isfinite(xs) & np.isfinite(ys)
-    if not finite.all():
-        t = int(np.argmax(~finite))
-        raise NonFiniteError(f"({float(xs[t])}, {float(ys[t])})")
+    check_finite(xs, ys)
     # + 0.0 folds -0.0 into 0.0; a stable sort keeps equal points in index
     # order, so the first repeated point is the smallest later index
     kx, ky = xs + 0.0, ys + 0.0
@@ -152,34 +156,13 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     )
 
 
-def _check_index(P: ConvexPointSet, i: int) -> None:
-    if not 0 <= i < P.n:
-        raise BadIndexError(f"index {i} outside [0, {P.n})")
-
-
-def turning_angle(P: ConvexPointSet, i: int, j: int) -> float:
-    """Cumulative exterior angle along the arc <i, j>.
-
-    The ccw rotation taking edge direction i -> i+1 onto edge direction
-    j-1 -> j, i.e. the sum of exterior angles at the vertices strictly
-    inside the arc. turning_angle(P, i, i+1) == 0. Result in [0, 2*pi).
-    """
-    _check_index(P, i)
-    _check_index(P, j)
-    if i == j:
-        raise BadIndexError("turning angle needs two distinct indices")
-    n = P.n
-    a = (i + 1) % n
-    steps = (j - i - 1) % n
-    cum = P._ext_cum2
-    return float(cum[a + steps] - cum[a])
-
-
 def arc_turns(P: ConvexPointSet, m, starts: np.ndarray) -> np.ndarray:
     """Turning angle of the arcs of ``m`` vertices (2 <= m <= n, one size
     for all or one per start) that begin at ``starts``.
 
-    Entry t is turning_angle(P, s, s+m-1) for s = starts[t], bit for bit.
+    Entry t is the ccw rotation taking edge direction s -> s+1 onto edge
+    direction s+m-2 -> s+m-1, for s = starts[t]: the sum of the exterior
+    angles at the m - 2 vertices strictly inside the arc, in [0, 2*pi).
     """
     a = (starts + 1) % P.n
     cum = P._ext_cum2

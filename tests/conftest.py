@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from bnmatch import dp_core, gen_cluster3, validate_convex_ccw
-from bnmatch.geometry import _check_index
+from bnmatch.errors import BadIndexError
 
 DEG = math.pi / 180.0
 
@@ -24,6 +24,29 @@ SKEW4_VALUE = 2.0 * math.cos(10 * DEG)
 def canonical_pairs(pairs) -> tuple[tuple[int, int], ...]:
     """Order-independent form: sorted (min, max) pairs, for comparisons."""
     return tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+
+
+def _check_index(P, i: int) -> None:
+    if not 0 <= i < P.n:
+        raise BadIndexError(f"index {i} outside [0, {P.n})")
+
+
+def turning_angle(P, i: int, j: int) -> float:
+    """Cumulative exterior angle along the arc <i, j>: the tests' reference.
+
+    The ccw rotation taking edge direction i -> i+1 onto edge direction
+    j-1 -> j, i.e. the sum of exterior angles at the vertices strictly
+    inside the arc. turning_angle(P, i, i+1) == 0. Result in [0, 2*pi).
+    """
+    _check_index(P, i)
+    _check_index(P, j)
+    if i == j:
+        raise BadIndexError("turning angle needs two distinct indices")
+    n = P.n
+    a = (i + 1) % n
+    steps = (j - i - 1) % n
+    cum = P._ext_cum2
+    return float(cum[a + steps] - cum[a])
 
 
 def sq_dist(P, i: int, j: int) -> float:

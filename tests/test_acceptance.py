@@ -27,8 +27,8 @@ from bnmatch import (
 )
 from bnmatch.cli import main
 from bnmatch.formats import parse_instance
-from bnmatch.geometry import turning_angle
 from bnmatch.solver import Polarity
+from conftest import turning_angle
 
 MODES = ("circle", "valtr", "cluster3")
 REL = 1e-9

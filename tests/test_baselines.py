@@ -16,9 +16,8 @@ from bnmatch import (
 )
 from bnmatch.baselines import _fill_cubic, _sq_dist_matrix
 from bnmatch.errors import OddCountError, TooLargeError
-from bnmatch.geometry import turning_angle
 from bnmatch.structure import Matching
-from conftest import SKEW4_VALUE, canonical_pairs, sq_dist
+from conftest import SKEW4_VALUE, canonical_pairs, sq_dist, turning_angle
 
 approx = pytest.approx
 

@@ -324,6 +324,18 @@ class TestRenderCommand:
         assert "parse error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("coord", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_coordinate_exits_3(self, tmp_path, capsys, coord):
+        # these used to be drawn, as viewBox="-inf -inf inf inf" or a nan
+        # vertex, with exit 0; verify and solve reject them as NonFinite
+        inst = write(tmp_path / "i.json", '{"points": [[0, 0], [' + coord + ", 0], [1, 1], [0, 1]]}")
+        m = write(tmp_path / "m.json", matching_to_json(4, 1.0, [(0, 1), (2, 3)], "one-cascade", 0, 0))
+        out = tmp_path / "o.svg"
+        assert main(["render", inst, m, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "NonFinite" in captured.err and not captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("points, pairs", [
         ([(0, 0), (1e200, 0), (1e200, 1e200), (0, 1e200)], [(0, 1), (2, 3)]),
         ([(0, 0), (1e200, 0), (1e100, 1), (0, 1)], [(2, 3), (0, 1)]),

@@ -24,16 +24,17 @@ from bnmatch import (
     one_cascade_optimum,
     oracle_enumerate,
     reconstruct,
+    solve,
     validate_convex_ccw,
 )
-from bnmatch.dp_core import checkpoint_stride
+from bnmatch.dp_core import _aligned, checkpoint_stride
 from bnmatch.errors import BadDomainError
 from bnmatch.geometry import (
-    ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns, candidate_reach, turning_angle,
+    ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns, candidate_reach,
 )
 from conftest import (
     SKEW4_VALUE, equiangular, forced_stride, parabola_cap, random_polygons, regular, sq_dist,
-    two_arcs,
+    turning_angle, two_arcs,
 )
 
 approx = pytest.approx
@@ -538,6 +539,62 @@ def test_fill_scratch_memory_per_point():
         tracemalloc.stop()
     tables = T.S.nbytes + T.necessary.nbytes + T.bases.nbytes
     assert peak - tables <= 123 * n, (peak - tables) / n
+
+
+@pytest.mark.parametrize("sizes", [
+    (4 * 1002, 2 * 1002, 1002 + 2, 2 * 1002, 1002), (8, 4, 4, 4, 2), (4, 6, 4, 6, 3),
+    (1, 7, 9, 15, 17), (1,), (2055,),
+], ids=str)
+def test_aligned_buffers_start_on_a_line(sizes):
+    # each buffer starts on a 64-byte boundary, holds exactly the floats
+    # asked for and overlaps no other, wherever the allocation landed
+    for _ in range(8):
+        bufs = _aligned(*sizes)
+        assert [b.dtype for b in bufs] == [np.float64] * len(sizes)
+        assert [b.size for b in bufs] == list(sizes)
+        assert [b.ctypes.data % 64 for b in bufs] == [0] * len(sizes)
+        assert all(b.flags.c_contiguous and b.flags.writeable for b in bufs)
+        ends = sorted((b.ctypes.data, b.ctypes.data + b.nbytes) for b in bufs)
+        assert all(e <= s for (_, e), (s, _) in zip(ends, ends[1:]))
+        # the padding is at most 7 floats a buffer
+        assert bufs[0].base.size <= sum(sizes) + 7 * len(sizes)
+
+
+@pytest.mark.parametrize("n", [4, 1002, 2048])
+def test_edge2_holds_no_fill_scratch(n):
+    # T.edge2 outlives the fill: a view of the fill's shared scratch would
+    # keep all of it alive through reconstruct; its own allocation holds at
+    # most n + 8 floats
+    T = build_subproblem_table(generate(GenSpec(n, "valtr", 2)))
+    owner = T.edge2 if T.edge2.base is None else T.edge2.base
+    assert T.edge2.size == n and owner.size <= n + 8
+
+
+# digests of T.S, T.necessary, T.bases, T.edge2 and the solve report, as the
+# fill gave them with its buffers where NumPy's allocator put them. At
+# n = 2 (mod 8) the d2 buffer's y half and the second row of the doubled
+# coordinates start off a 64-byte line
+LAYOUT_DIGESTS = {
+    ("valtr", 1002): "80612b1dd9de0e0d2b07c74f5df84f42abb3eb9ce62c7d056c7c3fd294082db8",
+    ("valtr", 2050): "284b3ecb1fdebb14e26ec5d5d54eef2c407c1e7055978e25fc138a692e17eec5",
+    ("valtr", 4098): "294865cb62733e0cfb7312f4d983f06fe1fedb13801296b360d2a25d3aac1045",
+    ("cluster3", 1002): "a6a89f2fbb37e4b46c68c9aa97a2661e78c5073b2ef6bfa6a3f0c28ad8f0bfed",
+    ("cluster3", 2050): "e89a83a8b8ecbe8dfaead57b0ebd663d60c9760ce491c7a410576e40edbf6e9e",
+    ("cluster3", 4098): "a350c19f8a8e8f16ef0c8523802173f8377e40338945dc973971b5dad6bc4240",
+}
+
+
+@pytest.mark.parametrize("mode, n", LAYOUT_DIGESTS, ids=str)
+def test_aligned_fill_bit_identical(mode, n):
+    P = generate(GenSpec(n, mode, 1))
+    T = build_subproblem_table(P)
+    digest = hashlib.sha256()
+    for a in (T.S, T.necessary, T.bases, T.edge2):
+        digest.update(a.tobytes())
+    rep = solve(P)
+    digest.update(repr((rep.value.hex(), rep.matching.pairs, rep.candidate_count, rep.cascades,
+                        rep.structure)).encode())
+    assert digest.hexdigest() == LAYOUT_DIGESTS[mode, n]
 
 
 def test_table_and_reconstruct_memory_sub_quadratic():

@@ -25,8 +25,8 @@ from bnmatch.errors import (
     TooFewError,
 )
 from bnmatch.formats import instance_to_json, parse_instance
-from bnmatch.geometry import arc_turns, turning_angle
-from conftest import SQ4_COORDS, sq_dist
+from bnmatch.geometry import arc_turns
+from conftest import SQ4_COORDS, sq_dist, turning_angle
 
 approx = pytest.approx
 

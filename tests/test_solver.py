@@ -22,11 +22,11 @@ from bnmatch import (
 )
 from bnmatch import dp_core
 from bnmatch.errors import NonFiniteValueError
-from bnmatch.geometry import CANDIDATE_ANGLE, turning_angle
+from bnmatch.geometry import CANDIDATE_ANGLE
 from bnmatch.solver import Polarity
 from conftest import (
     SKEW4_VALUE, canonical_pairs, equiangular, forced_stride, parabola_cap, random_polygons,
-    regular, sq_dist, two_arcs,
+    regular, sq_dist, turning_angle, two_arcs,
 )
 
 approx = pytest.approx

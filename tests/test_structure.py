@@ -21,7 +21,7 @@ from bnmatch import structure
 from bnmatch.cli import main
 from bnmatch.errors import BadIndexError, InvalidMatchingError
 from bnmatch.formats import instance_to_json, matching_to_json
-from conftest import canonical_pairs, segments_cross
+from conftest import canonical_pairs, segments_cross, turning_angle
 
 approx = pytest.approx
 
@@ -405,8 +405,6 @@ class TestCascadeDecomposition:
     def test_wide_diagonals_imply_no_fat_region(self):
         # if every diagonal turns by more than pi/2 both ways, the turn
         # budget of 2*pi leaves no room for a region with 4+ diagonals
-        from bnmatch.geometry import turning_angle
-
         checked = 0
         for n in (8, 10, 12):
             for seed in range(4):
