@@ -7,7 +7,7 @@ an O(n^3) baseline and an exhaustive oracle for cross-checking, plus
 instance generators, structural analysis, SVG rendering and a CLI.
 """
 
-from .baselines import cubic_solve, oracle_enumerate, oracle_solve
+from .baselines import cubic_solve, oracle_solve
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .generators import GenSpec, gen_circle, gen_cluster3, gen_valtr, generate
 from .geometry import (
@@ -46,7 +46,6 @@ __all__ = [
     "gen_valtr",
     "generate",
     "one_cascade_optimum",
-    "oracle_enumerate",
     "oracle_solve",
     "reconstruct",
     "solve",

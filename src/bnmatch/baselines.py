@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import OddCountError, TooLargeError
 from .geometry import ConvexPointSet
@@ -117,16 +116,6 @@ def _guard(n: int) -> None:
         raise OddCountError(f"{n}")
     if n > ORACLE_MAX_N:
         raise TooLargeError(f"oracle enumeration capped at n={ORACLE_MAX_N}, got {n}")
-
-
-def oracle_enumerate(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every non-crossing perfect matching of n points exactly once.
-
-    Point 0 is matched to each odd k in turn, recursing on both sides;
-    the total count is the Catalan number C(n/2).
-    """
-    _guard(n)
-    yield from _matchings_of_size(n)
 
 
 def oracle_solve(P: ConvexPointSet) -> tuple[float, list[Matching]]:

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 parse/read error,
 3 input validation error (the message names the violated invariant;
 also a bottleneck whose squared length overflows float64), 4 size guard
-(oracle refuses n > 20).
+(oracle refuses n > 20), 5 the compiled row kernel could not be built
+(KernelBuild: no C compiler, or the compiler's error).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import time
 import numpy as np
 
 from . import baselines, formats, generators, render, solver, structure
-from .errors import BnmatchError, NonFiniteValueError, TooLargeError
+from .errors import BnmatchError, KernelBuildError, NonFiniteValueError, TooLargeError
 from .geometry import ConvexPointSet, check_finite, validate_convex_ccw
 
 EXIT_OK = 0
@@ -29,6 +30,7 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_VALIDATE = 3
 EXIT_SIZE = 4
+EXIT_BUILD = 5
 
 
 def _read(path: str) -> str:
@@ -327,6 +329,9 @@ def main(argv=None) -> int:
     except TooLargeError as e:
         print(str(e), file=sys.stderr)
         return EXIT_SIZE
+    except KernelBuildError as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_BUILD
     except ValueError as e:  # a BnmatchError, or e.g. a bad generator parameter
         print(str(e), file=sys.stderr)
         return EXIT_VALIDATE

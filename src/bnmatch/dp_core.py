@@ -18,8 +18,7 @@ it. Stride 1 keeps every row. ``checkpoint_stride`` alone picks s from n;
 from n = 2048 on it is isqrt(2n): values then take about 8n(sqrt(n/8) + 2)
 bytes instead of 4n(n + 2) (2.2 MB at n = 8192, 135 MB at 131072), and
 replaying a column of n/2 values costs about n * s / 2 = n * sqrt(n/2)
-entry updates. A replay reads its squared lengths through strided views
-of the coordinates and edges, copying only a window that wraps past n.
+entry updates.
 
 No move is stored: ``reconstruct`` recomputes each move of its walk from
 the values, replaying one block of rows at a time, in O(size * stride)
@@ -31,47 +30,50 @@ cap. It also keeps each candidate's value, its base, which the fill has
 at hand where it flags the arc: 8 bytes a candidate, and no base is
 replayed. So the table holds no quadratic field.
 
-The fill works on real float64 arrays only: the coordinates are one
-(2, 2n) array, x and y each twice over, so d2 to every start at once is
-three ufunc calls on contiguous slices. Its row loop touches that array
-(32 bytes a point), one (2, n) buffer that takes d2 and then, in its two
-halves, the pair and left moves (16), the squared edge lengths once and
-twice over (8 + 16), the latest row (8), the necessity factors (8), the
-starts sorted by reach (8) and a boolean row: about 98 bytes a point
-beside the kept rows at n = 8192.
-
-The float64 buffers of the row loop come from one allocation, each
-starting on a 64-byte cache line (``_aligned``). NumPy aligns data to 16
-bytes only, and its AVX-512 loops split every vector store into an
-output that starts off a line across two lines: where malloc happened to
-put the d2 buffer off a line, the fill took 1.3-1.4 times as long, and
-which placement a process got varied from run to run. ``edge2``, which
-the table keeps, has an aligned allocation of its own, so that the
-table does not hold the fill's scratch alive.
+The fill, the replays of ``arc_values`` and the walk of ``reconstruct``
+are one call each into a compiled kernel, ``_rowkernel.c``, which holds
+the recurrence's expressions once. It is built on first use, not on
+import, with the C compiler ``cc`` (KernelBuildError if that fails), and
+cached in the package's ``__pycache__``; see ``_kernel``. Every buffer it
+uses is a NumPy array passed in, so tracemalloc sees all of its memory.
+On a 2-CPU AVX-512 host the fill takes about 1 ns an entry up to
+n = 16384 (33 ms at n = 8192, against 104 ms for the NumPy row loop it
+replaces), a full-circle walk 0.6 ms at n = 8192 (25 ms), and its
+scratch is 33 bytes a point beside the kept rows (98).
 """
 from __future__ import annotations
 
 import ctypes
+import functools
+import hashlib
 import math
-from array import array
+import os
+import platform
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
-from .errors import BadDomainError
+from .errors import BadDomainError, KernelBuildError
 from .geometry import ConvexPointSet, candidate_reach
 
 _NECESSARY_REL_TOL = 1e-9
 
-# dense value rows up to this many bytes (n <= 2046). With every move
-# replayed by reconstruct, solve at stride isqrt(2n) took 1.16x the
-# stride-1 time on valtr and 1.45x on cluster3 (three candidate replays)
-# at n = 2048, 1.06x and 1.29x at 3072, and 0.98x and 1.10x at 4096
+# dense value rows up to this many bytes (n <= 2046). Tuned for the NumPy
+# row loop, where solve at stride isqrt(2n) took 1.16x the stride-1 time on
+# valtr and 1.45x on cluster3 at n = 2048; with the compiled kernel it
+# takes 0.85x and 0.87x there, as writing the dense rows costs more than
+# the replays (kept as it is: the kept rows of n <= 2046 depend on it)
 _DENSE_VALUES_BYTES = 16 << 20
 
-# rows whose replay terms _block computes at once: its scratch is about
-# 2 * _CHUNK * (2 * stride + 1) floats beside the rows it returns
-_CHUNK = 32
+# the kernel's source in the package, and its compiler flags: no FMA
+# contraction, and no -march, so that one library serves any x86-64 CPU
+# through its target clones
+_SOURCE = "_rowkernel.c"
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def checkpoint_stride(n: int) -> int:
@@ -124,153 +126,91 @@ class SubproblemTable:
 
         Entry k of the first array is the value of the arc of size 2k
         starting at ``start``; of the second, that of the arc of size 2k
-        ending at ``end``. Each comes from one replay with one window per
-        block of ``stride`` rows, left-aligned at the start or right-aligned
-        at the end; both take O(n) entries, about n * stride / 2 entry
-        updates and O(n) scratch. At stride 1 both are read from ``S``.
-        """
-        if self.stride == 1:
-            k = np.arange(kmax + 1)
-            return self.S[k, start], self.S[k, (end - 2 * k + 1) % self.n]
-        steps = min(self.stride - 1, kmax)
-        first, _ = self._replay(start, 0, kmax, steps)
-        _, last = self._replay(end - 2 * steps + 1, -2 * self.stride, kmax, steps)
-        return first.ravel()[:kmax + 1], last.ravel()[:kmax + 1]
-
-    @staticmethod
-    def _rows(cur: np.ndarray, e_left: np.ndarray, terms):
-        """Replay the rows above ``cur``, a checkpoint row over windows of
-        consecutive starts along its last axis, with ``e_left`` the squared
-        lengths of the edges (t, t+1) at those starts.
-
-        Each row is known at two starts fewer than the row below it.
-        ``terms`` gives, for d = 1, 2, ..., the squared lengths of the
-        closing pair and of the right edge of the arcs of row r0 + d, at
-        least at the starts where that row is known. Yields ``cur``, then
-        one row per item of ``terms``: the one copy of the recurrence
-        outside the fill, with its float operations in its order.
-        """
-        yield cur
-        for d2, e_right in terms:
-            w = cur.shape[-1] - 2
-            pair = np.maximum(cur[..., 1:w + 1], d2[..., :w])
-            left = np.maximum(cur[..., 2:], e_left[..., :w])
-            right = np.maximum(cur[..., :w], e_right[..., :w])
-            cur = np.minimum(pair, np.minimum(left, right))
-            yield cur
-
-    @staticmethod
-    def _sq_dist(xe: np.ndarray, ye: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> np.ndarray:
-        """d2 from the points (x0, y0) to the points (xe, ye), with the
-        fill's float operations."""
-        dx, dy = np.subtract(xe, x0), np.subtract(ye, y0)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return dx
-
-    @np.errstate(over="ignore")
-    def _replay(
-        self, s0: int, shift: int, kmax: int, steps: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows r0 .. r0+steps for each checkpoint r0 = b * stride <= kmax,
-        on the window of starts s0 + shift*b .. s0 + shift*b + 2*steps.
-
-        steps < stride, and steps <= n/2. Row r0 + d is known at the
-        window's first 2*(steps - d) + 1 starts; entry [b, d] of the two
-        results is its value at the first and at the last of them. The
-        arcs' ends advance by shift + 2*stride from one window to the
-        next, so each row's terms are read through strided views, and
-        the scratch stays a few times the windows' size; indices past n
-        wrap.
+        ending at ``end``. One kernel call replays, from each checkpoint row
+        r0 <= kmax, rows r0 .. r0 + stride - 1 on the window of 2*stride - 1
+        starts where the arcs from ``start`` lie, and on the one where the
+        arcs to ``end`` lie: about n * stride / 2 entry updates each, O(n)
+        in all with the two arrays. At stride 1 it reads them from ``S``.
         """
         n, stride = self.n, self.stride
-        width = 2 * steps + 1
-        b = np.arange(kmax // stride + 1)[:, None]
-        starts = (s0 + shift * b + np.arange(width)) % n
-        x0, y0 = self.xs[starts], self.ys[starts]
-        # the arc of row b*stride + d at entry t of window b ends at
-        # s0 - 1 + 2d + (shift + 2*stride)*b + t
-        shape, step = (steps + 1, b.size, width), (2, shift + 2 * stride, 1)
-        xe, ye = (_wrapped(a, s0 - 1, shape, step) for a in (self.xs, self.ys))
-        ee = _wrapped(self.edge2, s0 - 2, shape, step)
-
-        def terms():
-            for d in range(1, steps + 1):
-                w = width - 2 * d
-                yield (self._sq_dist(xe[d, :, :w], ye[d, :, :w], x0[:, :w], y0[:, :w]),
-                       ee[d, :, :w])
-
-        first = np.empty((b.size, steps + 1))
-        last = np.empty((b.size, steps + 1))
-        for d, cur in enumerate(self._rows(self.S[b, starts], self.edge2[starts], terms())):
-            first[:, d], last[:, d] = cur[:, 0], cur[:, -1]
+        if not 0 <= kmax <= n // 2:
+            raise BadDomainError(f"kmax {kmax} outside [0, {n // 2}]")
+        # held by a name while the kernel runs: .ctypes.data keeps no reference
+        first, last, window = np.empty(kmax + 1), np.empty(kmax + 1), np.empty(4 * stride - 2)
+        _kernel().bn_arcs(*self._kernel_args(), start % n, end % n, kmax,
+                          window.ctypes.data, first.ctypes.data, last.ctypes.data)
         return first, last
 
-    @np.errstate(over="ignore")
-    def _block(self, r0: int, s: int, height: int) -> list[np.ndarray]:
-        """Rows r0 .. r0+height-1 replayed from checkpoint r0: entry t of
-        row r0 + d is its value at start s + t, for t <= 2(height - d).
-
-        The terms of _CHUNK rows are computed at once, from strided views
-        of the coordinates and edges, so the scratch beyond the rows
-        returned (about height^2 entries) is O(height * _CHUNK).
-        """
-        width = 2 * height + 1
-        x0, y0, e_left, cur = (_wrapped(a, s, (width,), (1,))
-                               for a in (self.xs, self.ys, self.edge2, self.S[r0 // self.stride]))
-        # the arc of row r0 + d at entry t ends at s + 2(r0 + d) - 1 + t
-        shape, step = (height, width), (2, 1)
-        xe, ye = (_wrapped(a, s + 2 * r0 - 1, shape, step) for a in (self.xs, self.ys))
-        ee = _wrapped(self.edge2, s + 2 * r0 - 2, shape, step)
-
-        def terms():
-            for d in range(1, height, _CHUNK):
-                rows, w = slice(d, d + _CHUNK), width - 2 * d
-                yield from zip(self._sq_dist(xe[rows, :w], ye[rows, :w], x0[:w], y0[:w]),
-                               ee[rows, :w])
-
-        return list(self._rows(cur, e_left, terms()))
+    def _kernel_args(self) -> tuple[int, ...]:
+        """The first six arguments of every kernel call: xs, ys, edge2, n, S, stride."""
+        return (self.xs.ctypes.data, self.ys.ctypes.data, self.edge2.ctypes.data, self.n,
+                self.S.ctypes.data, self.stride)
 
 
-def _aligned(*sizes: int) -> list[np.ndarray]:
-    """float64 buffers of the given sizes, each starting on a 64-byte cache
-    line, from one allocation: at most 56 bytes of padding each.
+def _build(source: bytes, flags: tuple[str, ...], path: Path) -> None:
+    """Compile ``source`` with ``cc flags`` into the library ``path``.
 
-    NumPy aligns its data to 16 bytes only, and an AVX-512 loop whose
-    output starts off a line splits every vector store across two lines
-    (see ``build_subproblem_table``). One allocation and one address read
-    keep the set-up cheap at small n.
+    The compiler writes a temporary file beside ``path``, which then
+    replaces ``path`` in one step: processes that build at once each
+    leave a whole library, and the last one's stays. Raises
+    KernelBuildError with the compiler's stderr.
     """
-    whole = np.empty(sum(sizes) + 7 * len(sizes))
-    # the address of its first byte (a quarter of the cost of .ctypes.data);
-    # float64 data is 8-byte aligned at least
-    at = -ctypes.addressof(ctypes.c_char.from_buffer(whole)) % 64 // 8
-    out = []
-    for size in sizes:
-        out.append(whole[at:at + size])
-        at += size + -size % 8
+    try:
+        path.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=path.parent)
+        os.close(fd)
+    except OSError as e:
+        raise KernelBuildError(f"cannot write to {path.parent}: {e}") from e
+    try:
+        done = subprocess.run(["cc", *flags, "-x", "c", "-", "-o", tmp],
+                              input=source, capture_output=True)
+        if done.returncode:
+            raise KernelBuildError(f"cc exited {done.returncode}: "
+                                   + done.stderr.decode(errors="replace").strip())
+        os.chmod(tmp, 0o755)  # as the compiler would have made a new file
+        os.replace(tmp, path)
+    except OSError as e:
+        raise KernelBuildError(f"cannot run cc: {e}") from e
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load(path: Path) -> ctypes.CDLL:
+    """The library at ``path``, with the argument types of its three calls."""
+    lib = ctypes.CDLL(str(path))
+    ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    poly = [ptr, ptr, ptr, size, ptr, size]  # xs, ys, edge2, n, S, stride
+    lib.bn_fill.argtypes = poly + [ptr, size, real, ptr, ptr, ptr, ptr, ptr, size]
+    lib.bn_fill.restype = ctypes.c_int
+    lib.bn_arcs.argtypes = poly + [size, size, size, ptr, ptr, ptr]
+    lib.bn_arcs.restype = None
+    lib.bn_walk.argtypes = poly + [size, size, ptr, ptr]
+    lib.bn_walk.restype = None
+    return lib
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The compiled row kernel, built on first use into the package's
+    ``__pycache__`` under a name keyed by the source, the flags and the
+    machine, and loaded once per process."""
+    source = resources.files(__package__).joinpath(_SOURCE).read_bytes()
+    key = hashlib.sha256(b"\0".join(
+        [source, *(f.encode() for f in _CFLAGS), platform.machine().encode()])).hexdigest()
+    path = Path(__file__).with_name("__pycache__") / f"_rowkernel.{key[:16]}.so"
+    if not path.exists():
+        _build(source, _CFLAGS, path)
+    return _load(path)
+
+
+def _resized(a: np.ndarray, keep: int, size: int) -> np.ndarray:
+    """A new array of ``size`` rows that starts with the first ``keep`` of ``a``."""
+    out = np.empty((size, *a.shape[1:]), a.dtype)
+    out[:keep] = a[:keep]
     return out
 
 
-def _wrapped(
-    a: np.ndarray, first: int, shape: tuple[int, ...], step: tuple[int, ...]
-) -> np.ndarray:
-    """The array v with v[i, j, ...] = a[(first + step[0]*i + step[1]*j +
-    ...) % len(a)], for steps >= 0: a strided view of ``a``, or of a copy
-    of the entries it spans where they wrap past its end. Its entries
-    overlap, so it is only read."""
-    n = a.size
-    first %= n
-    size = sum((m - 1) * t for m, t in zip(shape, step)) + 1
-    base = a[first:first + size] if first + size <= n else np.take(
-        a, np.arange(first, first + size), mode="wrap")
-    return np.ndarray(shape, a.dtype, base, 0, tuple(t * a.itemsize for t in step))
-
-
-# a d2 past the float range is inf, as in float math (solve names it), and
-# an inf value times a zeroed keep is nan, which flags nothing
-@np.errstate(over="ignore", invalid="ignore")
 def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     """Fill the table for all (start, even size) in O(n^2) time.
 
@@ -281,13 +221,13 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         right = max(S(s,   m-2), d2(s+m-2, s+m-1))
         S(s, m) = min(pair, left, right)
 
-    Each size is computed for all starts at once; ties pick the earliest
-    move in (pair, left, right) order. The pair move is necessary only when
-    it wins by more than a relative 1e-9. That is tested only in the rows
-    k <= max(``candidate_reach(P)``) and, at a start s, only while k <=
-    reach[s]: past that the pair would have to beat 0, which it never does,
-    so each arc the test flags is a candidate. There the row's value is
-    the pair's, and the fill stores it with the arc's (k, start).
+    ties pick the earliest move in (pair, left, right) order. The pair move
+    is necessary only when it wins by more than a relative 1e-9. That is
+    tested only in the rows k <= max(``candidate_reach(P)``) and, at a
+    start s, only while k <= reach[s]: past that the pair would have to
+    beat 0, which it never does, so each arc the test flags is a
+    candidate. There the row's value is the pair's, and the fill stores it
+    with the arc's (k, start).
 
     The value rows kept are sizes 2k with k % stride == 0, for the stride
     ``checkpoint_stride(n)`` picks, and the full circle: 8 bytes per entry
@@ -295,108 +235,39 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     isqrt(2n). No move is stored; ``reconstruct`` recomputes the moves it
     follows.
 
-    The coordinates are kept twice over in one (2, 2n) float64 array, x
-    above y, the edge lengths likewise, and the latest row in one buffer of
-    length n+2 that repeats its first two entries at the end, so every
-    cyclic shift above is a slice view; the views that do not move with k
-    are made once, before the loop. Each row is computed with ``out=``
-    ufuncs into one reused (2, n) buffer and that row buffer, so the loop
-    allocates only the kept (k, start) pairs and their values. d2 is three
-    calls on contiguous (2, n) blocks, written in the loop: subtract,
-    square in place, add the y half into the x half, the float operations
-    of dx*dx + dy*dy. The pair move then overwrites d2 in the x half, the
-    left move the y half, and other * (1 - 1e-9) the left move once
-    ``other`` has read it; right and ``other`` overwrite the previous row
-    once the three moves have read it. Those operations are the
-    recurrence's own, in its order, so the values, flags and bases equal
-    a direct transcription bit for bit.
-
-    The scratch is about 98 bytes a point beside the kept rows (see the
-    module docstring), and ``S`` is allocated only after
-    ``candidate_reach`` has returned. The doubled coordinates, the (2, n)
-    buffer, the row buffer, the doubled edges and ``keep`` are views of
-    one allocation, each starting on a 64-byte line, and ``edge2`` has one
-    of its own, also aligned: only where each buffer lies changes, not
-    its size, so no float operation changes. Measured on an AVX-512 host,
-    fresh fills alternating in one process with fills whose buffers lay
-    where malloc put them, which stays the same from fill to fill in a
-    process: 0.93x at n = 1024, 0.78x at 2048, 0.76x at 4096, 0.71x at
-    8192 and 0.71-0.76x at 16384 where the (2, n) buffer lay 16 to 48
-    bytes off a line, 0.98x at 8192 in a process where it lay on one. That
-    buffer decides it: alone 16 bytes off a line, it made the fill
-    1.25-1.39x slower; the row buffer 1.04-1.05x, and ``edge2``, ``keep``,
-    the coordinates or the boolean row at most 1.02x. Other measured
-    layouts: padding the (2, n) buffer's rows slowed small n by about 8%,
-    and the starts sorted by reach as 32-bit ints, a cast at every use,
-    slowed small fills by about 4%. ``edge2`` as a view of its doubled
-    copy filled n = 16384 about 28% slower, timed with no control of
-    where either buffer lay.
+    One kernel call computes every row from the one below it (see
+    ``_rowkernel.c``), into its row of ``S`` where the table keeps it and
+    otherwise into one of two scratch rows, so the fill's scratch is those
+    two rows, the reach, a byte of flags a point and the candidates, about
+    33 bytes a point. The candidates' arrays start empty; where a row's
+    candidates do not fit, the kernel returns, and the call after the
+    arrays have grown goes on from that row.
     """
     n = P.n
     half = n // 2
     stride = checkpoint_stride(n)
-    necessary = [np.empty((0, 2), dtype=np.intp)]  # the (k, start) pairs of each row
-    bases = [np.empty(0)]  # their values
+    xs, ys = np.ascontiguousarray(P.xs, np.float64), np.ascontiguousarray(P.ys, np.float64)
     reach = candidate_reach(P)
     kmax = int(reach.max())  # no row above it holds a candidate
-    by_reach = np.argsort(reach)
-    below = array("i", np.searchsorted(reach, np.arange(kmax + 1), sorter=by_reach).tolist())  # reach < k
-    del reach  # n words the loop does not need
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
-
-    # ufuncs as locals, out= by position where allowed: at small n lookups and keywords show
-    sub, mul, add, maximum, minimum = np.subtract, np.multiply, np.add, np.maximum, np.minimum
-    xy2, dxy, buf, edge2_twice, keep = _aligned(4 * n, 2 * n, n + 2, 2 * n, n)
-    xy2 = xy2.reshape(2, 2, n)
-    # x and y, each twice over, from the coordinates: a copy of one half
-    # into the other would go through a temporary inside one allocation
-    xy2[0], xy2[1] = P.xs, P.ys
-    xy2 = xy2.reshape(2, 2 * n)
-    xy = xy2[:, :n]
-    dx, dy = dxy = dxy.reshape(2, n)  # d2, then the pair move in dx and the left move in dy
-    p = np.empty(n, dtype=bool)
-    # the latest row, then its entries 0 and 1 again; its fixed views: the
-    # row, the row from s+1 and s+2, the repeat, its source
-    row, row1, row2, tail, head = buf[:n], buf[1:n + 1], buf[2:], buf[n:], buf[:2]
-    keep.fill(1.0 - _NECESSARY_REL_TOL)  # zeroed at a start once k passes its reach
-
-    sub(xy2[:, 1:n + 1], xy, dxy)
-    mul(dxy, dxy, dxy)
-    # d2(s, s+1), as the rows compute d2, in an allocation of its own: the table keeps it
-    edge2 = add(dx, dy, _aligned(n)[0])
-    edge2_twice[:n] = edge2_twice[n:] = edge2
-    row[:], tail[:] = edge2, edge2[:2]
-    if stride == 1:
-        S[1] = row
-    # size 2: all three moves coincide, so the pair is never forced
-
-    for k in range(2, half + 1):
-        m = 2 * k
-        sub(xy2[:, m - 1:m - 1 + n], xy, dxy)  # d2(s, s+m-1) into dx
-        mul(dxy, dxy, dxy)
-        pair = maximum(row1, add(dx, dy, dx), out=dx)
-        left = maximum(row2, edge2, out=dy)
-        # the last read of row k-1, which row k overwrites in place from here
-        right = maximum(row, edge2_twice[m - 2:m - 2 + n], out=row)
-        other = minimum(left, right, out=row)
-        if k <= kmax:
-            if below[k] > below[k - 1]:
-                keep[by_reach[below[k - 1]:below[k]]] = 0.0
-            if np.count_nonzero(np.less(pair, mul(other, keep, dy), p)):
-                starts = np.flatnonzero(p)
-                necessary.append(np.column_stack((np.full(starts.size, k), starts)))
-                bases.append(pair[starts])  # the row's value wherever the pair is forced
-        minimum(pair, other, out=row)
-        tail[:] = head
-        if k % stride == 0:
-            S[k // stride] = row
-        elif k == half:
-            S[-1] = row
-
+    edge2 = np.empty(n)
+    rows = np.empty(2 * n if stride > 1 else 0)
+    flags = np.empty(n if kmax >= 2 else 0, dtype=np.uint8)
+    state = np.array([1, 0, 0], dtype=np.intp)  # next row, candidates kept, the row's pending
+    necessary, bases = np.empty((0, 2), dtype=np.intp), np.empty(0)
+    fill = _kernel().bn_fill
+    while fill(xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride,
+               reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, rows.ctypes.data,
+               flags.ctypes.data, state.ctypes.data, necessary.ctypes.data, bases.ctypes.data,
+               len(bases)):
+        kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]))
+        necessary, bases = _resized(necessary, kept, size), _resized(bases, kept, size)
+    kept = int(state[1])
+    if kept < len(bases):
+        necessary, bases = _resized(necessary, kept, kept), _resized(bases, kept, kept)
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
-        necessary=np.concatenate(necessary), bases=np.concatenate(bases),
-        xs=P.xs, ys=P.ys, edge2=edge2,
+        necessary=necessary, bases=bases, xs=xs, ys=ys, edge2=edge2,
     )
 
 
@@ -420,58 +291,20 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> np.ndarray:
     recurrence picks, from the fill's floats and in its tie order: the pair
     unless min(left, right) < pair, else the left edge unless right < left.
 
-    No moves are stored. At stride 1 the walk reads the rows below it from
-    ``S``. Otherwise it goes down one block of rows at a time: from the
-    arc (s, 2k), the moves of rows r0+1 .. k, for the checkpoint r0 below
-    k, need rows r0 .. k-1 only at starts s .. s + 2(k - r0), which one
-    replay from row r0 gives. One block is alive at a time: the walk drops
-    a block's rows before it replays the next. That is O(size * stride)
-    time and O(n + stride^2) scratch, O(n) at stride isqrt(2n): the block's
-    rows, about stride^2 floats, and its terms, computed _CHUNK rows at a
-    time. The walk lists one block's ends as Python ints, then moves them
-    into an array of machine ints, 16 bytes a pair: no tuple is built, and
-    no int outlives its block.
+    No moves are stored. The walk, one kernel call, goes down one block of
+    rows at a time: from the arc (s, 2k), the moves of rows r0+1 .. k, for
+    the checkpoint r0 below k, need rows r0 .. k-1 only at starts s .. s +
+    2(k - r0), which one replay from row r0 gives (at stride 1 the block is
+    row k-1 alone, read from ``S``). That is O(size * stride) time and
+    O(stride^2) = O(n) scratch at stride isqrt(2n): one block's rows, about
+    stride^2 floats, 16 bytes a point at n = 16384, beside the pairs, 16
+    bytes a pair.
     """
-    n, stride = T.n, T.stride
+    n = T.n
     if not 0 <= start < n:
         raise BadDomainError(f"start {start} outside [0, {n})")
     if size % 2 != 0 or not 0 <= size <= n:
         raise BadDomainError(f"size {size} not even in [0, {n}]")
-    x, y, e = T.xs.item, T.ys.item, T.edge2.item
-    ends = array("q")  # the pairs' ends, two by two, of the blocks walked
-    s, k = start, size // 2
-    while k > 0:
-        # rows[d] is row r0 + d, its entry t (mod n) the value at start s0 + t
-        if stride == 1:
-            r0, s0, rows = 0, 0, T.S
-        else:
-            r0, s0 = (k - 1) // stride * stride, s
-            rows = T._block(r0, s, k - r0)
-        block: list[int] = []
-        put = block.append
-        for kk in range(k, r0, -1):
-            at, u = rows[kk - 1 - r0].item, s - s0
-            j = (s + 2 * kk - 1) % n
-            dx, dy = x(j) - x(s), y(j) - y(s)
-            # max(a, b) without a call: a unless b > a
-            a, b = at((u + 1) % n), dx * dx + dy * dy
-            pair = b if b > a else a
-            a, b = at((u + 2) % n), e(s)
-            left = b if b > a else a
-            a, b = at(u % n), e(j - 1)
-            right = b if b > a else a
-            if not (left < pair or right < pair):
-                put(s)
-                put(j)
-                s = (s + 1) % n
-            elif not right < left:
-                put(s)
-                put((s + 1) % n)
-                s = (s + 2) % n
-            else:
-                put((j - 1) % n)
-                put(j)
-        ends.fromlist(block)
-        del rows  # the block, before the next one is replayed
-        k = r0
-    return np.array(ends, dtype=np.intp).reshape(-1, 2)
+    pairs, block = np.empty((size // 2, 2), dtype=np.intp), np.empty(T.stride * (T.stride + 2))
+    _kernel().bn_walk(*T._kernel_args(), start, size // 2, block.ctypes.data, pairs.ctypes.data)
+    return pairs

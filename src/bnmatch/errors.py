@@ -62,3 +62,14 @@ class TooLargeError(BnmatchError):
 
 class InvalidMatchingError(BnmatchError):
     code = "InvalidMatching"
+
+
+class KernelBuildError(RuntimeError):
+    """The compiled row kernel could not be built: no C compiler ``cc`` on
+    the PATH, a compiler error (the message carries its stderr), or an
+    unwritable cache directory."""
+
+    code = "KernelBuild"
+
+    def __init__(self, message: str = ""):
+        super().__init__(f"{self.code}: {message}" if message else self.code)

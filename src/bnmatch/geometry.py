@@ -40,9 +40,8 @@ class ConvexPointSet:
 
     ``xs``, ``ys`` and ``ext`` are read-only float64 arrays of length n.
     ``ext[t]`` is the exterior angle at vertex t (the ccw turn from edge
-    t-1 -> t to edge t -> t+1); ``ext_prefix[t]`` is the sum of exterior
-    angles at vertices 0 .. t-1, so ``ext_prefix[n]`` is the full 2*pi turn.
-    Instances are immutable; construct them via :func:`validate_convex_ccw`.
+    t-1 -> t to edge t -> t+1). Instances are immutable; construct them via
+    :func:`validate_convex_ccw`.
     """
 
     xs: np.ndarray
@@ -54,10 +53,6 @@ class ConvexPointSet:
     @property
     def n(self) -> int:
         return len(self.xs)
-
-    @property
-    def ext_prefix(self) -> np.ndarray:
-        return self._ext_cum2[: self.n + 1]
 
     def coords(self) -> list[tuple[float, float]]:
         return list(zip(self.xs.tolist(), self.ys.tolist()))

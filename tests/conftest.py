@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from bnmatch import dp_core, gen_cluster3, validate_convex_ccw
+from bnmatch import baselines, dp_core, gen_cluster3, validate_convex_ccw
 from bnmatch.errors import BadIndexError
 
 DEG = math.pi / 180.0
@@ -56,6 +56,85 @@ def sq_dist(P, i: int, j: int) -> float:
     dx = P.xs[j] - P.xs[i]
     dy = P.ys[j] - P.ys[i]
     return float(dx * dx + dy * dy)
+
+
+def ext_prefix(P) -> np.ndarray:
+    """The sums of P's exterior angles at vertices 0 .. t-1, t = 0 .. n, so
+    entry n is the full 2*pi turn: a read-only view of P's doubled sums."""
+    return P._ext_cum2[: P.n + 1]
+
+
+def oracle_enumerate(n: int):
+    """Yield every non-crossing perfect matching of n points exactly once.
+
+    Point 0 is matched to each odd k in turn, recursing on both sides;
+    the total count is the Catalan number C(n/2). The oracle's size guard
+    applies: odd n and n > 20 raise.
+    """
+    baselines._guard(n)
+    yield from baselines._matchings_of_size(n)
+
+
+# the reference's move tags, in tie-break priority order
+USE_PAIR = 0        # close the pair (start, start+size-1), recurse inside
+USE_LEFT_EDGE = 1   # take edge (start, start+1), recurse on the rest
+USE_RIGHT_EDGE = 2  # take edge (start+size-2, start+size-1), recurse on the rest
+
+
+def roll_fill(P):
+    """(S, choice, necessary): every value row, move tag and necessity flag
+    of the table, from the recurrence written with np.roll at stride 1.
+
+    A direct transcription of the recurrence in ``build_subproblem_table``'s
+    docstring, one temporary per term, in NumPy: the reference the compiled
+    fill, its replays and its walk must match bit for bit. A candidate's
+    base is S at its (k, start).
+    """
+    n, xs, ys = P.n, P.xs, P.ys
+    half = n // 2
+
+    def offset_sq(off):
+        dx = np.roll(xs, -off) - xs
+        dy = np.roll(ys, -off) - ys
+        return dx * dx + dy * dy
+
+    S = np.zeros((half + 1, n))
+    choice = np.zeros((half + 1, n), dtype=np.uint8)
+    necessary = np.zeros((half + 1, n), dtype=bool)
+    edge2 = offset_sq(1)
+    S[1] = edge2
+    for k in range(2, half + 1):
+        m = 2 * k
+        prev = S[k - 1]
+        case_pair = np.maximum(np.roll(prev, -1), offset_sq(m - 1))
+        case_left = np.maximum(np.roll(prev, -2), edge2)
+        case_right = np.maximum(prev, np.roll(edge2, -(m - 2)))
+        best = np.minimum(case_pair, np.minimum(case_left, case_right))
+        S[k] = best
+        choice[k] = np.where(
+            case_pair == best, USE_PAIR,
+            np.where(case_left == best, USE_LEFT_EDGE, USE_RIGHT_EDGE),
+        )
+        other = np.minimum(case_left, case_right)
+        necessary[k] = case_pair < other * (1.0 - 1e-9)
+    return S, choice, necessary
+
+
+def roll_walk(choice, start, size):
+    """The pairs the reference's move tags give for the arc (start, size)."""
+    n = choice.shape[1]
+    pairs, s = [], start
+    for k in range(size // 2, 0, -1):
+        j = (s + 2 * k - 1) % n
+        if choice[k, s] == USE_PAIR:
+            pairs.append((s, j))
+            s = (s + 1) % n
+        elif choice[k, s] == USE_LEFT_EDGE:
+            pairs.append((s, (s + 1) % n))
+            s = (s + 2) % n
+        else:
+            pairs.append(((j - 1) % n, j))
+    return pairs
 
 
 def segments_cross(a: int, b: int, c: int, d: int, n: int) -> bool:

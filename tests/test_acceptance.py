@@ -20,7 +20,6 @@ from bnmatch import (
     enumerate_candidates,
     gen_circle,
     generate,
-    oracle_enumerate,
     oracle_solve,
     solve,
     verify_matching,
@@ -28,7 +27,7 @@ from bnmatch import (
 from bnmatch.cli import main
 from bnmatch.formats import parse_instance
 from bnmatch.solver import Polarity
-from conftest import turning_angle
+from conftest import oracle_enumerate, turning_angle
 
 MODES = ("circle", "valtr", "cluster3")
 REL = 1e-9

@@ -9,7 +9,6 @@ from bnmatch import (
     gen_circle,
     gen_valtr,
     generate,
-    oracle_enumerate,
     oracle_solve,
     validate_convex_ccw,
     verify_matching,
@@ -17,7 +16,7 @@ from bnmatch import (
 from bnmatch.baselines import _fill_cubic, _sq_dist_matrix
 from bnmatch.errors import OddCountError, TooLargeError
 from bnmatch.structure import Matching
-from conftest import SKEW4_VALUE, canonical_pairs, sq_dist, turning_angle
+from conftest import SKEW4_VALUE, canonical_pairs, oracle_enumerate, sq_dist, turning_angle
 
 approx = pytest.approx
 

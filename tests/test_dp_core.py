@@ -8,6 +8,8 @@ entirely separately from the DP code.
 import hashlib
 import math
 import tracemalloc
+from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,28 +24,22 @@ from bnmatch import (
     gen_circle,
     gen_valtr,
     one_cascade_optimum,
-    oracle_enumerate,
     reconstruct,
     solve,
     validate_convex_ccw,
 )
-from bnmatch.dp_core import _aligned, checkpoint_stride
+from bnmatch import dp_core
+from bnmatch.dp_core import checkpoint_stride
 from bnmatch.errors import BadDomainError
 from bnmatch.geometry import (
     ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns, candidate_reach,
 )
 from conftest import (
-    SKEW4_VALUE, equiangular, forced_stride, parabola_cap, random_polygons, regular, sq_dist,
-    turning_angle, two_arcs,
+    SKEW4_VALUE, USE_PAIR, equiangular, forced_stride, oracle_enumerate, parabola_cap,
+    random_polygons, regular, roll_fill, roll_walk, sq_dist, turning_angle, two_arcs,
 )
 
 approx = pytest.approx
-
-# the reference's move tags, in tie-break priority order
-USE_PAIR = 0        # close the pair (start, start+size-1), recurse inside
-USE_LEFT_EDGE = 1   # take edge (start, start+1), recurse on the rest
-USE_RIGHT_EDGE = 2  # take edge (start+size-2, start+size-1), recurse on the rest
-
 
 def _enum_noncross(m):
     """All non-crossing perfect matchings of 0..m-1 (independent recursion)."""
@@ -155,13 +151,13 @@ class TestTableBasics:
 
     def test_sq4_entries(self, sq4):
         T = build_subproblem_table(sq4)
-        S, choice, necessary = _roll_fill(sq4)
+        S, choice, necessary = roll_fill(sq4)
         V = _all_values(T)
         assert [V[0, 1], V[1, 2]] == [1.0, 1.0]
         # the closing pair ties with the edge moves, so it is not forced
         assert not necessary[2, 0]
         assert choice[2, 0] == USE_PAIR
-        assert _pairs(T, 0, 4) == _walk(choice, 0, 4) == [(0, 3), (1, 2)]
+        assert _pairs(T, 0, 4) == roll_walk(choice, 0, 4) == [(0, 3), (1, 2)]
         # the full circle holds no diagonal: candidates lie below it only
         _assert_pairs_match(sq4, T, S, necessary)
 
@@ -264,11 +260,11 @@ class TestAgainstConstrainedBruteForce:
             n = P.n
             T = build_subproblem_table(P)
             V = _all_values(T)
-            S, choice, necessary = _roll_fill(P)
+            S, choice, necessary = roll_fill(P)
             _assert_pairs_match(P, T, S, necessary)
             for start in range(n):
                 for size in range(2, n + 1, 2):
-                    assert _pairs(T, start, size) == _walk(choice, start, size)
+                    assert _pairs(T, start, size) == roll_walk(choice, start, size)
                     best, every_opt_has_pair = _constrained_best(P, start, size)
                     assert V[start, size // 2] == best, (n, start, size)
                     if necessary[size // 2, start]:
@@ -287,59 +283,6 @@ class TestAgainstConstrainedBruteForce:
                     assert V[start, size // 2] <= cap
 
 
-def _roll_fill(P):
-    """(S, choice, necessary) from the recurrence written with np.roll.
-
-    A direct transcription of the docstring recurrence, one temporary per
-    term, kept as the reference the buffered fill must match bit for bit.
-    """
-    n, xs, ys = P.n, P.xs, P.ys
-    half = n // 2
-
-    def offset_sq(off):
-        dx = np.roll(xs, -off) - xs
-        dy = np.roll(ys, -off) - ys
-        return dx * dx + dy * dy
-
-    S = np.zeros((half + 1, n))
-    choice = np.zeros((half + 1, n), dtype=np.uint8)
-    necessary = np.zeros((half + 1, n), dtype=bool)
-    edge2 = offset_sq(1)
-    S[1] = edge2
-    for k in range(2, half + 1):
-        m = 2 * k
-        prev = S[k - 1]
-        case_pair = np.maximum(np.roll(prev, -1), offset_sq(m - 1))
-        case_left = np.maximum(np.roll(prev, -2), edge2)
-        case_right = np.maximum(prev, np.roll(edge2, -(m - 2)))
-        best = np.minimum(case_pair, np.minimum(case_left, case_right))
-        S[k] = best
-        choice[k] = np.where(
-            case_pair == best, USE_PAIR,
-            np.where(case_left == best, USE_LEFT_EDGE, USE_RIGHT_EDGE),
-        )
-        other = np.minimum(case_left, case_right)
-        necessary[k] = case_pair < other * (1.0 - 1e-9)
-    return S, choice, necessary
-
-
-def _walk(choice, start, size):
-    """The pairs the reference's dense move tags give for the arc (start, size)."""
-    n = choice.shape[1]
-    pairs, s = [], start
-    for k in range(size // 2, 0, -1):
-        j = (s + 2 * k - 1) % n
-        if choice[k, s] == USE_PAIR:
-            pairs.append((s, j))
-            s = (s + 1) % n
-        elif choice[k, s] == USE_LEFT_EDGE:
-            pairs.append((s, (s + 1) % n))
-            s = (s + 2) % n
-        else:
-            pairs.append(((j - 1) % n, j))
-    return pairs
-
-
 def _pairs(T, start, size):
     """reconstruct's walk as a list of (a, b) tuples of ints, once its
     result is checked to be a (size/2, 2) intp array."""
@@ -350,7 +293,7 @@ def _pairs(T, start, size):
 
 def _assert_walks_match(T, choice, arcs):
     for start, size in arcs:
-        assert _pairs(T, start, size) == _walk(choice, start, size), (T.stride, start, size)
+        assert _pairs(T, start, size) == roll_walk(choice, start, size), (T.stride, start, size)
 
 
 def _assert_pairs_match(P, T, S, necessary):
@@ -368,7 +311,7 @@ def _assert_pairs_match(P, T, S, necessary):
 
 def _assert_matches_roll_fill(P):
     T = build_subproblem_table(P)
-    S, choice, necessary = _roll_fill(P)
+    S, choice, necessary = roll_fill(P)
     n, half = P.n, P.n // 2
     assert T.S.shape == S.shape and T.S.dtype == np.float64
     assert T.choice.dtype == np.uint8 and T.choice.shape == (0, n)
@@ -478,7 +421,7 @@ def test_candidate_reach_settles_the_rounding_of_the_search():
 def _dense_candidates(P):
     """enumerate_candidates (unannotated) from the roll reference's flags."""
     n = P.n
-    _, _, necessary = _roll_fill(P)
+    _, _, necessary = roll_fill(P)
     out = []
     for k in range(2, n // 2):
         for i in np.flatnonzero(necessary[k]).tolist():
@@ -527,8 +470,9 @@ def test_fill_and_candidates_on_random_polygons(coords):
 
 def test_fill_scratch_memory_per_point():
     # the fill's own working memory is O(n): everything tracemalloc sees
-    # beyond the tables stays under 123 bytes per point. Measured 101; 117
-    # with the pair and left moves in two temporaries of their own
+    # beyond the tables stays under 123 bytes per point. Measured 34 (two
+    # scratch rows, the reach, a flag byte and edge2); 101 with the NumPy
+    # row loop, 117 with its pair and left moves in two temporaries of their own
     n = 2048
     P = generate(GenSpec(n, "valtr", 3))
     tracemalloc.start()
@@ -539,25 +483,6 @@ def test_fill_scratch_memory_per_point():
         tracemalloc.stop()
     tables = T.S.nbytes + T.necessary.nbytes + T.bases.nbytes
     assert peak - tables <= 123 * n, (peak - tables) / n
-
-
-@pytest.mark.parametrize("sizes", [
-    (4 * 1002, 2 * 1002, 1002 + 2, 2 * 1002, 1002), (8, 4, 4, 4, 2), (4, 6, 4, 6, 3),
-    (1, 7, 9, 15, 17), (1,), (2055,),
-], ids=str)
-def test_aligned_buffers_start_on_a_line(sizes):
-    # each buffer starts on a 64-byte boundary, holds exactly the floats
-    # asked for and overlaps no other, wherever the allocation landed
-    for _ in range(8):
-        bufs = _aligned(*sizes)
-        assert [b.dtype for b in bufs] == [np.float64] * len(sizes)
-        assert [b.size for b in bufs] == list(sizes)
-        assert [b.ctypes.data % 64 for b in bufs] == [0] * len(sizes)
-        assert all(b.flags.c_contiguous and b.flags.writeable for b in bufs)
-        ends = sorted((b.ctypes.data, b.ctypes.data + b.nbytes) for b in bufs)
-        assert all(e <= s for (_, e), (s, _) in zip(ends, ends[1:]))
-        # the padding is at most 7 floats a buffer
-        assert bufs[0].base.size <= sum(sizes) + 7 * len(sizes)
 
 
 @pytest.mark.parametrize("n", [4, 1002, 2048])
@@ -571,9 +496,9 @@ def test_edge2_holds_no_fill_scratch(n):
 
 
 # digests of T.S, T.necessary, T.bases, T.edge2 and the solve report, as the
-# fill gave them with its buffers where NumPy's allocator put them. At
-# n = 2 (mod 8) the d2 buffer's y half and the second row of the doubled
-# coordinates start off a 64-byte line
+# NumPy fill gave them with its buffers where NumPy's allocator put them (at
+# n = 2 (mod 8) some of them started off a 64-byte line); the compiled fill
+# gives the same
 LAYOUT_DIGESTS = {
     ("valtr", 1002): "80612b1dd9de0e0d2b07c74f5df84f42abb3eb9ce62c7d056c7c3fd294082db8",
     ("valtr", 2050): "284b3ecb1fdebb14e26ec5d5d54eef2c407c1e7055978e25fc138a692e17eec5",
@@ -584,8 +509,7 @@ LAYOUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("mode, n", LAYOUT_DIGESTS, ids=str)
-def test_aligned_fill_bit_identical(mode, n):
+def _layout_digest(mode, n):
     P = generate(GenSpec(n, mode, 1))
     T = build_subproblem_table(P)
     digest = hashlib.sha256()
@@ -594,17 +518,38 @@ def test_aligned_fill_bit_identical(mode, n):
     rep = solve(P)
     digest.update(repr((rep.value.hex(), rep.matching.pairs, rep.candidate_count, rep.cascades,
                         rep.structure)).encode())
-    assert digest.hexdigest() == LAYOUT_DIGESTS[mode, n]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode, n", LAYOUT_DIGESTS, ids=str)
+def test_aligned_fill_bit_identical(mode, n):
+    assert _layout_digest(mode, n) == LAYOUT_DIGESTS[mode, n]
+
+
+def test_scalar_build_gives_the_same_digests(tmp_path):
+    # the kernel's source built at -O0 with its target clones cut out: one
+    # scalar x86-64 or other build with no vector clone, whose every float
+    # operation is the source's own. Its digests equal the vectorized
+    # build's, so no clone contracts or reorders an operation
+    source = resources.files("bnmatch").joinpath("_rowkernel.c").read_bytes()
+    clones = '__attribute__((target_clones("avx512f", "avx2", "default")))'
+    assert source.count(clones.encode()) == 1
+    path = tmp_path / "rowkernel-O0.so"
+    flags = ("-O0", *(f for f in dp_core._CFLAGS if not f.startswith("-O")))
+    dp_core._build(source.replace(clones.encode(), b""), flags, path)
+    scalar = dp_core._load(path)
+    with mock.patch.object(dp_core, "_kernel", lambda: scalar):
+        for mode, n in [("valtr", 1002), ("cluster3", 1002), ("valtr", 2050), ("cluster3", 2050)]:
+            assert _layout_digest(mode, n) == LAYOUT_DIGESTS[mode, n], (mode, n)
 
 
 def test_table_and_reconstruct_memory_sub_quadratic():
     # no field grows as n^2: values at about 8n * sqrt(n/8) bytes, 24 bytes
     # per candidate (its k, start and base), no move tags. A walk over the
-    # full circle replays one block of stride = 181 rows at a time and
-    # computes the terms of 32 rows at once: beyond the pairs it returns,
-    # its traced peak stays under 64 bytes per point. Measured 32; 49 with
-    # the previous block alive while the next one is replayed, 89 with one
-    # block's terms all at once, 176 with them gathered by index
+    # full circle replays one block of stride = 181 rows at a time into
+    # one buffer: beyond the pairs it returns, its traced peak stays under
+    # 64 bytes per point. Measured 16; 32 with the NumPy walk, 49 with its
+    # previous block alive while the next one was replayed
     n = 16384
     P = generate(GenSpec(n, "valtr", 3))
     T = build_subproblem_table(P)
@@ -622,27 +567,29 @@ def test_table_and_reconstruct_memory_sub_quadratic():
     assert peak - kept <= 64 * n, (peak - kept) / n
 
 
-def _assert_stride_matches_dense(P, stride):
-    """A checkpointed table reads back the stride-1 table bit for bit."""
+def _assert_stride_matches_oracle(P, stride, walks=None):
+    """At ``stride``, the table's kept rows, its candidates and their bases,
+    every ``arc_values`` read and the walks of the arcs ``walks`` (default:
+    every arc) equal the stride-1 NumPy transcription's bit for bit."""
     n, half = P.n, P.n // 2
-    with forced_stride(1):
-        D = build_subproblem_table(P)
     with forced_stride(stride):
         T = build_subproblem_table(P)
-    assert T.stride == stride and D.S.shape == (half + 1, n)
-    S, choice, necessary = _roll_fill(P)
+    assert T.stride == stride
+    S, choice, necessary = roll_fill(P)
     _assert_pairs_match(P, T, S, necessary)
-    _assert_walks_match(T, choice, [(s, m) for s in range(n) for m in range(0, n + 1, 2)])
+    if walks is None:
+        walks = [(s, m) for s in range(n) for m in range(0, n + 1, 2)]
+    _assert_walks_match(T, choice, walks)
     kept = sorted({*range(0, half + 1, stride), half})
-    assert T.S.tobytes() == D.S[kept].tobytes()
+    assert T.S.tobytes() == S[kept].tobytes()
     # every anchor at the longest slice, and every slice length at some anchor
     reads = [(a, half) for a in range(n)] + [(kmax % n, kmax) for kmax in range(half + 1)]
     for anchor, kmax in reads:
         end = n - 1 - anchor
         k = np.arange(kmax + 1)
         first, last = T.arc_values(anchor, end, kmax)
-        assert first.tobytes() == D.S[k, anchor].tobytes(), (anchor, kmax)
-        assert last.tobytes() == D.S[k, (end - 2 * k + 1) % n].tobytes(), (anchor, kmax)
+        assert first.tobytes() == S[k, anchor].tobytes(), (anchor, kmax)
+        assert last.tobytes() == S[k, (end - 2 * k + 1) % n].tobytes(), (anchor, kmax)
 
 
 def _strides(n):
@@ -655,22 +602,35 @@ def test_checkpointed_table_matches_dense_on_fixtures():
     for coords in (conftest.SQ4_COORDS, conftest.SKEW4_COORDS, conftest.HEX6_COORDS):
         P = validate_convex_ccw(coords)
         for stride in _strides(P.n):
-            _assert_stride_matches_dense(P, stride)
+            _assert_stride_matches_oracle(P, stride)
 
 
 @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
-@pytest.mark.parametrize("n", [6, 8, 16, 30, 64])
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 30, 64])
 def test_checkpointed_table_matches_dense(n, mode):
     P = generate(GenSpec(n, mode, 23 + n))
     for stride in _strides(n):
-        _assert_stride_matches_dense(P, stride)
+        _assert_stride_matches_oracle(P, stride)
 
 
 @pytest.mark.parametrize("family", [parabola_cap, two_arcs])
 def test_checkpointed_table_matches_dense_necessity(family):
     P = validate_convex_ccw(family(30))
     for stride in _strides(P.n):
-        _assert_stride_matches_dense(P, stride)
+        _assert_stride_matches_oracle(P, stride)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_polygons)
+def test_strided_tables_match_oracle_on_random_polygons(coords):
+    # the fill, its replays and its walks at strides 1, 3 and isqrt(2n),
+    # against the stride-1 transcription; the walks of the full circle
+    # from every start and of every arc from start 0
+    P = validate_convex_ccw(coords)
+    n = P.n
+    walks = [(s, n) for s in range(n)] + [(0, 2 * k) for k in range(n // 2 + 1)]
+    for stride in sorted({1, 3, math.isqrt(2 * n)}):
+        _assert_stride_matches_oracle(P, stride, walks)
 
 
 def test_default_stride_rule():
@@ -705,7 +665,7 @@ def test_walk_array_lists_the_pairs_of_the_dense_moves():
     # them while it returned a list of tuples
     n = 2048
     P = generate(GenSpec(n, "cluster3", 9))
-    _, choice, _ = _roll_fill(P)
+    _, choice, _ = roll_fill(P)
     arcs = [(0, n), (n - 1, n), (n - 5, n), (n - 2, 4), (n - 3, 130), (n - 200, 1024),
             (1000, 2 * 700), (7, 2 * 500)]
     for stride in (1, 3, checkpoint_stride(n)):
@@ -715,7 +675,7 @@ def test_walk_array_lists_the_pairs_of_the_dense_moves():
         for start, size in arcs:
             walk = reconstruct(T, start, size)
             assert walk.dtype == np.intp and walk.shape == (size // 2, 2)
-            assert walk.tolist() == [list(p) for p in _walk(choice, start, size)], (stride, start)
+            assert walk.tolist() == [list(p) for p in roll_walk(choice, start, size)], (stride, start)
             digest.update(repr(walk.tolist()).encode())
         assert digest.hexdigest() == (
             "2d55135d12b9c54c65d306dd4fe8d848281102632534ef1de44ab92a3c2b6280"), stride

@@ -26,7 +26,7 @@ from bnmatch.errors import (
 )
 from bnmatch.formats import instance_to_json, parse_instance
 from bnmatch.geometry import arc_turns
-from conftest import SQ4_COORDS, sq_dist, turning_angle
+from conftest import SQ4_COORDS, ext_prefix, sq_dist, turning_angle
 
 approx = pytest.approx
 
@@ -34,7 +34,7 @@ approx = pytest.approx
 class TestValidate:
     def test_square_ok(self, sq4):
         assert sq4.n == 4
-        assert sq4.ext_prefix == approx((0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi))
+        assert ext_prefix(sq4) == approx((0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi))
 
     def test_collinear_triple(self):
         with pytest.raises(NotStrictlyConvexError):
@@ -69,7 +69,7 @@ class TestValidate:
     def test_two_points(self):
         P = validate_convex_ccw([(0, 0), (3, 1)])
         assert P.ext == approx((math.pi, math.pi))
-        assert P.ext_prefix[-1] == approx(2 * math.pi)
+        assert ext_prefix(P)[-1] == approx(2 * math.pi)
 
     def test_double_winding_rejected(self):
         # all-left-turn ordering that winds twice around the centroid
@@ -85,7 +85,7 @@ class TestValidate:
         for seed in range(5):
             for gen in (gen_circle, gen_valtr):
                 P = gen(10, seed)
-                assert abs(P.ext_prefix[-1] - 2 * math.pi) <= 1e-9
+                assert abs(ext_prefix(P)[-1] - 2 * math.pi) <= 1e-9
 
 
 def _loop_turns(coords):
@@ -121,7 +121,7 @@ class TestArrayRepresentation:
             P = generate(GenSpec(n, mode, 3))
         ext, prefix, cum2 = _loop_turns(P.coords())
         assert _bits(P.ext) == _bits(ext)
-        assert _bits(P.ext_prefix) == _bits(prefix)
+        assert _bits(ext_prefix(P)) == _bits(prefix)
         rnd = random.Random(n)
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j] if n <= 16 else [
             tuple(rnd.sample(range(n), 2)) for _ in range(2000)
@@ -177,8 +177,9 @@ class TestArrayRepresentation:
         want = validate_convex_ccw(np.array(coords))
         for name, pts in forms.items():
             P = validate_convex_ccw(pts)
-            for field in ("xs", "ys", "ext", "ext_prefix"):
+            for field in ("xs", "ys", "ext"):
                 assert _bits(getattr(P, field)) == _bits(getattr(want, field)), (name, field)
+            assert _bits(ext_prefix(P)) == _bits(ext_prefix(want)), (name, "ext_prefix")
 
     @pytest.mark.parametrize(
         "points,cls,message",
@@ -259,7 +260,7 @@ class TestArrayRepresentation:
             validate_convex_ccw(points)
 
     def test_arrays_read_only(self, sq4):
-        for a in (sq4.xs, sq4.ys, sq4.ext, sq4.ext_prefix):
+        for a in (sq4.xs, sq4.ys, sq4.ext, ext_prefix(sq4)):
             with pytest.raises(ValueError):
                 a[0] = 7.0
         assert sq4.coords() == SQ4_COORDS

@@ -352,8 +352,9 @@ class TestCheckpointStride:
     def test_candidate_bases_peak_without_replay(self):
         # a parabola cap has about n/15 candidates (274 here), whose bases
         # the fill stores, so solve replays none: beyond the kept value rows
-        # its traced peak stays O(n). Measured 143 B/point; a chunked replay
-        # of the bases took 171, one replay of all 274 windows at once 864
+        # its traced peak stays O(n). Measured 38 B/point; 143 with the NumPy
+        # fill, a chunked replay of the bases 171, one replay of all 274
+        # windows at once 864
         n = 4096
         P = validate_convex_ccw(parabola_cap(n))
         with forced_stride(math.isqrt(n // 2)):
@@ -372,9 +373,9 @@ class TestCheckpointStride:
         # 8n(16 + 2) bytes, 0.14 B/entry, and the candidates, the fill's row
         # scratch, replays and everything else in solve stay within the
         # rest (cluster3 replays the complements of its candidates, valtr
-        # has none). Measured: 0.23 (valtr) and 0.25 (cluster3) B/entry;
-        # 0.29 and 0.27 with two more row temporaries in the fill and the
-        # matching's tuples built beside the table
+        # has none). Measured: 0.17 (valtr) and 0.18 (cluster3) B/entry;
+        # 0.23 and 0.25 with the NumPy fill, 0.29 and 0.27 with two more row
+        # temporaries in it and the matching's tuples built beside the table
         n = 2048
         P = generate(GenSpec(n, mode, 3))
         tracemalloc.start()
@@ -387,14 +388,14 @@ class TestCheckpointStride:
         assert peak <= 0.31 * entries, peak / entries
 
     def test_solve_peak_beyond_value_rows_per_point(self):
-        # beside the kept value rows, solve's peak is the fill's row scratch:
-        # the coordinates and edges twice over, one (2, n) d2 buffer that
-        # also takes the pair and left moves, the row buffer and the reach
-        # bookkeeping. The walk keeps 16 bytes a pair, and the table is
-        # freed before the matching's tuples are built. Measured 99 B/point;
-        # 115 with the moves in two temporaries of their own, 134 with the
-        # table alive through the tuples and the verification, 169 with a
-        # tuple per pair kept by the walk
+        # beside the kept value rows, solve's peak is the fill's scratch:
+        # two rows, the reach, a flag byte a point and the edges. The walk
+        # keeps 16 bytes a pair, and the table is freed before the
+        # matching's tuples are built. Measured 34 B/point; 99 with the
+        # NumPy fill (the coordinates and edges twice over and a (2, n) d2
+        # buffer), 115 with its moves in two temporaries of their own, 134
+        # with the table alive through the tuples and the verification, 169
+        # with a tuple per pair kept by the walk
         n = 4096
         P = generate(GenSpec(n, "valtr", 3))
         assert dp_core.checkpoint_stride(n) > 1

@@ -12,7 +12,6 @@ from bnmatch import (
     cascade_decomposition,
     gen_circle,
     gen_cluster3,
-    oracle_enumerate,
     solve,
     validate_convex_ccw,
     verify_matching,
@@ -21,7 +20,7 @@ from bnmatch import structure
 from bnmatch.cli import main
 from bnmatch.errors import BadIndexError, InvalidMatchingError
 from bnmatch.formats import instance_to_json, matching_to_json
-from conftest import canonical_pairs, segments_cross, turning_angle
+from conftest import canonical_pairs, oracle_enumerate, segments_cross, turning_angle
 
 approx = pytest.approx
 
