@@ -124,7 +124,7 @@ static void gather(double *buf, const double *a, idx n, idx at, idx len)
     memcpy(buf + first, a, (len - first) * sizeof *buf);
 }
 
-/* Where the fill puts row k >= 2: its checkpoint row of S, or one of the
+/* Where the fill puts row k >= 1: its checkpoint row of S, or one of the
    two rows of pp by parity. */
 static double *dest(double *S, double *pp, idx n, idx stride, idx k)
 {
@@ -147,14 +147,15 @@ static idx emit(const unsigned char *flag, const double *out, idx n, idx k, idx 
     return c;
 }
 
-/* The fill from row st[0] (1 on the first call) to n/2. e receives row 1;
-   S, zeroed, the rows k % stride == 0 and the row n/2; pp holds 2n floats
-   when stride > 1. Rows 2 .. kmax take the necessity test, and each
-   flagged arc (k, start) and its value go to ks (c x 2) and bases, cap
-   entries each. st[1] counts them. If a row's arcs do not fit, returns 1
-   with st = (that row, the count, the row's flags), its values and flags
-   kept in place: grow ks and bases to the count plus the row's flags and
-   call again. Returns 0 when done. */
+/* The fill from row st[0] (1 on the first call) to n/2. e receives row 1,
+   the edges, and every row k, row 1 too, goes where dest puts it: S,
+   zeroed, holds the rows k % stride == 0 and the row n/2, and pp 2n
+   floats. Rows 2 .. kmax take the necessity test, and each flagged arc
+   (k, start) and its value go to ks (c x 2) and bases, cap entries each.
+   st[1] counts them. If a row's arcs do not fit, returns 1 with st =
+   (that row, the count, the row's flags), its values and flags kept in
+   place: grow ks and bases to the count plus the row's flags and call
+   again. Returns 0 when done. */
 CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S, idx stride,
                    const idx *reach, idx kmax, double keep, double *pp, unsigned char *flag,
                    idx *st, idx *ks, double *bases, idx cap)
@@ -165,8 +166,7 @@ CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S
         for (idx s = 0; s + 1 < n; s++)
             e[s] = d2(x[s], y[s], x[s + 1], y[s + 1]);
         e[n - 1] = d2(x[n - 1], y[n - 1], x[0], y[0]);
-        if (stride == 1)
-            memcpy(S + n, e, n * sizeof *S);
+        memcpy(dest(S, pp, n, stride, 1), e, n * sizeof *S);
         k = 2;
     } else if (st[2]) {
         c = emit(flag, dest(S, pp, n, stride, k), n, k, ks, bases, c);
@@ -174,7 +174,7 @@ CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S
     }
     for (; k <= n / 2; k++) {
         double *out = dest(S, pp, n, stride, k);
-        const double *lo = k == 2 ? e : dest(S, pp, n, stride, k - 1);
+        const double *lo = dest(S, pp, n, stride, k - 1);
         if (k > kmax) {
             row(out, lo, n, 0, &P, 0, n, k, NULL, NULL, keep);
             continue;

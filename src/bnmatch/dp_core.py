@@ -14,11 +14,11 @@ stride s, plus the full-circle row. Row r0 + d at start t depends only on
 row r0 at starts t .. t + 2d, so any other value is replayed from the
 checkpoint row below it on a window of at most 2s - 1 starts, with the
 fill's own float operations, and comes out bit for bit as the fill computed
-it. Stride 1 keeps every row. ``checkpoint_stride`` alone picks s from n;
-from n = 2048 on it is isqrt(2n): values then take about 8n(sqrt(n/8) + 2)
-bytes instead of 4n(n + 2) (2.2 MB at n = 8192, 135 MB at 131072), and
-replaying a column of n/2 values costs about n * s / 2 = n * sqrt(n/2)
-entry updates.
+it. ``checkpoint_stride`` alone picks s from n, isqrt(2n) for every n, so
+values take at most 8n(sqrt(n/8) + 3) bytes instead of 4n(n + 2) (2.2 MB
+at n = 8192, 135 MB at 131072), and replaying a column of n/2 values costs
+about n * s / 2 = n * sqrt(n/2) entry updates. Stride 1, which keeps every
+row, is a value that tests force.
 
 No move is stored: ``reconstruct`` recomputes each move of its walk from
 the values, replaying one block of rows at a time, in O(size * stride)
@@ -62,13 +62,6 @@ from .geometry import ConvexPointSet, candidate_reach
 
 _NECESSARY_REL_TOL = 1e-9
 
-# dense value rows up to this many bytes (n <= 2046). Tuned for the NumPy
-# row loop, where solve at stride isqrt(2n) took 1.16x the stride-1 time on
-# valtr and 1.45x on cluster3 at n = 2048; with the compiled kernel it
-# takes 0.85x and 0.87x there, as writing the dense rows costs more than
-# the replays (kept as it is: the kept rows of n <= 2046 depend on it)
-_DENSE_VALUES_BYTES = 16 << 20
-
 # the kernel's source in the package, and its compiler flags: no FMA
 # contraction, and no -march, so that one library serves any x86-64 CPU
 # through its target clones
@@ -77,14 +70,12 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def checkpoint_stride(n: int) -> int:
-    """The table's stride: 1 while the dense value rows fit, else isqrt(2n).
+    """The table's stride, isqrt(2n).
 
     At stride s the table keeps at most n/(2s) + 2 value rows of n
-    floats, about 8n(sqrt(n/8) + 2) bytes, and a block of s replayed rows
-    holds about s^2 = 2n entries.
+    floats, at most 8n(sqrt(n/8) + 3) bytes, and a block of s replayed
+    rows holds about s^2 = 2n entries.
     """
-    if 8 * n * (n // 2 + 1) <= _DENSE_VALUES_BYTES:
-        return 1
     return math.isqrt(2 * n)
 
 
@@ -103,11 +94,11 @@ class SubproblemTable:
     ``candidate_reach(P)[start]``, a diagonal whose arc turns by at most
     2*pi/3 (+ slack): the candidates, by increasing k, then start.
     ``bases[c]`` is the value of the arc ``necessary[c]``, bit for bit the
-    stride-1 table's. ``S`` holds the value rows k = 0, stride, 2*stride,
-    ... and, last, the full-circle row k = n/2: 2.2 MB at n = 8192, where
-    the stride is 128. Read any other value with ``arc_values``; a replay
-    needs the coordinates ``xs`` and ``ys`` and the fill's squared edge
-    lengths ``edge2``.
+    fill's. ``S`` holds the value rows k = 0, stride, 2*stride, ... and,
+    last, the full-circle row k = n/2: 2.2 MB at n = 8192, where the stride
+    is 128. Read any other value with ``arc_values``; a replay needs the
+    coordinates ``xs`` and ``ys`` and the fill's squared edge lengths
+    ``edge2``.
     """
 
     n: int
@@ -130,7 +121,7 @@ class SubproblemTable:
         r0 <= kmax, rows r0 .. r0 + stride - 1 on the window of 2*stride - 1
         starts where the arcs from ``start`` lie, and on the one where the
         arcs to ``end`` lie: about n * stride / 2 entry updates each, O(n)
-        in all with the two arrays. At stride 1 it reads them from ``S``.
+        in all with the two arrays.
         """
         n, stride = self.n, self.stride
         if not 0 <= kmax <= n // 2:
@@ -230,10 +221,9 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     with the arc's (k, start).
 
     The value rows kept are sizes 2k with k % stride == 0, for the stride
-    ``checkpoint_stride(n)`` picks, and the full circle: 8 bytes per entry
-    at stride 1 and about 8n * sqrt(n/8) bytes in all at stride
-    isqrt(2n). No move is stored; ``reconstruct`` recomputes the moves it
-    follows.
+    ``checkpoint_stride(n)`` picks, and the full circle: about
+    8n * sqrt(n/8) bytes in all. No move is stored; ``reconstruct``
+    recomputes the moves it follows.
 
     One kernel call computes every row from the one below it (see
     ``_rowkernel.c``), into its row of ``S`` where the table keeps it and
@@ -251,7 +241,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     kmax = int(reach.max())  # no row above it holds a candidate
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     edge2 = np.empty(n)
-    rows = np.empty(2 * n if stride > 1 else 0)
+    rows = np.empty(2 * n)
     flags = np.empty(n if kmax >= 2 else 0, dtype=np.uint8)
     state = np.array([1, 0, 0], dtype=np.intp)  # next row, candidates kept, the row's pending
     necessary, bases = np.empty((0, 2), dtype=np.intp), np.empty(0)
@@ -294,9 +284,8 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> np.ndarray:
     No moves are stored. The walk, one kernel call, goes down one block of
     rows at a time: from the arc (s, 2k), the moves of rows r0+1 .. k, for
     the checkpoint r0 below k, need rows r0 .. k-1 only at starts s .. s +
-    2(k - r0), which one replay from row r0 gives (at stride 1 the block is
-    row k-1 alone, read from ``S``). That is O(size * stride) time and
-    O(stride^2) = O(n) scratch at stride isqrt(2n): one block's rows, about
+    2(k - r0), which one replay from row r0 gives. That is O(size * stride)
+    time and O(stride^2) = O(n) scratch: one block's rows, about
     stride^2 floats, 16 bytes a point at n = 16384, beside the pairs, 16
     bytes a pair.
     """

@@ -5,6 +5,7 @@ the structural rules the table is meant to encode (diagonals forming at
 most one chain, with the arc's closing segment facing at most one of them),
 entirely separately from the DP code.
 """
+import contextlib
 import hashlib
 import math
 import tracemalloc
@@ -309,17 +310,36 @@ def _assert_pairs_match(P, T, S, necessary):
     assert T.bases.tobytes() == S[tuple(T.necessary.T)].tobytes()
 
 
-def _assert_matches_roll_fill(P):
-    T = build_subproblem_table(P)
-    S, choice, necessary = roll_fill(P)
+def _assert_matches_roll_fill(P, stride=None, walks=None):
+    """At ``stride`` (default: the table's own), the table's kept rows, its
+    candidates and their bases, every value ``arc_values`` reads and the
+    walks of the arcs ``walks`` equal the stride-1 NumPy transcription's
+    bit for bit. ``walks`` defaults to the full circle from every start
+    and every arc from start 0."""
     n, half = P.n, P.n // 2
-    assert T.S.shape == S.shape and T.S.dtype == np.float64
+    with forced_stride(stride) if stride else contextlib.nullcontext():
+        T = build_subproblem_table(P)
+    assert T.stride == (stride or checkpoint_stride(n))
+    S, choice, necessary = roll_fill(P)
+    kept = sorted({*range(0, half + 1, T.stride), half})
+    assert T.S.dtype == np.float64 and T.S.tobytes() == S[kept].tobytes()
     assert T.choice.dtype == np.uint8 and T.choice.shape == (0, n)
-    assert T.S.tobytes() == S.tobytes()
     _assert_pairs_match(P, T, S, necessary)
-    # the moves along every full-circle walk and every walk from start 0
-    arcs = [(s, n) for s in range(n)] + [(0, 2 * k) for k in range(half + 1)]
-    _assert_walks_match(T, choice, arcs)
+    if walks is None:
+        walks = [(s, n) for s in range(n)] + [(0, 2 * k) for k in range(half + 1)]
+    _assert_walks_match(T, choice, walks)
+    # every anchor at the longest slice, and every slice length at some anchor
+    reads = [(a, half) for a in range(n)] + [(kmax % n, kmax) for kmax in range(half + 1)]
+    for anchor, kmax in reads:
+        end = n - 1 - anchor
+        k = np.arange(kmax + 1)
+        first, last = T.arc_values(anchor, end, kmax)
+        assert first.tobytes() == S[k, anchor].tobytes(), (anchor, kmax)
+        assert last.tobytes() == S[k, (end - 2 * k + 1) % n].tobytes(), (anchor, kmax)
+
+
+def _every_arc(n):
+    return [(s, m) for s in range(n) for m in range(0, n + 1, 2)]
 
 
 def test_fill_bit_identical_to_roll_recurrence_on_fixtures():
@@ -495,15 +515,18 @@ def test_edge2_holds_no_fill_scratch(n):
     assert T.edge2.size == n and owner.size <= n + 8
 
 
-# digests of T.S, T.necessary, T.bases, T.edge2 and the solve report, as the
-# NumPy fill gave them with its buffers where NumPy's allocator put them (at
-# n = 2 (mod 8) some of them started off a 64-byte line); the compiled fill
-# gives the same
+# digests of T.S, T.necessary, T.bases, T.edge2 and the solve report at
+# n = 2 (mod 8), where some of the NumPy fill's buffers started off a 64-byte
+# line. The entries at 2050 and 4098 are as the NumPy fill gave them. Those
+# at 1002 were taken when that size went from stride 1 to the default
+# isqrt(2n) = 44: T.S then holds the rows 0, 44, ..., 484 and 501 of the
+# stride-1 table, bit for bit, and the other fields and the report are the
+# stride-1 table's
 LAYOUT_DIGESTS = {
-    ("valtr", 1002): "80612b1dd9de0e0d2b07c74f5df84f42abb3eb9ce62c7d056c7c3fd294082db8",
+    ("valtr", 1002): "e52695cdbcb7f19f63bd4c2b1b0b5ef33cccf4cd44d5fda9b7ea059039c5c85e",
     ("valtr", 2050): "284b3ecb1fdebb14e26ec5d5d54eef2c407c1e7055978e25fc138a692e17eec5",
     ("valtr", 4098): "294865cb62733e0cfb7312f4d983f06fe1fedb13801296b360d2a25d3aac1045",
-    ("cluster3", 1002): "a6a89f2fbb37e4b46c68c9aa97a2661e78c5073b2ef6bfa6a3f0c28ad8f0bfed",
+    ("cluster3", 1002): "430a265c462a91360b06f9ceaff66b680ee166688295c4d5c43e82ffe9a8b59c",
     ("cluster3", 2050): "e89a83a8b8ecbe8dfaead57b0ebd663d60c9760ce491c7a410576e40edbf6e9e",
     ("cluster3", 4098): "a350c19f8a8e8f16ef0c8523802173f8377e40338945dc973971b5dad6bc4240",
 }
@@ -567,31 +590,6 @@ def test_table_and_reconstruct_memory_sub_quadratic():
     assert peak - kept <= 64 * n, (peak - kept) / n
 
 
-def _assert_stride_matches_oracle(P, stride, walks=None):
-    """At ``stride``, the table's kept rows, its candidates and their bases,
-    every ``arc_values`` read and the walks of the arcs ``walks`` (default:
-    every arc) equal the stride-1 NumPy transcription's bit for bit."""
-    n, half = P.n, P.n // 2
-    with forced_stride(stride):
-        T = build_subproblem_table(P)
-    assert T.stride == stride
-    S, choice, necessary = roll_fill(P)
-    _assert_pairs_match(P, T, S, necessary)
-    if walks is None:
-        walks = [(s, m) for s in range(n) for m in range(0, n + 1, 2)]
-    _assert_walks_match(T, choice, walks)
-    kept = sorted({*range(0, half + 1, stride), half})
-    assert T.S.tobytes() == S[kept].tobytes()
-    # every anchor at the longest slice, and every slice length at some anchor
-    reads = [(a, half) for a in range(n)] + [(kmax % n, kmax) for kmax in range(half + 1)]
-    for anchor, kmax in reads:
-        end = n - 1 - anchor
-        k = np.arange(kmax + 1)
-        first, last = T.arc_values(anchor, end, kmax)
-        assert first.tobytes() == S[k, anchor].tobytes(), (anchor, kmax)
-        assert last.tobytes() == S[k, (end - 2 * k + 1) % n].tobytes(), (anchor, kmax)
-
-
 def _strides(n):
     return sorted({1, 2, 3, 7, math.isqrt(n // 2), math.isqrt(2 * n)})
 
@@ -599,10 +597,12 @@ def _strides(n):
 def test_checkpointed_table_matches_dense_on_fixtures():
     import conftest
 
-    for coords in (conftest.SQ4_COORDS, conftest.SKEW4_COORDS, conftest.HEX6_COORDS):
+    # the 2-gon's one row is the full circle, kept at every stride
+    for coords in ([(0.0, 0.0), (3.0, 4.0)], conftest.SQ4_COORDS, conftest.SKEW4_COORDS,
+                   conftest.HEX6_COORDS):
         P = validate_convex_ccw(coords)
         for stride in _strides(P.n):
-            _assert_stride_matches_oracle(P, stride)
+            _assert_matches_roll_fill(P, stride, _every_arc(P.n))
 
 
 @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
@@ -610,14 +610,14 @@ def test_checkpointed_table_matches_dense_on_fixtures():
 def test_checkpointed_table_matches_dense(n, mode):
     P = generate(GenSpec(n, mode, 23 + n))
     for stride in _strides(n):
-        _assert_stride_matches_oracle(P, stride)
+        _assert_matches_roll_fill(P, stride, _every_arc(n))
 
 
 @pytest.mark.parametrize("family", [parabola_cap, two_arcs])
 def test_checkpointed_table_matches_dense_necessity(family):
     P = validate_convex_ccw(family(30))
     for stride in _strides(P.n):
-        _assert_stride_matches_oracle(P, stride)
+        _assert_matches_roll_fill(P, stride, _every_arc(P.n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -627,21 +627,21 @@ def test_strided_tables_match_oracle_on_random_polygons(coords):
     # against the stride-1 transcription; the walks of the full circle
     # from every start and of every arc from start 0
     P = validate_convex_ccw(coords)
-    n = P.n
-    walks = [(s, n) for s in range(n)] + [(0, 2 * k) for k in range(n // 2 + 1)]
-    for stride in sorted({1, 3, math.isqrt(2 * n)}):
-        _assert_stride_matches_oracle(P, stride, walks)
+    for stride in sorted({1, 3, math.isqrt(2 * P.n)}):
+        _assert_matches_roll_fill(P, stride)
 
 
 def test_default_stride_rule():
-    # dense value rows while they take at most 16 MiB, then isqrt(2n)
-    for n in (2, 256, 1022, 1024, 1536, 2046):
-        assert checkpoint_stride(n) == 1
-        assert 8 * n * (n // 2 + 1) <= 16 << 20
-    for n in (2048, 4096, 8192, 16384, 131072):
-        assert checkpoint_stride(n) == math.isqrt(2 * n) > 1
-    P = generate(GenSpec(2048, "valtr", 1))
-    T = build_subproblem_table(P)
+    # one rule for every n. It keeps at most n/(2s) + 2 rows of n floats at
+    # s = isqrt(2n): within 8n(sqrt(n/8) + 3) bytes for every even n up to
+    # 300000 (+2 fails first at n = 30), where every row, 8 bytes an entry,
+    # is past that bound from n = 6 on
+    for n in range(2, 131073, 2):
+        assert checkpoint_stride(n) == math.isqrt(2 * n), n
+    for n in (2, 4, 6, 30, 256, 1002, 2046):
+        T = build_subproblem_table(validate_convex_ccw(regular(n)))
+        assert T.S.nbytes <= 8 * n * (math.sqrt(n / 8) + 3), (n, T.S.shape)
+    T = build_subproblem_table(generate(GenSpec(2048, "valtr", 1)))
     assert T.stride == 64 and T.S.shape == (17, 2048)
 
 
