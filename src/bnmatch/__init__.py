@@ -10,13 +10,8 @@ instance generators, structural analysis, SVG rendering and a CLI.
 from .baselines import cubic_solve, oracle_solve
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .generators import GenSpec, gen_circle, gen_cluster3, gen_valtr, generate
-from .geometry import (
-    ConvexPointSet,
-    PolarityRegion,
-    classify_polarity_region,
-    validate_convex_ccw,
-)
-from .solver import CandidateDiagonal, Polarity, SolveReport, enumerate_candidates, solve
+from .geometry import ConvexPointSet, validate_convex_ccw
+from .solver import CandidateDiagonal, SolveReport, enumerate_candidates, solve
 from .structure import (
     CascadeDecomposition,
     Matching,
@@ -32,13 +27,10 @@ __all__ = [
     "ConvexPointSet",
     "GenSpec",
     "Matching",
-    "Polarity",
-    "PolarityRegion",
     "SolveReport",
     "SubproblemTable",
     "build_subproblem_table",
     "cascade_decomposition",
-    "classify_polarity_region",
     "cubic_solve",
     "enumerate_candidates",
     "gen_circle",

@@ -87,15 +87,15 @@ INLINE idx span(double *restrict out, const double *restrict b0, const double *r
     return c;
 }
 
-/* Row k at the starts s0 + t (mod n), t < len, into out[t], from the row
-   below, whose value at start s0 + t is lo[(at + t) % lo_n]. Flags as in
+/* Row k at the starts s0 + t (mod n), t < len <= lo_n, into out[t], from
+   the row below, whose value at start s0 + t is lo[t % lo_n]. Flags as in
    span (the fill passes s0 = 0, so reach[t] is the reach of start t). */
-INLINE idx row(double *out, const double *lo, idx lo_n, idx at, const poly *P, idx s0, idx len,
-               idx k, const idx *reach, unsigned char *flag, double keep)
+INLINE idx row(double *out, const double *lo, idx lo_n, const poly *P, idx s0, idx len, idx k,
+               const idx *reach, unsigned char *flag, double keep)
 {
     idx n = P->n, m = 2 * k, c = 0;
     /* where each operand's index first wraps, as an offset t */
-    idx cut[8] = {0, len, lo_n - at % lo_n, lo_n - (at + 1) % lo_n, lo_n - (at + 2) % lo_n,
+    idx cut[8] = {0, len, lo_n, lo_n - 1 % lo_n, lo_n - 2 % lo_n,
                   n - s0, n - (s0 + m - 1) % n, n - (s0 + m - 2) % n};
     for (int i = 1; i < 8; i++) {
         idx v = cut[i] < len ? cut[i] : len;
@@ -109,7 +109,7 @@ INLINE idx row(double *out, const double *lo, idx lo_n, idx at, const poly *P, i
         if (a == b)
             continue;
         idx s = (s0 + a) % n, j = (s + m - 1) % n, r = (s + m - 2) % n;
-        c += span(out + a, lo + (at + a) % lo_n, lo + (at + a + 1) % lo_n, lo + (at + a + 2) % lo_n,
+        c += span(out + a, lo + a, lo + (a + 1) % lo_n, lo + (a + 2) % lo_n,
                   P->x + s, P->y + s, P->x + j, P->y + j, P->e + s, P->e + r, b - a, k,
                   flag ? reach + a : NULL, flag ? flag + a : NULL, keep);
     }
@@ -176,10 +176,10 @@ CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S
         double *out = dest(S, pp, n, stride, k);
         const double *lo = dest(S, pp, n, stride, k - 1);
         if (k > kmax) {
-            row(out, lo, n, 0, &P, 0, n, k, NULL, NULL, keep);
+            row(out, lo, n, &P, 0, n, k, NULL, NULL, keep);
             continue;
         }
-        idx got = row(out, lo, n, 0, &P, 0, n, k, reach, flag, keep);
+        idx got = row(out, lo, n, &P, 0, n, k, reach, flag, keep);
         if (got > cap - c) {
             st[0] = k, st[1] = c, st[2] = got;
             return 1;
@@ -204,7 +204,7 @@ INLINE void replay(const poly *P, const double *top, idx r0, idx h, idx w0, doub
     out[0] = cur[at_end ? w - 1 : 0];
     for (idx d = 1; d <= h; d++) {
         idx len = w - 2 * d;
-        row(next, cur, w, 0, P, w0, len, r0 + d, NULL, NULL, 0.0);
+        row(next, cur, w, P, w0, len, r0 + d, NULL, NULL, 0.0);
         out[d] = next[at_end ? len - 1 : 0];
         double *t = cur;
         cur = next, next = t;
@@ -242,7 +242,7 @@ CLONES void bn_walk(const double *x, const double *y, const double *e, idx n, co
         idx r0 = (k - 1) / stride * stride, h = k - r0, w = 2 * h + 1, s0 = s;
         gather(tri, S + r0 / stride * n, n, s0, w);
         for (idx d = 1; d < h; d++)
-            row(tri + d * w - d * (d - 1), tri + (d - 1) * w - (d - 1) * (d - 2), w, 0, &P, s0,
+            row(tri + d * w - d * (d - 1), tri + (d - 1) * w - (d - 1) * (d - 2), w, &P, s0,
                 w - 2 * d, r0 + d, NULL, NULL, 0.0);
         for (; k > r0; k--) {
             idx d = k - 1 - r0, u = (s - s0 + n) % n, j = (s + 2 * k - 1) % n, i = (j + n - 1) % n;

@@ -48,10 +48,6 @@ class BadIndexError(BnmatchError):
     code = "BadIndex"
 
 
-class DegenerateSegmentError(BnmatchError):
-    code = "DegenerateSegment"
-
-
 class BadDomainError(BnmatchError):
     code = "BadDomain"
 

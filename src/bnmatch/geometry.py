@@ -1,23 +1,20 @@
-"""Convex-position validation, turning angles and polarity regions.
+"""Convex-position validation and turning angles.
 
 All length comparisons throughout the package are done on squared distances
 (min/max are preserved under squaring); square roots are taken only when a
 length is reported. Angle boundary tests use an absolute tolerance of 1e-9
-radians, distance-equality tests a relative tolerance of 1e-9 on lengths
-(applied as 2e-9 on squared values).
+radians.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
-    DegenerateSegmentError,
     DuplicatePointError,
     NonFiniteError,
     NotCcwError,
@@ -26,8 +23,7 @@ from .errors import (
     TooFewError,
 )
 
-ANGLE_TOL = 1e-9          # radians, absolute
-SQ_REL_TOL = 2e-9         # relative, on squared distances (~1e-9 on lengths)
+ANGLE_TOL = 1e-9  # radians, absolute
 
 TWO_PI = 2.0 * math.pi
 CANDIDATE_ANGLE = 2.0 * math.pi / 3.0
@@ -181,62 +177,3 @@ def candidate_reach(P: ConvexPointSet) -> np.ndarray:
     while (step := (cum[x + 1] - cum[a] <= bound) * 1 - (cum[x] - cum[a] > bound)).any():
         x += step
     return np.minimum((x - a) // 2 + 1, n // 2 - 1)
-
-
-class PolarityRegion(Enum):
-    """Where a point sits relative to a directed segment's polarity areas.
-
-    For a directed segment vi -> vj of length d, points strictly on the
-    right side and inside the circular cap from which the segment subtends
-    an angle of at least pi/3 split into three areas: NEGATIVE (farther
-    than d from vj, hugging vi), POSITIVE (farther than d from vi, hugging
-    vj) and NEUTRAL (within d of both). Points on the left, on the line,
-    or right but outside the cap get their own labels.
-    """
-
-    LEFT_OF_LINE = "left-of-line"
-    ON_LINE = "on-line"
-    OUTSIDE_CAP = "outside-cap"
-    NEGATIVE = "negative"
-    POSITIVE = "positive"
-    NEUTRAL = "neutral"
-
-
-def classify_polarity_region(vi, vj, p) -> PolarityRegion:
-    """Classify p against the polarity areas of the directed segment vi -> vj.
-
-    The cap is the region right of the line and inside the circle through
-    vi and vj of radius d/sqrt(3) centered right of the line. Distance ties
-    (equal to d within tolerance) classify as NEUTRAL; points on the cap
-    boundary count as inside. Each point is an (x, y) pair, read as Python
-    floats.
-    """
-    (xi, yi), (xj, yj), (px, py) = (map(float, q) for q in (vi, vj, p))
-    ex, ey = xj - xi, yj - yi
-    dd = ex * ex + ey * ey
-    if dd == 0.0:
-        raise DegenerateSegmentError("vi == vj")
-    cross = ex * (py - yi) - ey * (px - xi)
-    # |cross| = d * (perpendicular distance); relative test on that product
-    if abs(cross) <= 1e-9 * dd:
-        return PolarityRegion.ON_LINE
-    if cross > 0.0:
-        return PolarityRegion.LEFT_OF_LINE
-    d = math.sqrt(dd)
-    # cap circle: radius d/sqrt(3), center right of the line at the
-    # inscribed-angle position for pi/3
-    cx = (xi + xj) / 2.0 + ey / (2.0 * math.sqrt(3.0))
-    cy = (yi + yj) / 2.0 - ex / (2.0 * math.sqrt(3.0))
-    rr = dd / 3.0
-    pcx, pcy = px - cx, py - cy
-    if pcx * pcx + pcy * pcy > rr * (1.0 + SQ_REL_TOL):
-        return PolarityRegion.OUTSIDE_CAP
-    dix, diy = px - xi, py - yi
-    djx, djy = px - xj, py - yj
-    di2 = dix * dix + diy * diy
-    dj2 = djx * djx + djy * djy
-    if di2 > dd * (1.0 + SQ_REL_TOL):
-        return PolarityRegion.POSITIVE
-    if dj2 > dd * (1.0 + SQ_REL_TOL):
-        return PolarityRegion.NEGATIVE
-    return PolarityRegion.NEUTRAL

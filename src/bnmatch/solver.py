@@ -24,20 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .errors import InvalidMatchingError, NonFiniteValueError
-from .geometry import ConvexPointSet, PolarityRegion, arc_turns, classify_polarity_region
+from .geometry import ConvexPointSet, arc_turns
 from .structure import Matching, verify_matching
-
-
-class Polarity(Enum):
-    NEGATIVE = "negative"   # interior hugs endpoint i (the pole)
-    POSITIVE = "positive"   # interior hugs endpoint j
-    UNKNOWN = "unknown"     # not annotated, or unexpectedly mixed
 
 
 @dataclass(frozen=True)
@@ -47,15 +40,6 @@ class CandidateDiagonal:
     i: int
     j: int
     tau: float
-    polarity: Polarity = Polarity.UNKNOWN
-
-    @property
-    def pole(self) -> int | None:
-        if self.polarity is Polarity.NEGATIVE:
-            return self.i
-        if self.polarity is Polarity.POSITIVE:
-            return self.j
-        return None
 
 
 @dataclass(frozen=True)
@@ -67,52 +51,22 @@ class SolveReport:
     structure: str
 
 
-def _annotate_polarity(P: ConvexPointSet, i: int, j: int) -> Polarity:
-    """Uniform classification of the arc interior, or UNKNOWN if mixed.
-
-    Interior points of <i, j> lie right of the directed line vi -> vj on a
-    ccw polygon, so they are expected to land uniformly NEGATIVE or
-    uniformly POSITIVE; anything else is surfaced as UNKNOWN, not an error.
-    """
-    n = P.n
-    xs, ys = P.xs, P.ys
-    vi, vj = (xs[i], ys[i]), (xs[j], ys[j])
-    seen: PolarityRegion | None = None
-    t = (i + 1) % n
-    while t != j:
-        r = classify_polarity_region(vi, vj, (xs[t], ys[t]))
-        if r not in (PolarityRegion.NEGATIVE, PolarityRegion.POSITIVE):
-            return Polarity.UNKNOWN
-        if seen is None:
-            seen = r
-        elif r is not seen:
-            return Polarity.UNKNOWN
-        t = (t + 1) % n
-    if seen is PolarityRegion.NEGATIVE:
-        return Polarity.NEGATIVE
-    if seen is PolarityRegion.POSITIVE:
-        return Polarity.POSITIVE
-    return Polarity.UNKNOWN
-
-
 def enumerate_candidates(
-    P: ConvexPointSet, T: SubproblemTable, annotate: bool = True
+    P: ConvexPointSet, T: SubproblemTable, *, annotate: bool = False
 ) -> list[CandidateDiagonal]:
     """All candidate diagonals of P's table T, sorted by (i, j).
 
     A pair qualifies if it is a diagonal (non-adjacent both ways, so its
     arc size is in [4, n-2]), its subproblem flags it necessary, and its
-    turning angle is at most 2*pi/3 + 1e-9: the arcs T lists. Polarity
-    annotation is purely diagnostic and optional; it never gates the search.
+    turning angle is at most 2*pi/3 + 1e-9: the arcs T lists. ``annotate``
+    has no effect; it is accepted because perfbench's stage replay still
+    passes it.
     """
     k, i = T.necessary.T
     j = (i + 2 * k - 1) % P.n
     tau = arc_turns(P, 2 * k, i)
     order = np.lexsort((j, i))
-    return [
-        CandidateDiagonal(a, b, t, _annotate_polarity(P, a, b) if annotate else Polarity.UNKNOWN)
-        for a, b, t in zip(i[order].tolist(), j[order].tolist(), tau[order].tolist())
-    ]
+    return list(map(CandidateDiagonal, i[order].tolist(), j[order].tolist(), tau[order].tolist()))
 
 
 def solve(P: ConvexPointSet) -> SolveReport:

@@ -90,14 +90,19 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
     output is meaningful. A perfect non-crossing matching also gets its
     cascade decomposition, from the same sweep that checked it.
     """
-    n, ends = P.n, list(chain.from_iterable(M.pairs))
-    # a bool, float or str index is out of range; each pass runs in C
-    indices_ok = (
-        M.n == n
-        and all(t is int or issubclass(t, np.integer) for t in set(map(type, ends)))
-        and (not ends or 0 <= min(ends) and max(ends) < n)
-        and not any(starmap(eq, M.pairs))
-    )
+    n = P.n
+    # a bool, float or str index is out of range; each pass runs in C. A
+    # pair that is not two ends raises TypeError in the first or last pass
+    try:
+        ends = list(chain.from_iterable(M.pairs))
+        indices_ok = (
+            M.n == n
+            and all(t is int or issubclass(t, np.integer) for t in set(map(type, ends)))
+            and (not ends or 0 <= min(ends) and max(ends) < n)
+            and not any(starmap(eq, M.pairs))
+        )
+    except TypeError:
+        indices_ok = False
     if not indices_ok:
         return MatchingReport(False, False, math.nan, None, None)
 

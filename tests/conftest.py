@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+from enum import Enum
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from bnmatch import baselines, dp_core, gen_cluster3, validate_convex_ccw
-from bnmatch.errors import BadIndexError
+from bnmatch.errors import BadIndexError, BnmatchError
 
 DEG = math.pi / 180.0
 
@@ -73,6 +74,89 @@ def oracle_enumerate(n: int):
     """
     baselines._guard(n)
     yield from baselines._matchings_of_size(n)
+
+
+SQ_REL_TOL = 2e-9  # relative, on squared distances (~1e-9 on lengths)
+
+
+class DegenerateSegmentError(BnmatchError):
+    code = "DegenerateSegment"
+
+
+class PolarityRegion(Enum):
+    """Where a point sits relative to a directed segment's polarity areas.
+
+    For a directed segment vi -> vj of length d, points strictly on the
+    right side and inside the circular cap from which the segment subtends
+    an angle of at least pi/3 split into three areas: NEGATIVE (farther
+    than d from vj, hugging vi), POSITIVE (farther than d from vi, hugging
+    vj) and NEUTRAL (within d of both). Points on the left, on the line,
+    or right but outside the cap get their own labels.
+    """
+
+    LEFT_OF_LINE = "left-of-line"
+    ON_LINE = "on-line"
+    OUTSIDE_CAP = "outside-cap"
+    NEGATIVE = "negative"
+    POSITIVE = "positive"
+    NEUTRAL = "neutral"
+
+
+def classify_polarity_region(vi, vj, p) -> PolarityRegion:
+    """Classify p against the polarity areas of the directed segment vi -> vj.
+
+    The cap is the region right of the line and inside the circle through
+    vi and vj of radius d/sqrt(3) centered right of the line. Distance ties
+    (equal to d within tolerance) classify as NEUTRAL; points on the cap
+    boundary count as inside. Each point is an (x, y) pair, read as Python
+    floats.
+    """
+    (xi, yi), (xj, yj), (px, py) = (map(float, q) for q in (vi, vj, p))
+    ex, ey = xj - xi, yj - yi
+    dd = ex * ex + ey * ey
+    if dd == 0.0:
+        raise DegenerateSegmentError("vi == vj")
+    cross = ex * (py - yi) - ey * (px - xi)
+    # |cross| = d * (perpendicular distance); relative test on that product
+    if abs(cross) <= 1e-9 * dd:
+        return PolarityRegion.ON_LINE
+    if cross > 0.0:
+        return PolarityRegion.LEFT_OF_LINE
+    d = math.sqrt(dd)
+    # cap circle: radius d/sqrt(3), center right of the line at the
+    # inscribed-angle position for pi/3
+    cx = (xi + xj) / 2.0 + ey / (2.0 * math.sqrt(3.0))
+    cy = (yi + yj) / 2.0 - ex / (2.0 * math.sqrt(3.0))
+    rr = dd / 3.0
+    pcx, pcy = px - cx, py - cy
+    if pcx * pcx + pcy * pcy > rr * (1.0 + SQ_REL_TOL):
+        return PolarityRegion.OUTSIDE_CAP
+    dix, diy = px - xi, py - yi
+    djx, djy = px - xj, py - yj
+    di2 = dix * dix + diy * diy
+    dj2 = djx * djx + djy * djy
+    if di2 > dd * (1.0 + SQ_REL_TOL):
+        return PolarityRegion.POSITIVE
+    if dj2 > dd * (1.0 + SQ_REL_TOL):
+        return PolarityRegion.NEGATIVE
+    return PolarityRegion.NEUTRAL
+
+
+def interior_polarity(P, i: int, j: int) -> PolarityRegion | None:
+    """NEGATIVE or POSITIVE when every point strictly inside the arc <i, j>
+    classifies that way against the segment vi -> vj, else None.
+
+    The interior of a ccw arc lies right of vi -> vj, so a candidate's is
+    expected, though not guaranteed, to be uniformly one or the other. The
+    pole of such a diagonal is i for NEGATIVE and j for POSITIVE.
+    """
+    n, pts = P.n, P.coords()
+    regions = {
+        classify_polarity_region(pts[i], pts[j], pts[t % n]) for t in range(i + 1, i + (j - i) % n)
+    }
+    if len(regions) == 1 and regions <= {PolarityRegion.NEGATIVE, PolarityRegion.POSITIVE}:
+        return regions.pop()
+    return None
 
 
 # the reference's move tags, in tie-break priority order

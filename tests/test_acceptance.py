@@ -7,6 +7,7 @@ import math
 import statistics
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +27,7 @@ from bnmatch import (
 )
 from bnmatch.cli import main
 from bnmatch.formats import parse_instance
-from bnmatch.solver import Polarity
-from conftest import oracle_enumerate, turning_angle
+from conftest import PolarityRegion, interior_polarity, oracle_enumerate, turning_angle
 
 MODES = ("circle", "valtr", "cluster3")
 REL = 1e-9
@@ -47,6 +47,7 @@ def sweep_small():
         "pole_collisions": 0,
         "polarity_failures": 0,
         "polarity_examples": [],
+        "polarity_classes": Counter(),
         "validity_failures": 0,
         "three_cascade_confirmed": 0,
         "elapsed": 0.0,
@@ -74,15 +75,19 @@ def sweep_small():
                     if not (r.perfect and r.non_crossing):
                         data["validity_failures"] += 1
 
-                cands = enumerate_candidates(P, build_subproblem_table(P), annotate=True)
+                cands = enumerate_candidates(P, build_subproblem_table(P))
                 if len(cands) > 2 * n:
                     data["candidate_bound_violations"] += 1
-                for pol in (Polarity.NEGATIVE, Polarity.POSITIVE):
-                    poles = [c.pole for c in cands if c.polarity is pol]
+                polarities = [interior_polarity(P, c.i, c.j) for c in cands]
+                data["polarity_classes"].update(polarities)
+                # a NEGATIVE diagonal's pole is i, a POSITIVE one's j
+                negative = [c.i for c, p in zip(cands, polarities) if p is PolarityRegion.NEGATIVE]
+                positive = [c.j for c, p in zip(cands, polarities) if p is PolarityRegion.POSITIVE]
+                for poles in (negative, positive):
                     if len(poles) != len(set(poles)):
                         data["pole_collisions"] += 1
-                for c in cands:
-                    if c.polarity is Polarity.UNKNOWN:
+                for c, p in zip(cands, polarities):
+                    if p is None:
                         data["polarity_failures"] += 1
                         if len(data["polarity_examples"]) < 5:
                             data["polarity_examples"].append(
@@ -152,6 +157,14 @@ def test_c04_candidate_bound_and_poles(sweep_small):
     assert sweep_small["candidate_bound_violations"] == 0
     assert sweep_small["pole_collisions"] == 0
     _ok("C4", "candidateCount <= 2n everywhere; equal-polarity poles distinct")
+
+
+def test_c05_polarity_class_counts(sweep_small):
+    # the sweep's candidates by interior polarity, pinned so that a change
+    # to the classifier or to the candidates shows here, not only in C05
+    classes = sweep_small["polarity_classes"]
+    assert classes == {PolarityRegion.NEGATIVE: 7125, PolarityRegion.POSITIVE: 633, None: 22}
+    _ok("C5 counts", f"{sum(classes.values())} candidates: 7125 negative, 633 positive, 22 neither")
 
 
 def test_c05_polarity_trichotomy(sweep_small):

@@ -439,7 +439,7 @@ def test_candidate_reach_settles_the_rounding_of_the_search():
 
 
 def _dense_candidates(P):
-    """enumerate_candidates (unannotated) from the roll reference's flags."""
+    """enumerate_candidates from the roll reference's flags."""
     n = P.n
     _, _, necessary = roll_fill(P)
     out = []
@@ -453,12 +453,12 @@ def _dense_candidates(P):
 
 
 def _candidates(P):
-    return enumerate_candidates(P, build_subproblem_table(P), annotate=False)
+    return enumerate_candidates(P, build_subproblem_table(P))
 
 
 def _assert_candidates_match_dense(P):
     def key(cands):
-        return [(c.i, c.j, c.tau.hex(), c.polarity) for c in cands]
+        return [(c.i, c.j, c.tau.hex()) for c in cands]
 
     assert key(_candidates(P)) == key(_dense_candidates(P))
 

@@ -7,8 +7,6 @@ import pytest
 
 from bnmatch import (
     GenSpec,
-    PolarityRegion,
-    classify_polarity_region,
     gen_circle,
     gen_valtr,
     generate,
@@ -16,7 +14,6 @@ from bnmatch import (
 )
 from bnmatch.errors import (
     BadIndexError,
-    DegenerateSegmentError,
     DuplicatePointError,
     NonFiniteError,
     NotCcwError,
@@ -26,7 +23,10 @@ from bnmatch.errors import (
 )
 from bnmatch.formats import instance_to_json, parse_instance
 from bnmatch.geometry import arc_turns
-from conftest import SQ4_COORDS, ext_prefix, sq_dist, turning_angle
+from conftest import (
+    SQ4_COORDS, DegenerateSegmentError, PolarityRegion, classify_polarity_region, ext_prefix,
+    sq_dist, turning_angle,
+)
 
 approx = pytest.approx
 
@@ -374,8 +374,8 @@ class TestPolarity:
         assert self.classify((-0.05, -0.35)) is PolarityRegion.NEGATIVE
 
     def test_numpy_scalars_take_float_math(self):
-        # solve's annotation passes NumPy scalars; read as Python floats
-        # they overflow to inf without NumPy's warning
+        # NumPy scalars are read as Python floats, so they overflow to
+        # inf without NumPy's warning
         big = np.float64(1e200)
         got = classify_polarity_region((big, big), (-big, big), (np.float64(0.0), big / 2))
         assert got is classify_polarity_region((1e200, 1e200), (-1e200, 1e200), (0.0, 5e199))

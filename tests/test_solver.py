@@ -23,10 +23,10 @@ from bnmatch import (
 from bnmatch import dp_core
 from bnmatch.errors import NonFiniteValueError
 from bnmatch.geometry import CANDIDATE_ANGLE
-from bnmatch.solver import Polarity
 from conftest import (
-    SKEW4_VALUE, canonical_pairs, equiangular, forced_stride, parabola_cap, random_polygons,
-    regular, sq_dist, turning_angle, two_arcs,
+    SKEW4_VALUE, PolarityRegion, canonical_pairs, classify_polarity_region, equiangular,
+    forced_stride, interior_polarity, parabola_cap, random_polygons, regular, sq_dist,
+    turning_angle, two_arcs,
 )
 
 approx = pytest.approx
@@ -95,18 +95,16 @@ class TestCandidates:
             for n in (10, 14, 16):
                 for seed in range(10):
                     P = generate(GenSpec(n, mode, seed))
-                    cands = enumerate_candidates(P, build_subproblem_table(P), annotate=True)
-                    for pol in (Polarity.NEGATIVE, Polarity.POSITIVE):
-                        poles = [c.pole for c in cands if c.polarity is pol]
+                    cands = enumerate_candidates(P, build_subproblem_table(P))
+                    polarities = [interior_polarity(P, c.i, c.j) for c in cands]
+                    # a NEGATIVE diagonal's pole is i, a POSITIVE one's j
+                    for poles in (
+                        [c.i for c, p in zip(cands, polarities) if p is PolarityRegion.NEGATIVE],
+                        [c.j for c, p in zip(cands, polarities) if p is PolarityRegion.POSITIVE],
+                    ):
                         annotated += len(poles)
                         assert len(poles) == len(set(poles)), (mode, n, seed)
         assert annotated > 50  # the sweep actually exercised annotation
-
-    def test_unannotated_polarity_is_unknown(self):
-        P = gen_cluster3(12, 3)
-        cands = enumerate_candidates(P, build_subproblem_table(P), annotate=False)
-        assert cands and all(c.polarity is Polarity.UNKNOWN for c in cands)
-        assert all(c.pole is None for c in cands)
 
     def test_flag_cap_drops_no_candidate(self):
         # the table tests necessity only up to the last row any start
@@ -139,15 +137,12 @@ class TestCandidates:
         # uniquely optimal through the pair, tau well under 2*pi/3) whose
         # interior holds one strictly neutral point and one negative one.
         # Acceptance criterion 5 fails on such instances by design.
-        from bnmatch import GenSpec, generate
-        from bnmatch.geometry import PolarityRegion, classify_polarity_region
-
         P = generate(GenSpec(6, "valtr", 8))
         T = build_subproblem_table(P)
         cand = next(
             c for c in enumerate_candidates(P, T) if (c.i, c.j) == (5, 2)
         )
-        assert cand.polarity is Polarity.UNKNOWN
+        assert interior_polarity(P, cand.i, cand.j) is None
         assert cand.tau < CANDIDATE_ANGLE - 0.05  # no tolerance at play
 
         # necessity holds exactly: the arc <5,2> = (5,0,1,2) admits only two

@@ -175,6 +175,18 @@ class TestVerifyMatching:
         assert (rep.perfect, rep.non_crossing, rep.longest_pair) == (False, False, None)
         assert math.isnan(rep.value)
 
+    @pytest.mark.parametrize("pairs", [
+        (0, 1),
+        ((0, 1), (2,)),
+        ((0, 1), (2, 3, 1)),
+        ((0, 1), None),
+    ])
+    def test_malformed_pairs_are_not_perfect(self, sq4, pairs):
+        # a pairs entry that is not two ends is reported, not raised
+        rep = verify_matching(sq4, Matching(4, pairs))
+        assert (rep.perfect, rep.non_crossing, rep.longest_pair) == (False, False, None)
+        assert math.isnan(rep.value)
+
     def test_numpy_integer_indices_accepted(self, sq4):
         rep = verify_matching(sq4, Matching(4, ((np.int64(0), np.int32(1)), (np.uint8(2), 3))))
         assert rep.perfect and rep.non_crossing and rep.value == 1.0
