@@ -36,10 +36,13 @@ the recurrence's expressions once. It is built on first use, not on
 import, with the C compiler ``cc`` (KernelBuildError if that fails), and
 cached in the package's ``__pycache__``; see ``_kernel``. Every buffer it
 uses is a NumPy array passed in, so tracemalloc sees all of its memory.
-On a 2-CPU AVX-512 host the fill takes about 1 ns an entry up to
-n = 16384 (33 ms at n = 8192, against 104 ms for the NumPy row loop it
-replaces), a full-circle walk 0.6 ms at n = 8192 (25 ms), and its
-scratch is 33 bytes a point beside the kept rows (98).
+The fill goes up the table in blocks of rows, each computed strip by
+strip over a few hundred starts (``fill_tile``), so a strip's rows stay
+in the L1 cache. On a 2-CPU AVX-512 host it takes about 0.6 ns an entry
+at n = 2048 ... 16384 (19 ms at n = 8192, against 35 ms row by row and
+104 ms for the NumPy row loop), a full-circle walk 0.4 ms at n = 8192,
+and its scratch is 33.1 bytes a point beside the kept rows at n = 8192
+(98 with NumPy).
 """
 from __future__ import annotations
 
@@ -77,6 +80,22 @@ def checkpoint_stride(n: int) -> int:
     rows holds about s^2 = 2n entries.
     """
     return math.isqrt(2 * n)
+
+
+def fill_tile(n: int) -> tuple[int, int]:
+    """The fill's tile (h, w): blocks of h rows, in strips of w starts.
+
+    From n = 1026 on it is (16, 384). A strip's rows read about 8 floats a
+    start over its w + 2h starts (the coordinates and edges at both ends
+    of its arcs, two rows of the tile and the reach), so they stay in a
+    48 KB L1 data cache. At n = 8192 strips of 256 to 512 starts and
+    blocks of 8 to 32 rows filled within 10% of each other, and strips of
+    768 took 1.35x as long. Up to n = 1024 a whole row fits that cache,
+    and the fill goes row by row, (1, n): each block is one row of n
+    starts, computed straight into a scratch row, so no tile is needed;
+    strips of 384 there took up to 1.05x as long.
+    """
+    return (1, n) if n <= 1024 else (16, 384)
 
 
 @dataclass(frozen=True)
@@ -172,7 +191,7 @@ def _load(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     poly = [ptr, ptr, ptr, size, ptr, size]  # xs, ys, edge2, n, S, stride
-    lib.bn_fill.argtypes = poly + [ptr, size, real, ptr, ptr, ptr, ptr, ptr, size]
+    lib.bn_fill.argtypes = poly + [ptr, size, real, size, size, ptr, ptr, ptr, ptr, ptr, size]
     lib.bn_fill.restype = ctypes.c_int
     lib.bn_arcs.argtypes = poly + [size, size, size, ptr, ptr, ptr]
     lib.bn_arcs.restype = None
@@ -225,36 +244,41 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     8n * sqrt(n/8) bytes in all. No move is stored; ``reconstruct``
     recomputes the moves it follows.
 
-    One kernel call computes every row from the one below it (see
-    ``_rowkernel.c``), into its row of ``S`` where the table keeps it and
-    otherwise into one of two scratch rows, so the fill's scratch is those
-    two rows, the reach, a byte of flags a point and the candidates, about
-    33 bytes a point. The candidates' arrays start empty; where a row's
+    One kernel call computes the rows in blocks of h rows, each block strip
+    by strip over w starts, for the tile (h, w) ``fill_tile`` picks (see
+    ``_rowkernel.c``). A block reads one full row and writes the next
+    into the other of two scratch rows, and every row the table keeps
+    into ``S``. So the fill's scratch is those two rows, the reach, the
+    tile's 2 * min(w + 2h, n) floats (none where a block is one row of n
+    starts) and the candidates: 33.1 bytes a point at n = 8192. The candidates' arrays start empty; where a strip's
     candidates do not fit, the kernel returns, and the call after the
-    arrays have grown goes on from that row.
+    arrays have grown redoes that strip. Blocks list their candidates
+    strip by strip, so a stable sort by k puts them in (k, start) order.
     """
     n = P.n
     half = n // 2
     stride = checkpoint_stride(n)
+    h, w = fill_tile(n)
     xs, ys = np.ascontiguousarray(P.xs, np.float64), np.ascontiguousarray(P.ys, np.float64)
     reach = candidate_reach(P)
     kmax = int(reach.max())  # no row above it holds a candidate
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     edge2 = np.empty(n)
-    rows = np.empty(2 * n)
-    flags = np.empty(n if kmax >= 2 else 0, dtype=np.uint8)
-    state = np.array([1, 0, 0], dtype=np.intp)  # next row, candidates kept, the row's pending
+    # a block's rows below its top, strip by strip; none where a block is one row of n starts
+    rows, tile = np.empty(2 * n), np.empty(0 if h == 1 and w >= n else 2 * min(w + 2 * h, n))
+    # next block's first row, candidates kept, the strip's pending, its first start
+    state = np.array([1, 0, 0, 0], dtype=np.intp)
     necessary, bases = np.empty((0, 2), dtype=np.intp), np.empty(0)
     fill = _kernel().bn_fill
     while fill(xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride,
-               reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, rows.ctypes.data,
-               flags.ctypes.data, state.ctypes.data, necessary.ctypes.data, bases.ctypes.data,
-               len(bases)):
-        kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]))
+               reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, h, w, rows.ctypes.data,
+               tile.ctypes.data, state.ctypes.data, necessary.ctypes.data,
+               bases.ctypes.data, len(bases)):
+        kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]), 16)
         necessary, bases = _resized(necessary, kept, size), _resized(bases, kept, size)
-    kept = int(state[1])
-    if kept < len(bases):
-        necessary, bases = _resized(necessary, kept, kept), _resized(bases, kept, kept)
+    if state[1]:  # in (k, start) order
+        order = np.argsort(necessary[:state[1], 0], kind="stable")
+        necessary, bases = necessary[order], bases[order]
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
         necessary=necessary, bases=bases, xs=xs, ys=ys, edge2=edge2,

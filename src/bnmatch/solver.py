@@ -9,8 +9,8 @@ spanning a turning angle of at most 2*pi/3; at most ~2n of them exist, and
 the table lists them with their values, so a candidate costs O(1) beyond
 the fill and one sort. Each of the s candidates that survive the prunes
 costs one arc_values call: two replays of about n*sqrt(n/2) entry updates
-each at the table's stride isqrt(2n), with O(n) scratch (about 1.2 ms a
-call at n = 8192 against a 33 ms fill, on a 2-CPU AVX-512 host). So the
+each at the table's stride isqrt(2n), with O(n) scratch (about 0.6 ms a
+call at n = 8192 against a 19 ms fill, on a 2-CPU AVX-512 host). So the
 search takes O(n^2 + s*n^1.5) plus a sort of the c candidates,
 Theta(n^2.5) if s = Theta(n); every generator gives s <= 3.
 
@@ -18,7 +18,7 @@ The table is freed before the matching is built: the walks return their
 pairs as intp arrays, 16 bytes a pair, and ``solve`` reads the candidate
 count, drops the table, and only then makes the matching's n/2 tuples and
 verifies them. So its traced peak is the fill's, the kept value rows plus
-about 33 bytes a point at n = 8192.
+about 33.1 bytes a point at n = 8192.
 """
 from __future__ import annotations
 

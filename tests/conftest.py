@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from bnmatch import baselines, dp_core, gen_cluster3, validate_convex_ccw
+from bnmatch import GenSpec, baselines, dp_core, gen_cluster3, generate, validate_convex_ccw
 from bnmatch.errors import BadIndexError, BnmatchError
 
 DEG = math.pi / 180.0
@@ -328,6 +328,36 @@ def forced_stride(stride: int):
     dp_core.checkpoint_stride alone picks the stride, so it is the one seam.
     """
     return mock.patch.object(dp_core, "checkpoint_stride", lambda n: stride)
+
+
+def forced_tile(h: int, w: int):
+    """Context manager: tables built inside it fill blocks of h rows in
+    strips of w starts.
+
+    dp_core.fill_tile alone picks the tile, so it is the one seam.
+    """
+    return mock.patch.object(dp_core, "fill_tile", lambda n: (h, w))
+
+
+# blocks of 1, 2 and 5 rows; strips of 1, 3, 7 and 64 starts, and of at
+# least n starts, one strip a row
+TILES = [(h, w) for h in (1, 2, 5) for w in (1, 3, 7, 64, 1 << 20)]
+
+
+def tile_seam_inputs():
+    """(name, point set) pairs on which the tiles meet every seam of the
+    fill's blocks and strips: the fixtures and a 2-gon, circle, valtr and
+    cluster3 at n = 6 ... 512, and parabola caps and two arcs at n = 30 ...
+    250, whose candidates outgrow the fill's arrays."""
+    named = [("2-gon", [(0.0, 0.0), (3.0, 4.0)]), ("sq4", SQ4_COORDS), ("skew4", SKEW4_COORDS),
+             ("hex6", HEX6_COORDS)]
+    out = [(name, validate_convex_ccw(coords)) for name, coords in named]
+    for mode in ("circle", "valtr", "cluster3"):
+        out += [(f"{mode}-{n}", generate(GenSpec(n, mode, 41 + n)))
+                for n in (6, 16, 30, 64, 250, 512)]
+    for family in (parabola_cap, two_arcs):
+        out += [(f"{family.__name__}-{n}", validate_convex_ccw(family(n))) for n in (30, 64, 250)]
+    return out
 
 
 @pytest.fixture

@@ -36,8 +36,9 @@ from bnmatch.geometry import (
     ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns, candidate_reach,
 )
 from conftest import (
-    SKEW4_VALUE, USE_PAIR, equiangular, forced_stride, oracle_enumerate, parabola_cap,
-    random_polygons, regular, roll_fill, roll_walk, sq_dist, turning_angle, two_arcs,
+    SKEW4_VALUE, TILES, USE_PAIR, equiangular, forced_stride, forced_tile, oracle_enumerate,
+    parabola_cap, random_polygons, regular, roll_fill, roll_walk, sq_dist, tile_seam_inputs,
+    turning_angle, two_arcs,
 )
 
 approx = pytest.approx
@@ -310,17 +311,22 @@ def _assert_pairs_match(P, T, S, necessary):
     assert T.bases.tobytes() == S[tuple(T.necessary.T)].tobytes()
 
 
-def _assert_matches_roll_fill(P, stride=None, walks=None):
-    """At ``stride`` (default: the table's own), the table's kept rows, its
-    candidates and their bases, every value ``arc_values`` reads and the
-    walks of the arcs ``walks`` equal the stride-1 NumPy transcription's
-    bit for bit. ``walks`` defaults to the full circle from every start
-    and every arc from start 0."""
+def _assert_matches_roll_fill(P, stride=None, walks=None, tile=None, ref=None):
+    """At ``stride`` and ``tile`` (default: the table's own), the table's
+    kept rows, its candidates and their bases, every value ``arc_values``
+    reads and the walks of the arcs ``walks`` equal the stride-1 NumPy
+    transcription's bit for bit. ``walks`` defaults to the full circle from
+    every start and every arc from start 0; ``ref`` is ``roll_fill(P)``,
+    computed if not given."""
     n, half = P.n, P.n // 2
-    with forced_stride(stride) if stride else contextlib.nullcontext():
+    with contextlib.ExitStack() as forced:
+        if stride:
+            forced.enter_context(forced_stride(stride))
+        if tile:
+            forced.enter_context(forced_tile(*tile))
         T = build_subproblem_table(P)
     assert T.stride == (stride or checkpoint_stride(n))
-    S, choice, necessary = roll_fill(P)
+    S, choice, necessary = ref or roll_fill(P)
     kept = sorted({*range(0, half + 1, T.stride), half})
     assert T.S.dtype == np.float64 and T.S.tobytes() == S[kept].tobytes()
     assert T.choice.dtype == np.uint8 and T.choice.shape == (0, n)
@@ -488,12 +494,8 @@ def test_fill_and_candidates_on_random_polygons(coords):
     _assert_candidates_match_dense(P)
 
 
-def test_fill_scratch_memory_per_point():
-    # the fill's own working memory is O(n): everything tracemalloc sees
-    # beyond the tables stays under 123 bytes per point. Measured 34 (two
-    # scratch rows, the reach, a flag byte and edge2); 101 with the NumPy
-    # row loop, 117 with its pair and left moves in two temporaries of their own
-    n = 2048
+def _fill_scratch(n):
+    """Bytes tracemalloc sees at the peak of a valtr fill beyond its tables."""
     P = generate(GenSpec(n, "valtr", 3))
     tracemalloc.start()
     try:
@@ -501,8 +503,27 @@ def test_fill_scratch_memory_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = T.S.nbytes + T.necessary.nbytes + T.bases.nbytes
-    assert peak - tables <= 123 * n, (peak - tables) / n
+    return peak - (T.S.nbytes + T.necessary.nbytes + T.bases.nbytes)
+
+
+def test_fill_scratch_memory_per_point():
+    # the fill's own working memory is O(n): everything tracemalloc sees
+    # beyond the tables stays under 123 bytes per point. Measured 37 (two
+    # full rows, the reach, edge2 and a tile of 2 * 416 floats); 34 with a
+    # flag byte a point and no tile, 101 with the NumPy row loop, 117 with
+    # its pair and left moves in two temporaries of their own
+    n = 2048
+    scratch = _fill_scratch(n)
+    assert scratch <= 123 * n, scratch / n
+
+
+def test_fill_tile_adds_at_most_16_kb():
+    # the row-by-row fill's scratch was 33 bytes a point (two full rows, the
+    # reach, edge2 and a flag byte a point); the tiled fill trades the flags
+    # for a tile. Measured 271286 bytes at n = 8192, against 272686
+    n = 8192
+    scratch = _fill_scratch(n)
+    assert scratch <= 33 * n + 16 * 1024, scratch - 33 * n
 
 
 @pytest.mark.parametrize("n", [4, 1002, 2048])
@@ -618,6 +639,51 @@ def test_checkpointed_table_matches_dense_necessity(family):
     P = validate_convex_ccw(family(30))
     for stride in _strides(P.n):
         _assert_matches_roll_fill(P, stride, _every_arc(P.n))
+
+
+def _tile_seams(n, h, w, stride):
+    """The seams the fill's blocks cross at tile (h, w) and ``stride``,
+    found from the block and strip bounds the kernel uses."""
+    half, seams = n // 2, set()
+    for k0 in range(1, half, h):
+        hb = min(h, half - k0)
+        if w + 2 * hb > n:
+            continue  # one strip of n starts, no halo
+        seams.add("the last strip's halo wraps past start n - 1")
+        if n % w:
+            seams.add("a strip ends short of n")
+        if any(k % stride == 0 for k in range(k0 + 1, k0 + hb)):
+            seams.add("a checkpoint row inside a block")
+        if k0 + hb == half:
+            seams.add("the full-circle row in a block of strips")
+    return seams
+
+
+def test_tile_seam_sweep_crosses_every_seam():
+    seams = set()
+    for _, P in tile_seam_inputs():
+        for h, w in TILES:
+            for stride in (1, 3, 7, checkpoint_stride(P.n)):
+                seams |= _tile_seams(P.n, h, w, stride)
+    assert len(seams) == 4, seams
+    # the candidate arrays start empty; each return of the kernel is a strip
+    # whose candidates outgrew them, redone after they grew, the second time
+    # with candidates kept from before
+    P = validate_convex_ccw(parabola_cap(512))
+    counting = mock.Mock(wraps=dp_core._kernel())
+    with mock.patch.object(dp_core, "_kernel", lambda: counting):
+        _assert_matches_roll_fill(P, None, [(0, P.n)], (2, 7))
+    assert counting.bn_fill.call_count > 2
+
+
+@pytest.mark.parametrize("P", [pytest.param(P, id=name) for name, P in tile_seam_inputs()])
+def test_tiled_fill_matches_roll_fill(P):
+    # every tile against strides 1, 3, 7 and the default: kept rows,
+    # candidates and bases in order and bits, values and a full-circle walk
+    ref = roll_fill(P)
+    for h, w in TILES:
+        for stride in sorted({1, 3, 7, checkpoint_stride(P.n)}):
+            _assert_matches_roll_fill(P, stride, [(0, P.n)], (h, w), ref)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,15 @@
 """The compiled row kernel as a file of the package: where its source
-lives, and how its build fails or races. The kernel's results are checked
-in test_dp_core.py."""
+lives, how its build fails or races, that it compiles without warnings and
+that it runs clean under the address and undefined-behaviour sanitizers.
+The kernel's results are checked in test_dp_core.py."""
 import os
 import shutil
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+
+import pytest
 
 import bnmatch
 from bnmatch import formats, gen_circle, solve
@@ -78,3 +81,64 @@ def test_parallel_first_builds_leave_one_library(tmp_path):
     again = _run(tmp_path, ["-c", SOLVE], PATH="")
     assert again.returncode == 0 and again.stdout == outs[0][0], again.stderr
     assert _libraries(cache) == libs
+
+
+def _kernel_source() -> Path:
+    return Path(str(resources.files("bnmatch").joinpath("_rowkernel.c")))
+
+
+def test_kernel_compiles_without_warnings():
+    done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                           "-ffp-contract=off", str(_kernel_source())],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def _gcc_runtime(name: str) -> str | None:
+    """gcc's path to the sanitizer runtime ``name``, or None where it names
+    no existing file."""
+    try:
+        path = subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
+                              text=True).stdout.strip()
+    except OSError:
+        return None
+    return path if os.path.isabs(path) and os.path.isfile(path) else None
+
+
+# the tile-seam sweep, solved at every forced tile and the default, at strides
+# 1 and 3 and the default, through the kernel at the path in argv[1]
+SANITIZED_SWEEP = """
+import sys
+from unittest import mock
+from bnmatch import dp_core, solve
+from conftest import TILES, forced_stride, forced_tile, tile_seam_inputs
+lib = dp_core._load(sys.argv[1])
+with mock.patch.object(dp_core, "_kernel", lambda: lib):
+    for _, P in tile_seam_inputs():
+        for stride in (1, 3, None):
+            for tile in TILES + [None]:
+                with forced_stride(stride or dp_core.checkpoint_stride(P.n)):
+                    with forced_tile(*(tile or dp_core.fill_tile(P.n))):
+                        solve(P)
+print("swept")
+"""
+
+
+def test_kernel_runs_clean_under_sanitizers(tmp_path):
+    asan, ubsan = _gcc_runtime("libasan.so"), _gcc_runtime("libubsan.so")
+    if not (asan and ubsan):
+        pytest.skip("gcc names no sanitizer runtime")
+    lib = tmp_path / "rowkernel-asan.so"
+    built = subprocess.run(["gcc", "-O1", "-g", "-ffp-contract=off", "-fPIC", "-shared",
+                            "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                            "-x", "c", str(_kernel_source()), "-o", str(lib)],
+                           capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    package = Path(bnmatch.__file__).parent.parent
+    tests = Path(__file__).parent
+    run = subprocess.run(
+        [sys.executable, "-c", SANITIZED_SWEEP, str(lib)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(package), str(tests)]),
+             "LD_PRELOAD": f"{asan}:{ubsan}", "ASAN_OPTIONS": "detect_leaks=0"})
+    assert run.returncode == 0 and run.stdout == "swept\n", run.stderr[-4000:]
+    assert "Sanitizer" not in run.stderr and "runtime error" not in run.stderr, run.stderr[-4000:]
