@@ -17,7 +17,9 @@
 
    `moves` is the one copy of those expressions. Three jobs use it, each in
    one call: the fill (bn_fill), the replays behind arc_values (bn_arcs) and
-   the walk of reconstruct (bn_walk). Every buffer comes from the caller.
+   the walk of reconstruct (bn_walk). The replays and the walk share `block`,
+   which recomputes the rows above a checkpoint row over the starts it
+   reaches. Every buffer comes from the caller.
 
    An index into a cyclic array wraps at most once along a row, so `row`
    cuts the row where any operand wraps, and each piece is a plain loop over
@@ -272,62 +274,58 @@ CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S
     return 0;
 }
 
-/* Rows r0 .. r0 + h replayed from `top`, row r0, on the window of starts
-   w0 .. w0 + 2h, in the two (2h + 1)-float halves of buf: out[d] is row
-   r0 + d at the window's first start, or with at_end at the last start it
-   is known at, w0 + 2(h - d). */
-INLINE void replay(const poly *P, const double *top, idx r0, idx h, idx w0, double *buf,
-                   double *out, int at_end)
+/* Where block puts row r0 + d: after the rows below it, of 2h + 1, 2h - 1,
+   ... floats. */
+INLINE idx tri_row(idx h, idx d) { return d * (2 * h + 1) - d * (d - 1); }
+
+/* Row r0, a checkpoint, gathered over the starts w0 .. w0 + 2h, then rows r0
+   + 1 .. r0 + h, each from the one below on two starts fewer: row r0 + d on
+   w0 .. w0 + 2(h - d), at tri + tri_row(h, d). tri holds (h + 1)^2 floats. */
+INLINE void block(const poly *P, const double *S, idx stride, idx r0, idx h, idx w0, double *tri)
 {
-    idx w = 2 * h + 1;
-    double *cur = buf, *next = buf + w;
-    gather(cur, top, P->n, w0, w);
-    out[0] = cur[at_end ? w - 1 : 0];
-    for (idx d = 1; d <= h; d++) {
-        idx len = w - 2 * d;
-        row(next, cur, w, P, w0, len, r0 + d, NULL, 0.0);
-        out[d] = next[at_end ? len - 1 : 0];
-        double *t = cur;
-        cur = next, next = t;
-    }
+    idx len = 2 * h + 1;
+    gather(tri, S + r0 / stride * P->n, P->n, w0, len);
+    for (idx k = r0 + 1; k <= r0 + h; k++, tri += len, len -= 2)
+        row(tri + len, tri, len, P, w0, len - 2, k, NULL, 0.0);
 }
 
 /* arc_values: first[k] and last[k], k <= kmax, are the values of the arcs
-   of 2k points that start at `start` and that end at `end`. buf holds
-   2 * (2 * stride - 1) floats. */
+   of 2k points that start at `start` and that end at `end`. From each
+   checkpoint r0 <= kmax, the block of rows r0 .. r0 + h, h < stride, from
+   `start` holds them at its rows' first entries, and the block from the
+   start 2(r0 + h) - 1 before `end` at its rows' last entries. tri holds
+   (stride + 1)^2 floats. */
 CLONES void bn_arcs(const double *x, const double *y, const double *e, idx n, const double *S,
-                    idx stride, idx start, idx end, idx kmax, double *buf, double *first,
+                    idx stride, idx start, idx end, idx kmax, double *tri, double *first,
                     double *last)
 {
     poly P = {x, y, e, n};
     for (idx r0 = 0; r0 <= kmax; r0 += stride) {
         idx h = kmax - r0 < stride - 1 ? kmax - r0 : stride - 1;
-        const double *top = S + r0 / stride * n;
-        replay(&P, top, r0, h, start, buf, first + r0, 0);
-        replay(&P, top, r0, h, ((end + 1 - 2 * (r0 + h)) % n + n) % n, buf, last + r0, 1);
+        block(&P, S, stride, r0, h, start, tri);
+        for (idx d = 0; d <= h; d++)
+            first[r0 + d] = tri[tri_row(h, d)];
+        block(&P, S, stride, r0, h, ((end + 1 - 2 * (r0 + h)) % n + n) % n, tri);
+        for (idx d = 0; d <= h; d++)
+            last[r0 + d] = tri[tri_row(h, d + 1) - 1];
     }
 }
 
 /* reconstruct: the k pairs of the arc (start, 2k) in walk order into
-   pairs (k x 2). From the arc (s, 2k') it replays the block of rows r0 ..
-   k' - 1, r0 the checkpoint below k', at the starts s .. s + 2(k' - r0)
-   that the next k' - r0 moves can reach, into tri: row r0 + d at offset
-   d * w - d * (d - 1), w - 2d floats, w = 2(k' - r0) + 1. tri holds
-   stride * (stride + 2) floats. */
+   pairs (k x 2). From the arc (s, 2k') it takes the block of rows r0 ..
+   k', r0 the checkpoint below k', from s: the next k' - r0 moves reach
+   only its starts. tri holds (stride + 1)^2 floats. */
 CLONES void bn_walk(const double *x, const double *y, const double *e, idx n, const double *S,
                     idx stride, idx start, idx k, double *tri, idx *pairs)
 {
     poly P = {x, y, e, n};
     idx s = start;
     while (k > 0) {
-        idx r0 = (k - 1) / stride * stride, h = k - r0, w = 2 * h + 1, s0 = s;
-        gather(tri, S + r0 / stride * n, n, s0, w);
-        for (idx d = 1; d < h; d++)
-            row(tri + d * w - d * (d - 1), tri + (d - 1) * w - (d - 1) * (d - 2), w, &P, s0,
-                w - 2 * d, r0 + d, NULL, 0.0);
+        idx r0 = (k - 1) / stride * stride, h = k - r0, s0 = s;
+        block(&P, S, stride, r0, h, s0, tri);
         for (; k > r0; k--) {
             idx d = k - 1 - r0, u = (s - s0 + n) % n, j = (s + 2 * k - 1) % n, i = (j + n - 1) % n;
-            const double *lo = tri + d * w - d * (d - 1);
+            const double *lo = tri + tri_row(h, d);
             struct moves v = moves(lo[u], lo[u + 1], lo[u + 2], x[s], y[s], x[j], y[j], e[s], e[i]);
             if (!(v.left < v.pair || v.right < v.pair)) {
                 *pairs++ = s, *pairs++ = j;

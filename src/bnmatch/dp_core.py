@@ -137,18 +137,19 @@ class SubproblemTable:
         Entry k of the first array is the value of the arc of size 2k
         starting at ``start``; of the second, that of the arc of size 2k
         ending at ``end``. One kernel call replays, from each checkpoint row
-        r0 <= kmax, rows r0 .. r0 + stride - 1 on the window of 2*stride - 1
-        starts where the arcs from ``start`` lie, and on the one where the
-        arcs to ``end`` lie: about n * stride / 2 entry updates each, O(n)
-        in all with the two arrays.
+        r0 <= kmax, the block of rows r0 .. r0 + stride - 1 (fewer at kmax)
+        over the starts where the arcs from ``start`` lie, and the one
+        where the arcs to ``end`` lie, each into one scratch of
+        (stride + 1)^2 floats, the walk's block: about n * stride / 2 entry
+        updates each, O(n) memory in all with the two arrays.
         """
         n, stride = self.n, self.stride
         if not 0 <= kmax <= n // 2:
             raise BadDomainError(f"kmax {kmax} outside [0, {n // 2}]")
         # held by a name while the kernel runs: .ctypes.data keeps no reference
-        first, last, window = np.empty(kmax + 1), np.empty(kmax + 1), np.empty(4 * stride - 2)
+        first, last, block = np.empty(kmax + 1), np.empty(kmax + 1), np.empty((stride + 1) ** 2)
         _kernel().bn_arcs(*self._kernel_args(), start % n, end % n, kmax,
-                          window.ctypes.data, first.ctypes.data, last.ctypes.data)
+                          block.ctypes.data, first.ctypes.data, last.ctypes.data)
         return first, last
 
     def _kernel_args(self) -> tuple[int, ...]:
@@ -250,10 +251,11 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     into the other of two scratch rows, and every row the table keeps
     into ``S``. So the fill's scratch is those two rows, the reach, the
     tile's 2 * min(w + 2h, n) floats (none where a block is one row of n
-    starts) and the candidates: 33.1 bytes a point at n = 8192. The candidates' arrays start empty; where a strip's
-    candidates do not fit, the kernel returns, and the call after the
-    arrays have grown redoes that strip. Blocks list their candidates
-    strip by strip, so a stable sort by k puts them in (k, start) order.
+    starts) and the candidates: 33.1 bytes a point at n = 8192. The
+    candidates' arrays start empty; where a strip's candidates do not
+    fit, the kernel returns, and the call after the arrays have grown
+    redoes that strip. Blocks list their candidates strip by strip, so a
+    stable sort by k puts them in (k, start) order.
     """
     n = P.n
     half = n // 2
@@ -308,16 +310,16 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> np.ndarray:
     No moves are stored. The walk, one kernel call, goes down one block of
     rows at a time: from the arc (s, 2k), the moves of rows r0+1 .. k, for
     the checkpoint r0 below k, need rows r0 .. k-1 only at starts s .. s +
-    2(k - r0), which one replay from row r0 gives. That is O(size * stride)
-    time and O(stride^2) = O(n) scratch: one block's rows, about
-    stride^2 floats, 16 bytes a point at n = 16384, beside the pairs, 16
-    bytes a pair.
+    2(k - r0), which one block from row r0 gives. That is O(size * stride)
+    time and O(stride^2) = O(n) scratch: one block's rows, in the
+    (stride + 1)^2 floats ``arc_values`` uses too, 16 bytes a point at
+    n = 16384, beside the pairs, 16 bytes a pair.
     """
     n = T.n
     if not 0 <= start < n:
         raise BadDomainError(f"start {start} outside [0, {n})")
     if size % 2 != 0 or not 0 <= size <= n:
         raise BadDomainError(f"size {size} not even in [0, {n}]")
-    pairs, block = np.empty((size // 2, 2), dtype=np.intp), np.empty(T.stride * (T.stride + 2))
+    pairs, block = np.empty((size // 2, 2), dtype=np.intp), np.empty((T.stride + 1) ** 2)
     _kernel().bn_walk(*T._kernel_args(), start, size // 2, block.ctypes.data, pairs.ctypes.data)
     return pairs

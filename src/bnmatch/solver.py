@@ -51,6 +51,15 @@ class SolveReport:
     structure: str
 
 
+def _sorted_candidates(T: SubproblemTable) -> tuple[np.ndarray, ...]:
+    """The i, j and k of the arcs (i, 2k) that T lists, sorted by (i, j),
+    and the order that sorts T's lists so."""
+    k, i = T.necessary.T
+    j = (i + 2 * k - 1) % T.n
+    order = np.lexsort((j, i))
+    return i[order], j[order], k[order], order
+
+
 def enumerate_candidates(
     P: ConvexPointSet, T: SubproblemTable, *, annotate: bool = False
 ) -> list[CandidateDiagonal]:
@@ -62,11 +71,8 @@ def enumerate_candidates(
     has no effect; it is accepted because perfbench's stage replay still
     passes it.
     """
-    k, i = T.necessary.T
-    j = (i + 2 * k - 1) % P.n
-    tau = arc_turns(P, 2 * k, i)
-    order = np.lexsort((j, i))
-    return list(map(CandidateDiagonal, i[order].tolist(), j[order].tolist(), tau[order].tolist()))
+    i, j, k, _ = _sorted_candidates(T)
+    return list(map(CandidateDiagonal, i.tolist(), j.tolist(), arc_turns(P, 2 * k, i).tolist()))
 
 
 def solve(P: ConvexPointSet) -> SolveReport:
@@ -85,11 +91,8 @@ def solve(P: ConvexPointSet) -> SolveReport:
     best_one, best_start = one_cascade_optimum(T)
 
     # the candidates (i, j) in order, the points on each arc <i, j>, and its value
-    k, i = T.necessary.T
-    j = (i + 2 * k - 1) % n
-    order = np.lexsort((j, i))
-    candidates = zip(i[order].tolist(), j[order].tolist(), (2 * k[order]).tolist(),
-                     T.bases[order].tolist())
+    i, j, k, order = _sorted_candidates(T)
+    candidates = zip(i.tolist(), j.tolist(), (2 * k).tolist(), T.bases[order].tolist())
     best_three = math.inf
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
     for i, j, m1, base in candidates:

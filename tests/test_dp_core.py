@@ -611,6 +611,23 @@ def test_table_and_reconstruct_memory_sub_quadratic():
     assert peak - kept <= 64 * n, (peak - kept) / n
 
 
+def test_arc_values_memory_per_point():
+    # a read replays each block of stride - 1 rows into one scratch of
+    # (stride + 1)^2 floats, stride = 181: beyond the two arrays it returns,
+    # its traced peak stays under 64 bytes per point. Measured 16; 0.4 with
+    # two rows of 2 * stride - 1 floats
+    n = 16384
+    T = build_subproblem_table(generate(GenSpec(n, "valtr", 3)))
+    tracemalloc.start()
+    try:
+        first, last = T.arc_values(0, n - 1, n // 2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.shape == last.shape == (n // 2 + 1,)
+    assert peak - kept <= 64 * n, (peak - kept) / n
+
+
 def _strides(n):
     return sorted({1, 2, 3, 7, math.isqrt(n // 2), math.isqrt(2 * n)})
 

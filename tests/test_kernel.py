@@ -66,6 +66,22 @@ def test_no_compiler_is_a_named_error(tmp_path):
     assert _libraries(cache) == []
 
 
+def test_bench_builds_the_kernel_before_its_header(tmp_path):
+    # bench builds the kernel before it times anything, so a failed build is
+    # a named error before any output, in the process or through its children
+    cache = _fresh_copy(tmp_path)
+    bench = ["-m", "bnmatch.cli", "bench", "--sizes", "8", "--reps", "1"]
+    for extra in ([], ["--json", "out.json"]):
+        run = _run(tmp_path, bench + extra, PATH="")
+        assert run.returncode == EXIT_BUILD, (extra, run.stderr)
+        assert run.stderr.startswith("KernelBuild: cannot run cc:") and run.stdout == "", extra
+        # the cubic baseline needs no compiler
+        cubic = _run(tmp_path, bench + extra + ["--algo", "cubic"], PATH="")
+        assert cubic.returncode == EXIT_OK, (extra, cubic.stderr)
+        assert cubic.stdout.startswith("n,rep,seed,elapsed_ns,value\n8,0,0,")
+    assert _libraries(cache) == []
+
+
 def test_parallel_first_builds_leave_one_library(tmp_path):
     cache = _fresh_copy(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(tmp_path)}
@@ -106,7 +122,10 @@ def _gcc_runtime(name: str) -> str | None:
 
 
 # the tile-seam sweep, solved at every forced tile and the default, at strides
-# 1 and 3 and the default, through the kernel at the path in argv[1]
+# 1 and 3 and the default, through the kernel at the path in argv[1]; at each
+# stride, every arc to n/2 from and to the anchors 0, 1, n/2 and n - 1 (blocks
+# of stride - 1 rows, the last window wrapping) and a full-circle walk from
+# each (blocks of stride rows)
 SANITIZED_SWEEP = """
 import sys
 from unittest import mock
@@ -115,11 +134,16 @@ from conftest import TILES, forced_stride, forced_tile, tile_seam_inputs
 lib = dp_core._load(sys.argv[1])
 with mock.patch.object(dp_core, "_kernel", lambda: lib):
     for _, P in tile_seam_inputs():
+        n = P.n
         for stride in (1, 3, None):
-            for tile in TILES + [None]:
-                with forced_stride(stride or dp_core.checkpoint_stride(P.n)):
-                    with forced_tile(*(tile or dp_core.fill_tile(P.n))):
+            with forced_stride(stride or dp_core.checkpoint_stride(n)):
+                for tile in TILES + [None]:
+                    with forced_tile(*(tile or dp_core.fill_tile(n))):
                         solve(P)
+                T = dp_core.build_subproblem_table(P)
+            for a in (0, 1, n // 2, n - 1):
+                T.arc_values(a, a - 1, n // 2)
+                dp_core.reconstruct(T, a, n)
 print("swept")
 """
 
