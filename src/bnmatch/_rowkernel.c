@@ -33,7 +33,21 @@
    starts and on a halo of the 2(h - d) starts past them, which the next
    strip computes again. So a strip depends on row k0 alone and its rows
    stay in the L1 cache, and every value is computed by the same
-   operations from the same operands as row by row. */
+   operations from the same operands as row by row.
+
+   bn_reach, the candidate rule, is the one job here that reads no row: the
+   arc of 2k points from s turns by at most 2pi/3 iff the rotation from its
+   first edge u to its last edge v is at most 2pi/3, which holds iff
+   cross(u, v) >= 0 and (dot(u, v) >= 0 or 4 dot^2 <= |u|^2 |v|^2). In
+   floats, with eps = 2^-53 and u, v the rounded differences of the
+   coordinates, an arc is dropped only where that surely fails in exact
+   arithmetic: where the rounded cross product l - r, l = ux vy and r = uy
+   vx, is below -((3 + 16 eps) eps (|l| + |r|) + 2^-1072), or where dot < 0
+   and q = 4 dot^2 > (1 + 32 eps) |u|^2 |v|^2, all rounded, with q finite
+   and |u|^2, |v|^2 >= 2^-500. Everywhere else the arc counts in, so the
+   arcs kept include every arc the exact rule keeps; `within` derives the
+   bound. */
+#include <float.h>
 #include <stddef.h>
 #include <string.h>
 
@@ -337,5 +351,56 @@ CLONES void bn_walk(const double *x, const double *y, const double *e, idx n, co
                 *pairs++ = i, *pairs++ = j;
             }
         }
+    }
+}
+
+/* Shewchuk's bound on the cross product ("Adaptive precision
+   floating-point arithmetic and fast robust geometric predicates", DCG
+   1997), plus 2^-1072 for products that underflow, each of which rounds by
+   at most 2^-1075; geometry.validate_convex_ccw uses the same bound. */
+#define SIGN_ERR ((3.0 + 16.0 * (DBL_EPSILON / 2)) * (DBL_EPSILON / 2))
+#define SIGN_TINY 0x1p-1072
+
+INLINE double mag(double a) { return a < 0 ? -a : a; }
+
+/* 0 if the rotation from edge u to edge v, each a rounded difference of
+   coordinates, surely exceeds 2pi/3 in exact arithmetic, else 1. It does if
+   the cross product is surely negative (Shewchuk's bound), or if the dot
+   product is negative and q = 4 dot^2 exceeds r = |u|^2 |v|^2 by more than
+   32 eps r. In the second test, with |u|^2, |v|^2 >= 2^-500 (so nothing
+   underflows) and q finite, the rounded dot is within 4.02 eps |u||v| of
+   the exact one (2 eps from the differences, 2 eps from the products and
+   their sum), r within 9.01 eps of the exact |u|^2 |v|^2 and q within eps
+   of 4 dot^2, so q > (1 + 32 eps) r gives |dot| > (1 + 10.9 eps) |u||v| / 2:
+   an exact dot of the same sign, and 4 dot^2 > |u|^2 |v|^2 exactly. A NaN
+   or an infinity fails every comparison that drops an arc. */
+INLINE int within(double ux, double uy, double vx, double vy)
+{
+    double l = ux * vy, r = uy * vx;
+    if (l - r < -(SIGN_ERR * (mag(l) + mag(r)) + SIGN_TINY))
+        return 0;
+    double dot = ux * vx + uy * vy, q = 4.0 * (dot * dot);
+    double uu = ux * ux + uy * uy, vv = vx * vx + vy * vy;
+    return !(dot < 0 && q <= DBL_MAX && uu >= 0x1p-500 && vv >= 0x1p-500 &&
+             q > uu * vv * (1.0 + 32.0 * (DBL_EPSILON / 2)));
+}
+
+/* The candidate rule: reach[s], for every start s, is the largest k < n/2
+   whose arc of 2k points from s passes `within` from its first edge s -> s
+   + 1 to its last edge s + 2k - 2 -> s + 2k - 1, or 0 if n = 2. The exact
+   rotation grows with the arc, so the last edge that passes never moves
+   back as s moves on: one pass of two pointers, O(n) tests. */
+void bn_reach(const double *x, const double *y, idx n, idx *reach)
+{
+    /* e: the last edge that passes from s, unwrapped, s <= e <= s + n - 3 */
+    for (idx s = 0, e = 0; s < n; s++) {
+        idx s1 = s + 1 < n ? s + 1 : 0;
+        double ux = x[s1] - x[s], uy = y[s1] - y[s];
+        for (e = e < s ? s : e; e < s + n - 3; e++) {
+            idx a = e + 1 < n ? e + 1 : e + 1 - n, b = a + 1 < n ? a + 1 : 0;
+            if (!within(ux, uy, x[b] - x[a], y[b] - y[a]))
+                break;
+        }
+        reach[s] = n < 4 ? 0 : (e - s) / 2 + 1;
     }
 }

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse/read error,
 3 input validation error (the message names the violated invariant;
-also a bottleneck whose squared length overflows float64), 4 size guard
+also a bottleneck whose squared length overflows or underflows float64), 4 size guard
 (oracle refuses n > 20), 5 the compiled row kernel could not be built
 (KernelBuild: no C compiler, or the compiler's error).
 """
@@ -22,7 +22,9 @@ import time
 import numpy as np
 
 from . import baselines, dp_core, formats, generators, render, solver, structure
-from .errors import BnmatchError, KernelBuildError, NonFiniteValueError, TooLargeError
+from .errors import (
+    BnmatchError, KernelBuildError, NonFiniteValueError, TooLargeError, UnderflowValueError,
+)
 from .geometry import ConvexPointSet, check_finite, validate_convex_ccw
 
 EXIT_OK = 0
@@ -81,6 +83,8 @@ def cmd_reference(args) -> int:
     """baseline and oracle: a reference solver's matching, in solve's format."""
     P = _load_instance(args)
     value, matching = args.reference(P)
+    if value == 0.0:  # distinct points: the squared length underflowed
+        raise UnderflowValueError("the bottleneck's squared length underflows float64 to 0")
     d = structure.cascade_decomposition(P, matching)
     _write(
         args.output,
@@ -115,6 +119,8 @@ def cmd_verify(args) -> int:
         return fail("nonCrossing")
     if not math.isfinite(rep.value):  # no claimed value can be checked against it
         raise NonFiniteValueError("the bottleneck's squared length overflows float64")
+    if rep.value == 0.0:  # distinct points: the squared length underflowed
+        raise UnderflowValueError("the bottleneck's squared length underflows float64 to 0")
     if not abs(md["value"] - rep.value) <= 1e-9 * abs(rep.value):
         return fail("value")  # also a non-finite value
     print(

@@ -30,12 +30,13 @@ cap. It also keeps each candidate's value, its base, which the fill has
 at hand where it flags the arc: 8 bytes a candidate, and no base is
 replayed. So the table holds no quadratic field.
 
-The fill, the replays of ``arc_values`` and the walk of ``reconstruct``
-are one call each into a compiled kernel, ``_rowkernel.c``, which holds
-the recurrence's expressions once. It is built on first use, not on
-import, with the C compiler ``cc`` (KernelBuildError if that fails), and
-cached in the package's ``__pycache__``; see ``_kernel``. Every buffer it
-uses is a NumPy array passed in, so tracemalloc sees all of its memory.
+The fill, the replays of ``arc_values``, the walk of ``reconstruct`` and
+the candidate rule are one call each into a compiled kernel,
+``_rowkernel.c``, which holds the recurrence's expressions once. It is
+built on first use, not on import, with the C compiler ``cc``
+(KernelBuildError if that fails), and cached in the package's
+``__pycache__``; see ``_kernel``. Every buffer it uses is a NumPy array
+passed in, so tracemalloc sees all of its memory.
 The fill goes up the table in blocks of rows, each computed strip by
 strip over a few hundred starts (``fill_tile``), so a strip's rows stay
 in the L1 cache. On a 2-CPU AVX-512 host it takes about 0.6 ns an entry
@@ -61,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadDomainError, KernelBuildError
-from .geometry import ConvexPointSet, candidate_reach
+from .geometry import ConvexPointSet
 
 _NECESSARY_REL_TOL = 1e-9
 
@@ -111,7 +112,7 @@ class SubproblemTable:
     constrained subproblem contains the closing pair. ``necessary`` holds
     the (k, start) of every necessary arc (start, 2k) with 2 <= k <=
     ``candidate_reach(P)[start]``, a diagonal whose arc turns by at most
-    2*pi/3 (+ slack): the candidates, by increasing k, then start.
+    2*pi/3: the candidates, by increasing k, then start.
     ``bases[c]`` is the value of the arc ``necessary[c]``, bit for bit the
     fill's. ``S`` holds the value rows k = 0, stride, 2*stride, ... and,
     last, the full-circle row k = n/2: 2.2 MB at n = 8192, where the stride
@@ -188,7 +189,7 @@ def _build(source: bytes, flags: tuple[str, ...], path: Path) -> None:
 
 
 def _load(path: Path) -> ctypes.CDLL:
-    """The library at ``path``, with the argument types of its three calls."""
+    """The library at ``path``, with the argument types of its four calls."""
     lib = ctypes.CDLL(str(path))
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     poly = [ptr, ptr, ptr, size, ptr, size]  # xs, ys, edge2, n, S, stride
@@ -198,6 +199,8 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.bn_arcs.restype = None
     lib.bn_walk.argtypes = poly + [size, size, ptr, ptr]
     lib.bn_walk.restype = None
+    lib.bn_reach.argtypes = [ptr, ptr, size, ptr]
+    lib.bn_reach.restype = None
     return lib
 
 
@@ -205,14 +208,38 @@ def _load(path: Path) -> ctypes.CDLL:
 def _kernel() -> ctypes.CDLL:
     """The compiled row kernel, built on first use into the package's
     ``__pycache__`` under a name keyed by the source, the flags and the
-    machine, and loaded once per process."""
+    machine, and loaded once per process. A library that cannot be loaded,
+    because it is not there or a build of another source removed it, is
+    built; a build removes the libraries of other keys there, not the
+    temporary files of builds under way."""
     source = resources.files(__package__).joinpath(_SOURCE).read_bytes()
     key = hashlib.sha256(b"\0".join(
         [source, *(f.encode() for f in _CFLAGS), platform.machine().encode()])).hexdigest()
     path = Path(__file__).with_name("__pycache__") / f"_rowkernel.{key[:16]}.so"
-    if not path.exists():
+    try:
+        return _load(path)
+    except OSError:
         _build(source, _CFLAGS, path)
-    return _load(path)
+    for stale in path.parent.glob("_rowkernel.*.so"):
+        if stale != path:
+            stale.unlink(missing_ok=True)
+    try:
+        return _load(path)
+    except OSError as e:  # removed again since the build
+        raise KernelBuildError(f"cannot load {path}: {e}") from e
+
+
+def candidate_reach(P: ConvexPointSet) -> np.ndarray:
+    """For each start s, the largest k < n/2 whose arc of 2k points from s
+    turns by at most 2*pi/3, or 0 if n = 2: the one home of the candidate
+    rule, one pass of two pointers in the kernel (``bn_reach``). An arc
+    whose float test is within the rounding bound that ``_rowkernel.c``
+    states counts in, so the reach is never below the exact rule's.
+    """
+    xs, ys = np.ascontiguousarray(P.xs, np.float64), np.ascontiguousarray(P.ys, np.float64)
+    reach = np.empty(P.n, dtype=np.intp)
+    _kernel().bn_reach(xs.ctypes.data, ys.ctypes.data, P.n, reach.ctypes.data)
+    return reach
 
 
 def _resized(a: np.ndarray, keep: int, size: int) -> np.ndarray:

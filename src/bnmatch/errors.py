@@ -44,6 +44,12 @@ class NonFiniteValueError(BnmatchError):
     code = "NonFiniteValue"
 
 
+class UnderflowValueError(BnmatchError):
+    """A bottleneck whose squared length underflows float64 to 0."""
+
+    code = "UnderflowValue"
+
+
 class BadIndexError(BnmatchError):
     code = "BadIndex"
 

@@ -1,14 +1,15 @@
-"""Convex-position validation and turning angles.
+"""Convex-position validation.
 
 All length comparisons throughout the package are done on squared distances
 (min/max are preserved under squaring); square roots are taken only when a
-length is reported. Angle boundary tests use an absolute tolerance of 1e-9
-radians.
+length is reported. Convexity is decided from exact orientation signs, with
+no angle and no tolerance: a float filter settles almost every sign, and
+exact rational arithmetic the rest.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -23,28 +24,24 @@ from .errors import (
     TooFewError,
 )
 
-ANGLE_TOL = 1e-9  # radians, absolute
-
-TWO_PI = 2.0 * math.pi
-CANDIDATE_ANGLE = 2.0 * math.pi / 3.0
-ANGLE_SLACK = 1e-9  # widening the candidate angle test can only add candidates
+# Shewchuk's bound on a rounded cross product l - r of rounded differences,
+# (3 + 16 eps) eps (|l| + |r|) with eps = 2^-53 ("Adaptive precision
+# floating-point arithmetic and fast robust geometric predicates", DCG
+# 1997), plus 2^-1072 for underflow; the kernel's candidate rule uses it too
+_SIGN_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_SIGN_TINY = 2.0**-1072
 
 
 @dataclass(frozen=True, eq=False)
 class ConvexPointSet:
     """An even-sized, strictly convex, counterclockwise point sequence.
 
-    ``xs``, ``ys`` and ``ext`` are read-only float64 arrays of length n.
-    ``ext[t]`` is the exterior angle at vertex t (the ccw turn from edge
-    t-1 -> t to edge t -> t+1). Instances are immutable; construct them via
-    :func:`validate_convex_ccw`.
+    ``xs`` and ``ys`` are read-only float64 arrays of length n. Instances
+    are immutable; construct them via :func:`validate_convex_ccw`.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    ext: np.ndarray
-    # prefix sums of exterior angles tiled twice: O(1) wraparound sums
-    _ext_cum2: np.ndarray
 
     @property
     def n(self) -> int:
@@ -52,11 +49,6 @@ class ConvexPointSet:
 
     def coords(self) -> list[tuple[float, float]]:
         return list(zip(self.xs.tolist(), self.ys.tolist()))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -75,8 +67,12 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     flattened rows; rows of any other length, or without one, raise
     ValueError. Raises TooFewError, OddCountError, NonFiniteError,
     DuplicatePointError, NotCcwError (all turns clockwise) or
-    NotStrictlyConvexError (collinear triple, mixed turns, or total turning
-    angle differing from 2*pi).
+    NotStrictlyConvexError (collinear triple, mixed turns, or all left
+    turns around more than once), each decided exactly for the input's
+    floats: a turn's sign from one NumPy pass where it clears Shewchuk's
+    bound, else from ``fractions.Fraction``. With all turns left, the edges
+    go around once iff exactly one edge in the lower half-plane (dy < 0, or
+    dy = 0 > dx) is followed by one in the upper, which exact signs decide.
     """
     if isinstance(points, np.ndarray):
         xy = np.array(points, dtype=np.float64)
@@ -110,70 +106,42 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
         t = int(order[1:][repeat].min())
         raise DuplicatePointError(f"({float(xs[t])}, {float(ys[t])})")
 
-    if n == 2:
-        # a 2-gon: both "turns" are half-circle reversals
-        ext = np.array([math.pi, math.pi])
-    else:
+    if n > 2:
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
             w = np.concatenate((xs[-1:], xs, xs[:1]))  # neighbours as slices; one copy alive
             ux, vx = xs - w[:-2], w[2:] - xs
             w = np.concatenate((ys[-1:], ys, ys[:1]))
             uy, vy = ys - w[:-2], w[2:] - ys
-            crosses = ux * vy - uy * vx
-            dots = ux * vx + uy * vy
-            del w, ux, uy, vx, vy
-        flat = crosses == 0.0
-        if flat.any():
-            raise NotStrictlyConvexError(f"collinear triple at vertex {int(np.argmax(flat))}")
-        right = crosses < 0.0
+            del w
+            dl, dr = ux * vy, uy * vx  # Shewchuk's detleft and detright
+            del ux, uy
+            turn = dl - dr
+            bound = np.abs(dl, out=dl)  # in place: validation's peak memory is here
+            bound += np.abs(dr, out=dr)
+            bound *= _SIGN_ERR
+            bound += _SIGN_TINY
+            # false for NaN and for an infinite bound: not finite is unsure
+            sure = np.abs(turn) > bound
+            del dl, dr, bound
+        # the exact signs, in rationals; a sure turn is never 0, so the
+        # first unsure one that is 0 is the first collinear triple
+        for t in np.flatnonzero(~sure).tolist():
+            (ax, ay), (bx, by), (cx, cy) = ((Fraction(xs[v]), Fraction(ys[v]))
+                                            for v in (t - 1, t, (t + 1) % n))
+            cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+            if cross == 0:
+                raise NotStrictlyConvexError(f"collinear triple at vertex {t}")
+            turn[t] = 1.0 if cross > 0 else -1.0
+        right = turn < 0.0
         if right.all():
             raise NotCcwError("all turns are clockwise")
         if right.any():
             raise NotStrictlyConvexError(f"right turn at vertex {int(np.argmax(right))}")
-        # math.atan2, not np.arctan2: the two differ in the last bit on rare inputs
-        ext = np.fromiter(map(math.atan2, crosses.tolist(), dots.tolist()), np.float64, n)
-
-    cum2 = np.zeros(2 * n + 1)
-    np.cumsum(np.concatenate((ext, ext)), out=cum2[1:])
-    if not abs(cum2[n] - TWO_PI) <= ANGLE_TOL:
-        # all-left-turn but multiply wound vertex orderings end up here, and
-        # so do overflowed cross products, whose NaN turns fail any comparison
-        raise NotStrictlyConvexError(
-            f"total turning angle {cum2[n]:.12f} != 2*pi"
-        )
-    return ConvexPointSet(
-        xs=_read_only(xs), ys=_read_only(ys), ext=_read_only(ext),
-        _ext_cum2=_read_only(cum2),
-    )
-
-
-def arc_turns(P: ConvexPointSet, m, starts: np.ndarray) -> np.ndarray:
-    """Turning angle of the arcs of ``m`` vertices (2 <= m <= n, one size
-    for all or one per start) that begin at ``starts``.
-
-    Entry t is the ccw rotation taking edge direction s -> s+1 onto edge
-    direction s+m-2 -> s+m-1, for s = starts[t]: the sum of the exterior
-    angles at the m - 2 vertices strictly inside the arc, in [0, 2*pi).
-    """
-    a = (starts + 1) % P.n
-    cum = P._ext_cum2
-    return cum[a + (m - 2)] - cum[a]
-
-
-def candidate_reach(P: ConvexPointSet) -> np.ndarray:
-    """For each start s, the largest k < n/2 whose arc of 2k vertices from
-    s turns by at most CANDIDATE_ANGLE + ANGLE_SLACK, as ``arc_turns``
-    computes it (0 if n = 2): the one home of the candidate angle rule.
-
-    With a = s + 1, the arc to vertex x + 1 turns by cum[x] - cum[a], which
-    never falls as x grows (positive angles, monotone rounding). A search
-    for cum[a] + bound finds the last x that passes up to the rounding of
-    that sum; the loop moves each x by one towards it until the exact test
-    settles. cum[a + n] - cum[a] = 2*pi keeps x + 1 inside cum.
-    """
-    n, cum, bound = P.n, P._ext_cum2, CANDIDATE_ANGLE + ANGLE_SLACK
-    a = np.arange(1, n + 1) % n
-    x = np.searchsorted(cum, cum[a] + bound, side="right") - 1
-    while (step := (cum[x + 1] - cum[a] <= bound) * 1 - (cum[x] - cum[a] > bound)).any():
-        x += step
-    return np.minimum((x - a) // 2 + 1, n // 2 - 1)
+        # (vx[t], vy[t]) is the edge t -> t + 1; count the lower ones
+        # followed by an upper one, the last edge's by the first
+        lower = (vy < 0.0) | ((vy == 0.0) & (vx < 0.0))
+        winds = int(np.count_nonzero(lower[:-1] > lower[1:])) + int(lower[-1] > lower[0])
+        if winds != 1:
+            raise NotStrictlyConvexError(f"the edges wind {winds} times around, not once")
+    xs.flags.writeable = ys.flags.writeable = False
+    return ConvexPointSet(xs=xs, ys=ys)

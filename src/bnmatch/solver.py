@@ -28,14 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
-from .errors import InvalidMatchingError, NonFiniteValueError
-from .geometry import ConvexPointSet, arc_turns
+from .errors import InvalidMatchingError, NonFiniteValueError, UnderflowValueError
+from .geometry import ConvexPointSet
 from .structure import Matching, verify_matching
 
 
 @dataclass(frozen=True)
 class CandidateDiagonal:
-    """A necessary diagonal with turning angle <= 2*pi/3 (+ slack)."""
+    """A candidate diagonal; ``tau`` is its arc's turn, from edge i -> i+1
+    to edge j-1 -> j, by one ``math.atan2``."""
 
     i: int
     j: int
@@ -67,12 +68,17 @@ def enumerate_candidates(
 
     A pair qualifies if it is a diagonal (non-adjacent both ways, so its
     arc size is in [4, n-2]), its subproblem flags it necessary, and its
-    turning angle is at most 2*pi/3 + 1e-9: the arcs T lists. ``annotate``
-    has no effect; it is accepted because perfbench's stage replay still
-    passes it.
+    arc passes the candidate rule of ``dp_core.candidate_reach``: the arcs
+    T lists. ``annotate`` has no effect; it is accepted because
+    perfbench's stage replay still passes it.
     """
-    i, j, k, _ = _sorted_candidates(T)
-    return list(map(CandidateDiagonal, i.tolist(), j.tolist(), arc_turns(P, 2 * k, i).tolist()))
+    i, j, _, _ = _sorted_candidates(T)
+    xs, ys = P.xs, P.ys
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
+        ux, uy = xs[(i + 1) % P.n] - xs[i], ys[(i + 1) % P.n] - ys[i]
+        vx, vy = xs[j] - xs[j - 1], ys[j] - ys[j - 1]
+        tau = map(math.atan2, (ux * vy - uy * vx).tolist(), (ux * vx + uy * vy).tolist())
+    return list(map(CandidateDiagonal, i.tolist(), j.tolist(), tau))
 
 
 def solve(P: ConvexPointSet) -> SolveReport:
@@ -84,7 +90,8 @@ def solve(P: ConvexPointSet) -> SolveReport:
     The returned matching is re-verified (perfect, non-crossing, longest
     segment equal to the value), after the table is freed, before
     reporting. Raises
-    NonFiniteValueError when the optimum's squared length overflows float64.
+    NonFiniteValueError when the optimum's squared length overflows float64,
+    UnderflowValueError when it underflows to 0.
     """
     n = P.n
     T = build_subproblem_table(P)
@@ -130,6 +137,8 @@ def solve(P: ConvexPointSet) -> SolveReport:
         value_sq = best_one
     if not math.isfinite(value_sq):
         raise NonFiniteValueError("the bottleneck's squared length overflows float64")
+    if value_sq == 0.0:
+        raise UnderflowValueError("the bottleneck's squared length underflows float64 to 0")
     candidate_count = len(T.necessary)
     del T  # the value rows, before the matching's Python tuples are built
 

@@ -137,6 +137,24 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert out == "" and "NonFiniteValue" in err
 
+    def test_overflowing_cross_products_exit_3(self, tmp_path, capsys):
+        # validation decides this square's turns exactly although every
+        # cross product overflows; its squared lengths overflow too
+        pts = [(0, 0), (1e300, -1e300), (2e300, 0), (1e300, 1e300)]
+        inst = write(tmp_path / "huge.json", instance_to_json(pts))
+        assert main(["solve", inst]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("NonFiniteValue"), err
+
+    @pytest.mark.parametrize("command", ["solve", "baseline", "oracle"])
+    def test_underflowing_value_exits_3(self, tmp_path, capsys, command):
+        # every squared length of this valid square underflows to 0
+        s = 1e-170
+        inst = write(tmp_path / "tiny.json", instance_to_json([(0, 0), (s, 0), (s, s), (0, s)]))
+        assert main([command, inst]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("UnderflowValue"), err
+
     def test_garbage_exits_2(self, tmp_path, capsys):
         inst = write(tmp_path / "junk.json", "{nope")
         assert main(["solve", inst]) == 2
@@ -220,6 +238,16 @@ class TestVerifyCommand:
         assert main(["verify", inst, m]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "NonFiniteValue" in err
+
+    def test_underflowing_bottleneck_exits_3(self, tmp_path, capsys):
+        # every squared length of this valid square underflows to 0, which
+        # no claim may match: verify names it, as solve does
+        s = 1e-170
+        inst = write(tmp_path / "tiny.json", instance_to_json([(0, 0), (s, 0), (s, s), (0, s)]))
+        m = write(tmp_path / "m.json", '{"n": 4, "value": 0.0, "pairs": [[0, 1], [2, 3]]}')
+        assert main(["verify", inst, m]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("UnderflowValue"), err
 
     def test_imperfect_fails(self, sq4_file, tmp_path, capsys):
         m = write(

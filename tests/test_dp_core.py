@@ -30,11 +30,8 @@ from bnmatch import (
     validate_convex_ccw,
 )
 from bnmatch import dp_core
-from bnmatch.dp_core import checkpoint_stride
+from bnmatch.dp_core import candidate_reach, checkpoint_stride
 from bnmatch.errors import BadDomainError
-from bnmatch.geometry import (
-    ANGLE_SLACK, CANDIDATE_ANGLE, ConvexPointSet, arc_turns, candidate_reach,
-)
 from conftest import (
     SKEW4_VALUE, TILES, USE_PAIR, equiangular, forced_stride, forced_tile, oracle_enumerate,
     parabola_cap, random_polygons, regular, roll_fill, roll_walk, sq_dist, tile_seam_inputs,
@@ -386,31 +383,88 @@ def _polygons(n_max=512):
             yield validate_convex_ccw(equiangular(n))
 
 
+_EPS = 2.0**-53
+
+
+def _edges(P, starts):
+    """The edge vectors starts -> starts + 1, in NumPy floats."""
+    nxt = (starts + 1) % P.n
+    return P.xs[nxt] - P.xs[starts], P.ys[nxt] - P.ys[starts]
+
+
+def _within(ux, uy, vx, vy):
+    """The kernel's candidate test, elementwise in NumPy with the same float
+    operations: False where the rotation from u to v surely exceeds 2*pi/3."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        l, r = ux * vy, uy * vx
+        right = l - r < -((3.0 + 16.0 * _EPS) * _EPS * (np.abs(l) + np.abs(r)) + 2.0**-1072)
+        dot = ux * vx + uy * vy
+        q = 4.0 * (dot * dot)
+        uu, vv = ux * ux + uy * uy, vx * vx + vy * vy
+        wide = ((dot < 0) & (q <= np.finfo(np.float64).max) & (uu >= 2.0**-500)
+                & (vv >= 2.0**-500) & (q > uu * vv * (1.0 + 32.0 * _EPS)))
+    return ~(right | wide)
+
+
 def _scanned_reach(P):
     """candidate_reach by a scan over every k and every start: the last k
-    < n/2 whose arc passes the angle test, else 0."""
+    < n/2 whose arc passes the kernel's test from its first edge to its
+    last, else 0."""
     starts = np.arange(P.n)
     reach = np.zeros(P.n, dtype=np.intp)
     for k in range(1, P.n // 2):
-        reach[arc_turns(P, 2 * k, starts) <= CANDIDATE_ANGLE + ANGLE_SLACK] = k
+        reach[_within(*_edges(P, starts), *_edges(P, (starts + 2 * k - 2) % P.n))] = k
     return reach
 
 
 def _scanned_last_candidate_row(P):
-    """The last row k < n/2 with an arc that passes the angle test, by a
+    """The last row k < n/2 with an arc that passes the kernel's test, by a
     scan over every k and every start."""
-    bound = CANDIDATE_ANGLE + ANGLE_SLACK
     starts = np.arange(P.n)
     return max(
-        (k for k in range(1, P.n // 2) if (arc_turns(P, 2 * k, starts) <= bound).any()),
+        (k for k in range(1, P.n // 2)
+         if _within(*_edges(P, starts), *_edges(P, (starts + 2 * k - 2) % P.n)).any()),
         default=0,
     )
+
+
+def _exact_reach(P):
+    """candidate_reach by the exact rule: for each start the last k < n/2
+    whose arc turns by at most 2*pi/3, else 0. Every float is an integer
+    over a power of two, so the coordinates times the largest denominator
+    are integers, and the rule, homogeneous in them, is decided in integer
+    arithmetic. The exact turn grows with the arc and falls as its start
+    moves on, so two pointers find the reach with O(n) tests."""
+    n = P.n
+    ratios = [v.as_integer_ratio() for v in P.xs.tolist() + P.ys.tolist()]
+    den = max(d for _, d in ratios)
+    scaled = [a * (den // d) for a, d in ratios]
+    x, y = scaled[:n], scaled[n:]
+
+    def edge(t):
+        t %= n
+        return x[(t + 1) % n] - x[t], y[(t + 1) % n] - y[t]
+
+    def within(s, e):
+        (ux, uy), (vx, vy) = edge(s), edge(e)
+        dot = ux * vx + uy * vy
+        return ux * vy - uy * vx >= 0 and (
+            dot >= 0 or 4 * dot * dot <= (ux * ux + uy * uy) * (vx * vx + vy * vy))
+
+    reach, e = [], 0
+    for s in range(n):
+        e = max(e, s)
+        while e < s + n - 3 and within(s, e + 1):
+            e += 1
+        reach.append((e - s) // 2 + 1 if n >= 4 else 0)
+    return np.array(reach, dtype=np.intp)
 
 
 def _assert_reach_matches_scan(P):
     reach = candidate_reach(P)
     assert reach.tolist() == _scanned_reach(P).tolist(), P.n
     assert reach.max() == _scanned_last_candidate_row(P), P.n
+    assert (reach >= _exact_reach(P)).all(), P.n
 
 
 def test_candidate_reach_matches_scan():
@@ -425,36 +479,21 @@ def test_candidate_reach_matches_scan():
             assert candidate_reach(P).max() == n // 6 + 1, n
 
 
-def test_candidate_reach_settles_the_rounding_of_the_search():
-    # exterior angles of 2*pi/n times a few ulps each way: arcs of n/3 + 2
-    # vertices turn by the angle bound up to rounding, where the sum the
-    # search looks up and the difference the test takes round apart. Such
-    # angles need not close a polygon, so the point set is built directly
-    bound = CANDIDATE_ANGLE + ANGLE_SLACK
-    rng = np.random.default_rng(5)
-    corrected = 0
-    for n in (6, 12, 18, 36) * 50:
-        ext = bound / (n // 3) * (1.0 + rng.integers(-8, 9, n) * 2.0**-52)
-        cum = np.concatenate(([0.0], np.cumsum(np.concatenate((ext, ext)))))
-        P = ConvexPointSet(xs=np.zeros(n), ys=np.zeros(n), ext=ext, _ext_cum2=cum)
-        _assert_reach_matches_scan(P)
-        a = np.arange(1, n + 1) % n
-        x = np.searchsorted(cum, cum[a] + bound, side="right") - 1
-        corrected += bool((cum[x + 1] - cum[a] <= bound).any() or (cum[x] - cum[a] > bound).any())
-    assert corrected > 50  # the search alone would have been off
-
-
 def _dense_candidates(P):
-    """enumerate_candidates from the roll reference's flags."""
-    n = P.n
+    """enumerate_candidates from the roll reference's flags and the scanned
+    reach, with tau as one atan2 of the end edges' cross and dot products."""
+    n, xs, ys = P.n, P.xs.tolist(), P.ys.tolist()
     _, _, necessary = roll_fill(P)
+    reach = _scanned_reach(P)
     out = []
     for k in range(2, n // 2):
-        for i in np.flatnonzero(necessary[k]).tolist():
+        for i in np.flatnonzero(necessary[k] & (k <= reach)).tolist():
             j = (i + 2 * k - 1) % n
-            tau = turning_angle(P, i, j)
-            if tau <= CANDIDATE_ANGLE + ANGLE_SLACK:
-                out.append(CandidateDiagonal(i, j, tau))
+            ux, uy = xs[(i + 1) % n] - xs[i], ys[(i + 1) % n] - ys[i]
+            vx, vy = xs[j] - xs[j - 1], ys[j] - ys[j - 1]
+            tau = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+            assert tau == approx(turning_angle(P, i, j), abs=1e-12)
+            out.append(CandidateDiagonal(i, j, tau))
     return sorted(out, key=lambda c: (c.i, c.j))
 
 
@@ -477,8 +516,28 @@ def test_candidates_match_dense_reference():
     assert found > 0  # cluster3 polygons have candidates
 
 
+def _boundary_octagon(y):
+    """An octagon whose arc of 4 points from 0 has the first edge (4, 0)
+    and the last (-1, y), every float exact: it turns by exactly 2*pi/3 at
+    y = sqrt(3), and by less above. The arc is necessary, and every arc of
+    6 points turns by more than 2*pi/3 with room to spare."""
+    return [(0.0, 0.0), (4.0, 0.0), (4.25, 0.25), (3.25, 0.25 + y),
+            (1.0, 2.5), (-0.5, 2.0), (-1.0, 1.0), (-0.5, 0.25)]
+
+
 def test_candidates_at_the_last_candidate_row():
-    # the reach keeps the row whose arcs turn by 2*pi/3 up to rounding
+    # the reach keeps the row whose arcs turn by 2*pi/3 up to a float: the
+    # octagon's boundary arc, a float above sqrt(3), passes exactly, and
+    # the rule keeps it as a candidate in the last row any start reaches
+    above = validate_convex_ccw(_boundary_octagon(math.nextafter(math.sqrt(3.0), 2.0)))
+    assert _exact_reach(above)[0] == candidate_reach(above)[0] == candidate_reach(above).max() == 2
+    assert (0, 3) in [(c.i, c.j) for c in _candidates(above)]
+    assert {(c.j - c.i) % 8 + 1 for c in _candidates(above)} == {4}
+    # a float below, the same arc turns by more than 2*pi/3 exactly: within
+    # the rule's rounding bound, so it counts in, and the reach stays 2
+    below = validate_convex_ccw(_boundary_octagon(math.nextafter(math.sqrt(3.0), 0.0)))
+    assert _exact_reach(below)[0] == 1 and candidate_reach(below)[0] == 2
+    # on equiangular polygons too, every candidate is in the last row
     for n in (6, 12, 36, 96):
         P = validate_convex_ccw(equiangular(n))
         rows = {(c.j - c.i) % n + 1 for c in _candidates(P)}

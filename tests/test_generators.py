@@ -17,7 +17,7 @@ from bnmatch import (
 )
 from bnmatch.errors import OddCountError, TooFewError
 from bnmatch.generators import MODES
-from conftest import ext_prefix
+from conftest import exact_turns, winding
 
 approx = pytest.approx
 
@@ -31,7 +31,7 @@ def test_validity_and_determinism(mode, n):
         # revalidation from raw coordinates must succeed byte-identically
         Q = validate_convex_ccw(P.coords())
         assert Q.coords() == P.coords()
-        assert abs(ext_prefix(P)[-1] - 2 * math.pi) <= 1e-9
+        assert set(exact_turns(P.coords())) == {1} and winding(P) == 1
         again = generate(GenSpec(n, mode, seed))
         assert again.coords() == P.coords()
 

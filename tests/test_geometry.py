@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnmatch import (
     GenSpec,
@@ -22,19 +23,60 @@ from bnmatch.errors import (
     TooFewError,
 )
 from bnmatch.formats import instance_to_json, parse_instance
-from bnmatch.geometry import arc_turns
 from conftest import (
-    SQ4_COORDS, DegenerateSegmentError, PolarityRegion, classify_polarity_region, ext_prefix,
-    sq_dist, turning_angle,
+    SQ4_COORDS, DegenerateSegmentError, PolarityRegion, classify_polarity_region, exact_turns,
+    sq_dist, turning_angle, winding,
 )
 
 approx = pytest.approx
 
 
+def _ulps(v: float, k: int) -> float:
+    """v moved k floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+@st.composite
+def near_collinear_hexagons(draw):
+    """A, M, B, C, N, D: a convex quadrilateral ABCD, jittered on a grid of
+    2^-10, with M on AB and N on CD, each at a float fraction of its edge
+    (a grid midpoint is often exact) and each of their coordinates moved by
+    up to 4 ulps; all scaled by 2^e, which no rounding spoils. Only the
+    turns at M and N are close: they come out left, right or straight."""
+    corners = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+    a, b, c, d = ((x + draw(st.integers(-300, 300)) / 1024, y + draw(st.integers(-300, 300)) / 1024)
+                  for x, y in corners)
+
+    def on(p, q):
+        t = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.95))
+        point = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+        return tuple(_ulps(v, draw(st.integers(-4, 4))) for v in point)
+
+    e = draw(st.integers(-530, 500))
+    return [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in (a, on(a, b), b, c, on(c, d), d)]
+
+
+def _exact_verdict(coords) -> str | None:
+    """The message validation must raise for these distinct points, by their
+    exact turns, or None; an all-left hexagon of near_collinear_hexagons
+    goes around once."""
+    turns = exact_turns(coords)
+    if 0 in turns:
+        return f"NotStrictlyConvex: collinear triple at vertex {turns.index(0)}"
+    if set(turns) == {-1}:
+        return "NotCcw: all turns are clockwise"
+    if -1 in turns:
+        return f"NotStrictlyConvex: right turn at vertex {turns.index(-1)}"
+    return None
+
+
 class TestValidate:
     def test_square_ok(self, sq4):
         assert sq4.n == 4
-        assert ext_prefix(sq4) == approx((0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi))
+        assert sq4.coords() == SQ4_COORDS
+        assert exact_turns(sq4.coords()) == [1, 1, 1, 1] and winding(sq4) == 1
 
     def test_collinear_triple(self):
         with pytest.raises(NotStrictlyConvexError):
@@ -67,9 +109,10 @@ class TestValidate:
             validate_convex_ccw([(0, 0), (2, 0), (1, 0.1), (1, 2)])
 
     def test_two_points(self):
+        # a 2-gon has no turn to check: both of its "turns" are reversals
         P = validate_convex_ccw([(0, 0), (3, 1)])
-        assert P.ext == approx((math.pi, math.pi))
-        assert ext_prefix(P)[-1] == approx(2 * math.pi)
+        assert P.coords() == [(0.0, 0.0), (3.0, 1.0)]
+        assert exact_turns(P.coords()) == [0, 0] and winding(P) == 1
 
     def test_double_winding_rejected(self):
         # all-left-turn ordering that winds twice around the centroid
@@ -81,30 +124,54 @@ class TestValidate:
         with pytest.raises((NotStrictlyConvexError, NotCcwError)):
             validate_convex_ccw(pts)
 
+    def test_exact_left_turn_accepted(self):
+        # the float cross product at vertex 1 is 0, but the exact turn is
+        # +8.66e-19: strictly convex
+        coords = [(0.1, 0.2), (0.5524871710937623, 0.7279016996093894), (0.7, 0.9), (0.0, 1.0)]
+        assert exact_turns(coords) == [1, 1, 1, 1]
+        assert validate_convex_ccw(coords).coords() == coords
+
+    def test_overflowing_cross_products_accepted(self):
+        # every cross product overflows float64, but the square is strictly
+        # convex in exact arithmetic; its solve fails as NonFiniteValue
+        coords = [(0.0, 0.0), (1e300, -1e300), (2e300, 0.0), (1e300, 1e300)]
+        assert exact_turns(coords) == [1, 1, 1, 1]
+        assert validate_convex_ccw(coords).coords() == coords
+
+    def test_first_collinear_triple_is_named(self):
+        # 999 points on a line and one above: vertex 0 turns left, and every
+        # vertex from 1 to 997 is collinear; the first is named
+        coords = [(float(x), 0.0) for x in range(999)] + [(500.0, 1.0)]
+        with pytest.raises(NotStrictlyConvexError, match="collinear triple at vertex 1$"):
+            validate_convex_ccw(coords)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_collinear_hexagons())
+    def test_verdict_is_exact_near_collinearity(self, coords):
+        try:
+            validate_convex_ccw(coords)
+            got = None
+        except (NotStrictlyConvexError, NotCcwError) as e:
+            got = str(e)
+        assert got == _exact_verdict(coords)
+
     def test_total_turn_is_full_circle(self):
         for seed in range(5):
             for gen in (gen_circle, gen_valtr):
                 P = gen(10, seed)
-                assert abs(ext_prefix(P)[-1] - 2 * math.pi) <= 1e-9
+                assert set(exact_turns(P.coords())) == {1} and winding(P) == 1
 
 
 def _loop_turns(coords):
-    """Exterior angles, their prefix sums and the doubled prefix sums,
-    one vertex at a time in plain float arithmetic."""
+    """Exterior angles, one vertex at a time in plain float arithmetic."""
     n = len(coords)
-    if n == 2:
-        ext = [math.pi, math.pi]
-    else:
-        ext = []
-        for t in range(n):
-            (ax, ay), (bx, by), (cx, cy) = coords[t - 1], coords[t], coords[(t + 1) % n]
-            ux, uy = bx - ax, by - ay
-            vx, vy = cx - bx, cy - by
-            ext.append(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
-    cum2 = [0.0]
-    for e in ext + ext:
-        cum2.append(cum2[-1] + e)
-    return ext, cum2[: n + 1], cum2
+    ext = []
+    for t in range(n):
+        (ax, ay), (bx, by), (cx, cy) = coords[t - 1], coords[t], coords[(t + 1) % n]
+        ux, uy = bx - ax, by - ay
+        vx, vy = cx - bx, cy - by
+        ext.append(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
+    return ext
 
 
 def _bits(values) -> bytes:
@@ -115,28 +182,32 @@ class TestArrayRepresentation:
     @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
     @pytest.mark.parametrize("n", [2, 4, 16, 256, 1024])
     def test_turns_bit_identical_to_vertex_loop(self, mode, n):
+        # every turn is exactly to the left, they go around once, and the
+        # reference turning angles are the vertex loop's sums
         if n == 2:  # a 2-gon: the first two vertices of a 4-gon
             P = validate_convex_ccw(generate(GenSpec(4, mode, 3)).coords()[:2])
         else:
             P = generate(GenSpec(n, mode, 3))
-        ext, prefix, cum2 = _loop_turns(P.coords())
-        assert _bits(P.ext) == _bits(ext)
-        assert _bits(ext_prefix(P)) == _bits(prefix)
+            assert set(exact_turns(P.coords())) == {1}
+        assert winding(P) == 1
+        ext = _loop_turns(P.coords())
         rnd = random.Random(n)
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j] if n <= 16 else [
-            tuple(rnd.sample(range(n), 2)) for _ in range(2000)
+            tuple(rnd.sample(range(n), 2)) for _ in range(200)
         ]
         got = [turning_angle(P, i, j) for i, j in pairs]
-        starts = [(i + 1) % n for i, _ in pairs]
-        want = [cum2[a + (j - i - 1) % n] - cum2[a] for a, (i, j) in zip(starts, pairs)]
+        want = []
+        for i, j in pairs:
+            total = 0.0
+            for t in range(i + 1, i + (j - i) % n):
+                total += ext[t % n]
+            want.append(total)
         assert _bits(got) == _bits(want)
 
     def test_scratch_memory_per_point(self):
-        # beyond the four arrays it returns, validation peaks while atan2
-        # maps its two input lists: 116 bytes per point on a list of 4096
-        # points. A list of the angles before the array would add 24, and
-        # keeping the coordinate differences or both wrapped copies alive
-        # until then would add 32 or 16
+        # beyond the two arrays it returns, validation peaks at 99 bytes
+        # per point on a list of 4096 points (116 beyond the four arrays it
+        # returned while it mapped atan2 over its turns)
         n = 4096
         coords = gen_circle(n, 1).coords()
         tracemalloc.start()
@@ -145,7 +216,7 @@ class TestArrayRepresentation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = P.xs.nbytes + P.ys.nbytes + P.ext.nbytes + P._ext_cum2.nbytes
+        kept = P.xs.nbytes + P.ys.nbytes
         assert peak - kept <= 125 * n, (peak - kept) / n
 
     def test_parsed_instance_peak_per_point(self):
@@ -177,9 +248,8 @@ class TestArrayRepresentation:
         want = validate_convex_ccw(np.array(coords))
         for name, pts in forms.items():
             P = validate_convex_ccw(pts)
-            for field in ("xs", "ys", "ext"):
+            for field in ("xs", "ys"):
                 assert _bits(getattr(P, field)) == _bits(getattr(want, field)), (name, field)
-            assert _bits(ext_prefix(P)) == _bits(ext_prefix(want)), (name, "ext_prefix")
 
     @pytest.mark.parametrize(
         "points,cls,message",
@@ -215,18 +285,19 @@ class TestArrayRepresentation:
             (  # the star polygon {8/3}: all left turns, wound three times
                 [(math.cos(3 * k * math.pi / 4), math.sin(3 * k * math.pi / 4)) for k in range(8)],
                 NotStrictlyConvexError,
-                "NotStrictlyConvex: total turning angle 18.849555921539 != 2*pi",
+                "NotStrictlyConvex: the edges wind 3 times around, not once",
             ),
-            (  # the turn cross products overflow, so every turn is NaN
-                [(0, 0), (1e300, -1e300), (2e300, 0), (1e300, 1e300)],
+            (  # strictly convex by float cross products, but turning right
+                # by -9.86e-19 at vertex 1 in exact arithmetic
+                [(0.1, 0.2), (0.685787200498299, 0.8834184005813489), (0.7, 0.9), (0, 1)],
                 NotStrictlyConvexError,
-                "NotStrictlyConvex: total turning angle nan != 2*pi",
+                "NotStrictlyConvex: right turn at vertex 1",
             ),
         ],
         ids=[
             "nan", "inf", "duplicate", "first-duplicate", "signed-zero",
             "collinear", "clockwise", "mixed-turns", "double-winding",
-            "overflowed-turns",
+            "exact-right-turn",
         ],
     )
     def test_error_cases(self, points, cls, message):
@@ -260,7 +331,7 @@ class TestArrayRepresentation:
             validate_convex_ccw(points)
 
     def test_arrays_read_only(self, sq4):
-        for a in (sq4.xs, sq4.ys, sq4.ext, ext_prefix(sq4)):
+        for a in (sq4.xs, sq4.ys):
             with pytest.raises(ValueError):
                 a[0] = 7.0
         assert sq4.coords() == SQ4_COORDS
@@ -310,23 +381,9 @@ class TestTurningAngle:
                 j = (i + b) % 14
                 k = (i + a) % 14
                 lhs = turning_angle(P, i, k)
-                rhs = turning_angle(P, i, j) + P.ext[j] + turning_angle(P, j, k)
+                turn_j = turning_angle(P, (j - 1) % 14, (j + 1) % 14)
+                rhs = turning_angle(P, i, j) + turn_j + turning_angle(P, j, k)
                 assert lhs == approx(rhs, abs=1e-11)
-
-    def test_arc_turns_bit_identical(self, sq4):
-        # every arc size, the full circle included, at every start, at a
-        # few starts out of order and as one size per start
-        for P in (sq4, gen_circle(12, 3), gen_valtr(14, 2), generate(GenSpec(10, "cluster3", 1))):
-            n = P.n
-            starts = np.array([n - 1, 0, 2, 1])
-            sizes = np.arange(2, n + 1)
-            for m in sizes.tolist():
-                want = [turning_angle(P, s, (s + m - 1) % n) for s in range(n)]
-                assert _bits(arc_turns(P, m, np.arange(n))) == _bits(want), (n, m)
-                assert _bits(arc_turns(P, m, starts)) == _bits([want[s] for s in starts]), (n, m)
-            for s in range(n):
-                want = [turning_angle(P, s, (s + m - 1) % n) for m in sizes.tolist()]
-                assert _bits(arc_turns(P, sizes, np.full(sizes.size, s))) == _bits(want), (n, s)
 
     def test_bad_index(self, sq4):
         with pytest.raises(BadIndexError):

@@ -99,6 +99,59 @@ def test_parallel_first_builds_leave_one_library(tmp_path):
     assert _libraries(cache) == libs
 
 
+def test_build_removes_stale_libraries(tmp_path):
+    # a build removes the libraries of earlier sources from the cache, and
+    # leaves the temporary file of a build under way alone
+    cache = _fresh_copy(tmp_path)
+    cache.mkdir()
+    stale, building = "_rowkernel.0123456789abcdef.so", "_rowkernel.fedcba9876543210.x1y2z3.tmp"
+    for name in (stale, building):
+        (cache / name).write_bytes(b"")
+    run = _run(tmp_path, ["-c", SOLVE])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == solve(gen_circle(64, 1)).value.hex() + "\n"
+    libs = _libraries(cache)
+    built = [name for name in libs if name.endswith(".so")]
+    assert len(built) == 1 and built[0] != stale and libs == sorted(built + [building]), libs
+
+
+# removes the library after the check that it exists, as a build of another
+# source sweeping the cache may: once (RACES = 1) or at every load
+RACING_LOAD = """
+from bnmatch import dp_core, errors, gen_circle, solve
+load, races = dp_core._load, {races}
+def racing(path):
+    global races
+    if races:
+        races -= 1
+        path.unlink()
+    return load(path)
+dp_core._load = racing
+try:
+    print(solve(gen_circle(64, 1)).value.hex())
+except errors.KernelBuildError as e:
+    print(e)
+"""
+
+
+def test_library_removed_before_its_load_is_built_again(tmp_path):
+    cache = _fresh_copy(tmp_path)
+    first = _run(tmp_path, ["-c", SOLVE])
+    assert first.returncode == 0, first.stderr
+    libs = _libraries(cache)
+    assert len(libs) == 1, libs
+
+    run = _run(tmp_path, ["-c", RACING_LOAD.format(races=1)])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == first.stdout
+    assert _libraries(cache) == libs
+
+    # removed again after the rebuild: a named error, not a bare OSError
+    run = _run(tmp_path, ["-c", RACING_LOAD.format(races=2)])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("KernelBuild: cannot load "), run.stdout
+
+
 def _kernel_source() -> Path:
     return Path(str(resources.files("bnmatch").joinpath("_rowkernel.c")))
 

@@ -21,8 +21,7 @@ from bnmatch import (
     verify_matching,
 )
 from bnmatch import dp_core
-from bnmatch.errors import NonFiniteValueError
-from bnmatch.geometry import CANDIDATE_ANGLE
+from bnmatch.errors import NonFiniteValueError, UnderflowValueError
 from conftest import (
     SKEW4_VALUE, PolarityRegion, canonical_pairs, classify_polarity_region, equiangular,
     forced_stride, interior_polarity, parabola_cap, random_polygons, regular, sq_dist,
@@ -83,7 +82,7 @@ class TestCandidates:
                         assert m % 2 == 0
                         assert 4 <= m <= n - 2
                         assert [m // 2, c.i] in T.necessary.tolist()
-                        assert c.tau <= CANDIDATE_ANGLE + 1e-9
+                        assert c.tau <= 2 * math.pi / 3 + 1e-12
                         assert c.tau == approx(turning_angle(P, c.i, c.j))
                         assert (c.i, c.j) not in seen
                         seen.add((c.i, c.j))
@@ -109,7 +108,7 @@ class TestCandidates:
     def test_flag_cap_drops_no_candidate(self):
         # the table tests necessity only up to the last row any start
         # reaches, and keeps a necessary arc only if its start reaches its
-        # row (its arc turns by at most 2*pi/3 + slack). A reach of n/2 - 1
+        # row (its arc turns by at most 2*pi/3). A reach of n/2 - 1
         # everywhere keeps every necessary diagonal: those whose start
         # reaches their row are the same pairs in the same order, and the
         # others, searched as candidates too, give the same value
@@ -143,7 +142,7 @@ class TestCandidates:
             c for c in enumerate_candidates(P, T) if (c.i, c.j) == (5, 2)
         )
         assert interior_polarity(P, cand.i, cand.j) is None
-        assert cand.tau < CANDIDATE_ANGLE - 0.05  # no tolerance at play
+        assert cand.tau < 2 * math.pi / 3 - 0.05  # far from the rule's edge
 
         # necessity holds exactly: the arc <5,2> = (5,0,1,2) admits only two
         # matchings, and only the one through (5,2) achieves the optimum
@@ -242,6 +241,17 @@ class TestInvariance:
         P = validate_convex_ccw([(0.0, 0.0), (s, 0.0), (s, s), (0.0, s)])
         with pytest.raises(NonFiniteValueError):
             solve(P)
+
+    @pytest.mark.parametrize("scale", [1e-170, 2.0**-1000])
+    def test_underflowing_bottleneck_is_named(self, scale):
+        # strictly convex exactly, but every squared length underflows to 0:
+        # a named error, never the value 0 for distinct points
+        square = [(0.0, 0.0), (scale, 0.0), (scale, scale), (0.0, scale)]
+        valtr = [(scale * x, scale * y) for x, y in generate(GenSpec(40, "valtr", 0)).coords()]
+        for coords in (square, valtr):
+            P = validate_convex_ccw(coords)
+            with pytest.raises(UnderflowValueError):
+                solve(P)
 
     @settings(max_examples=400, deadline=None)
     @given(random_polygons, st.integers(0, 79), st.integers(-200, 200))
