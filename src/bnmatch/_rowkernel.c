@@ -35,6 +35,17 @@
    stay in the L1 cache, and every value is computed by the same
    operations from the same operands as row by row.
 
+   The strips of a block are independent, so the fill shares them between
+   two threads (their parallel form, SPAA 2006): the caller and one worker
+   each take the next strip that neither has taken, in a tile of its own,
+   and the strips of a block start once those of the block below are all
+   done. The table comes out the same bits with one thread or two. The
+   waits spin on atomic counters with `pause` and yield the CPU only after
+   a bounded spin; the worker is pinned to the caller's CPUs but the one
+   the caller runs on, and starts with every signal blocked, so signals
+   reach the caller's threads only. The replays, the walk and bn_reach run
+   on the caller's thread alone.
+
    bn_reach, the candidate rule, is the one job here that reads no row: the
    arc of 2k points from s turns by at most 2pi/3 iff the rotation from its
    first edge u to its last edge v is at most 2pi/3, which holds iff
@@ -47,7 +58,12 @@
    and |u|^2, |v|^2 >= 2^-500. Everywhere else the arc counts in, so the
    arcs kept include every arc the exact rule keeps; `within` derives the
    bound. */
+#define _GNU_SOURCE
 #include <float.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stddef.h>
 #include <string.h>
 
@@ -57,6 +73,11 @@
 #define CLONES
 #endif
 #define INLINE static inline __attribute__((always_inline))
+#if defined(__x86_64__) || defined(__i386__)
+#define PAUSE() __builtin_ia32_pause()
+#else
+#define PAUSE() ((void)0)
+#endif
 
 typedef ptrdiff_t idx; /* NumPy's intp */
 
@@ -238,6 +259,136 @@ INLINE idx strip(const fill *F, const double *in, double *out, idx k0, idx h, id
     return got;
 }
 
+/* What the fill's threads share. The strips of the call's blocks are
+   numbered on from 0, block by block, and `next` is the first that no
+   thread has taken; `done` counts the strips finished. `open` is the block
+   whose strips may run, numbered on from 0 too, or -1 once the worker is
+   to stop. While block j is open, c is the count of arcs kept before it,
+   and thread 0 writes the block's arcs from entry c on and the worker from
+   c + part on, the worker counting them in `got`. */
+typedef struct {
+    fill F;
+    double *pp, *tile;
+    idx h, w, tn, cap, *st;
+    idx c, part, got;
+    _Alignas(64) _Atomic idx next;
+    _Alignas(64) _Atomic idx done;
+    _Alignas(64) _Atomic idx open;
+} team;
+
+/* Waits until *v >= at or *v < 0, and returns *v. It spins, and yields the
+   CPU after SPINS pauses: two threads that slept at a futex per block took
+   turns on one CPU and gained nothing. */
+#define SPINS 4096
+static idx await(_Atomic idx *v, idx at)
+{
+    idx got, spin = 0;
+    while ((got = atomic_load_explicit(v, memory_order_acquire)) < at && got >= 0) {
+        if (spin++ < SPINS)
+            PAUSE();
+        else
+            sched_yield();
+    }
+    return got;
+}
+
+/* The next strip that no thread has taken. */
+static idx take(team *T) { return atomic_fetch_add_explicit(&T->next, 1, memory_order_relaxed); }
+
+/* Strip i of the block of first row k0, on thread t, its arcs from entry
+   at on while they fit before entry end. */
+INLINE idx nth_strip(team *T, idx t, idx k0, idx hb, idx ws, idx i, idx at, idx end)
+{
+    const fill *F = &T->F;
+    idx n = F->P.n, b = (k0 - 1) / T->h, a = i * ws, len = n - a < ws ? n - a : ws;
+    const double *in = b ? T->pp + (b - 1) % 2 * n : F->P.e;
+    return strip(F, in, T->pp + b % 2 * n, k0, hb, a, len, T->tile + t * 2 * T->tn, T->tn, at,
+                 end - at);
+}
+
+/* Thread t's part of the fill, from the block of first row st[0] on, with
+   st[1] arcs kept, where `threads` threads run it, block 0 open. Each
+   thread takes the next strip that no thread has taken, whichever block it
+   is in, and runs it once its block is open. Once all of a block's strips
+   are done, thread 0 moves the worker's arcs down behind its own and
+   opens the next block. If either thread's arcs of a block did not fit
+   its part, thread 0 stops the worker and sets st = (the block's k0, the
+   count before it, `threads` times the block's count), room enough for
+   any split of the block; when the fill is done, st = (the k0 past the
+   last block, the count, 0). */
+INLINE void blocks(team *T, idx t, idx threads)
+{
+    idx n = T->F.P.n, half = n / 2, h = T->h, k0 = T->st[0], first = 0, got = 0;
+    idx mine = take(T);
+    for (idx j = 0; k0 < half; k0 += h, j++) {
+        idx hb = half - k0 < h ? half - k0 : h;
+        idx ws = T->w + 2 * hb <= n ? T->w : n, strips = (n + ws - 1) / ws;
+        for (; mine < first + strips; mine = take(T)) {
+            if (t == 0) {
+                got += nth_strip(T, 0, k0, hb, ws, mine - first, T->c + got, T->c + T->part);
+            } else {
+                if (await(&T->open, j) < 0)
+                    return;
+                T->got += nth_strip(T, 1, k0, hb, ws, mine - first, T->c + T->part + T->got, T->cap);
+            }
+            atomic_fetch_add_explicit(&T->done, 1, memory_order_release);
+        }
+        first += strips;
+        if (t)
+            continue;
+        await(&T->done, first);
+        idx c = T->c, part = T->part, g1 = T->got;
+        if (got > part || g1 > T->cap - c - part) {
+            atomic_store_explicit(&T->open, -1, memory_order_release);
+            T->st[0] = k0, T->st[1] = c, T->st[2] = threads * (got + g1);
+            return;
+        }
+        if (g1 && got < part) {
+            memmove(T->F.ks + 2 * (c + got), T->F.ks + 2 * (c + part), 2 * g1 * sizeof *T->F.ks);
+            memmove(T->F.bases + c + got, T->F.bases + c + part, g1 * sizeof *T->F.bases);
+        }
+        T->c = c + got + g1, T->part = (T->cap - T->c) / threads, T->got = 0, got = 0;
+        atomic_store_explicit(&T->open, j + 1, memory_order_release);
+    }
+    if (t == 0)
+        T->st[0] = k0, T->st[1] = T->c, T->st[2] = 0;
+}
+
+/* The second thread's entry. It carries the clones too: built for the
+   baseline ISA, its strips ran 2.6-3x as slow. */
+CLONES static void *worker(void *T)
+{
+    blocks(T, 1, 2);
+    return NULL;
+}
+
+/* Starts the worker as *id, with every signal blocked, so that signals go
+   to the caller's threads, and, on Linux, on the caller's CPUs but the one
+   the caller runs on: where it may share that CPU, it can wait behind the
+   caller's spin for a whole time slice. Returns 0 if no thread started. */
+static int start(team *T, pthread_t *id)
+{
+    pthread_attr_t attr;
+    if (pthread_attr_init(&attr))
+        return 0;
+#ifdef __linux__
+    cpu_set_t cpus;
+    int cpu = sched_getcpu();
+    if (cpu >= 0 && cpu < CPU_SETSIZE && !sched_getaffinity(0, sizeof cpus, &cpus)) {
+        CPU_CLR(cpu, &cpus);
+        if (CPU_COUNT(&cpus))
+            pthread_attr_setaffinity_np(&attr, sizeof cpus, &cpus);
+    }
+#endif
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    int started = !pthread_create(id, &attr, worker, T);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    pthread_attr_destroy(&attr);
+    return started;
+}
+
 /* The fill, in blocks of h rows. e receives row 1, the edges, which is the
    first block's input row; S, zeroed, receives the rows k % stride == 0
    and the row n/2 (kept). From its full input row k0 a block computes rows
@@ -246,22 +397,33 @@ INLINE idx strip(const fill *F, const double *in, double *out, idx k0, idx h, id
    a strip's rows stay in cache; each strip writes its starts of row k0 + h
    into one of the two full rows of pp, the next block's input. Where the
    halo of a strip would reach around the row (w + 2h > n), the block is
-   one strip of n starts. tile holds 2 * min(w + 2h, n) floats; a block of
-   one row of n starts goes straight into pp and uses none. Rows 2 ..
-   kmax take the necessity test, and each arc (k, start) that passes and
-   its value go to ks (c x 2) and bases, cap entries each, by block, then
-   strip, then k, then start; st[1] counts them. Call first with st = (1,
-   0, 0, 0). If a strip's arcs do not fit, returns 1 with st = (the
-   block's k0, the count before the strip, the strip's count, the strip's
-   first start): grow ks and bases to st[1] + st[2] and call again, which
-   redoes that strip. Returns 0 when done. */
+   one strip of n starts.
+
+   With threads > 1 and strips narrower than the row, the fill is one
+   fork-join of two threads, the caller and a worker (see start), each
+   running `blocks`. So the caller never waits for a worker that holds no
+   strip, and a worker that starts late takes fewer strips. Every value
+   comes from the same operations on the same operands as with one thread.
+   tile holds threads * 2 * min(w + 2h, n) floats; a block of one row of n
+   starts goes straight into pp and uses none.
+
+   Rows 2 .. kmax take the necessity test, and each arc (k, start) that
+   passes and its value go to ks (c x 2) and bases, cap entries each, block
+   by block; st[1] counts them. Within a block their order depends on
+   which thread ran which strip, so the caller sorts them. Each thread
+   writes a block's arcs into its own part of the free room, and thread 0
+   then moves the worker's down behind its own. Call first with st = (1,
+   0, 0). If some thread's arcs of a block do not fit its part, returns 1
+   with st = (the block's k0, the count before it, the count needed): grow
+   ks and bases to st[1] + st[2] and call again, which redoes that block
+   from its input row in pp. Returns 0 when done. */
 CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S, idx stride,
                    const idx *reach, idx kmax, double keep, idx h, idx w, double *pp,
-                   double *tile, idx *st, idx *ks, double *bases, idx cap)
+                   double *tile, idx threads, idx *st, idx *ks, double *bases, idx cap)
 {
-    fill F = {{x, y, e, n}, S, stride, reach, kmax, keep, ks, bases};
-    idx half = n / 2, tn = w + 2 * h < n ? w + 2 * h : n, k0 = st[0], c = st[1], a = st[3];
-    if (k0 == 1 && a == 0) {
+    team T = {{{x, y, e, n}, S, stride, reach, kmax, keep, ks, bases}, pp, tile, h, w,
+              w + 2 * h < n ? w + 2 * h : n, cap, st, st[1], 0, 0, 0, 0, 0};
+    if (st[0] == 1) {
         for (idx s = 0; s + 1 < n; s++)
             e[s] = d2(x[s], y[s], x[s + 1], y[s + 1]);
         e[n - 1] = d2(x[n - 1], y[n - 1], x[0], y[0]);
@@ -269,23 +431,15 @@ CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S
         if (r1)
             memcpy(r1, e, n * sizeof *e);
     }
-    for (idx b = (k0 - 1) / h; k0 < half; k0 += h, b++, a = 0) {
-        idx hb = half - k0 < h ? half - k0 : h;
-        idx ws = w + 2 * hb <= n ? w : n;
-        const double *in = b ? pp + (b - 1) % 2 * n : e;
-        double *out = pp + b % 2 * n;
-        for (; a < n; a += ws) {
-            idx len = n - a < ws ? n - a : ws;
-            idx got = strip(&F, in, out, k0, hb, a, len, tile, tn, c, cap - c);
-            if (got > cap - c) {
-                st[0] = k0, st[1] = c, st[2] = got, st[3] = a;
-                return 1;
-            }
-            c += got;
-        }
-    }
-    st[0] = k0, st[1] = c, st[2] = 0, st[3] = 0;
-    return 0;
+    pthread_t id;
+    int two = threads > 1 && w < n && st[0] < n / 2;
+    T.part = (cap - st[1]) / 2;
+    if (!(two && start(&T, &id)))
+        T.part = cap - st[1], two = 0;
+    blocks(&T, 0, two ? 2 : 1);
+    if (two)
+        pthread_join(id, NULL);
+    return st[2] > 0;
 }
 
 /* Where block puts row r0 + d: after the rows below it, of 2h + 1, 2h - 1,

@@ -202,7 +202,7 @@ def cmd_bench(args) -> int:
             "algo": args.algo, "mode": args.mode, "seed": args.seed, "spread": args.spread,
             "reps": args.reps, "cells": cells, "slope": slope,
             "python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine(), "cpus": os.cpu_count(),
+            "machine": platform.machine(), "cpus": dp_core.usable_cpus(),
         })
         _write(args.json, json.dumps(runs, indent=1) + "\n")
     return EXIT_OK
@@ -237,7 +237,9 @@ def _time_size_in_child(args, n: int) -> dict:
         raise BnmatchError(f"bench child for n = {n} exited {proc.returncode}")
     print("\n".join(rows), flush=True)
     kib = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB elsewhere
+    # the child's CPU time in all its threads, its start and set-up included
     return {"n": n, "elapsed_ns": [int(r.split(",")[3]) for r in rows],
+            "cpu_ns": round((usage.ru_utime + usage.ru_stime) * 1e9),
             "peak_rss_bytes": usage.ru_maxrss * kib}
 
 

@@ -39,11 +39,14 @@ built on first use, not on import, with the C compiler ``cc``
 passed in, so tracemalloc sees all of its memory.
 The fill goes up the table in blocks of rows, each computed strip by
 strip over a few hundred starts (``fill_tile``), so a strip's rows stay
-in the L1 cache. On a 2-CPU AVX-512 host it takes about 0.6 ns an entry
-at n = 2048 ... 16384 (19 ms at n = 8192, against 35 ms row by row and
-104 ms for the NumPy row loop), a full-circle walk 0.4 ms at n = 8192,
-and its scratch is 33.1 bytes a point beside the kept rows at n = 8192
-(98 with NumPy).
+in the L1 cache, and two threads share each block's strips where the
+process may use two CPUs. On a 2-CPU AVX-512 host at n = 8192 it took 15
+ms with two threads and 25 ms with one, timed alternately in one process
+(0.60-0.65x at n = 8192 ... 65536 and 0.74x at 2048, at 1.8-2.0
+CPU-seconds per second); one thread took 19 ms in the host's fast state,
+against 35 ms row by row and 104 ms for the NumPy row loop. A full-circle
+walk takes 0.4 ms at n = 8192, and the fill's scratch is 33.9 bytes a point
+beside the kept rows at n = 8192 (98 with NumPy).
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ _NECESSARY_REL_TOL = 1e-9
 # contraction, and no -march, so that one library serves any x86-64 CPU
 # through its target clones
 _SOURCE = "_rowkernel.c"
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 
 
 def checkpoint_stride(n: int) -> int:
@@ -83,6 +86,13 @@ def checkpoint_stride(n: int) -> int:
     return math.isqrt(2 * n)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    has one (Linux), else every CPU. The fill runs min(2, this) threads."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def fill_tile(n: int) -> tuple[int, int]:
     """The fill's tile (h, w): blocks of h rows, in strips of w starts.
 
@@ -93,8 +103,9 @@ def fill_tile(n: int) -> tuple[int, int]:
     blocks of 8 to 32 rows filled within 10% of each other, and strips of
     768 took 1.35x as long. Up to n = 1024 a whole row fits that cache,
     and the fill goes row by row, (1, n): each block is one row of n
-    starts, computed straight into a scratch row, so no tile is needed;
-    strips of 384 there took up to 1.05x as long.
+    starts, computed straight into a scratch row, so no tile is needed
+    and no second thread starts; strips of 384 there took up to 1.05x as
+    long.
     """
     return (1, n) if n <= 1024 else (16, 384)
 
@@ -193,7 +204,8 @@ def _load(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     poly = [ptr, ptr, ptr, size, ptr, size]  # xs, ys, edge2, n, S, stride
-    lib.bn_fill.argtypes = poly + [ptr, size, real, size, size, ptr, ptr, ptr, ptr, ptr, size]
+    lib.bn_fill.argtypes = poly + [ptr, size, real, size, size, ptr, ptr, size, ptr, ptr, ptr,
+                                   size]
     lib.bn_fill.restype = ctypes.c_int
     lib.bn_arcs.argtypes = poly + [size, size, size, ptr, ptr, ptr]
     lib.bn_arcs.restype = None
@@ -276,13 +288,18 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     by strip over w starts, for the tile (h, w) ``fill_tile`` picks (see
     ``_rowkernel.c``). A block reads one full row and writes the next
     into the other of two scratch rows, and every row the table keeps
-    into ``S``. So the fill's scratch is those two rows, the reach, the
-    tile's 2 * min(w + 2h, n) floats (none where a block is one row of n
-    starts) and the candidates: 33.1 bytes a point at n = 8192. The
-    candidates' arrays start empty; where a strip's candidates do not
-    fit, the kernel returns, and the call after the arrays have grown
-    redoes that strip. Blocks list their candidates strip by strip, so a
-    stable sort by k puts them in (k, start) order.
+    into ``S``. Where a block has more than one strip, min(2, CPUs this
+    process may use) threads share its strips, the caller and one worker,
+    each taking the next strip that neither has taken; one thread runs
+    the same loop, and the values are the same bits. So the fill's
+    scratch is those two rows, the reach, a tile of 2 * min(w + 2h, n)
+    floats per thread (none where a block is one row of n starts) and
+    the candidates: 33.9 bytes a point at n = 8192, 33.1 with one tile.
+    The candidates' arrays start empty. Each thread writes a block's
+    candidates into its own half of the free room; where either half is
+    too small, the kernel returns, and the call after the arrays have
+    grown redoes that block. Which thread finds which candidate varies
+    from run to run, so they are sorted by (k, start) at the end.
     """
     n = P.n
     half = n // 2
@@ -293,20 +310,23 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     kmax = int(reach.max())  # no row above it holds a candidate
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     edge2 = np.empty(n)
-    # a block's rows below its top, strip by strip; none where a block is one row of n starts
-    rows, tile = np.empty(2 * n), np.empty(0 if h == 1 and w >= n else 2 * min(w + 2 * h, n))
-    # next block's first row, candidates kept, the strip's pending, its first start
-    state = np.array([1, 0, 0, 0], dtype=np.intp)
+    threads = min(2, usable_cpus())
+    # each thread's rows of a block below its top, strip by strip; none where
+    # a block is one row of n starts
+    tile = np.empty(0 if h == 1 and w >= n else threads * 2 * min(w + 2 * h, n))
+    rows = np.empty(2 * n)
+    # next block's first row, candidates kept, the count the block needs
+    state = np.array([1, 0, 0], dtype=np.intp)
     necessary, bases = np.empty((0, 2), dtype=np.intp), np.empty(0)
     fill = _kernel().bn_fill
     while fill(xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride,
                reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, h, w, rows.ctypes.data,
-               tile.ctypes.data, state.ctypes.data, necessary.ctypes.data,
+               tile.ctypes.data, threads, state.ctypes.data, necessary.ctypes.data,
                bases.ctypes.data, len(bases)):
         kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]), 16)
         necessary, bases = _resized(necessary, kept, size), _resized(bases, kept, size)
-    if state[1]:  # in (k, start) order
-        order = np.argsort(necessary[:state[1], 0], kind="stable")
+    if state[1]:  # in (k, start) order, by the key k * n + start
+        order = np.argsort(necessary[:state[1]] @ (n, 1))
         necessary, bases = necessary[order], bases[order]
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -519,13 +520,17 @@ class TestBenchCommand:
             }
             assert (run["algo"], run["seed"], run["reps"]) == ("solve", 1, 2)
             assert isinstance(run["slope"], float)
+            assert run["cpus"] == len(os.sched_getaffinity(0))  # the CPUs it may run on
             assert [c["n"] for c in run["cells"]] == [8, 16]
             for cell in run["cells"]:
                 assert set(cell) == {
-                    "n", "elapsed_ns", "median_ns", "iqr_ns", "ns_per_entry", "peak_rss_bytes",
+                    "n", "elapsed_ns", "cpu_ns", "median_ns", "iqr_ns", "ns_per_entry",
+                    "peak_rss_bytes",
                 }
                 assert len(cell["elapsed_ns"]) == 2
                 assert all(isinstance(v, int) and v > 0 for v in cell["elapsed_ns"])
+                # the child's CPU time, all threads and its set-up included
+                assert isinstance(cell["cpu_ns"], int) and cell["cpu_ns"] > 0
                 assert cell["iqr_ns"] >= 0 and cell["peak_rss_bytes"] > 0
                 assert cell["ns_per_entry"] == cell["median_ns"] / (cell["n"] ** 2 / 2)
 

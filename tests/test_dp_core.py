@@ -8,8 +8,12 @@ entirely separately from the DP code.
 import contextlib
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -579,7 +583,8 @@ def test_fill_scratch_memory_per_point():
 def test_fill_tile_adds_at_most_16_kb():
     # the row-by-row fill's scratch was 33 bytes a point (two full rows, the
     # reach, edge2 and a flag byte a point); the tiled fill trades the flags
-    # for a tile. Measured 271286 bytes at n = 8192, against 272686
+    # for a tile per thread. Measured 277934 bytes at n = 8192 with two
+    # threads' tiles and 271390 with one, against 272686
     n = 8192
     scratch = _fill_scratch(n)
     assert scratch <= 33 * n + 16 * 1024, scratch - 33 * n
@@ -613,7 +618,10 @@ LAYOUT_DIGESTS = {
 
 
 def _layout_digest(mode, n):
-    P = generate(GenSpec(n, mode, 1))
+    return _digest(generate(GenSpec(n, mode, 1)))
+
+
+def _digest(P):
     T = build_subproblem_table(P)
     digest = hashlib.sha256()
     for a in (T.S, T.necessary, T.bases, T.edge2):
@@ -644,6 +652,47 @@ def test_scalar_build_gives_the_same_digests(tmp_path):
     with mock.patch.object(dp_core, "_kernel", lambda: scalar):
         for mode, n in [("valtr", 1002), ("cluster3", 1002), ("valtr", 2050), ("cluster3", 2050)]:
             assert _layout_digest(mode, n) == LAYOUT_DIGESTS[mode, n], (mode, n)
+
+
+def _rotated_cap(n):
+    """A parabola cap whose first candidates, (2, n - 3) and (2, n - 1),
+    start at n/2 - 1 and n/2 + 1, in adjacent strips of 64 starts: where
+    the two threads take one each, both overflow their parts of the
+    arrays in the first block, and often again after a growth."""
+    coords = parabola_cap(n)
+    return validate_convex_ccw(coords[n // 2 - 2:] + coords[:n // 2 - 2])
+
+
+def _thread_digests():
+    """Digests of the table and the solve report on inputs with and without
+    candidates, one of them at a tile where both threads can overflow."""
+    out = [_layout_digest(mode, n) for mode in ("valtr", "cluster3") for n in (2050, 4098)]
+    out += [_digest(validate_convex_ccw(parabola_cap(n))) for n in (2048, 8192)]
+    with forced_tile(2, 64):
+        out.append(_digest(_rotated_cap(2048)))
+    return out
+
+
+ONE_CPU = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from test_dp_core import _thread_digests
+print(*_thread_digests())
+"""
+
+
+def test_one_cpu_fill_gives_the_same_digests():
+    # the fill runs min(2, CPUs this process may use) threads. A child bound
+    # to one CPU (its own affinity, nothing else's) runs one thread, and its
+    # digests equal this process's. On a one-CPU host both run one thread,
+    # and the two-thread path is left to the sanitizer tests of test_kernel.py
+    src = Path(dp_core.__file__).parent.parent
+    tests = Path(__file__).parent
+    run = subprocess.run([sys.executable, "-c", ONE_CPU], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
+                         timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]
+    assert run.stdout.split() == _thread_digests()
 
 
 def test_table_and_reconstruct_memory_sub_quadratic():

@@ -1,9 +1,10 @@
 """The compiled row kernel as a file of the package: where its source
 lives, how its build fails or races, that it compiles without warnings and
-that it runs clean under the address and undefined-behaviour sanitizers.
-The kernel's results are checked in test_dp_core.py."""
+that it runs clean under the address, undefined-behaviour and thread
+sanitizers. The kernel's results are checked in test_dp_core.py."""
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import bnmatch
-from bnmatch import formats, gen_circle, solve
+from bnmatch import dp_core, formats, gen_circle, solve, validate_convex_ccw
 from bnmatch.cli import EXIT_BUILD, EXIT_OK
+from conftest import forced_tile, parabola_cap
 
 SOLVE = "import bnmatch; print(bnmatch.solve(bnmatch.gen_circle(64, 1)).value.hex())"
 
@@ -206,7 +208,7 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     if not (asan and ubsan):
         pytest.skip("gcc names no sanitizer runtime")
     lib = tmp_path / "rowkernel-asan.so"
-    built = subprocess.run(["gcc", "-O1", "-g", "-ffp-contract=off", "-fPIC", "-shared",
+    built = subprocess.run(["gcc", "-O1", "-g", "-ffp-contract=off", "-fPIC", "-shared", "-pthread",
                             "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
                             "-x", "c", str(_kernel_source()), "-o", str(lib)],
                            capture_output=True, text=True)
@@ -219,3 +221,124 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
              "LD_PRELOAD": f"{asan}:{ubsan}", "ASAN_OPTIONS": "detect_leaks=0"})
     assert run.returncode == 0 and run.stdout == "swept\n", run.stderr[-4000:]
     assert "Sanitizer" not in run.stderr and "runtime error" not in run.stderr, run.stderr[-4000:]
+
+
+# runs bn_fill with one thread and with two on each case read from stdin (n,
+# stride, h, w, then the n xs and the n ys), growing the candidates' arrays as
+# build_subproblem_table does, and compares S, the edges and the candidates
+# with their bases, in (k, start) order, bit for bit; prints each case's count
+# of candidates and growths with one thread and with two
+TSAN_DRIVER = r"""
+#include "rowkernel.c"
+#include <stdio.h>
+#include <stdlib.h>
+
+typedef struct {
+    idx k, start;
+    double base;
+} arc;
+
+typedef struct {
+    double *S, *e;
+    arc *arcs;
+    idx count, grows;
+} result;
+
+static int by_arc(const void *p, const void *q)
+{
+    const arc *a = p, *b = q;
+    return a->k != b->k ? (a->k > b->k) - (a->k < b->k) : (a->start > b->start) - (a->start < b->start);
+}
+
+static result run(const double *x, const double *y, idx n, idx stride, idx h, idx w, idx threads)
+{
+    idx half = n / 2, rows = half / stride + 1 + (half % stride != 0), kmax = 0, cap = 0;
+    idx *reach = malloc(n * sizeof *reach), st[3] = {1, 0, 0}, *ks = NULL;
+    bn_reach(x, y, n, reach);
+    for (idx s = 0; s < n; s++)
+        kmax = reach[s] > kmax ? reach[s] : kmax;
+    idx tn = w + 2 * h < n ? w + 2 * h : n;
+    double *pp = malloc(2 * n * sizeof *pp), *tile = malloc(threads * 2 * tn * sizeof *tile);
+    double *bases = NULL;
+    result r = {calloc(rows * n, sizeof(double)), malloc(n * sizeof(double)), NULL, 0, 0};
+    while (bn_fill(x, y, r.e, n, r.S, stride, reach, kmax, 1.0 - 1e-9, h, w, pp, tile, threads,
+                   st, ks, bases, cap)) {
+        cap = 2 * cap > st[1] + st[2] ? 2 * cap : st[1] + st[2];
+        cap = cap > 16 ? cap : 16;
+        ks = realloc(ks, 2 * cap * sizeof *ks);
+        bases = realloc(bases, cap * sizeof *bases);
+        r.grows++;
+    }
+    r.count = st[1];
+    r.arcs = malloc((r.count + 1) * sizeof *r.arcs);
+    for (idx i = 0; i < r.count; i++)
+        r.arcs[i] = (arc){ks[2 * i], ks[2 * i + 1], bases[i]};
+    qsort(r.arcs, r.count, sizeof *r.arcs, by_arc);
+    free(reach), free(pp), free(tile), free(ks), free(bases);
+    return r;
+}
+
+int main(void)
+{
+    idx head[4];
+    while (fread(head, sizeof(idx), 4, stdin) == 4) {
+        idx n = head[0], stride = head[1], h = head[2], w = head[3];
+        double *x = malloc(2 * n * sizeof *x), *y = x + n;
+        if (fread(x, sizeof *x, 2 * n, stdin) != (size_t)(2 * n))
+            return 2;
+        result one = run(x, y, n, stride, h, w, 1), two = run(x, y, n, stride, h, w, 2);
+        idx rows = n / 2 / stride + 1 + (n / 2 % stride != 0);
+        if (one.count != two.count || memcmp(one.S, two.S, rows * n * sizeof(double)) ||
+            memcmp(one.e, two.e, n * sizeof(double)) ||
+            memcmp(one.arcs, two.arcs, one.count * sizeof(arc))) {
+            printf("differ %td %td %td\n", n, h, w);
+            return 1;
+        }
+        printf("%td %td %td %td %td %td\n", n, h, w, one.count, one.grows, two.grows);
+        for (int i = 0; i < 2; i++) {
+            result r = i ? two : one;
+            free(r.S), free(r.e), free(r.arcs);
+        }
+        free(x);
+    }
+    return 0;
+}
+"""
+
+# tiles under which the candidates of parabola caps of n = 30 ... 512 outgrow
+# the arrays of a one-thread fill 1 to 3 times
+TSAN_TILES = [(2, 3), (5, 7), (5, 64), (16, 96)]
+
+
+def test_threaded_fill_runs_clean_under_thread_sanitizer(tmp_path):
+    # a C driver: Python itself does not start under a preloaded libtsan on
+    # every host. The target clones are cut out as in the scalar build, since
+    # the sanitizer faults in the clones' resolvers
+    if not _gcc_runtime("libtsan.so"):
+        pytest.skip("gcc names no thread sanitizer runtime")
+    source = _kernel_source().read_bytes()
+    clones = b'__attribute__((target_clones("avx512f", "avx2", "default")))'
+    assert source.count(clones) == 1
+    (tmp_path / "rowkernel.c").write_bytes(source.replace(clones, b""))
+    (tmp_path / "driver.c").write_text(TSAN_DRIVER)
+    built = subprocess.run(["gcc", "-O1", "-g", "-ffp-contract=off", "-pthread",
+                            "-fsanitize=thread", "driver.c", "-o", "driver"],
+                           capture_output=True, text=True, cwd=tmp_path)
+    assert built.returncode == 0, built.stderr
+    cases, expected = b"", []
+    for n in (30, 64, 250, 512):
+        P = validate_convex_ccw(parabola_cap(n))
+        for h, w in TSAN_TILES:
+            cases += struct.pack(f"4n{2 * n}d", n, dp_core.checkpoint_stride(n), h, w,
+                                 *P.xs, *P.ys)
+            with forced_tile(h, w):
+                expected.append((n, h, w, len(dp_core.build_subproblem_table(P).necessary)))
+    run = subprocess.run([str(tmp_path / "driver")], input=cases, capture_output=True,
+                         env={**os.environ, "TSAN_OPTIONS": "halt_on_error=1"}, timeout=600)
+    out, err = run.stdout.decode(), run.stderr.decode(errors="replace")
+    assert run.returncode == 0 and "ThreadSanitizer" not in err, (out, err[-4000:])
+    got = [tuple(map(int, line.split())) for line in out.splitlines()]
+    assert [case[:4] for case in got] == expected
+    # how often the two threads' arrays grow depends on which thread ran
+    # which strip, but each fill grows them at least once
+    assert {case[4] for case in got} == {1, 2, 3} and min(case[5] for case in got) >= 1
