@@ -295,15 +295,14 @@ static idx await(_Atomic idx *v, idx at)
 /* The next strip that no thread has taken. */
 static idx take(team *T) { return atomic_fetch_add_explicit(&T->next, 1, memory_order_relaxed); }
 
-/* Strip i of the block of first row k0, on thread t, its arcs from entry
-   at on while they fit before entry end. */
-INLINE idx nth_strip(team *T, idx t, idx k0, idx hb, idx ws, idx i, idx at, idx end)
+/* Strip i of a block of first row k0, ws starts wide, from its input row
+   into its output row, in thread t's tile, its arcs from entry at on while
+   they fit before entry end. */
+INLINE idx nth_strip(team *T, idx t, const double *in, double *out, idx k0, idx hb, idx ws,
+                     idx i, idx at, idx end)
 {
-    const fill *F = &T->F;
-    idx n = F->P.n, b = (k0 - 1) / T->h, a = i * ws, len = n - a < ws ? n - a : ws;
-    const double *in = b ? T->pp + (b - 1) % 2 * n : F->P.e;
-    return strip(F, in, T->pp + b % 2 * n, k0, hb, a, len, T->tile + t * 2 * T->tn, T->tn, at,
-                 end - at);
+    idx n = T->F.P.n, a = i * ws, len = n - a < ws ? n - a : ws;
+    return strip(&T->F, in, out, k0, hb, a, len, T->tile + t * 2 * T->tn, T->tn, at, end - at);
 }
 
 /* Thread t's part of the fill, from the block of first row st[0] on, with
@@ -320,16 +319,19 @@ INLINE void blocks(team *T, idx t, idx threads)
 {
     idx n = T->F.P.n, half = n / 2, h = T->h, k0 = T->st[0], first = 0, got = 0;
     idx mine = take(T);
-    for (idx j = 0; k0 < half; k0 += h, j++) {
+    for (idx j = 0, b = (k0 - 1) / h; k0 < half; k0 += h, j++, b++) {
         idx hb = half - k0 < h ? half - k0 : h;
-        idx ws = T->w + 2 * hb <= n ? T->w : n, strips = (n + ws - 1) / ws;
+        idx ws = T->w + 2 * hb <= n ? T->w : n, strips = ws < n ? (n + ws - 1) / ws : 1;
+        const double *in = b ? T->pp + (b - 1) % 2 * n : T->F.P.e;
+        double *out = T->pp + b % 2 * n;
         for (; mine < first + strips; mine = take(T)) {
+            idx i = mine - first;
             if (t == 0) {
-                got += nth_strip(T, 0, k0, hb, ws, mine - first, T->c + got, T->c + T->part);
+                got += nth_strip(T, 0, in, out, k0, hb, ws, i, T->c + got, T->c + T->part);
             } else {
                 if (await(&T->open, j) < 0)
                     return;
-                T->got += nth_strip(T, 1, k0, hb, ws, mine - first, T->c + T->part + T->got, T->cap);
+                T->got += nth_strip(T, 1, in, out, k0, hb, ws, i, T->c + T->part + T->got, T->cap);
             }
             atomic_fetch_add_explicit(&T->done, 1, memory_order_release);
         }
@@ -347,7 +349,8 @@ INLINE void blocks(team *T, idx t, idx threads)
             memmove(T->F.ks + 2 * (c + got), T->F.ks + 2 * (c + part), 2 * g1 * sizeof *T->F.ks);
             memmove(T->F.bases + c + got, T->F.bases + c + part, g1 * sizeof *T->F.bases);
         }
-        T->c = c + got + g1, T->part = (T->cap - T->c) / threads, T->got = 0, got = 0;
+        T->c = c + got + g1, T->got = 0, got = 0;
+        T->part = threads > 1 ? (T->cap - T->c) / 2 : T->cap - T->c;
         atomic_store_explicit(&T->open, j + 1, memory_order_release);
     }
     if (t == 0)

@@ -310,7 +310,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     kmax = int(reach.max())  # no row above it holds a candidate
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     edge2 = np.empty(n)
-    threads = min(2, usable_cpus())
+    threads = min(2, usable_cpus()) if w < n else 1  # one strip a block needs no thread
     # each thread's rows of a block below its top, strip by strip; none where
     # a block is one row of n starts
     tile = np.empty(0 if h == 1 and w >= n else threads * 2 * min(w + 2 * h, n))
@@ -326,7 +326,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]), 16)
         necessary, bases = _resized(necessary, kept, size), _resized(bases, kept, size)
     if state[1]:  # in (k, start) order, by the key k * n + start
-        order = np.argsort(necessary[:state[1]] @ (n, 1))
+        order = np.argsort(necessary[:state[1]].dot((n, 1)))
         necessary, bases = necessary[order], bases[order]
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
