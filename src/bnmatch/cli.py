@@ -179,13 +179,13 @@ def cmd_bench(args) -> int:
     runs = None if args.json is None else _bench_runs(args.json)
     if args.algo == "solve":  # a first build is no rep's time and no child's peak RSS
         dp_core._kernel()
-    print("n,rep,seed,elapsed_ns,value")
+    print("n,rep,seed,elapsed_ns,cpu_ns,value")
     cells = []
     for n in sizes:
         if args.json is None:
             row = [generators.generate(generators.GenSpec(n, args.mode, args.seed + r, args.spread))
                    for r in range(args.reps)]
-            cells.append({"n": n, "elapsed_ns": _time_size(run, n, row, args.seed)})
+            cells.append(_time_size(run, n, row, args.seed))
         else:
             cells.append(_time_size_in_child(args, n))
     medians = [statistics.median(c["elapsed_ns"]) for c in cells]
@@ -208,16 +208,18 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _time_size(run, n: int, row, seed: int) -> list[int]:
-    """The timing loop: wall ns of ``run`` on each instance, a CSV row each."""
-    elapsed = []
+def _time_size(run, n: int, row, seed: int) -> dict:
+    """The timing loop: the wall ns and the process's CPU ns (all threads)
+    of ``run`` on each instance, a CSV row each."""
+    elapsed, cpu = [], []
     for rep, P in enumerate(row):
-        t0 = time.perf_counter_ns()
+        c0, t0 = time.process_time_ns(), time.perf_counter_ns()
         value = run(P)
-        dt = time.perf_counter_ns() - t0
+        dt, dc = time.perf_counter_ns() - t0, time.process_time_ns() - c0
         elapsed.append(dt)
-        print(f"{n},{rep},{seed + rep},{dt},{formats.fmt17(value)}")
-    return elapsed
+        cpu.append(dc)
+        print(f"{n},{rep},{seed + rep},{dt},{dc},{formats.fmt17(value)}")
+    return {"n": n, "elapsed_ns": elapsed, "cpu_ns": cpu}
 
 
 def _time_size_in_child(args, n: int) -> dict:
@@ -237,9 +239,11 @@ def _time_size_in_child(args, n: int) -> dict:
         raise BnmatchError(f"bench child for n = {n} exited {proc.returncode}")
     print("\n".join(rows), flush=True)
     kib = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB elsewhere
-    # the child's CPU time in all its threads, its start and set-up included
-    return {"n": n, "elapsed_ns": [int(r.split(",")[3]) for r in rows],
-            "cpu_ns": round((usage.ru_utime + usage.ru_stime) * 1e9),
+    cols = [r.split(",") for r in rows]
+    # child_cpu_ns: the child's CPU time in all its threads, its start and
+    # set-up included
+    return {"n": n, "elapsed_ns": [int(c[3]) for c in cols], "cpu_ns": [int(c[4]) for c in cols],
+            "child_cpu_ns": round((usage.ru_utime + usage.ru_stime) * 1e9),
             "peak_rss_bytes": usage.ru_maxrss * kib}
 
 

@@ -36,7 +36,13 @@ the candidate rule are one call each into a compiled kernel,
 built on first use, not on import, with the C compiler ``cc``
 (KernelBuildError if that fails), and cached in the package's
 ``__pycache__``; see ``_kernel``. Every buffer it uses is a NumPy array
-passed in, so tracemalloc sees all of its memory.
+passed in, so tracemalloc sees all of its memory. A call takes the
+buffers' addresses, and reading an array's ``ctypes.data`` costs about
+1.3 us, so the ten a fill call takes cost more than its arithmetic at
+n = 16. The fill reads each of its addresses once, only the candidates'
+again after they grow, and the table keeps the six leading arguments of
+its calls, so that ``arc_values`` and ``reconstruct`` read only their
+own scratch's and outputs'.
 The fill goes up the table in blocks of rows, each computed strip by
 strip over a few hundred starts (``fill_tile``), so a strip's rows stay
 in the L1 cache, and two threads share each block's strips where the
@@ -58,7 +64,7 @@ import os
 import platform
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -68,6 +74,8 @@ from .errors import BadDomainError, KernelBuildError
 from .geometry import ConvexPointSet
 
 _NECESSARY_REL_TOL = 1e-9
+# the candidates' room before the fill's first call: cluster3's few fit
+_ROOM = 16
 
 # the kernel's source in the package, and its compiler flags: no FMA
 # contraction, and no -march, so that one library serves any x86-64 CPU
@@ -130,6 +138,14 @@ class SubproblemTable:
     is 128. Read any other value with ``arc_values``; a replay needs the
     coordinates ``xs`` and ``ys`` and the fill's squared edge lengths
     ``edge2``.
+
+    The table keeps the first six arguments of every kernel call (the
+    addresses of xs, ys, edge2 and S, n and the stride), taken from its own
+    fields when it is made, or passed in as ``kernel_args`` by the fill,
+    which has them at hand: reading an array's ``ctypes.data`` costs about
+    1.3 us. ``copy``, ``deepcopy``, ``pickle`` and
+    ``dataclasses.replace`` all make a table through the constructor (see
+    ``__reduce__``), so no copy keeps another table's addresses.
     """
 
     n: int
@@ -141,6 +157,18 @@ class SubproblemTable:
     xs: np.ndarray
     ys: np.ndarray
     edge2: np.ndarray      # float64, d2(s, s+1) for every start s
+    kernel_args: InitVar[tuple[int, ...] | None] = None
+    _args: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, kernel_args: tuple[int, ...] | None) -> None:
+        if kernel_args is None:
+            kernel_args = (self.xs.ctypes.data, self.ys.ctypes.data, self.edge2.ctypes.data,
+                           self.n, self.S.ctypes.data, self.stride)
+        object.__setattr__(self, "_args", kernel_args)
+
+    def __reduce__(self):
+        # through the constructor, which takes the copy's own addresses
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def arc_values(self, start: int, end: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Values of the arcs of sizes 0, 2, ..., 2*kmax (kmax <= n/2) that
@@ -160,14 +188,9 @@ class SubproblemTable:
             raise BadDomainError(f"kmax {kmax} outside [0, {n // 2}]")
         # held by a name while the kernel runs: .ctypes.data keeps no reference
         first, last, block = np.empty(kmax + 1), np.empty(kmax + 1), np.empty((stride + 1) ** 2)
-        _kernel().bn_arcs(*self._kernel_args(), start % n, end % n, kmax,
+        _kernel().bn_arcs(*self._args, start % n, end % n, kmax,
                           block.ctypes.data, first.ctypes.data, last.ctypes.data)
         return first, last
-
-    def _kernel_args(self) -> tuple[int, ...]:
-        """The first six arguments of every kernel call: xs, ys, edge2, n, S, stride."""
-        return (self.xs.ctypes.data, self.ys.ctypes.data, self.edge2.ctypes.data, self.n,
-                self.S.ctypes.data, self.stride)
 
 
 def _build(source: bytes, flags: tuple[str, ...], path: Path) -> None:
@@ -295,11 +318,14 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     scratch is those two rows, the reach, a tile of 2 * min(w + 2h, n)
     floats per thread (none where a block is one row of n starts) and
     the candidates: 33.9 bytes a point at n = 8192, 33.1 with one tile.
-    The candidates' arrays start empty. Each thread writes a block's
-    candidates into its own half of the free room; where either half is
-    too small, the kernel returns, and the call after the arrays have
-    grown redoes that block. Which thread finds which candidate varies
-    from run to run, so they are sorted by (k, start) at the end.
+    The candidates' arrays start with room for 16, so cluster3's few fit
+    and its fill is one call. Each thread writes a block's candidates into
+    its own half of the free room; where either half is too small, the
+    kernel returns, and the call after the arrays have grown (at least
+    twofold) redoes that block. Which thread finds which candidate varies
+    from run to run, so they are sorted by (k, start) at the end. Every
+    address is read once, before the first call, but the candidates',
+    which a growth moves; the table gets the six leading arguments.
     """
     n = P.n
     half = n // 2
@@ -317,20 +343,22 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     rows = np.empty(2 * n)
     # next block's first row, candidates kept, the count the block needs
     state = np.array([1, 0, 0], dtype=np.intp)
-    necessary, bases = np.empty((0, 2), dtype=np.intp), np.empty(0)
+    necessary, bases = np.empty((_ROOM, 2), dtype=np.intp), np.empty(_ROOM)
     fill = _kernel().bn_fill
-    while fill(xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride,
-               reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, h, w, rows.ctypes.data,
-               tile.ctypes.data, threads, state.ctypes.data, necessary.ctypes.data,
-               bases.ctypes.data, len(bases)):
-        kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]), 16)
+    # every address but the candidates' is read once, before the first call
+    table_args = (xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride)
+    fill_args = (*table_args, reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, h, w,
+                 rows.ctypes.data, tile.ctypes.data, threads, state.ctypes.data)
+    while fill(*fill_args, necessary.ctypes.data, bases.ctypes.data, len(bases)):
+        kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]))
         necessary, bases = _resized(necessary, kept, size), _resized(bases, kept, size)
-    if state[1]:  # in (k, start) order, by the key k * n + start
-        order = np.argsort(necessary[:state[1]].dot((n, 1)))
-        necessary, bases = necessary[order], bases[order]
+    count = int(state[1])
+    # in (k, start) order, by the key k * n + start
+    order = np.argsort(necessary[:count].dot((n, 1))) if count else slice(0)
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
-        necessary=necessary, bases=bases, xs=xs, ys=ys, edge2=edge2,
+        necessary=necessary[order], bases=bases[order], xs=xs, ys=ys, edge2=edge2,
+        kernel_args=table_args,
     )
 
 
@@ -368,5 +396,5 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> np.ndarray:
     if size % 2 != 0 or not 0 <= size <= n:
         raise BadDomainError(f"size {size} not even in [0, {n}]")
     pairs, block = np.empty((size // 2, 2), dtype=np.intp), np.empty((T.stride + 1) ** 2)
-    _kernel().bn_walk(*T._kernel_args(), start, size // 2, block.ctypes.data, pairs.ctypes.data)
+    _kernel().bn_walk(*T._args, start, size // 2, block.ctypes.data, pairs.ctypes.data)
     return pairs

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BnmatchError,
     DuplicatePointError,
     NonFiniteError,
     NotCcwError,
@@ -73,6 +74,20 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     bound, else from ``fractions.Fraction``. With all turns left, the edges
     go around once iff exactly one edge in the lower half-plane (dy < 0, or
     dy = 0 > dx) is followed by one in the upper, which exact signs decide.
+
+    The errors come in the order listed, but the sort that finds repeated
+    points (6-20 us at n <= 256, 0.5 ms at 8192) runs only at n = 2, which
+    has no turn, and where a turn check fails, before its error is raised.
+    Points that pass every turn check are distinct. An adjacent repeat
+    makes a cross product exactly 0, which is rejected. Suppose every turn
+    is strictly left, so every edge is nonzero, and the edges go around
+    exactly once, so all n turns add up to 2*pi. If v_a = v_b for a < b,
+    the chains v_a .. v_b and v_b .. v_a are closed: the edges of each sum
+    to 0, so they lie in no open half-plane, and the turns inside each
+    chain add up to at least pi. With the turns at a and b, both positive,
+    the total exceeds 2*pi, a contradiction. So a polygon with a repeated
+    point fails a turn check, and DuplicatePointError comes first as
+    before.
     """
     if isinstance(points, np.ndarray):
         xy = np.array(points, dtype=np.float64)
@@ -96,6 +111,20 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
         raise OddCountError(f"point count must be even, got {n}")
     xs, ys = xy.T.copy()
     check_finite(xs, ys)
+    # distinct points follow from passing turn checks (see above), so the
+    # sort for repeats runs only where a check fails, and at n = 2
+    error = _turn_error(xs, ys) if n > 2 else None
+    if error is not None or n == 2:
+        _check_distinct(xs, ys)
+    if error is not None:
+        raise error
+    xs.flags.writeable = ys.flags.writeable = False
+    return ConvexPointSet(xs=xs, ys=ys)
+
+
+def _check_distinct(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raises DuplicatePointError naming the first point that repeats an
+    earlier one, the one with the smallest later index."""
     # + 0.0 folds -0.0 into 0.0; a stable sort keeps equal points in index
     # order, so the first repeated point is the smallest later index
     kx, ky = xs + 0.0, ys + 0.0
@@ -106,42 +135,46 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
         t = int(order[1:][repeat].min())
         raise DuplicatePointError(f"({float(xs[t])}, {float(ys[t])})")
 
-    if n > 2:
-        with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
-            w = np.concatenate((xs[-1:], xs, xs[:1]))  # neighbours as slices; one copy alive
-            ux, vx = xs - w[:-2], w[2:] - xs
-            w = np.concatenate((ys[-1:], ys, ys[:1]))
-            uy, vy = ys - w[:-2], w[2:] - ys
-            del w
-            dl, dr = ux * vy, uy * vx  # Shewchuk's detleft and detright
-            del ux, uy
-            turn = dl - dr
-            bound = np.abs(dl, out=dl)  # in place: validation's peak memory is here
-            bound += np.abs(dr, out=dr)
-            bound *= _SIGN_ERR
-            bound += _SIGN_TINY
-            # false for NaN and for an infinite bound: not finite is unsure
-            sure = np.abs(turn) > bound
-            del dl, dr, bound
-        # the exact signs, in rationals; a sure turn is never 0, so the
-        # first unsure one that is 0 is the first collinear triple
-        for t in np.flatnonzero(~sure).tolist():
-            (ax, ay), (bx, by), (cx, cy) = ((Fraction(xs[v]), Fraction(ys[v]))
-                                            for v in (t - 1, t, (t + 1) % n))
-            cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-            if cross == 0:
-                raise NotStrictlyConvexError(f"collinear triple at vertex {t}")
-            turn[t] = 1.0 if cross > 0 else -1.0
-        right = turn < 0.0
-        if right.all():
-            raise NotCcwError("all turns are clockwise")
-        if right.any():
-            raise NotStrictlyConvexError(f"right turn at vertex {int(np.argmax(right))}")
-        # (vx[t], vy[t]) is the edge t -> t + 1; count the lower ones
-        # followed by an upper one, the last edge's by the first
-        lower = (vy < 0.0) | ((vy == 0.0) & (vx < 0.0))
-        winds = int(np.count_nonzero(lower[:-1] > lower[1:])) + int(lower[-1] > lower[0])
-        if winds != 1:
-            raise NotStrictlyConvexError(f"the edges wind {winds} times around, not once")
-    xs.flags.writeable = ys.flags.writeable = False
-    return ConvexPointSet(xs=xs, ys=ys)
+
+def _turn_error(xs: np.ndarray, ys: np.ndarray) -> BnmatchError | None:
+    """The error of the first turn check the closed polygon xs, ys (n > 2)
+    fails, NotStrictlyConvexError or NotCcwError, or None if every turn is
+    strictly left and the edges go around once."""
+    n = len(xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
+        w = np.concatenate((xs[-1:], xs, xs[:1]))  # neighbours as slices; one copy alive
+        ux, vx = xs - w[:-2], w[2:] - xs
+        w = np.concatenate((ys[-1:], ys, ys[:1]))
+        uy, vy = ys - w[:-2], w[2:] - ys
+        del w
+        dl, dr = ux * vy, uy * vx  # Shewchuk's detleft and detright
+        del ux, uy
+        turn = dl - dr
+        bound = np.abs(dl, out=dl)  # in place: validation's peak memory is here
+        bound += np.abs(dr, out=dr)
+        bound *= _SIGN_ERR
+        bound += _SIGN_TINY
+        # false for NaN and for an infinite bound: not finite is unsure
+        sure = np.abs(turn) > bound
+        del dl, dr, bound
+    # the exact signs, in rationals; a sure turn is never 0, so the
+    # first unsure one that is 0 is the first collinear triple
+    for t in np.flatnonzero(~sure).tolist():
+        (ax, ay), (bx, by), (cx, cy) = ((Fraction(xs[v]), Fraction(ys[v]))
+                                        for v in (t - 1, t, (t + 1) % n))
+        cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        if cross == 0:
+            return NotStrictlyConvexError(f"collinear triple at vertex {t}")
+        turn[t] = 1.0 if cross > 0 else -1.0
+    right = turn < 0.0
+    if right.all():
+        return NotCcwError("all turns are clockwise")
+    if right.any():
+        return NotStrictlyConvexError(f"right turn at vertex {int(np.argmax(right))}")
+    # (vx[t], vy[t]) is the edge t -> t + 1; count the lower ones
+    # followed by an upper one, the last edge's by the first
+    lower = (vy < 0.0) | ((vy == 0.0) & (vx < 0.0))
+    winds = int(np.count_nonzero(lower[:-1] > lower[1:])) + int(lower[-1] > lower[0])
+    if winds != 1:
+        return NotStrictlyConvexError(f"the edges wind {winds} times around, not once")
+    return None

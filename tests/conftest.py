@@ -10,7 +10,10 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from bnmatch import GenSpec, baselines, dp_core, gen_cluster3, generate, validate_convex_ccw
-from bnmatch.errors import BadIndexError, BnmatchError
+from bnmatch.errors import (
+    BadIndexError, BnmatchError, DuplicatePointError, NonFiniteError, NotCcwError,
+    NotStrictlyConvexError, OddCountError, TooFewError,
+)
 
 DEG = math.pi / 180.0
 
@@ -77,6 +80,43 @@ def exact_turns(coords) -> list[int]:
         cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
         out.append((cross > 0) - (cross < 0))
     return out
+
+
+def reference_validation_error(coords) -> tuple[type, str] | None:
+    """The error class and message ``validate_convex_ccw`` must raise for a
+    list of (x, y) pairs, or None: the documented checks one at a time, in
+    their documented order, the duplicate points before any turn. Turns
+    are exact; the winding sums the exterior angles in floats."""
+    n = len(coords)
+    if n < 2:
+        return TooFewError, f"TooFew: need at least 2 points, got {n}"
+    if n % 2:
+        return OddCountError, f"OddCount: point count must be even, got {n}"
+    pts = [(float(x), float(y)) for x, y in coords]
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return NonFiniteError, f"NonFinite: ({x}, {y})"
+    seen = set()  # -0.0 == 0.0, and they hash alike
+    for x, y in pts:
+        if (x, y) in seen:
+            return DuplicatePointError, f"DuplicatePoint: ({x}, {y})"
+        seen.add((x, y))
+    if n == 2:
+        return None
+    turns = exact_turns(pts)
+    if 0 in turns:
+        message = f"NotStrictlyConvex: collinear triple at vertex {turns.index(0)}"
+        return NotStrictlyConvexError, message
+    if set(turns) == {-1}:
+        return NotCcwError, "NotCcw: all turns are clockwise"
+    if -1 in turns:
+        return NotStrictlyConvexError, f"NotStrictlyConvex: right turn at vertex {turns.index(-1)}"
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    winds = round(sum(_turn(xs, ys, t) for t in range(n)) / (2 * math.pi))
+    if winds != 1:
+        message = f"NotStrictlyConvex: the edges wind {winds} times around, not once"
+        return NotStrictlyConvexError, message
+    return None
 
 
 def sq_dist(P, i: int, j: int) -> float:

@@ -487,11 +487,11 @@ class TestBenchCommand:
             "bench", "--sizes", "8,16", "--reps", "2", "--seed", "1",
         ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n,rep,seed,elapsed_ns,value"
+        assert lines[0] == "n,rep,seed,elapsed_ns,cpu_ns,value"
         assert len(lines) == 1 + 4 + 1
         assert lines[-1].startswith("# slope ")
-        n, rep, seed, ns, value = lines[1].split(",")
-        assert (n, rep, seed) == ("8", "0", "1") and int(ns) > 0
+        n, rep, seed, ns, cpu_ns, value = lines[1].split(",")
+        assert (n, rep, seed) == ("8", "0", "1") and int(ns) > 0 and int(cpu_ns) > 0
         float(value)
 
     def test_single_size_no_slope(self, capsys):
@@ -509,11 +509,12 @@ class TestBenchCommand:
                 "--json", str(path),
             ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[:2] == ["n,rep,seed,elapsed_ns,value", lines[1]] and lines[1].startswith("8,0,1,")
+        assert lines[:2] == ["n,rep,seed,elapsed_ns,cpu_ns,value", lines[1]]
+        assert lines[1].startswith("8,0,1,")
         assert len(lines) == 2 * (1 + 4 + 1) and lines[5].startswith("# slope ")
         runs = json.loads(path.read_text())
         assert [r["mode"] for r in runs] == ["circle", "cluster3"]
-        for run in runs:
+        for r, run in enumerate(runs):
             assert set(run) == {
                 "algo", "mode", "seed", "spread", "reps", "cells", "slope",
                 "python", "numpy", "machine", "cpus",
@@ -522,15 +523,20 @@ class TestBenchCommand:
             assert isinstance(run["slope"], float)
             assert run["cpus"] == len(os.sched_getaffinity(0))  # the CPUs it may run on
             assert [c["n"] for c in run["cells"]] == [8, 16]
-            for cell in run["cells"]:
+            for c, cell in enumerate(run["cells"]):
                 assert set(cell) == {
-                    "n", "elapsed_ns", "cpu_ns", "median_ns", "iqr_ns", "ns_per_entry",
-                    "peak_rss_bytes",
+                    "n", "elapsed_ns", "cpu_ns", "child_cpu_ns", "median_ns", "iqr_ns",
+                    "ns_per_entry", "peak_rss_bytes",
                 }
-                assert len(cell["elapsed_ns"]) == 2
-                assert all(isinstance(v, int) and v > 0 for v in cell["elapsed_ns"])
+                # each rep's wall and CPU time, as its CSV row gave them
+                rows = [row.split(",") for row in lines[6 * r + 1 + 2 * c:][:2]]
+                assert cell["elapsed_ns"] == [int(row[3]) for row in rows]
+                assert cell["cpu_ns"] == [int(row[4]) for row in rows]
+                assert all(isinstance(v, int) and v > 0
+                           for v in cell["elapsed_ns"] + cell["cpu_ns"])
                 # the child's CPU time, all threads and its set-up included
-                assert isinstance(cell["cpu_ns"], int) and cell["cpu_ns"] > 0
+                assert isinstance(cell["child_cpu_ns"], int)
+                assert cell["child_cpu_ns"] >= sum(cell["cpu_ns"])
                 assert cell["iqr_ns"] >= 0 and cell["peak_rss_bytes"] > 0
                 assert cell["ns_per_entry"] == cell["median_ns"] / (cell["n"] ** 2 / 2)
 

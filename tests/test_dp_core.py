@@ -6,9 +6,13 @@ most one chain, with the arc's closing segment facing at most one of them),
 entirely separately from the DP code.
 """
 import contextlib
+import copy
+import dataclasses
+import gc
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -791,14 +795,53 @@ def test_tile_seam_sweep_crosses_every_seam():
             for stride in (1, 3, 7, checkpoint_stride(P.n)):
                 seams |= _tile_seams(P.n, h, w, stride)
     assert len(seams) == 4, seams
-    # the candidate arrays start empty; each return of the kernel is a strip
-    # whose candidates outgrew them, redone after they grew, the second time
-    # with candidates kept from before
+    # the candidate arrays start with room for 16; each return of the kernel
+    # is a block whose candidates outgrew them, redone after they grew, with
+    # candidates kept from before
     P = validate_convex_ccw(parabola_cap(512))
     counting = mock.Mock(wraps=dp_core._kernel())
     with mock.patch.object(dp_core, "_kernel", lambda: counting):
         _assert_matches_roll_fill(P, None, [(0, P.n)], (2, 7))
     assert counting.bn_fill.call_count > 2
+
+
+def _fill_calls(P) -> int:
+    """How many times one build of P's table calls the kernel's fill."""
+    counting = mock.Mock(wraps=dp_core._kernel())
+    with mock.patch.object(dp_core, "_kernel", lambda: counting):
+        build_subproblem_table(P)
+    return counting.bn_fill.call_count
+
+
+def test_fill_calls_once_where_the_candidates_fit():
+    # the candidates' first room, 16, holds cluster3's few, so its fill is
+    # one call; a parabola cap's n/15 outgrow it, so the growth stays covered
+    for n in (16, 32, 64, 128, 256):
+        for seed in (1, 2):
+            P = generate(GenSpec(n, "cluster3", seed))
+            assert 0 < len(build_subproblem_table(P).necessary) <= 16
+            assert _fill_calls(P) == 1, (n, seed)
+    P = validate_convex_ccw(parabola_cap(2048))
+    assert len(build_subproblem_table(P).necessary) > 16 and _fill_calls(P) >= 2
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.copy, copy.deepcopy, lambda T: pickle.loads(pickle.dumps(T)), dataclasses.replace,
+], ids=["copy", "deepcopy", "pickle", "replace"])
+def test_table_copies_read_their_own_arrays(copy_of):
+    # a table keeps its arrays' addresses for the kernel; a copy must take
+    # its own, and keep reading the right values once the original is gone
+    P = validate_convex_ccw(parabola_cap(64))
+    T = build_subproblem_table(P)
+    ends = [(0, P.n - 1), (5, 40), (P.n - 1, 17)]
+    want = [[a.tolist() for a in T.arc_values(s, e, P.n // 2)] for s, e in ends]
+    walks = [reconstruct(T, s, P.n).tolist() for s in (0, 9)]
+    copies = [copy_of(T) for _ in range(2)]
+    del T
+    gc.collect()
+    for C in copies:
+        assert [[a.tolist() for a in C.arc_values(s, e, P.n // 2)] for s, e in ends] == want
+        assert [reconstruct(C, s, P.n).tolist() for s in (0, 9)] == walks
 
 
 @pytest.mark.parametrize("P", [pytest.param(P, id=name) for name, P in tile_seam_inputs()])

@@ -15,6 +15,7 @@ from bnmatch import (
 )
 from bnmatch.errors import (
     BadIndexError,
+    BnmatchError,
     DuplicatePointError,
     NonFiniteError,
     NotCcwError,
@@ -24,8 +25,8 @@ from bnmatch.errors import (
 )
 from bnmatch.formats import instance_to_json, parse_instance
 from conftest import (
-    SQ4_COORDS, DegenerateSegmentError, PolarityRegion, classify_polarity_region, exact_turns,
-    sq_dist, turning_angle, winding,
+    SQ4_COORDS, DegenerateSegmentError, PolarityRegion, classify_polarity_region, convex_polygons,
+    exact_turns, reference_validation_error, sq_dist, turning_angle, winding,
 )
 
 approx = pytest.approx
@@ -72,7 +73,61 @@ def _exact_verdict(coords) -> str | None:
     return None
 
 
+@st.composite
+def spoiled_polygons(draw):
+    """A convex polygon with one to three faults injected, each a repeat of
+    another vertex (the next one or any), a vertex moved to its neighbours'
+    float midpoint (collinear, or a turn of a few ulps either way), a
+    vertex pulled towards the centre (a right turn) or the whole polygon
+    listed twice (it winds twice); at times clockwise."""
+    pts = draw(convex_polygons())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["adjacent", "repeat", "midpoint", "inward", "twice"]))
+        n = len(pts)
+        i = draw(st.integers(0, n - 1))
+        if kind == "twice":
+            pts = pts + pts
+        elif kind == "adjacent":
+            pts[(i + 1) % n] = pts[i]
+        elif kind == "repeat":
+            pts[draw(st.integers(0, n - 1))] = pts[i]
+        elif kind == "midpoint":
+            (ax, ay), (bx, by) = pts[i - 1], pts[(i + 1) % n]
+            pts[i] = ((ax + bx) / 2, (ay + by) / 2)
+        else:
+            pts[i] = (pts[i][0] * 0.25, pts[i][1] * 0.25)
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
+def _validation_error(coords) -> tuple[type, str] | None:
+    try:
+        validate_convex_ccw(coords)
+    except BnmatchError as e:
+        return type(e), str(e)
+    return None
+
+
 class TestValidate:
+    @settings(max_examples=400, deadline=None)
+    @given(spoiled_polygons())
+    def test_errors_match_the_documented_order(self, coords):
+        # the duplicate sort runs only where a turn check fails, yet the
+        # class and message are those of the checks in their documented
+        # order, duplicates first
+        assert _validation_error(coords) == reference_validation_error(coords)
+
+    @pytest.mark.parametrize("coords, message", [
+        # all turns left, but it winds twice: the repeat is named
+        (SQ4_COORDS * 2, "DuplicatePoint: (0.0, 0.0)"),
+        # the repeat makes a zero cross product at vertex 1
+        ([(0, 0), (1, 0), (1, 0), (0, 1)], "DuplicatePoint: (1.0, 0.0)"),
+        # no turn to check
+        ([(2, 3), (2, 3)], "DuplicatePoint: (2.0, 3.0)"),
+    ], ids=["square-twice", "adjacent-repeat", "2-gon"])
+    def test_repeats_named_before_turns(self, coords, message):
+        assert _validation_error(coords) == (DuplicatePointError, message)
+        assert reference_validation_error(coords) == (DuplicatePointError, message)
+
     def test_square_ok(self, sq4):
         assert sq4.n == 4
         assert sq4.coords() == SQ4_COORDS

@@ -80,7 +80,7 @@ def test_bench_builds_the_kernel_before_its_header(tmp_path):
         # the cubic baseline needs no compiler
         cubic = _run(tmp_path, bench + extra + ["--algo", "cubic"], PATH="")
         assert cubic.returncode == EXIT_OK, (extra, cubic.stderr)
-        assert cubic.stdout.startswith("n,rep,seed,elapsed_ns,value\n8,0,0,")
+        assert cubic.stdout.startswith("n,rep,seed,elapsed_ns,cpu_ns,value\n8,0,0,")
     assert _libraries(cache) == []
 
 
@@ -225,7 +225,8 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
 
 # runs bn_fill with one thread and with two on each case read from stdin (n,
 # stride, h, w, then the n xs and the n ys), growing the candidates' arrays as
-# build_subproblem_table does, and compares S, the edges and the candidates
+# build_subproblem_table does, but from empty arrays, not its room for 16, on
+# purpose: so every case grows. It compares S, the edges and the candidates
 # with their bases, in (k, start) order, bit for bit; prints each case's count
 # of candidates and growths with one thread and with two
 TSAN_DRIVER = r"""
