@@ -179,7 +179,7 @@ def cmd_bench(args) -> int:
     runs = None if args.json is None else _bench_runs(args.json)
     if args.algo == "solve":  # a first build is no rep's time and no child's peak RSS
         dp_core._kernel()
-    print("n,rep,seed,elapsed_ns,cpu_ns,value")
+    print("n,rep,seed,elapsed_ns,value,rep_cpu_ns")
     cells = []
     for n in sizes:
         if args.json is None:
@@ -218,8 +218,8 @@ def _time_size(run, n: int, row, seed: int) -> dict:
         dt, dc = time.perf_counter_ns() - t0, time.process_time_ns() - c0
         elapsed.append(dt)
         cpu.append(dc)
-        print(f"{n},{rep},{seed + rep},{dt},{dc},{formats.fmt17(value)}")
-    return {"n": n, "elapsed_ns": elapsed, "cpu_ns": cpu}
+        print(f"{n},{rep},{seed + rep},{dt},{formats.fmt17(value)},{dc}")
+    return {"n": n, "elapsed_ns": elapsed, "rep_cpu_ns": cpu}
 
 
 def _time_size_in_child(args, n: int) -> dict:
@@ -240,10 +240,9 @@ def _time_size_in_child(args, n: int) -> dict:
     print("\n".join(rows), flush=True)
     kib = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB elsewhere
     cols = [r.split(",") for r in rows]
-    # child_cpu_ns: the child's CPU time in all its threads, its start and
-    # set-up included
-    return {"n": n, "elapsed_ns": [int(c[3]) for c in cols], "cpu_ns": [int(c[4]) for c in cols],
-            "child_cpu_ns": round((usage.ru_utime + usage.ru_stime) * 1e9),
+    # cpu_ns: the child's CPU time in all its threads, its start and set-up included
+    return {"n": n, "elapsed_ns": [int(c[3]) for c in cols], "rep_cpu_ns": [int(c[5]) for c in cols],
+            "cpu_ns": round((usage.ru_utime + usage.ru_stime) * 1e9),
             "peak_rss_bytes": usage.ru_maxrss * kib}
 
 

@@ -64,7 +64,7 @@ import os
 import platform
 import subprocess
 import tempfile
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -141,8 +141,7 @@ class SubproblemTable:
 
     The table keeps the first six arguments of every kernel call (the
     addresses of xs, ys, edge2 and S, n and the stride), taken from its own
-    fields when it is made, or passed in as ``kernel_args`` by the fill,
-    which has them at hand: reading an array's ``ctypes.data`` costs about
+    fields when it is made: reading an array's ``ctypes.data`` costs about
     1.3 us. ``copy``, ``deepcopy``, ``pickle`` and
     ``dataclasses.replace`` all make a table through the constructor (see
     ``__reduce__``), so no copy keeps another table's addresses.
@@ -157,14 +156,12 @@ class SubproblemTable:
     xs: np.ndarray
     ys: np.ndarray
     edge2: np.ndarray      # float64, d2(s, s+1) for every start s
-    kernel_args: InitVar[tuple[int, ...] | None] = None
     _args: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, kernel_args: tuple[int, ...] | None) -> None:
-        if kernel_args is None:
-            kernel_args = (self.xs.ctypes.data, self.ys.ctypes.data, self.edge2.ctypes.data,
-                           self.n, self.S.ctypes.data, self.stride)
-        object.__setattr__(self, "_args", kernel_args)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_args", (self.xs.ctypes.data, self.ys.ctypes.data,
+                                           self.edge2.ctypes.data, self.n, self.S.ctypes.data,
+                                           self.stride))
 
     def __reduce__(self):
         # through the constructor, which takes the copy's own addresses
@@ -325,7 +322,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     twofold) redoes that block. Which thread finds which candidate varies
     from run to run, so they are sorted by (k, start) at the end. Every
     address is read once, before the first call, but the candidates',
-    which a growth moves; the table gets the six leading arguments.
+    which a growth moves.
     """
     n = P.n
     half = n // 2
@@ -346,8 +343,8 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     necessary, bases = np.empty((_ROOM, 2), dtype=np.intp), np.empty(_ROOM)
     fill = _kernel().bn_fill
     # every address but the candidates' is read once, before the first call
-    table_args = (xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride)
-    fill_args = (*table_args, reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, h, w,
+    fill_args = (xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride,
+                 reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, h, w,
                  rows.ctypes.data, tile.ctypes.data, threads, state.ctypes.data)
     while fill(*fill_args, necessary.ctypes.data, bases.ctypes.data, len(bases)):
         kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]))
@@ -358,7 +355,6 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
         necessary=necessary[order], bases=bases[order], xs=xs, ys=ys, edge2=edge2,
-        kernel_args=table_args,
     )
 
 

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    BnmatchError,
     DuplicatePointError,
     NonFiniteError,
     NotCcwError,
@@ -113,11 +112,14 @@ def validate_convex_ccw(points: Sequence | Iterable) -> ConvexPointSet:
     check_finite(xs, ys)
     # distinct points follow from passing turn checks (see above), so the
     # sort for repeats runs only where a check fails, and at n = 2
-    error = _turn_error(xs, ys) if n > 2 else None
-    if error is not None or n == 2:
+    if n == 2:
         _check_distinct(xs, ys)
-    if error is not None:
-        raise error
+    else:
+        try:
+            _check_turns(xs, ys)
+        except (NotCcwError, NotStrictlyConvexError):
+            _check_distinct(xs, ys)
+            raise
     xs.flags.writeable = ys.flags.writeable = False
     return ConvexPointSet(xs=xs, ys=ys)
 
@@ -136,10 +138,10 @@ def _check_distinct(xs: np.ndarray, ys: np.ndarray) -> None:
         raise DuplicatePointError(f"({float(xs[t])}, {float(ys[t])})")
 
 
-def _turn_error(xs: np.ndarray, ys: np.ndarray) -> BnmatchError | None:
-    """The error of the first turn check the closed polygon xs, ys (n > 2)
-    fails, NotStrictlyConvexError or NotCcwError, or None if every turn is
-    strictly left and the edges go around once."""
+def _check_turns(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raises the error of the first turn check the closed polygon xs, ys
+    (n > 2) fails, NotStrictlyConvexError or NotCcwError; passes where
+    every turn is strictly left and the edges go around once."""
     n = len(xs)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
         w = np.concatenate((xs[-1:], xs, xs[:1]))  # neighbours as slices; one copy alive
@@ -164,17 +166,16 @@ def _turn_error(xs: np.ndarray, ys: np.ndarray) -> BnmatchError | None:
                                         for v in (t - 1, t, (t + 1) % n))
         cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
         if cross == 0:
-            return NotStrictlyConvexError(f"collinear triple at vertex {t}")
+            raise NotStrictlyConvexError(f"collinear triple at vertex {t}")
         turn[t] = 1.0 if cross > 0 else -1.0
     right = turn < 0.0
     if right.all():
-        return NotCcwError("all turns are clockwise")
+        raise NotCcwError("all turns are clockwise")
     if right.any():
-        return NotStrictlyConvexError(f"right turn at vertex {int(np.argmax(right))}")
+        raise NotStrictlyConvexError(f"right turn at vertex {int(np.argmax(right))}")
     # (vx[t], vy[t]) is the edge t -> t + 1; count the lower ones
     # followed by an upper one, the last edge's by the first
     lower = (vy < 0.0) | ((vy == 0.0) & (vx < 0.0))
     winds = int(np.count_nonzero(lower[:-1] > lower[1:])) + int(lower[-1] > lower[0])
     if winds != 1:
-        return NotStrictlyConvexError(f"the edges wind {winds} times around, not once")
-    return None
+        raise NotStrictlyConvexError(f"the edges wind {winds} times around, not once")

@@ -55,6 +55,9 @@ class SolveReport:
 def _sorted_candidates(T: SubproblemTable) -> tuple[np.ndarray, ...]:
     """The i, j and k of the arcs (i, 2k) that T lists, sorted by (i, j),
     and the order that sorts T's lists so."""
+    if not len(T.necessary):  # every circle and valtr table: no sort to make
+        none = np.empty(0, dtype=np.intp)
+        return none, none, none, none
     k, i = T.necessary.T
     j = (i + 2 * k - 1) % T.n
     order = np.lexsort((j, i))
@@ -72,8 +75,6 @@ def enumerate_candidates(
     T lists. ``annotate`` has no effect; it is accepted because
     perfbench's stage replay still passes it.
     """
-    if not len(T.necessary):  # every circle and valtr table: no sort to make
-        return []
     i, j, _, _ = _sorted_candidates(T)
     xs, ys = P.xs, P.ys
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
@@ -100,10 +101,8 @@ def solve(P: ConvexPointSet) -> SolveReport:
     best_one, best_start = one_cascade_optimum(T)
 
     # the candidates (i, j) in order, the points on each arc <i, j>, and its value
-    candidates = ()
-    if len(T.necessary):
-        i, j, k, order = _sorted_candidates(T)
-        candidates = zip(i.tolist(), j.tolist(), (2 * k).tolist(), T.bases[order].tolist())
+    i, j, k, order = _sorted_candidates(T)
+    candidates = zip(i.tolist(), j.tolist(), (2 * k).tolist(), T.bases[order].tolist())
     best_three = math.inf
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
     for i, j, m1, base in candidates:

@@ -487,10 +487,10 @@ class TestBenchCommand:
             "bench", "--sizes", "8,16", "--reps", "2", "--seed", "1",
         ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n,rep,seed,elapsed_ns,cpu_ns,value"
+        assert lines[0] == "n,rep,seed,elapsed_ns,value,rep_cpu_ns"
         assert len(lines) == 1 + 4 + 1
         assert lines[-1].startswith("# slope ")
-        n, rep, seed, ns, cpu_ns, value = lines[1].split(",")
+        n, rep, seed, ns, value, cpu_ns = lines[1].split(",")
         assert (n, rep, seed) == ("8", "0", "1") and int(ns) > 0 and int(cpu_ns) > 0
         float(value)
 
@@ -509,7 +509,7 @@ class TestBenchCommand:
                 "--json", str(path),
             ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[:2] == ["n,rep,seed,elapsed_ns,cpu_ns,value", lines[1]]
+        assert lines[:2] == ["n,rep,seed,elapsed_ns,value,rep_cpu_ns", lines[1]]
         assert lines[1].startswith("8,0,1,")
         assert len(lines) == 2 * (1 + 4 + 1) and lines[5].startswith("# slope ")
         runs = json.loads(path.read_text())
@@ -525,18 +525,18 @@ class TestBenchCommand:
             assert [c["n"] for c in run["cells"]] == [8, 16]
             for c, cell in enumerate(run["cells"]):
                 assert set(cell) == {
-                    "n", "elapsed_ns", "cpu_ns", "child_cpu_ns", "median_ns", "iqr_ns",
+                    "n", "elapsed_ns", "rep_cpu_ns", "cpu_ns", "median_ns", "iqr_ns",
                     "ns_per_entry", "peak_rss_bytes",
                 }
                 # each rep's wall and CPU time, as its CSV row gave them
                 rows = [row.split(",") for row in lines[6 * r + 1 + 2 * c:][:2]]
                 assert cell["elapsed_ns"] == [int(row[3]) for row in rows]
-                assert cell["cpu_ns"] == [int(row[4]) for row in rows]
+                assert cell["rep_cpu_ns"] == [int(row[5]) for row in rows]
                 assert all(isinstance(v, int) and v > 0
-                           for v in cell["elapsed_ns"] + cell["cpu_ns"])
+                           for v in cell["elapsed_ns"] + cell["rep_cpu_ns"])
                 # the child's CPU time, all threads and its set-up included
-                assert isinstance(cell["child_cpu_ns"], int)
-                assert cell["child_cpu_ns"] >= sum(cell["cpu_ns"])
+                assert isinstance(cell["cpu_ns"], int)
+                assert cell["cpu_ns"] >= sum(cell["rep_cpu_ns"])
                 assert cell["iqr_ns"] >= 0 and cell["peak_rss_bytes"] > 0
                 assert cell["ns_per_entry"] == cell["median_ns"] / (cell["n"] ** 2 / 2)
 

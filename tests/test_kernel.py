@@ -80,7 +80,7 @@ def test_bench_builds_the_kernel_before_its_header(tmp_path):
         # the cubic baseline needs no compiler
         cubic = _run(tmp_path, bench + extra + ["--algo", "cubic"], PATH="")
         assert cubic.returncode == EXIT_OK, (extra, cubic.stderr)
-        assert cubic.stdout.startswith("n,rep,seed,elapsed_ns,cpu_ns,value\n8,0,0,")
+        assert cubic.stdout.startswith("n,rep,seed,elapsed_ns,value,rep_cpu_ns\n8,0,0,")
     assert _libraries(cache) == []
 
 
