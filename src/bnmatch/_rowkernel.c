@@ -221,18 +221,35 @@ static void emit(const fill *F, const double *lo, idx lo_n, idx a, idx len, idx 
     }
 }
 
-/* One strip of a block: rows k0 + 1 .. k0 + h at the w starts a .. a + w
-   - 1 (a + w <= n), from row k0, `in`. Row k0 + d is computed on those
-   starts and, unless the strip is the whole row (w = n), on a halo of the
-   2(h - d) starts past them, in the two tn-float halves of tile, and the
-   last row straight into out + a; each row the table keeps is copied into
-   S. Rows <= kmax take the necessity test on the strip's own starts only,
-   and where it passes, their arcs go to ks and bases from entry c on while
-   no more than `room` are found. Returns the count found. */
-INLINE idx strip(const fill *F, const double *in, double *out, idx k0, idx h, idx a, idx w,
-                 double *tile, idx tn, idx c, idx room)
+/* What the fill's threads share. The strips of the call's blocks are
+   numbered on from 0, block by block, and `next` is the first that no
+   thread has taken; `done` counts the strips finished. `open` is the block
+   whose strips may run, numbered on from 0 too, or -1 once the worker is
+   to stop. `count` counts the arcs found, also those past cap. */
+typedef struct {
+    fill F;
+    double *pp, *tile;
+    idx h, w, tn, cap, *st;
+    _Alignas(64) _Atomic idx next;
+    _Alignas(64) _Atomic idx done;
+    _Alignas(64) _Atomic idx open;
+    _Alignas(64) _Atomic idx count;
+} team;
+
+/* One strip of a block, in thread t's tile: rows k0 + 1 .. k0 + h at the
+   w starts a .. a + w - 1 (a + w <= n), from row k0, `in`. Row k0 + d is
+   computed on those starts and, unless the strip is the whole row (w = n),
+   on a halo of the 2(h - d) starts past them, in the two tn-float halves
+   of the tile, and the last row straight into out + a; each row the table
+   keeps is copied into S. Rows <= kmax take the necessity test on the
+   strip's own starts only. A row that flags f arcs claims the entries c ..
+   c + f - 1 with one add to `count`, and writes their arcs into ks and
+   bases there if c + f <= cap. */
+INLINE void strip(team *T, idx t, const double *in, double *out, idx k0, idx h, idx a, idx w)
 {
-    idx n = F->P.n, g = w < n ? 2 : 0, lo_n = w + g * h, got = 0;
+    const fill *F = &T->F;
+    idx n = F->P.n, g = w < n ? 2 : 0, lo_n = w + g * h, tn = T->tn;
+    double *tile = T->tile + t * 2 * tn;
     const double *lo = in + a;
     if (a + lo_n > n) {
         gather(tile, in, n, a, lo_n);
@@ -245,9 +262,11 @@ INLINE idx strip(const fill *F, const double *in, double *out, idx k0, idx h, id
             idx f = row(o, lo, lo_n, &F->P, a, w, k, F->reach + a, F->keep);
             if (len > w)
                 row(o + w, lo + w, lo_n - w, &F->P, (a + w) % n, len - w, k, NULL, 0.0);
-            if (f && got + f <= room)
-                emit(F, lo, lo_n, a, w, k, c + got);
-            got += f;
+            if (f) {
+                idx c = atomic_fetch_add_explicit(&T->count, f, memory_order_relaxed);
+                if (c + f <= T->cap)
+                    emit(F, lo, lo_n, a, w, k, c);
+            }
         } else {
             row(o, lo, lo_n, &F->P, a, len, k, NULL, 0.0);
         }
@@ -256,25 +275,7 @@ INLINE idx strip(const fill *F, const double *in, double *out, idx k0, idx h, id
             memcpy(keep_row + a, o, w * sizeof *o);
         lo = o, lo_n = len;
     }
-    return got;
 }
-
-/* What the fill's threads share. The strips of the call's blocks are
-   numbered on from 0, block by block, and `next` is the first that no
-   thread has taken; `done` counts the strips finished. `open` is the block
-   whose strips may run, numbered on from 0 too, or -1 once the worker is
-   to stop. While block j is open, c is the count of arcs kept before it,
-   and thread 0 writes the block's arcs from entry c on and the worker from
-   c + part on, the worker counting them in `got`. */
-typedef struct {
-    fill F;
-    double *pp, *tile;
-    idx h, w, tn, cap, *st;
-    idx c, part, got;
-    _Alignas(64) _Atomic idx next;
-    _Alignas(64) _Atomic idx done;
-    _Alignas(64) _Atomic idx open;
-} team;
 
 /* Waits until *v >= at or *v < 0, and returns *v. It spins, and yields the
    CPU after SPINS pauses: two threads that slept at a futex per block took
@@ -295,29 +296,18 @@ static idx await(_Atomic idx *v, idx at)
 /* The next strip that no thread has taken. */
 static idx take(team *T) { return atomic_fetch_add_explicit(&T->next, 1, memory_order_relaxed); }
 
-/* Strip i of a block of first row k0, ws starts wide, from its input row
-   into its output row, in thread t's tile, its arcs from entry at on while
-   they fit before entry end. */
-INLINE idx nth_strip(team *T, idx t, const double *in, double *out, idx k0, idx hb, idx ws,
-                     idx i, idx at, idx end)
-{
-    idx n = T->F.P.n, a = i * ws, len = n - a < ws ? n - a : ws;
-    return strip(&T->F, in, out, k0, hb, a, len, T->tile + t * 2 * T->tn, T->tn, at, end - at);
-}
-
 /* Thread t's part of the fill, from the block of first row st[0] on, with
-   st[1] arcs kept, where `threads` threads run it, block 0 open. Each
-   thread takes the next strip that no thread has taken, whichever block it
-   is in, and runs it once its block is open. Once all of a block's strips
-   are done, thread 0 moves the worker's arcs down behind its own and
-   opens the next block. If either thread's arcs of a block did not fit
-   its part, thread 0 stops the worker and sets st = (the block's k0, the
-   count before it, `threads` times the block's count), room enough for
-   any split of the block; when the fill is done, st = (the k0 past the
-   last block, the count, 0). */
-INLINE void blocks(team *T, idx t, idx threads)
+   st[1] arcs kept, block 0 open. Each thread takes the next strip that no
+   thread has taken, whichever block it is in, and runs it once its block
+   is open. Once all of a block's strips are done, thread 0 reads `count`:
+   past cap, it stops the worker and sets st = (the block's k0, the count
+   before it, the block's count); else it sets st[1] to it and opens the
+   next block. The load may be relaxed: the worker's release of `done`
+   orders its strips' adds before thread 0's acquire. When the fill is
+   done, st = (the k0 past the last block, the count, 0). */
+INLINE void blocks(team *T, idx t)
 {
-    idx n = T->F.P.n, half = n / 2, h = T->h, k0 = T->st[0], first = 0, got = 0;
+    idx n = T->F.P.n, half = n / 2, h = T->h, k0 = T->st[0], first = 0;
     idx mine = take(T);
     for (idx j = 0, b = (k0 - 1) / h; k0 < half; k0 += h, j++, b++) {
         idx hb = half - k0 < h ? half - k0 : h;
@@ -325,43 +315,34 @@ INLINE void blocks(team *T, idx t, idx threads)
         const double *in = b ? T->pp + (b - 1) % 2 * n : T->F.P.e;
         double *out = T->pp + b % 2 * n;
         for (; mine < first + strips; mine = take(T)) {
-            idx i = mine - first;
-            if (t == 0) {
-                got += nth_strip(T, 0, in, out, k0, hb, ws, i, T->c + got, T->c + T->part);
-            } else {
-                if (await(&T->open, j) < 0)
-                    return;
-                T->got += nth_strip(T, 1, in, out, k0, hb, ws, i, T->c + T->part + T->got, T->cap);
-            }
+            idx a = (mine - first) * ws;
+            if (t && await(&T->open, j) < 0)
+                return;
+            strip(T, t, in, out, k0, hb, a, n - a < ws ? n - a : ws);
             atomic_fetch_add_explicit(&T->done, 1, memory_order_release);
         }
         first += strips;
         if (t)
             continue;
         await(&T->done, first);
-        idx c = T->c, part = T->part, g1 = T->got;
-        if (got > part || g1 > T->cap - c - part) {
+        idx c = atomic_load_explicit(&T->count, memory_order_relaxed);
+        if (c > T->cap) {
             atomic_store_explicit(&T->open, -1, memory_order_release);
-            T->st[0] = k0, T->st[1] = c, T->st[2] = threads * (got + g1);
+            T->st[0] = k0, T->st[2] = c - T->st[1];
             return;
         }
-        if (g1 && got < part) {
-            memmove(T->F.ks + 2 * (c + got), T->F.ks + 2 * (c + part), 2 * g1 * sizeof *T->F.ks);
-            memmove(T->F.bases + c + got, T->F.bases + c + part, g1 * sizeof *T->F.bases);
-        }
-        T->c = c + got + g1, T->got = 0, got = 0;
-        T->part = threads > 1 ? (T->cap - T->c) / 2 : T->cap - T->c;
+        T->st[1] = c;
         atomic_store_explicit(&T->open, j + 1, memory_order_release);
     }
     if (t == 0)
-        T->st[0] = k0, T->st[1] = T->c, T->st[2] = 0;
+        T->st[0] = k0, T->st[2] = 0;
 }
 
 /* The second thread's entry. It carries the clones too: built for the
    baseline ISA, its strips ran 2.6-3x as slow. */
 CLONES static void *worker(void *T)
 {
-    blocks(T, 1, 2);
+    blocks(T, 1);
     return NULL;
 }
 
@@ -412,20 +393,20 @@ static int start(team *T, pthread_t *id)
 
    Rows 2 .. kmax take the necessity test, and each arc (k, start) that
    passes and its value go to ks (c x 2) and bases, cap entries each, block
-   by block; st[1] counts them. Within a block their order depends on
-   which thread ran which strip, so the caller sorts them. Each thread
-   writes a block's arcs into its own part of the free room, and thread 0
-   then moves the worker's down behind its own. Call first with st = (1,
-   0, 0). If some thread's arcs of a block do not fit its part, returns 1
-   with st = (the block's k0, the count before it, the count needed): grow
-   ks and bases to st[1] + st[2] and call again, which redoes that block
-   from its input row in pp. Returns 0 when done. */
+   by block; st[1] counts them. Their order depends on which thread ran
+   which strip, so the caller sorts them. Call first with st = (1, 0, 0).
+   If the arcs found so far pass cap in some block, returns 1 with st =
+   (the block's k0, the count before it, the block's count): grow ks and
+   bases to at least st[1] + st[2] and call again, which redoes that block
+   from its input row in pp. Whether a block overflows depends on its count
+   alone, not on which thread ran which strip. Returns 0 when done. */
 CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S, idx stride,
                    const idx *reach, idx kmax, double keep, idx h, idx w, double *pp,
                    double *tile, idx threads, idx *st, idx *ks, double *bases, idx cap)
 {
+    /* the count starts from st[1], the count before the block to redo */
     team T = {{{x, y, e, n}, S, stride, reach, kmax, keep, ks, bases}, pp, tile, h, w,
-              w + 2 * h < n ? w + 2 * h : n, cap, st, st[1], 0, 0, 0, 0, 0};
+              w + 2 * h < n ? w + 2 * h : n, cap, st, 0, 0, 0, st[1]};
     if (st[0] == 1) {
         for (idx s = 0; s + 1 < n; s++)
             e[s] = d2(x[s], y[s], x[s + 1], y[s + 1]);
@@ -435,11 +416,8 @@ CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S
             memcpy(r1, e, n * sizeof *e);
     }
     pthread_t id;
-    int two = threads > 1 && w < n && st[0] < n / 2;
-    T.part = (cap - st[1]) / 2;
-    if (!(two && start(&T, &id)))
-        T.part = cap - st[1], two = 0;
-    blocks(&T, 0, two ? 2 : 1);
+    int two = threads > 1 && w < n && st[0] < n / 2 && start(&T, &id);
+    blocks(&T, 0);
     if (two)
         pthread_join(id, NULL);
     return st[2] > 0;

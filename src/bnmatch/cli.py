@@ -22,9 +22,7 @@ import time
 import numpy as np
 
 from . import baselines, dp_core, formats, generators, render, solver, structure
-from .errors import (
-    BnmatchError, KernelBuildError, NonFiniteValueError, TooLargeError, UnderflowValueError,
-)
+from .errors import BnmatchError, KernelBuildError, TooLargeError, check_bottleneck
 from .geometry import ConvexPointSet, check_finite, validate_convex_ccw
 
 EXIT_OK = 0
@@ -83,8 +81,7 @@ def cmd_reference(args) -> int:
     """baseline and oracle: a reference solver's matching, in solve's format."""
     P = _load_instance(args)
     value, matching = args.reference(P)
-    if value == 0.0:  # distinct points: the squared length underflowed
-        raise UnderflowValueError("the bottleneck's squared length underflows float64 to 0")
+    check_bottleneck(value)
     d = structure.cascade_decomposition(P, matching)
     _write(
         args.output,
@@ -117,10 +114,7 @@ def cmd_verify(args) -> int:
         return fail("perfect")
     if not rep.non_crossing:
         return fail("nonCrossing")
-    if not math.isfinite(rep.value):  # no claimed value can be checked against it
-        raise NonFiniteValueError("the bottleneck's squared length overflows float64")
-    if rep.value == 0.0:  # distinct points: the squared length underflowed
-        raise UnderflowValueError("the bottleneck's squared length underflows float64 to 0")
+    check_bottleneck(rep.value)  # no claimed value can be checked against inf or 0
     if not abs(md["value"] - rep.value) <= 1e-9 * abs(rep.value):
         return fail("value")  # also a non-finite value
     print(
@@ -224,9 +218,10 @@ def _time_size(run, n: int, row, seed: int) -> dict:
 
 def _time_size_in_child(args, n: int) -> dict:
     """One size timed by ``bnmatch bench`` in a fresh process, whose peak
-    RSS then belongs to that size alone; its CSV rows are passed on."""
+    RSS then belongs to that size alone; its CSV rows are passed on. It has
+    one BLAS thread: a second, started by NumPy's import, added to rep_cpu_ns."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {**os.environ,
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     cmd = [sys.executable, "-m", "bnmatch.cli", "bench", "--sizes", str(n), "--mode", args.mode,
            "--seed", str(args.seed), "--spread", repr(args.spread), "--reps", str(args.reps),

@@ -118,7 +118,7 @@ def fill_tile(n: int) -> tuple[int, int]:
     return (1, n) if n <= 1024 else (16, 384)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubproblemTable:
     """Values of all even-size arcs and the candidate arcs among them.
 
@@ -316,13 +316,12 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     floats per thread (none where a block is one row of n starts) and
     the candidates: 33.9 bytes a point at n = 8192, 33.1 with one tile.
     The candidates' arrays start with room for 16, so cluster3's few fit
-    and its fill is one call. Each thread writes a block's candidates into
-    its own half of the free room; where either half is too small, the
-    kernel returns, and the call after the arrays have grown (at least
-    twofold) redoes that block. Which thread finds which candidate varies
-    from run to run, so they are sorted by (k, start) at the end. Every
-    address is read once, before the first call, but the candidates',
-    which a growth moves.
+    and its fill is one call. Where a block's candidates pass the room,
+    the kernel returns, and the call after the arrays have grown (at
+    least twofold) redoes that block. The threads claim entries from one
+    shared count, so the order varies from run to run, and the candidates
+    are sorted by (k, start) at the end. Every address is read once,
+    before the first call, but the candidates', which a growth moves.
     """
     n = P.n
     half = n // 2

@@ -3,6 +3,7 @@
 Every error carries a short ``code`` string naming the violated invariant;
 the CLI prints that code so scripts can match on it.
 """
+import math
 
 
 class BnmatchError(ValueError):
@@ -48,6 +49,14 @@ class UnderflowValueError(BnmatchError):
     """A bottleneck whose squared length underflows float64 to 0."""
 
     code = "UnderflowValue"
+
+
+def check_bottleneck(value: float) -> None:
+    """Raise the named error for a bottleneck (a length or its square) not finite or 0."""
+    if not math.isfinite(value):
+        raise NonFiniteValueError("the bottleneck's squared length overflows float64")
+    if value == 0.0:
+        raise UnderflowValueError("the bottleneck's squared length underflows float64 to 0")
 
 
 class BadIndexError(BnmatchError):

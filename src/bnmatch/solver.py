@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
-from .errors import InvalidMatchingError, NonFiniteValueError, UnderflowValueError
+from .errors import InvalidMatchingError, check_bottleneck
 from .geometry import ConvexPointSet
 from .structure import Matching, verify_matching
 
@@ -138,10 +138,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
     else:
         pairs = reconstruct(T, best_start, n)
         value_sq = best_one
-    if not math.isfinite(value_sq):
-        raise NonFiniteValueError("the bottleneck's squared length overflows float64")
-    if value_sq == 0.0:
-        raise UnderflowValueError("the bottleneck's squared length underflows float64 to 0")
+    check_bottleneck(value_sq)
     candidate_count = len(T.necessary)
     del T  # the value rows, before the matching's Python tuples are built
 

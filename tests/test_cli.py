@@ -130,13 +130,15 @@ class TestSolveCommand:
         assert main(["solve", inst]) == 3
         assert "NotStrictlyConvex" in capsys.readouterr().err
 
-    def test_overflowing_value_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["solve", "baseline", "oracle"])
+    def test_overflowing_value_exits_3(self, tmp_path, capsys, command):
         # every squared length of this valid square overflows float64
         s = 1e160
         inst = write(tmp_path / "big.json", instance_to_json([(0, 0), (s, 0), (s, s), (0, s)]))
-        assert main(["solve", inst]) == 3
+        assert main([command, inst]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and "NonFiniteValue" in err
+        assert out == "" and err == (
+            "NonFiniteValue: the bottleneck's squared length overflows float64\n"), err
 
     def test_overflowing_cross_products_exit_3(self, tmp_path, capsys):
         # validation decides this square's turns exactly although every
@@ -539,6 +541,19 @@ class TestBenchCommand:
                 assert cell["cpu_ns"] >= sum(cell["rep_cpu_ns"])
                 assert cell["iqr_ns"] >= 0 and cell["peak_rss_bytes"] > 0
                 assert cell["ns_per_entry"] == cell["median_ns"] / (cell["n"] ** 2 / 2)
+
+    def test_json_rep_cpu_within_wall(self, tmp_path, capsys):
+        # each child runs one BLAS thread, and the fill one thread up to
+        # n = 1024, so no rep's CPU time can pass its wall time
+        path = tmp_path / "bench.json"
+        assert main(["bench", "--sizes", "16,64,256,1024", "--reps", "21", "--mode", "cluster3",
+                     "--json", str(path)]) == 0
+        capsys.readouterr()
+        cells = json.loads(path.read_text())[0]["cells"]
+        assert [c["n"] for c in cells] == [16, 64, 256, 1024]
+        for c in cells:
+            for cpu, wall in zip(c["rep_cpu_ns"], c["elapsed_ns"], strict=True):
+                assert cpu <= wall + 1_000_000, (c["n"], cpu, wall)
 
     def test_json_file_not_a_list_exits_2(self, tmp_path, capsys):
         path = write(tmp_path / "bench.json", "{}")

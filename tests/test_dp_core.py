@@ -661,15 +661,15 @@ def test_scalar_build_gives_the_same_digests(tmp_path):
 def _rotated_cap(n):
     """A parabola cap whose first candidates, (2, n - 3) and (2, n - 1),
     start at n/2 - 1 and n/2 + 1, in adjacent strips of 64 starts: where
-    the two threads take one each, both overflow their parts of the
-    arrays in the first block, and often again after a growth."""
+    the two threads take one each, both claim entries from the one count
+    in every block, and the arrays grow four times."""
     coords = parabola_cap(n)
     return validate_convex_ccw(coords[n // 2 - 2:] + coords[:n // 2 - 2])
 
 
 def _thread_digests():
     """Digests of the table and the solve report on inputs with and without
-    candidates, one of them at a tile where both threads can overflow."""
+    candidates, one of them at a tile where both threads find candidates."""
     out = [_layout_digest(mode, n) for mode in ("valtr", "cluster3") for n in (2050, 4098)]
     out += [_digest(validate_convex_ccw(parabola_cap(n))) for n in (2048, 8192)]
     with forced_tile(2, 64):
@@ -830,13 +830,17 @@ def test_fill_calls_once_where_the_candidates_fit():
 ], ids=["copy", "deepcopy", "pickle", "replace"])
 def test_table_copies_read_their_own_arrays(copy_of):
     # a table keeps its arrays' addresses for the kernel; a copy must take
-    # its own, and keep reading the right values once the original is gone
+    # its own, and keep reading the right values once the original is gone.
+    # Tables compare by identity, as point sets do, so a copy is unequal and
+    # every table can go in a set
     P = validate_convex_ccw(parabola_cap(64))
     T = build_subproblem_table(P)
     ends = [(0, P.n - 1), (5, 40), (P.n - 1, 17)]
     want = [[a.tolist() for a in T.arc_values(s, e, P.n // 2)] for s, e in ends]
     walks = [reconstruct(T, s, P.n).tolist() for s in (0, 9)]
     copies = [copy_of(T) for _ in range(2)]
+    assert all(C != T for C in copies) and copies[0] != copies[1]
+    assert len({T, *copies}) == 3
     del T
     gc.collect()
     for C in copies:

@@ -228,8 +228,15 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
 # build_subproblem_table does, but from empty arrays, not its room for 16, on
 # purpose: so every case grows. It compares S, the edges and the candidates
 # with their bases, in (k, start) order, bit for bit; prints each case's count
-# of candidates and growths with one thread and with two
+# of candidates and growths with one thread and with two. Built with
+# NO_THREAD, its pthread_create fails, so bn_fill runs the two-thread call alone
 TSAN_DRIVER = r"""
+#ifdef NO_THREAD
+#define _GNU_SOURCE
+#include <errno.h>
+#include <pthread.h>
+#define pthread_create(id, attr, entry, arg) ((void)(id), (void)(attr), (void)(entry), (void)(arg), EAGAIN)
+#endif
 #include "rowkernel.c"
 #include <stdio.h>
 #include <stdlib.h>
@@ -307,7 +314,7 @@ int main(void)
 """
 
 # tiles under which the candidates of parabola caps of n = 30 ... 512 outgrow
-# the arrays of a one-thread fill 1 to 3 times
+# the arrays 1 to 3 times
 TSAN_TILES = [(2, 3), (5, 7), (5, 64), (16, 96)]
 
 
@@ -322,10 +329,6 @@ def test_threaded_fill_runs_clean_under_thread_sanitizer(tmp_path):
     assert source.count(clones) == 1
     (tmp_path / "rowkernel.c").write_bytes(source.replace(clones, b""))
     (tmp_path / "driver.c").write_text(TSAN_DRIVER)
-    built = subprocess.run(["gcc", "-O1", "-g", "-ffp-contract=off", "-pthread",
-                            "-fsanitize=thread", "driver.c", "-o", "driver"],
-                           capture_output=True, text=True, cwd=tmp_path)
-    assert built.returncode == 0, built.stderr
     cases, expected = b"", []
     for n in (30, 64, 250, 512):
         P = validate_convex_ccw(parabola_cap(n))
@@ -334,12 +337,22 @@ def test_threaded_fill_runs_clean_under_thread_sanitizer(tmp_path):
                                  *P.xs, *P.ys)
             with forced_tile(h, w):
                 expected.append((n, h, w, len(dp_core.build_subproblem_table(P).necessary)))
-    run = subprocess.run([str(tmp_path / "driver")], input=cases, capture_output=True,
-                         env={**os.environ, "TSAN_OPTIONS": "halt_on_error=1"}, timeout=600)
-    out, err = run.stdout.decode(), run.stderr.decode(errors="replace")
-    assert run.returncode == 0 and "ThreadSanitizer" not in err, (out, err[-4000:])
-    got = [tuple(map(int, line.split())) for line in out.splitlines()]
+
+    def driven(name, *defines):
+        built = subprocess.run(["gcc", "-O1", "-g", "-ffp-contract=off", "-pthread",
+                                "-fsanitize=thread", *defines, "driver.c", "-o", name],
+                               capture_output=True, text=True, cwd=tmp_path)
+        assert built.returncode == 0, built.stderr
+        run = subprocess.run([str(tmp_path / name)], input=cases, capture_output=True,
+                             env={**os.environ, "TSAN_OPTIONS": "halt_on_error=1"}, timeout=600)
+        out, err = run.stdout.decode(), run.stderr.decode(errors="replace")
+        assert run.returncode == 0 and "ThreadSanitizer" not in err, (name, out, err[-4000:])
+        return [tuple(map(int, line.split())) for line in out.splitlines()]
+
+    got = driven("driver")
     assert [case[:4] for case in got] == expected
-    # how often the two threads' arrays grow depends on which thread ran
-    # which strip, but each fill grows them at least once
-    assert {case[4] for case in got} == {1, 2, 3} and min(case[5] for case in got) >= 1
+    # a block overflows by its own count, whichever thread ran which strip:
+    # one and two threads grow the arrays the same number of times
+    assert {case[4] for case in got} == {1, 2, 3} and all(case[4] == case[5] for case in got)
+    # where no worker starts, the two-thread call runs alone, bit for bit
+    assert driven("driver-nothread", "-DNO_THREAD") == got
