@@ -108,25 +108,24 @@ INLINE struct moves moves(double b0, double b1, double b2, double xs, double ys,
 
 INLINE double value(struct moves v) { return min2(v.pair, min2(v.left, v.right)); }
 
-/* The necessity test of the arc (s, 2k) whose start reaches `reach`: k <=
-   reach and the pair beats min(left, right) * keep. */
-INLINE int necessary(struct moves v, idx k, idx reach, double keep)
-{
-    return (k <= reach) & (v.pair < min2(v.left, v.right) * keep);
-}
+/* The necessity test: the float pair strictly beats both float edge moves,
+   so a float tie is not flagged. Nor is an exact win that rounding turns
+   into a float tie; whether that can lose the optimum is open (ROADMAP.md,
+   the exact-rational reference). */
+INLINE int necessary(struct moves v) { return v.pair < min2(v.left, v.right); }
 
 /* out[t] for t < len; with reach, also the count of t that pass the
    necessity test */
 INLINE idx span(double *restrict out, const double *restrict b0, const double *restrict b1,
                 const double *restrict b2, const double *restrict xs, const double *restrict ys,
                 const double *restrict xj, const double *restrict yj, const double *restrict el,
-                const double *restrict er, idx len, idx k, const idx *restrict reach, double keep)
+                const double *restrict er, idx len, idx k, const idx *restrict reach)
 {
     idx c = 0;
     if (reach) {
         for (idx t = 0; t < len; t++) {
             struct moves v = moves(b0[t], b1[t], b2[t], xs[t], ys[t], xj[t], yj[t], el[t], er[t]);
-            c += necessary(v, k, reach[t], keep);
+            c += (k <= reach[t]) & necessary(v);
             out[t] = value(v);
         }
     } else {
@@ -141,12 +140,12 @@ INLINE idx span(double *restrict out, const double *restrict b0, const double *r
    the reach of start s0 + t is reach[t], and it returns the count of arcs
    that pass the necessity test. */
 INLINE idx row(double *out, const double *lo, idx lo_n, const poly *P, idx s0, idx len, idx k,
-               const idx *reach, double keep)
+               const idx *reach)
 {
     idx n = P->n, m = 2 * k, c = 0, j0 = s0 + m - 1 < n ? s0 + m - 1 : s0 + m - 1 - n;
     if (s0 + len <= n && j0 >= 1 && j0 + len <= n && len + 2 <= lo_n) /* no operand wraps */
         return span(out, lo, lo + 1, lo + 2, P->x + s0, P->y + s0, P->x + j0, P->y + j0,
-                    P->e + s0, P->e + j0 - 1, len, k, reach, keep);
+                    P->e + s0, P->e + j0 - 1, len, k, reach);
     /* where each operand's index first wraps, as an offset t */
     idx cut[8] = {0, len, lo_n, lo_n - 1 % lo_n, lo_n - 2 % lo_n,
                   n - s0, n - (s0 + m - 1) % n, n - (s0 + m - 2) % n};
@@ -164,7 +163,7 @@ INLINE idx row(double *out, const double *lo, idx lo_n, const poly *P, idx s0, i
         idx s = (s0 + a) % n, j = (s + m - 1) % n, r = (s + m - 2) % n;
         c += span(out + a, lo + a, lo + (a + 1) % lo_n, lo + (a + 2) % lo_n,
                   P->x + s, P->y + s, P->x + j, P->y + j, P->e + s, P->e + r, b - a, k,
-                  reach ? reach + a : NULL, keep);
+                  reach ? reach + a : NULL);
     }
     return c;
 }
@@ -195,7 +194,6 @@ typedef struct {
     idx stride;
     const idx *reach;
     idx kmax;
-    double keep;
     idx *ks;
     double *bases;
 } fill;
@@ -213,7 +211,7 @@ static void emit(const fill *F, const double *lo, idx lo_n, idx a, idx len, idx 
         idx t = s - a, t1 = t + 1 < lo_n ? t + 1 : 0, t2 = t1 + 1 < lo_n ? t1 + 1 : 0;
         struct moves v = moves(lo[t], lo[t1], lo[t2], x[s], y[s], x[j], y[j], e[s],
                                e[j ? j - 1 : n - 1]);
-        if (necessary(v, k, F->reach[s], F->keep)) {
+        if (necessary(v)) {
             F->ks[2 * c] = k;
             F->ks[2 * c + 1] = s;
             F->bases[c++] = value(v);
@@ -259,16 +257,16 @@ INLINE void strip(team *T, idx t, const double *in, double *out, idx k0, idx h, 
         idx k = k0 + d, len = w + g * (h - d);
         double *o = d == h ? out + a : tile + (d & 1) * tn;
         if (k <= F->kmax) {
-            idx f = row(o, lo, lo_n, &F->P, a, w, k, F->reach + a, F->keep);
+            idx f = row(o, lo, lo_n, &F->P, a, w, k, F->reach + a);
             if (len > w)
-                row(o + w, lo + w, lo_n - w, &F->P, (a + w) % n, len - w, k, NULL, 0.0);
+                row(o + w, lo + w, lo_n - w, &F->P, (a + w) % n, len - w, k, NULL);
             if (f) {
                 idx c = atomic_fetch_add_explicit(&T->count, f, memory_order_relaxed);
                 if (c + f <= T->cap)
                     emit(F, lo, lo_n, a, w, k, c);
             }
         } else {
-            row(o, lo, lo_n, &F->P, a, len, k, NULL, 0.0);
+            row(o, lo, lo_n, &F->P, a, len, k, NULL);
         }
         double *keep_row = kept(F->S, n, F->stride, k);
         if (keep_row)
@@ -401,11 +399,11 @@ static int start(team *T, pthread_t *id)
    from its input row in pp. Whether a block overflows depends on its count
    alone, not on which thread ran which strip. Returns 0 when done. */
 CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S, idx stride,
-                   const idx *reach, idx kmax, double keep, idx h, idx w, double *pp,
-                   double *tile, idx threads, idx *st, idx *ks, double *bases, idx cap)
+                   const idx *reach, idx kmax, idx h, idx w, double *pp, double *tile, idx threads,
+                   idx *st, idx *ks, double *bases, idx cap)
 {
     /* the count starts from st[1], the count before the block to redo */
-    team T = {{{x, y, e, n}, S, stride, reach, kmax, keep, ks, bases}, pp, tile, h, w,
+    team T = {{{x, y, e, n}, S, stride, reach, kmax, ks, bases}, pp, tile, h, w,
               w + 2 * h < n ? w + 2 * h : n, cap, st, 0, 0, 0, st[1]};
     if (st[0] == 1) {
         for (idx s = 0; s + 1 < n; s++)
@@ -435,7 +433,7 @@ INLINE void block(const poly *P, const double *S, idx stride, idx r0, idx h, idx
     idx len = 2 * h + 1;
     gather(tri, S + r0 / stride * P->n, P->n, w0, len);
     for (idx k = r0 + 1; k <= r0 + h; k++, tri += len, len -= 2)
-        row(tri + len, tri, len, P, w0, len - 2, k, NULL, 0.0);
+        row(tri + len, tri, len, P, w0, len - 2, k, NULL);
 }
 
 /* arc_values: first[k] and last[k], k <= kmax, are the values of the arcs

@@ -16,9 +16,6 @@ from .structure import Matching
 
 ORACLE_MAX_N = 20
 
-# squared tolerance for "achieves the minimum within relative 1e-9 on lengths"
-_OPT_SQ_FACTOR = (1.0 + 1e-9) ** 2
-
 
 def _sq_dist_matrix(P: ConvexPointSet) -> list[list[float]]:
     xs = P.xs.tolist()
@@ -119,12 +116,8 @@ def _guard(n: int) -> None:
 
 
 def oracle_solve(P: ConvexPointSet) -> tuple[float, list[Matching]]:
-    """Exhaustive minimum plus every matching achieving it.
-
-    "Achieving" means within relative 1e-9 of the minimum length. Exact
-    achievers are listed before tolerance-only ties (each group in
-    enumeration order), so the first entry's bottleneck equals the
-    returned value bit for bit.
+    """Exhaustive minimum plus every matching achieving it: those whose
+    float squared bottleneck equals the minimum, in enumeration order.
     """
     n = P.n
     _guard(n)
@@ -139,7 +132,4 @@ def oracle_solve(P: ConvexPointSet) -> tuple[float, list[Matching]]:
                 mx = d
         scores.append(mx)
     best = min(scores)
-    cutoff = best * _OPT_SQ_FACTOR
-    exact = [Matching(n, m) for m, mx in zip(matchings, scores) if mx == best]
-    close = [Matching(n, m) for m, mx in zip(matchings, scores) if best < mx <= cutoff]
-    return math.sqrt(best), exact + close
+    return math.sqrt(best), [Matching(n, m) for m, mx in zip(matchings, scores) if mx == best]

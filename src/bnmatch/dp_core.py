@@ -36,23 +36,11 @@ the candidate rule are one call each into a compiled kernel,
 built on first use, not on import, with the C compiler ``cc``
 (KernelBuildError if that fails), and cached in the package's
 ``__pycache__``; see ``_kernel``. Every buffer it uses is a NumPy array
-passed in, so tracemalloc sees all of its memory. A call takes the
-buffers' addresses, and reading an array's ``ctypes.data`` costs about
-1.3 us, so the ten a fill call takes cost more than its arithmetic at
-n = 16. The fill reads each of its addresses once, only the candidates'
-again after they grow, and the table keeps the six leading arguments of
-its calls, so that ``arc_values`` and ``reconstruct`` read only their
-own scratch's and outputs'.
-The fill goes up the table in blocks of rows, each computed strip by
-strip over a few hundred starts (``fill_tile``), so a strip's rows stay
-in the L1 cache, and two threads share each block's strips where the
-process may use two CPUs. On a 2-CPU AVX-512 host at n = 8192 it took 15
-ms with two threads and 25 ms with one, timed alternately in one process
-(0.60-0.65x at n = 8192 ... 65536 and 0.74x at 2048, at 1.8-2.0
-CPU-seconds per second); one thread took 19 ms in the host's fast state,
-against 35 ms row by row and 104 ms for the NumPy row loop. A full-circle
-walk takes 0.4 ms at n = 8192, and the fill's scratch is 33.9 bytes a point
-beside the kept rows at n = 8192 (98 with NumPy).
+passed in, so tracemalloc sees all of its memory. The fill goes up the
+table in blocks of rows, each computed strip by strip over a few hundred
+starts (``fill_tile``), so a strip's rows stay in the L1 cache, and two
+threads share each block's strips where the process may use two CPUs.
+README gives the measured times and memory.
 """
 from __future__ import annotations
 
@@ -73,7 +61,6 @@ import numpy as np
 from .errors import BadDomainError, KernelBuildError
 from .geometry import ConvexPointSet
 
-_NECESSARY_REL_TOL = 1e-9
 # the candidates' room before the fill's first call: cluster3's few fit
 _ROOM = 16
 
@@ -126,18 +113,16 @@ class SubproblemTable:
     empty-interval convention. No move tags are stored: ``choice`` is an
     empty (0, n) array, kept only so that code summing the table's fields'
     ``nbytes`` (the benchmark's table_bytes) still runs; it can go with the
-    next change to the benchmark. An arc is necessary iff closing the pair
-    strictly beat both edge moves, i.e. every optimal matching of that
-    constrained subproblem contains the closing pair. ``necessary`` holds
-    the (k, start) of every necessary arc (start, 2k) with 2 <= k <=
-    ``candidate_reach(P)[start]``, a diagonal whose arc turns by at most
-    2*pi/3: the candidates, by increasing k, then start.
+    next change to the benchmark. An arc is necessary iff its float pair
+    strictly beats both float edge moves (see ``build_subproblem_table``).
+    ``necessary`` holds the (k, start) of every necessary arc (start, 2k)
+    with 2 <= k <= ``candidate_reach(P)[start]``, a diagonal whose arc
+    turns by at most 2*pi/3: the candidates, by increasing k, then start.
     ``bases[c]`` is the value of the arc ``necessary[c]``, bit for bit the
     fill's. ``S`` holds the value rows k = 0, stride, 2*stride, ... and,
-    last, the full-circle row k = n/2: 2.2 MB at n = 8192, where the stride
-    is 128. Read any other value with ``arc_values``; a replay needs the
-    coordinates ``xs`` and ``ys`` and the fill's squared edge lengths
-    ``edge2``.
+    last, the full-circle row k = n/2. Read any other value with
+    ``arc_values``; a replay needs the coordinates ``xs`` and ``ys`` and
+    the fill's squared edge lengths ``edge2``.
 
     The table keeps the first six arguments of every kernel call (the
     addresses of xs, ys, edge2 and S, n and the stride), taken from its own
@@ -222,10 +207,9 @@ def _build(source: bytes, flags: tuple[str, ...], path: Path) -> None:
 def _load(path: Path) -> ctypes.CDLL:
     """The library at ``path``, with the argument types of its four calls."""
     lib = ctypes.CDLL(str(path))
-    ptr, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     poly = [ptr, ptr, ptr, size, ptr, size]  # xs, ys, edge2, n, S, stride
-    lib.bn_fill.argtypes = poly + [ptr, size, real, size, size, ptr, ptr, size, ptr, ptr, ptr,
-                                   size]
+    lib.bn_fill.argtypes = poly + [ptr, size, size, size, ptr, ptr, size, ptr, ptr, ptr, size]
     lib.bn_fill.restype = ctypes.c_int
     lib.bn_arcs.argtypes = poly + [size, size, size, ptr, ptr, ptr]
     lib.bn_arcs.restype = None
@@ -291,8 +275,11 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         right = max(S(s,   m-2), d2(s+m-2, s+m-1))
         S(s, m) = min(pair, left, right)
 
-    ties pick the earliest move in (pair, left, right) order. The pair move
-    is necessary only when it wins by more than a relative 1e-9. That is
+    ties pick the earliest move in (pair, left, right) order. An arc is
+    necessary iff its float pair strictly beats both float edge moves,
+    pair < min(left, right), so a float tie is not flagged. Whether a
+    rounding can turn an exact win into a float tie, and so lose a
+    candidate, is open (ROADMAP.md, the exact-rational reference). That is
     tested only in the rows k <= max(``candidate_reach(P)``) and, at a
     start s, only while k <= reach[s]: past that the pair would have to
     beat 0, which it never does, so each arc the test flags is a
@@ -341,10 +328,9 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     state = np.array([1, 0, 0], dtype=np.intp)
     necessary, bases = np.empty((_ROOM, 2), dtype=np.intp), np.empty(_ROOM)
     fill = _kernel().bn_fill
-    # every address but the candidates' is read once, before the first call
     fill_args = (xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride,
-                 reach.ctypes.data, kmax, 1.0 - _NECESSARY_REL_TOL, h, w,
-                 rows.ctypes.data, tile.ctypes.data, threads, state.ctypes.data)
+                 reach.ctypes.data, kmax, h, w, rows.ctypes.data, tile.ctypes.data, threads,
+                 state.ctypes.data)
     while fill(*fill_args, necessary.ctypes.data, bases.ctypes.data, len(bases)):
         kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]))
         necessary, bases = _resized(necessary, kept, size), _resized(bases, kept, size)

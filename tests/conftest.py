@@ -263,7 +263,7 @@ def roll_fill(P):
             np.where(case_left == best, USE_LEFT_EDGE, USE_RIGHT_EDGE),
         )
         other = np.minimum(case_left, case_right)
-        necessary[k] = case_pair < other * (1.0 - 1e-9)
+        necessary[k] = case_pair < other
     return S, choice, necessary
 
 

@@ -28,6 +28,7 @@ from bnmatch import (
     CandidateDiagonal,
     GenSpec,
     build_subproblem_table,
+    cubic_solve,
     enumerate_candidates,
     generate,
     gen_circle,
@@ -371,6 +372,23 @@ def test_fill_bit_identical_to_roll_recurrence(n, mode):
 @pytest.mark.parametrize("n", [4, 6, 30, 64, 250])
 def test_fill_bit_identical_to_roll_recurrence_dense_necessity(n, family):
     _assert_matches_roll_fill(validate_convex_ccw(family(n)))
+
+
+def test_fill_flags_a_near_tie():
+    # parabola_cap(64) stretched to (x, a * x^2), with a bisected so that the
+    # arc of 6 points from 59 has pair / min(left, right) = 1 - 1.76e-10: a
+    # relative tolerance of 1e-9 on the necessity test would drop this
+    # candidate, the plain float comparison flags it
+    a = 2.4155845046043396
+    P = validate_convex_ccw([(x, a * y) for x, y in parabola_cap(64)])
+    S = roll_fill(P)[0]
+    pair = max(S[2, 60], sq_dist(P, 59, 0))
+    edge = min(max(S[2, 61], sq_dist(P, 59, 60)), max(S[2, 59], sq_dist(P, 63, 0)))
+    assert 1 - 1e-9 < pair / edge < 1
+    _assert_matches_roll_fill(P)
+    T = build_subproblem_table(P)
+    assert T.necessary.tolist() == [[2, 61], [2, 63], [3, 59], [3, 63]]
+    assert solve(P).value.hex() == cubic_solve(P)[0].hex() == "0x1.3be157db981ccp-3"
 
 
 def _polygons(n_max=512):

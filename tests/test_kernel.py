@@ -269,8 +269,8 @@ static result run(const double *x, const double *y, idx n, idx stride, idx h, id
     double *pp = malloc(2 * n * sizeof *pp), *tile = malloc(threads * 2 * tn * sizeof *tile);
     double *bases = NULL;
     result r = {calloc(rows * n, sizeof(double)), malloc(n * sizeof(double)), NULL, 0, 0};
-    while (bn_fill(x, y, r.e, n, r.S, stride, reach, kmax, 1.0 - 1e-9, h, w, pp, tile, threads,
-                   st, ks, bases, cap)) {
+    while (bn_fill(x, y, r.e, n, r.S, stride, reach, kmax, h, w, pp, tile, threads, st, ks, bases,
+                   cap)) {
         cap = 2 * cap > st[1] + st[2] ? 2 * cap : st[1] + st[2];
         cap = cap > 16 ? cap : 16;
         ks = realloc(ks, 2 * cap * sizeof *ks);
