@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import baselines, dp_core, formats, generators, render, solver, structure
-from .errors import BnmatchError, KernelBuildError, TooLargeError, check_bottleneck
+from .errors import BnmatchError, InvalidMatchingError, KernelBuildError, TooLargeError
 from .geometry import ConvexPointSet, check_finite, validate_convex_ccw
 
 EXIT_OK = 0
@@ -78,11 +78,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reference(args) -> int:
-    """baseline and oracle: a reference solver's matching, in solve's format."""
+    """baseline and oracle: a reference solver's matching, in solve's format,
+    once it passes the checks ``verify`` makes (else InvalidMatching, exit 3)."""
     P = _load_instance(args)
     value, matching = args.reference(P)
-    check_bottleneck(value)
-    d = structure.cascade_decomposition(P, matching)
+    report = structure.verify_matching(P, matching)
+    failed = report.failed_check(value)
+    if failed:
+        raise InvalidMatchingError(f"the reference's matching fails {failed}")
+    d = report.decomposition
     _write(
         args.output,
         formats.matching_to_json(
@@ -99,24 +103,16 @@ def _oracle_first(P: ConvexPointSet):
 
 
 def cmd_verify(args) -> int:
+    """OK and the matching's cascades, or FAIL and the first check it fails:
+    "n", then ``MatchingReport.failed_check``'s, whose value check is exact."""
     P = _load_instance(args)
     md = formats.parse_matching(_read(args.matching))
-
-    def fail(check: str) -> int:
-        print(f"FAIL {check}")
+    # the parse made every index an int
+    rep = structure.verify_matching(P, structure.Matching(md["n"], tuple(md["pairs"])))
+    failed = "n" if md["n"] != P.n else rep.failed_check(md["value"])
+    if failed:
+        print(f"FAIL {failed}")
         return EXIT_VERIFY
-
-    if md["n"] != P.n:
-        return fail("n")
-    matching = structure.Matching(P.n, tuple(md["pairs"]))  # indices checked by the parse
-    rep = structure.verify_matching(P, matching)
-    if not rep.perfect:
-        return fail("perfect")
-    if not rep.non_crossing:
-        return fail("nonCrossing")
-    check_bottleneck(rep.value)  # no claimed value can be checked against inf or 0
-    if not abs(md["value"] - rep.value) <= 1e-9 * abs(rep.value):
-        return fail("value")  # also a non-finite value
     print(
         f"OK perfect nonCrossing value={formats.fmt17(rep.value)} "
         f"cascades={rep.decomposition.cascade_count} "
@@ -127,12 +123,8 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     spec = generators.GenSpec(args.n, args.mode, args.seed, args.spread)
-    P = generators.generate(spec)
-    coords = P.coords()
-    if args.format == "csv":
-        _write(args.output, formats.instance_to_csv(coords))
-    else:
-        _write(args.output, formats.instance_to_json(coords))
+    to_text = formats.instance_to_csv if args.format == "csv" else formats.instance_to_json
+    _write(args.output, to_text(generators.generate(spec).coords()))
     return EXIT_OK
 
 

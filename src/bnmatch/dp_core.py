@@ -319,7 +319,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     kmax = int(reach.max())  # no row above it holds a candidate
     S = np.zeros((half // stride + 1 + (half % stride != 0), n))
     edge2 = np.empty(n)
-    threads = min(2, usable_cpus()) if w < n else 1  # one strip a block needs no thread
+    threads = min(2, usable_cpus())  # the kernel starts no worker where a block is one strip
     # each thread's rows of a block below its top, strip by strip; none where
     # a block is one row of n starts
     tile = np.empty(0 if h == 1 and w >= n else threads * 2 * min(w + 2 * h, n))

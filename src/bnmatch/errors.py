@@ -52,7 +52,7 @@ class UnderflowValueError(BnmatchError):
 
 
 def check_bottleneck(value: float) -> None:
-    """Raise the named error for a bottleneck (a length or its square) not finite or 0."""
+    """Raise the named error for a bottleneck length not finite or 0."""
     if not math.isfinite(value):
         raise NonFiniteValueError("the bottleneck's squared length overflows float64")
     if value == 0.0:

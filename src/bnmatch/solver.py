@@ -10,15 +10,14 @@ the table lists them with their values, so a candidate costs O(1) beyond
 the fill and one sort. Each of the s candidates that survive the prunes
 costs one arc_values call: two replays of about n*sqrt(n/2) entry updates
 each at the table's stride isqrt(2n), with O(n) scratch (about 0.6 ms a
-call at n = 8192 against a 19 ms fill, on a 2-CPU AVX-512 host). So the
-search takes O(n^2 + s*n^1.5) plus a sort of the c candidates,
-Theta(n^2.5) if s = Theta(n); every generator gives s <= 3.
+call at n = 8192 on a 2-CPU AVX-512 host). So the search takes
+O(n^2 + s*n^1.5) plus a sort of the c candidates, Theta(n^2.5) if
+s = Theta(n); every generator gives s <= 3.
 
 The table is freed before the matching is built: the walks return their
 pairs as intp arrays, 16 bytes a pair, and ``solve`` reads the candidate
 count, drops the table, and only then makes the matching's n/2 tuples and
-verifies them. So its traced peak is the fill's, the kept value rows plus
-about 33.1 bytes a point at n = 8192.
+verifies them. So its traced peak is the fill's (``build_subproblem_table``).
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
-from .errors import InvalidMatchingError, check_bottleneck
+from .errors import InvalidMatchingError
 from .geometry import ConvexPointSet
 from .structure import Matching, verify_matching
 
@@ -90,11 +89,10 @@ def solve(P: ConvexPointSet) -> SolveReport:
 
     Ties between the two branches go to the one-cascade branch; within the
     3-chain search the lexicographically smallest achieving (i, j, k) wins.
-    The returned matching is re-verified (perfect, non-crossing, longest
-    segment equal to the value), after the table is freed, before
-    reporting. Raises
-    NonFiniteValueError when the optimum's squared length overflows float64,
-    UnderflowValueError when it underflows to 0.
+    The matching, built after the table is freed, must pass the checks of
+    ``bnmatch verify`` (InvalidMatchingError names a failed one). Raises
+    NonFiniteValueError when the optimum's squared length overflows
+    float64, UnderflowValueError when it underflows to 0.
     """
     n = P.n
     T = build_subproblem_table(P)
@@ -126,7 +124,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
             best_three = v
             argmin = (i, j, int((j + t_vals[sel]) % n), int(t_vals[sel]))
 
-    if argmin is not None and best_three < best_one:
+    if best_three < best_one:
         i, j, k, t = argmin
         m1 = (j - i) % n + 1
         pairs = np.concatenate((
@@ -138,7 +136,6 @@ def solve(P: ConvexPointSet) -> SolveReport:
     else:
         pairs = reconstruct(T, best_start, n)
         value_sq = best_one
-    check_bottleneck(value_sq)
     candidate_count = len(T.necessary)
     del T  # the value rows, before the matching's Python tuples are built
 
@@ -147,12 +144,9 @@ def solve(P: ConvexPointSet) -> SolveReport:
     matching = Matching(n, tuple(list(zip(*pairs.T.tolist()))))
     report = verify_matching(P, matching)
     value = math.sqrt(value_sq)
-    if not (report.perfect and report.non_crossing):
-        raise InvalidMatchingError("solver emitted an invalid matching")
-    if report.value != value:
-        raise InvalidMatchingError(
-            f"reconstructed bottleneck {report.value!r} != table value {value!r}"
-        )
+    failed = report.failed_check(value)
+    if failed:
+        raise InvalidMatchingError(f"solver emitted a matching that fails {failed}")
     return SolveReport(
         value=value,
         matching=matching,

@@ -21,7 +21,7 @@ from operator import eq
 
 import numpy as np
 
-from .errors import BadIndexError, InvalidMatchingError
+from .errors import BadIndexError, InvalidMatchingError, check_bottleneck
 from .geometry import ConvexPointSet
 
 
@@ -55,6 +55,17 @@ class MatchingReport:
     longest_pair: tuple[int, int] | None
     # the cascades of a perfect non-crossing matching, else None
     decomposition: CascadeDecomposition | None
+
+    def failed_check(self, claim: float) -> str | None:
+        """The first check a claimed bottleneck fails, else None: "perfect",
+        "nonCrossing", check_bottleneck on ``value``, against which no claim
+        can be checked, then "value" unless ``claim`` equals it bit for bit."""
+        if not self.perfect:
+            return "perfect"
+        if not self.non_crossing:
+            return "nonCrossing"
+        check_bottleneck(self.value)
+        return "value" if claim != self.value else None  # also a nan claim
 
 
 def _nesting(pairs, n: int) -> tuple[list[tuple[int, int]], list[int] | None]:

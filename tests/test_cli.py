@@ -214,13 +214,15 @@ class TestVerifyCommand:
         assert main(["verify", sq4_file, m]) == 1
         assert "nonCrossing" in capsys.readouterr().out
 
-    def test_tampered_value_fails(self, sq4_file, tmp_path, capsys):
+    # a claim one ulp either side of the true 1.0 fails like any other
+    @pytest.mark.parametrize("claim", [1.25, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)])
+    def test_tampered_value_fails(self, sq4_file, tmp_path, capsys, claim):
         m = write(
             tmp_path / "m.json",
-            matching_to_json(4, 1.25, [(0, 1), (2, 3)], "one-cascade", 0, 0),
+            matching_to_json(4, claim, [(0, 1), (2, 3)], "one-cascade", 0, 0),
         )
         assert main(["verify", sq4_file, m]) == 1
-        assert "value" in capsys.readouterr().out
+        assert capsys.readouterr().out == "FAIL value\n"
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_value_fails(self, sq4_file, tmp_path, capsys, value):
@@ -611,12 +613,25 @@ class TestRoundTrip:
                 assert main(["solve", str(inst), "--output", str(m)]) == 0
                 assert main(["verify", str(inst), str(m)]) == 0
 
-    def test_baseline_output_verifies(self, tmp_path):
+    @pytest.mark.parametrize("command", ["baseline", "oracle"])
+    def test_reference_output_verifies(self, tmp_path, command):
         inst = tmp_path / "i.json"
         m = tmp_path / "m.json"
         assert main(["gen", "--n", "10", "--seed", "4", "--output", str(inst)]) == 0
-        assert main(["baseline", str(inst), "--output", str(m)]) == 0
+        assert main([command, str(inst), "--output", str(m)]) == 0
         assert main(["verify", str(inst), str(m)]) == 0
+
+    # squared sides 1e-320 (subnormal) and 1e300: each writer's value
+    # verifies bit for bit at both ends of the float range
+    @pytest.mark.parametrize("s", [1e-160, 1e150])
+    @pytest.mark.parametrize("command", ["solve", "baseline", "oracle"])
+    def test_magnitude_square_verifies(self, tmp_path, capsys, command, s):
+        inst = write(tmp_path / "sq.json", instance_to_json([(0, 0), (s, 0), (s, s), (0, s)]))
+        m = tmp_path / "m.json"
+        assert main([command, inst, "--output", str(m)]) == 0
+        assert main(["verify", inst, str(m)]) == 0
+        value = parse_matching(m.read_text())["value"]
+        assert f" value={fmt17(value)} " in capsys.readouterr().out
 
 
 def test_console_entry_point():

@@ -20,8 +20,8 @@ from bnmatch import (
     validate_convex_ccw,
     verify_matching,
 )
-from bnmatch import dp_core
-from bnmatch.errors import NonFiniteValueError, UnderflowValueError
+from bnmatch import dp_core, solver
+from bnmatch.errors import InvalidMatchingError, NonFiniteValueError, UnderflowValueError
 from conftest import (
     SKEW4_VALUE, PolarityRegion, canonical_pairs, classify_polarity_region, equiangular,
     forced_stride, interior_polarity, parabola_cap, random_polygons, regular, sq_dist,
@@ -199,6 +199,20 @@ class TestReportIntegrity:
                 assert d.cascade_count == rep.cascades
                 assert d.cascade_count <= 3
                 assert d.three_bounded_count <= 1
+
+    # the 2 x 1 rectangle's optimum is 1; a walk made to return an
+    # imperfect, a crossing or a longer matching must not be reported
+    @pytest.mark.parametrize("pairs, check", [
+        ([[0, 1], [0, 1]], "perfect"),
+        ([[0, 2], [1, 3]], "nonCrossing"),
+        ([[0, 1], [2, 3]], "value"),
+    ])
+    def test_invalid_output_names_the_failed_check(self, pairs, check):
+        P = validate_convex_ccw([(0, 0), (2, 0), (2, 1), (0, 1)])
+        assert solve(P).value == 1.0
+        with mock.patch.object(solver, "reconstruct", return_value=np.array(pairs)):
+            with pytest.raises(InvalidMatchingError, match=f"fails {check}$"):
+                solve(P)
 
     def test_candidate_count_matches_enumeration(self):
         P = gen_cluster3(14, 5)

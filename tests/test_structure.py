@@ -1,6 +1,8 @@
+import ast
 import functools
 import itertools
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -517,3 +519,18 @@ class TestOneSweep:
                 rep = solve(P)
                 d = verify_matching(P, rep.matching).decomposition
                 assert (d.cascade_count, d.structure) == (rep.cascades, rep.structure)
+
+
+def test_no_tolerance_literal_decides_a_result():
+    # a float literal with 0 < |x| < 1e-3 in these modules is most likely a
+    # tolerance; generators' draw spacing decides no result and is not listed
+    src = pathlib.Path(structure.__file__).parent
+    found = []
+    for name in ("dp_core", "solver", "structure", "baselines", "cli", "geometry", "formats"):
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        found += [
+            (name, node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < abs(node.value) < 1e-3
+        ]
+    assert found == []
