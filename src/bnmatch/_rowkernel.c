@@ -15,11 +15,12 @@
    coordinates are finite and an overflow gives inf) and no -0.0, so these
    give the bits of NumPy's maximum and minimum in any tie order.
 
-   `moves` is the one copy of those expressions. Three jobs use it, each in
-   one call: the fill (bn_fill), the replays behind arc_values (bn_arcs) and
-   the walk of reconstruct (bn_walk). The replays and the walk share `block`,
-   which recomputes the rows above a checkpoint row over the starts it
-   reaches. Every buffer comes from the caller.
+   `moves` is the one copy of those expressions. Four jobs use it, each in
+   one call: the fill (bn_fill), the replays behind arc_values (bn_arcs),
+   the walk of reconstruct (bn_walk) and the 3-chain search of solve
+   (bn_search), which replays as bn_arcs does. The replays and the walk
+   share `block`, which recomputes the rows above a checkpoint row over the
+   starts it reaches. Every buffer comes from the caller.
 
    An index into a cyclic array wraps at most once along a row, so `row`
    cuts the row where any operand wraps, and each piece is a plain loop over
@@ -43,8 +44,8 @@
    waits spin on atomic counters with `pause` and yield the CPU only after
    a bounded spin; the worker is pinned to the caller's CPUs but the one
    the caller runs on, and starts with every signal blocked, so signals
-   reach the caller's threads only. The replays, the walk and bn_reach run
-   on the caller's thread alone.
+   reach the caller's threads only. The replays, the walk, the search and
+   bn_reach run on the caller's thread alone.
 
    bn_reach, the candidate rule, is the one job here that reads no row: the
    arc of 2k points from s turns by at most 2pi/3 iff the rotation from its
@@ -60,6 +61,7 @@
    bound. */
 #define _GNU_SOURCE
 #include <float.h>
+#include <math.h>
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
@@ -456,6 +458,40 @@ CLONES void bn_arcs(const double *x, const double *y, const double *e, idx n, co
         for (idx d = 0; d <= h; d++)
             last[r0 + d] = tri[tri_row(h, d + 1) - 1];
     }
+}
+
+/* solve's 3-chain search over the c candidates (is[a], js[a]) in (i, j)
+   order, with their bases: the least max(base, value of the arc of t
+   points from j + 1, value of the arc of rest - t points to i - 1) over
+   the even t in [2, rest - 2], where rest = n minus the points of <i, j>.
+   A candidate is skipped where its base is at least best_one or the best
+   so far, or rest < 4. Across candidates only a strictly smaller value
+   replaces the best; within one, the least k = (j + t) mod n wins among
+   equal values. Returns the best, inf if no candidate gives less, and
+   where one does, its (i, j, k, t) in out. tri holds (stride + 1)^2 + n
+   floats: bn_arcs's block and its two rows. */
+CLONES double bn_search(const double *x, const double *y, const double *e, idx n,
+                        const double *S, idx stride, const idx *is, const idx *js,
+                        const double *bases, idx c, double best_one, double *tri, idx *out)
+{
+    double best = INFINITY, *first = tri + (stride + 1) * (stride + 1), *last = first + n / 2;
+    for (idx a = 0; a < c; a++) {
+        idx i = is[a], j = js[a], rest = n - (j - i + n) % n - 1, kmax = rest / 2 - 1;
+        double base = bases[a], v = best;
+        if (base >= best_one || base >= best || rest < 4)
+            continue;
+        bn_arcs(x, y, e, n, S, stride, (j + 1) % n, (i + n - 1) % n, kmax, tri, first, last);
+        /* until a value below best comes, v = best and `at` goes unused */
+        idx at = 0;
+        for (idx t = 2; t < rest; t += 2) {
+            double u = max2(max2(first[t / 2], last[kmax + 1 - t / 2]), base);
+            if (u < v || (u == v && (j + t) % n < (j + at) % n))
+                v = u, at = t;
+        }
+        if (v < best)
+            best = v, out[0] = i, out[1] = j, out[2] = (j + at) % n, out[3] = at;
+    }
+    return best;
 }
 
 /* reconstruct: the k pairs of the arc (start, 2k) in walk order into

@@ -30,17 +30,19 @@ cap. It also keeps each candidate's value, its base, which the fill has
 at hand where it flags the arc: 8 bytes a candidate, and no base is
 replayed. So the table holds no quadratic field.
 
-The fill, the replays of ``arc_values``, the walk of ``reconstruct`` and
-the candidate rule are one call each into a compiled kernel,
-``_rowkernel.c``, which holds the recurrence's expressions once. It is
-built on first use, not on import, with the C compiler ``cc``
+The fill, the replays of ``arc_values``, the walk of ``reconstruct``,
+the candidate rule and ``solve``'s 3-chain search (``bn_search``, which
+replays as ``arc_values`` does) are one call each into a compiled
+kernel, ``_rowkernel.c``, which holds the recurrence's expressions once.
+It is built on first use, not on import, with the C compiler ``cc``
 (KernelBuildError if that fails), and cached in the package's
-``__pycache__``; see ``_kernel``. Every buffer it uses is a NumPy array
-passed in, so tracemalloc sees all of its memory. The fill goes up the
-table in blocks of rows, each computed strip by strip over a few hundred
-starts (``fill_tile``), so a strip's rows stay in the L1 cache, and two
-threads share each block's strips where the process may use two CPUs.
-README gives the measured times and memory.
+``__pycache__``; see ``_kernel``. Every buffer it uses is passed in, a
+NumPy array or, for the search, bytes and ctypes arrays, so tracemalloc
+sees all of its memory. The fill goes up the table in blocks of rows,
+each computed strip by strip over a few hundred starts (``fill_tile``),
+so a strip's rows stay in the L1 cache, and two threads share each
+block's strips where the process may use two CPUs. README gives the
+measured times and memory.
 """
 from __future__ import annotations
 
@@ -121,8 +123,10 @@ class SubproblemTable:
     ``bases[c]`` is the value of the arc ``necessary[c]``, bit for bit the
     fill's. ``S`` holds the value rows k = 0, stride, 2*stride, ... and,
     last, the full-circle row k = n/2. Read any other value with
-    ``arc_values``; a replay needs the coordinates ``xs`` and ``ys`` and
-    the fill's squared edge lengths ``edge2``.
+    ``arc_values``, the table's public read; ``solve`` does not call it, as
+    its search replays the same blocks inside its one kernel call. A
+    replay needs the coordinates ``xs`` and ``ys`` and the fill's squared
+    edge lengths ``edge2``.
 
     The table keeps the first six arguments of every kernel call (the
     addresses of xs, ys, edge2 and S, n and the stride), taken from its own
@@ -205,7 +209,7 @@ def _build(source: bytes, flags: tuple[str, ...], path: Path) -> None:
 
 
 def _load(path: Path) -> ctypes.CDLL:
-    """The library at ``path``, with the argument types of its four calls."""
+    """The library at ``path``, with the argument types of its five calls."""
     lib = ctypes.CDLL(str(path))
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     poly = [ptr, ptr, ptr, size, ptr, size]  # xs, ys, edge2, n, S, stride
@@ -213,6 +217,8 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.bn_fill.restype = ctypes.c_int
     lib.bn_arcs.argtypes = poly + [size, size, size, ptr, ptr, ptr]
     lib.bn_arcs.restype = None
+    lib.bn_search.argtypes = poly + [ptr, ptr, ptr, size, ctypes.c_double, ptr, ptr]
+    lib.bn_search.restype = ctypes.c_double
     lib.bn_walk.argtypes = poly + [size, size, ptr, ptr]
     lib.bn_walk.restype = None
     lib.bn_reach.argtypes = [ptr, ptr, size, ptr]

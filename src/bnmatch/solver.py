@@ -7,11 +7,11 @@ three table entries. The 3-chain search only fixes pairs (i, j) that are
 *candidates* - pairs forced into every optimum of their own subproblem and
 spanning a turning angle of at most 2*pi/3; at most ~2n of them exist, and
 the table lists them with their values, so a candidate costs O(1) beyond
-the fill and one sort. Each of the s candidates that survive the prunes
-costs one arc_values call: two replays of about n*sqrt(n/2) entry updates
-each at the table's stride isqrt(2n), with O(n) scratch (about 0.6 ms a
-call at n = 8192 on a 2-CPU AVX-512 host). So the search takes
-O(n^2 + s*n^1.5) plus a sort of the c candidates, Theta(n^2.5) if
+the fill and one sort. The search is one kernel call (``bn_search``): it
+runs the prunes, and each of the s candidates that survive them costs two
+replays of about n*sqrt(n/2) entry updates each at the table's stride
+isqrt(2n), with O(n) scratch. So ``solve`` takes O(n^2 + c + s*n^1.5),
+the sort of the c candidates within the n^2, and Theta(n^2.5) if
 s = Theta(n); every generator gives s <= 3.
 
 The table is freed before the matching is built: the walks return their
@@ -21,11 +21,13 @@ verifies them. So its traced peak is the fill's (``build_subproblem_table``).
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dp_core
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .errors import InvalidMatchingError
 from .geometry import ConvexPointSet
@@ -54,9 +56,6 @@ class SolveReport:
 def _sorted_candidates(T: SubproblemTable) -> tuple[np.ndarray, ...]:
     """The i, j and k of the arcs (i, 2k) that T lists, sorted by (i, j),
     and the order that sorts T's lists so."""
-    if not len(T.necessary):  # every circle and valtr table: no sort to make
-        none = np.empty(0, dtype=np.intp)
-        return none, none, none, none
     k, i = T.necessary.T
     j = (i + 2 * k - 1) % T.n
     order = np.lexsort((j, i))
@@ -83,9 +82,29 @@ def enumerate_candidates(
     return list(map(CandidateDiagonal, i.tolist(), j.tolist(), tau))
 
 
+def _three_chain(
+    T: SubproblemTable, best_one: float
+) -> tuple[float, tuple[int, int, int, int] | None]:
+    """The 3-chain search, one kernel call: the best squared value of the
+    candidates that survive the prunes against ``best_one`` and the best
+    so far, and its (i, j, k, t), or (inf, None) where none gives less.
+
+    Inputs go as bytes and the scratch and output as ctypes arrays, which
+    ctypes passes by their own buffers: no ``ctypes.data`` read. The
+    scratch, one replay block and its two rows, is freed on return.
+    """
+    if not len(T.necessary):
+        return math.inf, None
+    i, j, _, order = _sorted_candidates(T)
+    scratch, out = (ctypes.c_double * ((T.stride + 1) ** 2 + T.n))(), (ctypes.c_ssize_t * 4)()
+    value = dp_core._kernel().bn_search(*T._args, i.tobytes(), j.tobytes(),
+                                        T.bases[order].tobytes(), len(i), best_one, scratch, out)
+    return value, tuple(out) if value < math.inf else None
+
+
 def solve(P: ConvexPointSet) -> SolveReport:
-    """Find a bottleneck non-crossing perfect matching in O(n^2 + s*n^1.5),
-    plus a sort of the c candidates, s of which survive the prunes.
+    """Find a bottleneck non-crossing perfect matching in O(n^2 + c + s*n^1.5)
+    for c candidates, s of which survive the prunes.
 
     Ties between the two branches go to the one-cascade branch; within the
     3-chain search the lexicographically smallest achieving (i, j, k) wins.
@@ -97,33 +116,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
     n = P.n
     T = build_subproblem_table(P)
     best_one, best_start = one_cascade_optimum(T)
-
-    # the candidates (i, j) in order, the points on each arc <i, j>, and its value
-    i, j, k, order = _sorted_candidates(T)
-    candidates = zip(i.tolist(), j.tolist(), (2 * k).tolist(), T.bases[order].tolist())
-    best_three = math.inf
-    argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
-    for i, j, m1, base in candidates:
-        if base >= best_one or base >= best_three:
-            continue  # the max over the split cannot beat the incumbent
-        rest = n - m1
-        if rest < 4:
-            continue
-        t_vals = np.arange(2, rest - 1, 2)
-        # complements: arcs starting at j+1 and arcs ending at i-1
-        from_j, to_i = T.arc_values((j + 1) % n, (i - 1) % n, rest // 2 - 1)
-        left = from_j[1:]
-        right = to_i[:0:-1]
-        vals = np.maximum(np.maximum(left, right), base)
-        pos = int(np.argmin(vals))
-        v = float(vals[pos])
-        if v < best_three:
-            ties = np.nonzero(vals == vals[pos])[0]
-            ks = (j + t_vals[ties]) % n
-            sel = int(ties[int(np.argmin(ks))])
-            best_three = v
-            argmin = (i, j, int((j + t_vals[sel]) % n), int(t_vals[sel]))
-
+    best_three, argmin = _three_chain(T, best_one)
     if best_three < best_one:
         i, j, k, t = argmin
         m1 = (j - i) % n + 1

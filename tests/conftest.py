@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from bnmatch import GenSpec, baselines, dp_core, gen_cluster3, generate, validate_convex_ccw
+from bnmatch import (
+    GenSpec, baselines, dp_core, gen_cluster3, generate, solver, validate_convex_ccw,
+)
 from bnmatch.errors import (
     BadIndexError, BnmatchError, DuplicatePointError, NonFiniteError, NotCcwError,
     NotStrictlyConvexError, OddCountError, TooFewError,
@@ -282,6 +284,40 @@ def roll_walk(choice, start, size):
         else:
             pairs.append(((j - 1) % n, j))
     return pairs
+
+
+def reference_three_chain(T, best_one: float):
+    """The 3-chain search in NumPy, one ``arc_values`` call per survivor:
+    (best squared value, (i, j, k, t)), or (inf, None) where no candidate
+    gives less than ``best_one``. The kernel's search must return the same
+    value, bit for bit, and the same (i, j, k, t)."""
+    n = T.n
+    # the candidates (i, j) in order, the points on each arc <i, j>, and its value
+    i, j, k, order = solver._sorted_candidates(T)
+    candidates = zip(i.tolist(), j.tolist(), (2 * k).tolist(), T.bases[order].tolist())
+    best_three = math.inf
+    argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
+    for i, j, m1, base in candidates:
+        if base >= best_one or base >= best_three:
+            continue  # the max over the split cannot beat the incumbent
+        rest = n - m1
+        if rest < 4:
+            continue
+        t_vals = np.arange(2, rest - 1, 2)
+        # complements: arcs starting at j+1 and arcs ending at i-1
+        from_j, to_i = T.arc_values((j + 1) % n, (i - 1) % n, rest // 2 - 1)
+        left = from_j[1:]
+        right = to_i[:0:-1]
+        vals = np.maximum(np.maximum(left, right), base)
+        pos = int(np.argmin(vals))
+        v = float(vals[pos])
+        if v < best_three:
+            ties = np.nonzero(vals == vals[pos])[0]
+            ks = (j + t_vals[ties]) % n
+            sel = int(ties[int(np.argmin(ks))])
+            best_three = v
+            argmin = (i, j, int((j + t_vals[sel]) % n), int(t_vals[sel]))
+    return best_three, argmin
 
 
 def segments_cross(a: int, b: int, c: int, d: int, n: int) -> bool:

@@ -178,13 +178,14 @@ def _gcc_runtime(name: str) -> str | None:
 
 # the tile-seam sweep, solved at every forced tile and the default, at strides
 # 1 and 3 and the default, through the kernel at the path in argv[1]; at each
-# stride, every arc to n/2 from and to the anchors 0, 1, n/2 and n - 1 (blocks
-# of stride - 1 rows, the last window wrapping) and a full-circle walk from
-# each (blocks of stride rows)
+# stride, the 3-chain search against a +inf incumbent, every arc to n/2 from
+# and to the anchors 0, 1, n/2 and n - 1 (blocks of stride - 1 rows, the last
+# window wrapping) and a full-circle walk from each (blocks of stride rows)
 SANITIZED_SWEEP = """
+import math
 import sys
 from unittest import mock
-from bnmatch import dp_core, solve
+from bnmatch import dp_core, solve, solver
 from conftest import TILES, forced_stride, forced_tile, tile_seam_inputs
 lib = dp_core._load(sys.argv[1])
 with mock.patch.object(dp_core, "_kernel", lambda: lib):
@@ -196,6 +197,7 @@ with mock.patch.object(dp_core, "_kernel", lambda: lib):
                     with forced_tile(*(tile or dp_core.fill_tile(n))):
                         solve(P)
                 T = dp_core.build_subproblem_table(P)
+            solver._three_chain(T, math.inf)
             for a in (0, 1, n // 2, n - 1):
                 T.arc_values(a, a - 1, n // 2)
                 dp_core.reconstruct(T, a, n)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -21,11 +22,14 @@ from bnmatch import (
     verify_matching,
 )
 from bnmatch import dp_core, solver
-from bnmatch.errors import InvalidMatchingError, NonFiniteValueError, UnderflowValueError
+from bnmatch.dp_core import SubproblemTable
+from bnmatch.errors import (
+    BnmatchError, InvalidMatchingError, NonFiniteValueError, UnderflowValueError,
+)
 from conftest import (
     SKEW4_VALUE, PolarityRegion, canonical_pairs, classify_polarity_region, equiangular,
-    forced_stride, interior_polarity, parabola_cap, random_polygons, regular, sq_dist,
-    turning_angle, two_arcs,
+    forced_stride, interior_polarity, parabola_cap, random_polygons, reference_three_chain,
+    regular, sq_dist, turning_angle, two_arcs,
 )
 
 approx = pytest.approx
@@ -334,6 +338,87 @@ class TestThreeCascadePath:
 
     def test_one_cascade_tie_prefers_one_cascade_label(self, sq4):
         assert solve(sq4).structure == "one-cascade"
+
+
+def _search_matches_reference(T, best_one=None) -> int:
+    """Assert that the kernel's 3-chain search gives the reference's value,
+    bit for bit, and (i, j, k, t) on the table T, against ``best_one`` or
+    else T's one-cascade value; return how many candidates the reference
+    replayed (its ``arc_values`` calls)."""
+    if best_one is None:
+        best_one = dp_core.one_cascade_optimum(T)[0]
+    value, argmin = solver._three_chain(T, best_one)
+    with mock.patch.object(SubproblemTable, "arc_values", autospec=True,
+                           side_effect=SubproblemTable.arc_values) as replays:
+        want, want_argmin = reference_three_chain(T, best_one)
+    assert (value.hex(), argmin) == (want.hex(), want_argmin)
+    return replays.call_count
+
+
+def _table(coords):
+    return build_subproblem_table(validate_convex_ccw(coords))
+
+
+class TestThreeChainSearch:
+    """The search, one kernel call, against the NumPy reference."""
+
+    @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
+    def test_generator_sweeps_and_grid_rounding(self, mode):
+        survivors = 0
+        for n in range(4, 41, 2):
+            for seed in range(30):
+                coords = generate(GenSpec(n, mode, seed)).coords()
+                tables = [_table(coords)]
+                try:  # ties on a 1e-2 grid; rounding can flatten a cluster
+                    tables.append(_table([(round(x, 2), round(y, 2)) for x, y in coords]))
+                except BnmatchError:
+                    pass
+                for T in tables:
+                    survivors += _search_matches_reference(T)
+                    survivors += _search_matches_reference(T, math.inf)
+        assert survivors > 0 or mode != "cluster3"
+
+    def test_tie_heavy_polygons(self):
+        tables = [_table(regular(n)) for n in range(4, 129, 2)]
+        tables += [_table(equiangular(n)) for n in range(6, 241, 6)]
+        for T in tables:
+            _search_matches_reference(T)
+            _search_matches_reference(T, math.inf)
+
+    def test_many_survivors(self):
+        # against +inf only the best so far prunes, and it leaves one
+        # survivor on each parabola cap (two arcs list no candidate); with
+        # the bases zeroed no prune holds, and each of the caps' 274
+        # candidates is replayed
+        survivors = zeroed = 0
+        for family in (parabola_cap, two_arcs):
+            for n in (16, 30, 64, 100, 128, 250, 512, 1024, 2048):
+                T = _table(family(n))
+                survivors += _search_matches_reference(T, math.inf)
+                zeroed += _search_matches_reference(
+                    dataclasses.replace(T, bases=np.zeros_like(T.bases)), math.inf)
+        assert (survivors, zeroed) == (8, 274)
+
+    def test_solve_never_reads_arc_values(self):
+        P = gen_cluster3(16, 1)
+        with mock.patch.object(SubproblemTable, "arc_values", side_effect=AssertionError):
+            assert solve(P).structure == "three-cascade"
+
+    def test_overflowing_optimum_with_finite_bases_is_named(self):
+        # squared lengths scaled by 2^1032: the candidates' bases stay
+        # finite, the one-cascade value and every split of the one
+        # surviving candidate overflow, and the verifier's check names it
+        coords = gen_cluster3(12, 0, 0.0405).coords()
+        P = validate_convex_ccw([(math.ldexp(x, 516), math.ldexp(y, 516)) for x, y in coords])
+        T = build_subproblem_table(P)
+        assert len(T.bases) and np.isfinite(T.bases).all()
+        assert dp_core.one_cascade_optimum(T)[0] == math.inf
+        assert solver._three_chain(T, math.inf) == (math.inf, None)
+        with pytest.raises(NonFiniteValueError) as raised:
+            solve(P)
+        assert str(raised.value) == (
+            "NonFiniteValue: the bottleneck's squared length overflows float64")
+        assert "failed_check" in [entry.name for entry in raised.traceback]
 
 
 def _report_key(rep):
