@@ -1,10 +1,10 @@
 """Bottleneck non-crossing matchings of points in convex position.
 
 Find a perfect non-crossing matching minimizing the longest segment, in
-O(n^2 + s*n^1.5) time plus a sort of the c candidate diagonals the
-interval table lists, s of which survive the prunes (see `solver`), with
-an O(n^3) baseline and an exhaustive oracle for cross-checking, plus
-instance generators, structural analysis, SVG rendering and a CLI.
+O(n^2 + c + s*n^1.5) time for the c candidate diagonals the interval
+table lists, s of which survive the prunes (see `solver`), with an O(n^3)
+baseline and an exhaustive oracle for cross-checking, plus instance
+generators, structural analysis, SVG rendering and a CLI.
 """
 
 from .baselines import cubic_solve, oracle_solve

@@ -196,13 +196,13 @@ typedef struct {
     idx stride;
     const idx *reach;
     idx kmax;
-    idx *ks;
+    idx *ij;
     double *bases;
 } fill;
 
 /* The arcs (a + t, 2k), t < len (a + len <= n), that pass the necessity
-   test, with their values, into ks and bases from entry c on. lo is the
-   row below as in row. */
+   test, as diagonals (i, j), with their values, into ij and bases from
+   entry c on. lo is the row below as in row. */
 static void emit(const fill *F, const double *lo, idx lo_n, idx a, idx len, idx k, idx c)
 {
     const double *x = F->P.x, *y = F->P.y, *e = F->P.e;
@@ -214,8 +214,8 @@ static void emit(const fill *F, const double *lo, idx lo_n, idx a, idx len, idx 
         struct moves v = moves(lo[t], lo[t1], lo[t2], x[s], y[s], x[j], y[j], e[s],
                                e[j ? j - 1 : n - 1]);
         if (necessary(v)) {
-            F->ks[2 * c] = k;
-            F->ks[2 * c + 1] = s;
+            F->ij[2 * c] = s;
+            F->ij[2 * c + 1] = j;
             F->bases[c++] = value(v);
         }
     }
@@ -243,7 +243,7 @@ typedef struct {
    of the tile, and the last row straight into out + a; each row the table
    keeps is copied into S. Rows <= kmax take the necessity test on the
    strip's own starts only. A row that flags f arcs claims the entries c ..
-   c + f - 1 with one add to `count`, and writes their arcs into ks and
+   c + f - 1 with one add to `count`, and writes their arcs into ij and
    bases there if c + f <= cap. */
 INLINE void strip(team *T, idx t, const double *in, double *out, idx k0, idx h, idx a, idx w)
 {
@@ -391,21 +391,21 @@ static int start(team *T, pthread_t *id)
    tile holds threads * 2 * min(w + 2h, n) floats; a block of one row of n
    starts goes straight into pp and uses none.
 
-   Rows 2 .. kmax take the necessity test, and each arc (k, start) that
-   passes and its value go to ks (c x 2) and bases, cap entries each, block
-   by block; st[1] counts them. Their order depends on which thread ran
-   which strip, so the caller sorts them. Call first with st = (1, 0, 0).
-   If the arcs found so far pass cap in some block, returns 1 with st =
-   (the block's k0, the count before it, the block's count): grow ks and
-   bases to at least st[1] + st[2] and call again, which redoes that block
-   from its input row in pp. Whether a block overflows depends on its count
-   alone, not on which thread ran which strip. Returns 0 when done. */
+   Rows 2 .. kmax take the necessity test, and the diagonal (i, j) of each
+   arc that passes and its value go to ij (c x 2) and bases, cap entries
+   each, block by block; st[1] counts them. Their order depends on which
+   thread ran which strip, so the caller sorts them. Call first with st =
+   (1, 0, 0). If the arcs found so far pass cap in some block, returns 1
+   with st = (the block's k0, the count before it, the block's count): grow
+   ij and bases to at least st[1] + st[2] and call again, which redoes that
+   block from its input row in pp. Whether a block overflows depends on its
+   count alone, not on which thread ran which strip. Returns 0 when done. */
 CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S, idx stride,
                    const idx *reach, idx kmax, idx h, idx w, double *pp, double *tile, idx threads,
-                   idx *st, idx *ks, double *bases, idx cap)
+                   idx *st, idx *ij, double *bases, idx cap)
 {
     /* the count starts from st[1], the count before the block to redo */
-    team T = {{{x, y, e, n}, S, stride, reach, kmax, ks, bases}, pp, tile, h, w,
+    team T = {{{x, y, e, n}, S, stride, reach, kmax, ij, bases}, pp, tile, h, w,
               w + 2 * h < n ? w + 2 * h : n, cap, st, 0, 0, 0, st[1]};
     if (st[0] == 1) {
         for (idx s = 0; s + 1 < n; s++)
@@ -460,23 +460,23 @@ CLONES void bn_arcs(const double *x, const double *y, const double *e, idx n, co
     }
 }
 
-/* solve's 3-chain search over the c candidates (is[a], js[a]) in (i, j)
-   order, with their bases: the least max(base, value of the arc of t
-   points from j + 1, value of the arc of rest - t points to i - 1) over
-   the even t in [2, rest - 2], where rest = n minus the points of <i, j>.
-   A candidate is skipped where its base is at least best_one or the best
-   so far, or rest < 4. Across candidates only a strictly smaller value
-   replaces the best; within one, the least k = (j + t) mod n wins among
-   equal values. Returns the best, inf if no candidate gives less, and
-   where one does, its (i, j, k, t) in out. tri holds (stride + 1)^2 + n
-   floats: bn_arcs's block and its two rows. */
+/* solve's 3-chain search over the c candidates (i, j) = (ij[2a], ij[2a + 1])
+   in the fill's (i, j) order, with their bases: the least max(base, value
+   of the arc of t points from j + 1, value of the arc of rest - t points
+   to i - 1) over the even t in [2, rest - 2], where rest = n minus the
+   points of <i, j>. A candidate is skipped where its base is at least
+   best_one or the best so far, or rest < 4. Across candidates only a
+   strictly smaller value replaces the best; within one, the least k =
+   (j + t) mod n wins among equal values. Returns the best, inf if no
+   candidate gives less, and where one does, its (i, j, k, t) in out. tri
+   holds (stride + 1)^2 + n floats: bn_arcs's block and its two rows. */
 CLONES double bn_search(const double *x, const double *y, const double *e, idx n,
-                        const double *S, idx stride, const idx *is, const idx *js,
-                        const double *bases, idx c, double best_one, double *tri, idx *out)
+                        const double *S, idx stride, const idx *ij, const double *bases,
+                        idx c, double best_one, double *tri, idx *out)
 {
     double best = INFINITY, *first = tri + (stride + 1) * (stride + 1), *last = first + n / 2;
     for (idx a = 0; a < c; a++) {
-        idx i = is[a], j = js[a], rest = n - (j - i + n) % n - 1, kmax = rest / 2 - 1;
+        idx i = ij[2 * a], j = ij[2 * a + 1], rest = n - (j - i + n) % n - 1, kmax = rest / 2 - 1;
         double base = bases[a], v = best;
         if (base >= best_one || base >= best || rest < 4)
             continue;

@@ -23,8 +23,8 @@ row, is a value that tests force.
 No move is stored: ``reconstruct`` recomputes each move of its walk from
 the values, replaying one block of rows at a time, in O(size * stride)
 time and O(n + stride^2) = O(n) scratch. Of the necessary arcs, the table
-keeps the (k, start) of the candidates only, those that turn by at most
-2*pi/3 (``candidate_reach``): none on circle and valtr polygons of
+keeps the diagonals (i, j) of the candidates only, those that turn by at
+most 2*pi/3 (``candidate_reach``): none on circle and valtr polygons of
 n = 256 .. 8192 (seed 1), three on cluster3, about n/15 on a parabola
 cap. It also keeps each candidate's value, its base, which the fill has
 at hand where it flags the arc: 8 bytes a candidate, and no base is
@@ -117,9 +117,9 @@ class SubproblemTable:
     ``nbytes`` (the benchmark's table_bytes) still runs; it can go with the
     next change to the benchmark. An arc is necessary iff its float pair
     strictly beats both float edge moves (see ``build_subproblem_table``).
-    ``necessary`` holds the (k, start) of every necessary arc (start, 2k)
-    with 2 <= k <= ``candidate_reach(P)[start]``, a diagonal whose arc
-    turns by at most 2*pi/3: the candidates, by increasing k, then start.
+    ``necessary`` holds the (i, j), j = i + 2k - 1 mod n, of every necessary
+    arc (i, 2k) with 2 <= k <= ``candidate_reach(P)[i]``, a diagonal whose
+    arc turns by at most 2*pi/3: the candidates, by i, then j (search order).
     ``bases[c]`` is the value of the arc ``necessary[c]``, bit for bit the
     fill's. ``S`` holds the value rows k = 0, stride, 2*stride, ... and,
     last, the full-circle row k = n/2. Read any other value with
@@ -140,7 +140,7 @@ class SubproblemTable:
     stride: int
     S: np.ndarray          # float64, the kept value rows, each of length n
     choice: np.ndarray     # uint8, shape (0, n): empty, see above
-    necessary: np.ndarray  # intp, shape (c, 2): the (k, start) of each candidate arc
+    necessary: np.ndarray  # intp, shape (c, 2): the (i, j) of each candidate arc
     bases: np.ndarray      # float64, shape (c,): the value of each candidate arc
     xs: np.ndarray
     ys: np.ndarray
@@ -217,7 +217,7 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.bn_fill.restype = ctypes.c_int
     lib.bn_arcs.argtypes = poly + [size, size, size, ptr, ptr, ptr]
     lib.bn_arcs.restype = None
-    lib.bn_search.argtypes = poly + [ptr, ptr, ptr, size, ctypes.c_double, ptr, ptr]
+    lib.bn_search.argtypes = poly + [ptr, ptr, size, ctypes.c_double, ptr, ptr]
     lib.bn_search.restype = ctypes.c_double
     lib.bn_walk.argtypes = poly + [size, size, ptr, ptr]
     lib.bn_walk.restype = None
@@ -290,7 +290,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     start s, only while k <= reach[s]: past that the pair would have to
     beat 0, which it never does, so each arc the test flags is a
     candidate. There the row's value is the pair's, and the fill stores it
-    with the arc's (k, start).
+    with the arc's diagonal (i, j).
 
     The value rows kept are sizes 2k with k % stride == 0, for the stride
     ``checkpoint_stride(n)`` picks, and the full circle: about
@@ -313,7 +313,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     the kernel returns, and the call after the arrays have grown (at
     least twofold) redoes that block. The threads claim entries from one
     shared count, so the order varies from run to run, and the candidates
-    are sorted by (k, start) at the end. Every address is read once,
+    are sorted by (i, j) at the end. Every address is read once,
     before the first call, but the candidates', which a growth moves.
     """
     n = P.n
@@ -341,7 +341,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
         kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]))
         necessary, bases = _resized(necessary, kept, size), _resized(bases, kept, size)
     count = int(state[1])
-    # in (k, start) order, by the key k * n + start
+    # in (i, j) order, by the key i * n + j
     order = np.argsort(necessary[:count].dot((n, 1))) if count else slice(0)
     return SubproblemTable(
         n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),

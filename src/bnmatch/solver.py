@@ -6,13 +6,14 @@ at most one chain), and a search over 3-chain matchings assembled from
 three table entries. The 3-chain search only fixes pairs (i, j) that are
 *candidates* - pairs forced into every optimum of their own subproblem and
 spanning a turning angle of at most 2*pi/3; at most ~2n of them exist, and
-the table lists them with their values, so a candidate costs O(1) beyond
-the fill and one sort. The search is one kernel call (``bn_search``): it
-runs the prunes, and each of the s candidates that survive them costs two
-replays of about n*sqrt(n/2) entry updates each at the table's stride
-isqrt(2n), with O(n) scratch. So ``solve`` takes O(n^2 + c + s*n^1.5),
-the sort of the c candidates within the n^2, and Theta(n^2.5) if
-s = Theta(n); every generator gives s <= 3.
+the table lists them as (i, j) in the search's order, with their values,
+so a candidate costs O(1) beyond the fill and its one sort. The search is
+one kernel call (``bn_search``): it runs the prunes, and each of the s
+candidates that survive them costs two replays of about n*sqrt(n/2)
+entry updates each at the table's stride isqrt(2n), with O(n) scratch.
+So ``solve`` takes O(n^2 + c + s*n^1.5), the sort of the c candidates
+within the n^2, and Theta(n^2.5) if s = Theta(n); every generator gives
+s <= 3.
 
 The table is freed before the matching is built: the walks return their
 pairs as intp arrays, 16 bytes a pair, and ``solve`` reads the candidate
@@ -53,19 +54,10 @@ class SolveReport:
     structure: str
 
 
-def _sorted_candidates(T: SubproblemTable) -> tuple[np.ndarray, ...]:
-    """The i, j and k of the arcs (i, 2k) that T lists, sorted by (i, j),
-    and the order that sorts T's lists so."""
-    k, i = T.necessary.T
-    j = (i + 2 * k - 1) % T.n
-    order = np.lexsort((j, i))
-    return i[order], j[order], k[order], order
-
-
 def enumerate_candidates(
     P: ConvexPointSet, T: SubproblemTable, *, annotate: bool = False
 ) -> list[CandidateDiagonal]:
-    """All candidate diagonals of P's table T, sorted by (i, j).
+    """All candidate diagonals of P's table T, in its order, by (i, j).
 
     A pair qualifies if it is a diagonal (non-adjacent both ways, so its
     arc size is in [4, n-2]), its subproblem flags it necessary, and its
@@ -73,7 +65,7 @@ def enumerate_candidates(
     T lists. ``annotate`` has no effect; it is accepted because
     perfbench's stage replay still passes it.
     """
-    i, j, _, _ = _sorted_candidates(T)
+    i, j = T.necessary.T
     xs, ys = P.xs, P.ys
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as in float math
         ux, uy = xs[(i + 1) % P.n] - xs[i], ys[(i + 1) % P.n] - ys[i]
@@ -95,10 +87,9 @@ def _three_chain(
     """
     if not len(T.necessary):
         return math.inf, None
-    i, j, _, order = _sorted_candidates(T)
     scratch, out = (ctypes.c_double * ((T.stride + 1) ** 2 + T.n))(), (ctypes.c_ssize_t * 4)()
-    value = dp_core._kernel().bn_search(*T._args, i.tobytes(), j.tobytes(),
-                                        T.bases[order].tobytes(), len(i), best_one, scratch, out)
+    value = dp_core._kernel().bn_search(*T._args, T.necessary.tobytes(), T.bases.tobytes(),
+                                        len(T.bases), best_one, scratch, out)
     return value, tuple(out) if value < math.inf else None
 
 

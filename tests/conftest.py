@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from bnmatch import (
-    GenSpec, baselines, dp_core, gen_cluster3, generate, solver, validate_convex_ccw,
+    GenSpec, baselines, dp_core, gen_cluster3, generate, validate_convex_ccw,
 )
 from bnmatch.errors import (
     BadIndexError, BnmatchError, DuplicatePointError, NonFiniteError, NotCcwError,
@@ -236,8 +236,8 @@ def roll_fill(P):
 
     A direct transcription of the recurrence in ``build_subproblem_table``'s
     docstring, one temporary per term, in NumPy: the reference the compiled
-    fill, its replays and its walk must match bit for bit. A candidate's
-    base is S at its (k, start).
+    fill, its replays and its walk must match bit for bit. A candidate
+    (i, j) on an arc of 2k points has the base S[k, i].
     """
     n, xs, ys = P.n, P.xs, P.ys
     half = n // 2
@@ -292,9 +292,9 @@ def reference_three_chain(T, best_one: float):
     gives less than ``best_one``. The kernel's search must return the same
     value, bit for bit, and the same (i, j, k, t)."""
     n = T.n
-    # the candidates (i, j) in order, the points on each arc <i, j>, and its value
-    i, j, k, order = solver._sorted_candidates(T)
-    candidates = zip(i.tolist(), j.tolist(), (2 * k).tolist(), T.bases[order].tolist())
+    # the candidates (i, j) in the table's order, the points on each arc <i, j>, and its value
+    i, j = T.necessary.T
+    candidates = zip(i.tolist(), j.tolist(), ((j - i) % n + 1).tolist(), T.bases.tolist())
     best_three = math.inf
     argmin: tuple[int, int, int, int] | None = None  # (i, j, k, t)
     for i, j, m1, base in candidates:

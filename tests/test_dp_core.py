@@ -305,16 +305,19 @@ def _assert_walks_match(T, choice, arcs):
 
 
 def _assert_pairs_match(P, T, S, necessary):
-    """T lists, by k then start, the (k, start) of exactly the reference's
-    necessary arcs (start, 2k) with 2 <= k < n/2 and k <= reach[start],
-    and their bases, the reference's values S[k, start] bit for bit."""
-    half = P.n // 2
+    """T lists, by i then j, the diagonals (i, j) = (start, start + 2k - 1
+    mod n) of exactly the reference's necessary arcs (start, 2k) with
+    2 <= k < n/2 and k <= reach[start], and their bases, the reference's
+    values S[k, start] bit for bit."""
+    n, half = P.n, P.n // 2
     k = np.arange(half)[:, None]
     keep = necessary[:half] & (k >= 2) & (k <= candidate_reach(P))
+    arcs = sorted((s, (s + 2 * k - 1) % n, k) for k, s in np.argwhere(keep).tolist())
     assert T.necessary.dtype == np.intp and T.necessary.shape[1:] == (2,)
-    assert T.necessary.tolist() == np.argwhere(keep).tolist()
+    assert T.necessary.tolist() == [[i, j] for i, j, _ in arcs]
     assert T.bases.dtype == np.float64 and T.bases.shape == (len(T.necessary),)
-    assert T.bases.tobytes() == S[tuple(T.necessary.T)].tobytes()
+    rows, starts = [k for _, _, k in arcs], [i for i, _, _ in arcs]
+    assert T.bases.tobytes() == S[rows, starts].tobytes()
 
 
 def _assert_matches_roll_fill(P, stride=None, walks=None, tile=None, ref=None):
@@ -387,7 +390,7 @@ def test_fill_flags_a_near_tie():
     assert 1 - 1e-9 < pair / edge < 1
     _assert_matches_roll_fill(P)
     T = build_subproblem_table(P)
-    assert T.necessary.tolist() == [[2, 61], [2, 63], [3, 59], [3, 63]]
+    assert T.necessary.tolist() == [[59, 0], [61, 0], [63, 2], [63, 4]]
     assert solve(P).value.hex() == cubic_solve(P)[0].hex() == "0x1.3be157db981ccp-3"
 
 
@@ -644,9 +647,14 @@ def _layout_digest(mode, n):
 
 
 def _digest(P):
-    T = build_subproblem_table(P)
+    # the candidates as the (k, start) rows, in (k, start) order, that the
+    # pins were taken from, and their bases in that order
+    T, n = build_subproblem_table(P), P.n
+    i, j = T.necessary.T
+    arcs = np.stack((((j - i) % n + 1) // 2, i), axis=1)
+    order = np.argsort(arcs.dot((n, 1)))
     digest = hashlib.sha256()
-    for a in (T.S, T.necessary, T.bases, T.edge2):
+    for a in (T.S, arcs[order], T.bases[order], T.edge2):
         digest.update(a.tobytes())
     rep = solve(P)
     digest.update(repr((rep.value.hex(), rep.matching.pairs, rep.candidate_count, rep.cascades,
@@ -719,7 +727,7 @@ def test_one_cpu_fill_gives_the_same_digests():
 
 def test_table_and_reconstruct_memory_sub_quadratic():
     # no field grows as n^2: values at about 8n * sqrt(n/8) bytes, 24 bytes
-    # per candidate (its k, start and base), no move tags. A walk over the
+    # per candidate (its i, j and base), no move tags. A walk over the
     # full circle replays one block of stride = 181 rows at a time into
     # one buffer: beyond the pairs it returns, its traced peak stays under
     # 64 bytes per point. Measured 16; 32 with the NumPy walk, 49 with its

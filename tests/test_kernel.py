@@ -229,7 +229,7 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
 # stride, h, w, then the n xs and the n ys), growing the candidates' arrays as
 # build_subproblem_table does, but from empty arrays, not its room for 16, on
 # purpose: so every case grows. It compares S, the edges and the candidates
-# with their bases, in (k, start) order, bit for bit; prints each case's count
+# with their bases, in (i, j) order, bit for bit; prints each case's count
 # of candidates and growths with one thread and with two. Built with
 # NO_THREAD, its pthread_create fails, so bn_fill runs the two-thread call alone
 TSAN_DRIVER = r"""
@@ -244,7 +244,7 @@ TSAN_DRIVER = r"""
 #include <stdlib.h>
 
 typedef struct {
-    idx k, start;
+    idx i, j;
     double base;
 } arc;
 
@@ -257,13 +257,13 @@ typedef struct {
 static int by_arc(const void *p, const void *q)
 {
     const arc *a = p, *b = q;
-    return a->k != b->k ? (a->k > b->k) - (a->k < b->k) : (a->start > b->start) - (a->start < b->start);
+    return a->i != b->i ? (a->i > b->i) - (a->i < b->i) : (a->j > b->j) - (a->j < b->j);
 }
 
 static result run(const double *x, const double *y, idx n, idx stride, idx h, idx w, idx threads)
 {
     idx half = n / 2, rows = half / stride + 1 + (half % stride != 0), kmax = 0, cap = 0;
-    idx *reach = malloc(n * sizeof *reach), st[3] = {1, 0, 0}, *ks = NULL;
+    idx *reach = malloc(n * sizeof *reach), st[3] = {1, 0, 0}, *ij = NULL;
     bn_reach(x, y, n, reach);
     for (idx s = 0; s < n; s++)
         kmax = reach[s] > kmax ? reach[s] : kmax;
@@ -271,20 +271,20 @@ static result run(const double *x, const double *y, idx n, idx stride, idx h, id
     double *pp = malloc(2 * n * sizeof *pp), *tile = malloc(threads * 2 * tn * sizeof *tile);
     double *bases = NULL;
     result r = {calloc(rows * n, sizeof(double)), malloc(n * sizeof(double)), NULL, 0, 0};
-    while (bn_fill(x, y, r.e, n, r.S, stride, reach, kmax, h, w, pp, tile, threads, st, ks, bases,
+    while (bn_fill(x, y, r.e, n, r.S, stride, reach, kmax, h, w, pp, tile, threads, st, ij, bases,
                    cap)) {
         cap = 2 * cap > st[1] + st[2] ? 2 * cap : st[1] + st[2];
         cap = cap > 16 ? cap : 16;
-        ks = realloc(ks, 2 * cap * sizeof *ks);
+        ij = realloc(ij, 2 * cap * sizeof *ij);
         bases = realloc(bases, cap * sizeof *bases);
         r.grows++;
     }
     r.count = st[1];
     r.arcs = malloc((r.count + 1) * sizeof *r.arcs);
-    for (idx i = 0; i < r.count; i++)
-        r.arcs[i] = (arc){ks[2 * i], ks[2 * i + 1], bases[i]};
+    for (idx c = 0; c < r.count; c++)
+        r.arcs[c] = (arc){ij[2 * c], ij[2 * c + 1], bases[c]};
     qsort(r.arcs, r.count, sizeof *r.arcs, by_arc);
-    free(reach), free(pp), free(tile), free(ks), free(bases);
+    free(reach), free(pp), free(tile), free(ij), free(bases);
     return r;
 }
 

@@ -85,7 +85,7 @@ class TestCandidates:
                         m = (c.j - c.i) % n + 1
                         assert m % 2 == 0
                         assert 4 <= m <= n - 2
-                        assert [m // 2, c.i] in T.necessary.tolist()
+                        assert [c.i, c.j] in T.necessary.tolist()
                         assert c.tau <= 2 * math.pi / 3 + 1e-12
                         assert c.tau == approx(turning_angle(P, c.i, c.j))
                         assert (c.i, c.j) not in seen
@@ -129,7 +129,8 @@ class TestCandidates:
             with mock.patch.object(dp_core, "candidate_reach", lambda P: np.full(P.n, P.n // 2 - 1)):
                 U = build_subproblem_table(P)
                 assert solve(P).value.hex() == value.hex(), P.n
-            k, s = U.necessary.T
+            s, j = U.necessary.T
+            k = ((j - s) % P.n + 1) // 2
             assert U.necessary[k <= reach[s]].tolist() == T.necessary.tolist(), P.n
             dropped += len(U.necessary) - len(T.necessary)
         assert dropped > 0
@@ -153,7 +154,7 @@ class TestCandidates:
         with_pair = max(sq_dist(P, 5, 2), sq_dist(P, 0, 1))
         without_pair = max(sq_dist(P, 5, 0), sq_dist(P, 1, 2))
         assert with_pair < without_pair * 0.95
-        assert [2, 5] in T.necessary.tolist()
+        assert [5, 2] in T.necessary.tolist()
 
         pts = P.coords()
         labels = [classify_polarity_region(pts[5], pts[2], pts[t]) for t in (0, 1)]
@@ -359,24 +360,43 @@ def _table(coords):
     return build_subproblem_table(validate_convex_ccw(coords))
 
 
+def _sweep_tables(mode):
+    """The tables of ``mode`` at n = 4 .. 40, 30 seeds each, raw and, where
+    that is still a strictly convex polygon, rounded to a 1e-2 grid."""
+    for n in range(4, 41, 2):
+        for seed in range(30):
+            coords = generate(GenSpec(n, mode, seed)).coords()
+            yield _table(coords)
+            try:  # ties on a 1e-2 grid; rounding can flatten a cluster
+                yield _table([(round(x, 2), round(y, 2)) for x, y in coords])
+            except BnmatchError:
+                pass
+
+
 class TestThreeChainSearch:
     """The search, one kernel call, against the NumPy reference."""
 
     @pytest.mark.parametrize("mode", ["circle", "valtr", "cluster3"])
     def test_generator_sweeps_and_grid_rounding(self, mode):
         survivors = 0
-        for n in range(4, 41, 2):
-            for seed in range(30):
-                coords = generate(GenSpec(n, mode, seed)).coords()
-                tables = [_table(coords)]
-                try:  # ties on a 1e-2 grid; rounding can flatten a cluster
-                    tables.append(_table([(round(x, 2), round(y, 2)) for x, y in coords]))
-                except BnmatchError:
-                    pass
-                for T in tables:
-                    survivors += _search_matches_reference(T)
-                    survivors += _search_matches_reference(T, math.inf)
+        for T in _sweep_tables(mode):
+            survivors += _search_matches_reference(T)
+            survivors += _search_matches_reference(T, math.inf)
         assert survivors > 0 or mode != "cluster3"
+
+    def test_candidates_are_diagonals_in_search_order(self):
+        # the search and reference_three_chain both read T.necessary as it
+        # stands, so its layout and order are checked here: each row (i, j)
+        # is a diagonal, the rows increase in i*n + j, and c <= 2n
+        for T in (*(T for mode in ("circle", "valtr", "cluster3") for T in _sweep_tables(mode)),
+                  *(_table(f(n)) for f in (parabola_cap, two_arcs)
+                    for n in (16, 30, 64, 100, 128, 250, 512, 1024, 2048, 4096, 8192))):
+            n, (i, j) = T.n, T.necessary.T
+            m = (j - i) % n + 1
+            assert ((0 <= T.necessary) & (T.necessary < n)).all(), n
+            assert ((m % 2 == 0) & (4 <= m) & (m <= n - 2)).all(), n
+            assert (np.diff(T.necessary.dot((n, 1))) > 0).all(), n
+            assert len(T.necessary) <= 2 * n, n
 
     def test_tie_heavy_polygons(self):
         tables = [_table(regular(n)) for n in range(4, 129, 2)]
