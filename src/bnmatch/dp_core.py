@@ -36,10 +36,12 @@ replays as ``arc_values`` does) are one call each into a compiled
 kernel, ``_rowkernel.c``, which holds the recurrence's expressions once.
 It is built on first use, not on import, with the C compiler ``cc``
 (KernelBuildError if that fails), and cached in the package's
-``__pycache__``; see ``_kernel``. Every buffer it uses is passed in, a
-NumPy array or, for the search, bytes and ctypes arrays, so tracemalloc
-sees all of its memory. The fill goes up the table in blocks of rows,
-each computed strip by strip over a few hundred starts (``fill_tile``),
+``__pycache__``; see ``_kernel``. Every buffer it uses is passed in, so
+tracemalloc sees all of its memory. Each buffer the kernel writes is a
+ctypes array (``_buffer``), which a call takes as it is, and Python reads
+one through a NumPy view of it; only the coordinates go by address, and
+reading an array's address costs about 1.3 us. The fill goes up the table
+in blocks of rows, each computed strip by strip over a few hundred starts (``fill_tile``),
 so a strip's rows stay in the L1 cache, and two threads share each
 block's strips where the process may use two CPUs. README gives the
 measured times and memory.
@@ -54,7 +56,7 @@ import os
 import platform
 import subprocess
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -65,6 +67,9 @@ from .geometry import ConvexPointSet
 
 # the candidates' room before the fill's first call: cluster3's few fit
 _ROOM = 16
+
+# the type of every buffer the kernel writes (see _buffer)
+_Cell = ctypes.c_double * 1
 
 # the kernel's source in the package, and its compiler flags: no FMA
 # contraction, and no -march, so that one library serves any x86-64 CPU
@@ -128,12 +133,13 @@ class SubproblemTable:
     replay needs the coordinates ``xs`` and ``ys`` and the fill's squared
     edge lengths ``edge2``.
 
-    The table keeps the first six arguments of every kernel call (the
-    addresses of xs, ys, edge2 and S, n and the stride), taken from its own
-    fields when it is made: reading an array's ``ctypes.data`` costs about
-    1.3 us. ``copy``, ``deepcopy``, ``pickle`` and
-    ``dataclasses.replace`` all make a table through the constructor (see
-    ``__reduce__``), so no copy keeps another table's addresses.
+    The table keeps the first six arguments of every kernel call, taken
+    from its own fields when it is made (``_arg``): the addresses of xs and
+    ys, which the fill passes in as ``_xy`` where it has read them, the
+    buffers of edge2 and S, n and the stride. ``copy``, ``deepcopy``,
+    ``pickle`` and ``dataclasses.replace`` all make a table through the
+    constructor, without ``_xy`` (see ``__reduce__``), so a copy takes its
+    own arrays' buffers, or their addresses where NumPy owns them.
     """
 
     n: int
@@ -145,15 +151,16 @@ class SubproblemTable:
     xs: np.ndarray
     ys: np.ndarray
     edge2: np.ndarray      # float64, d2(s, s+1) for every start s
-    _args: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _xy: InitVar[tuple[int, int] | None] = None
+    _args: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_args", (self.xs.ctypes.data, self.ys.ctypes.data,
-                                           self.edge2.ctypes.data, self.n, self.S.ctypes.data,
+    def __post_init__(self, _xy: tuple[int, int] | None) -> None:
+        x, y = _xy or (_arg(self.xs), _arg(self.ys))
+        object.__setattr__(self, "_args", (x, y, _arg(self.edge2), self.n, _arg(self.S),
                                            self.stride))
 
     def __reduce__(self):
-        # through the constructor, which takes the copy's own addresses
+        # through the constructor, which takes the copy's own buffers
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def arc_values(self, start: int, end: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +179,38 @@ class SubproblemTable:
         n, stride = self.n, self.stride
         if not 0 <= kmax <= n // 2:
             raise BadDomainError(f"kmax {kmax} outside [0, {n // 2}]")
-        # held by a name while the kernel runs: .ctypes.data keeps no reference
-        first, last, block = np.empty(kmax + 1), np.empty(kmax + 1), np.empty((stride + 1) ** 2)
-        _kernel().bn_arcs(*self._args, start % n, end % n, kmax,
-                          block.ctypes.data, first.ctypes.data, last.ctypes.data)
+        first, last = _zeros(kmax + 1), _zeros(kmax + 1)
+        _kernel().bn_arcs(*self._args, start % n, end % n, kmax, _buffer(8 * (stride + 1) ** 2),
+                          first.base, last.base)
         return first, last
+
+
+def _buffer(nbytes: int) -> ctypes.Array:
+    """``nbytes`` zeroed bytes, at least 8, that ctypes owns: a kernel call
+    takes the buffer as it is, with no address read. Each is an array of
+    one float, resized: ``c_double * k`` would make a type of about 3 KB
+    for each new length k, which ctypes drops when no array uses it."""
+    buf = _Cell()
+    if nbytes > ctypes.sizeof(buf):
+        ctypes.resize(buf, nbytes)
+    return buf
+
+
+def _zeros(*shape: int, dtype=np.float64) -> np.ndarray:
+    """A zeroed array over a ``_buffer`` of its own: its ``base``, what the
+    kernel takes for it."""
+    dtype = np.dtype(dtype)
+    return np.ndarray(shape, dtype, _buffer(math.prod(shape) * dtype.itemsize))
+
+
+def _arg(a: np.ndarray) -> ctypes.Array | int:
+    """What the kernel takes for ``a``: the ``_buffer`` that ``a`` spans
+    from its first byte, as ``_zeros`` makes them, else a's address, an
+    int that holds no reference to ``a``."""
+    base = a.base
+    if isinstance(base, _Cell) and a.nbytes == ctypes.sizeof(base) and a.flags.c_contiguous:
+        return base
+    return a.ctypes.data
 
 
 def _build(source: bytes, flags: tuple[str, ...], path: Path) -> None:
@@ -259,15 +293,15 @@ def candidate_reach(P: ConvexPointSet) -> np.ndarray:
     states counts in, so the reach is never below the exact rule's.
     """
     xs, ys = np.ascontiguousarray(P.xs, np.float64), np.ascontiguousarray(P.ys, np.float64)
-    reach = np.empty(P.n, dtype=np.intp)
-    _kernel().bn_reach(xs.ctypes.data, ys.ctypes.data, P.n, reach.ctypes.data)
+    reach = _zeros(P.n, dtype=np.intp)
+    _kernel().bn_reach(xs.ctypes.data, ys.ctypes.data, P.n, reach.base)
     return reach
 
 
-def _resized(a: np.ndarray, keep: int, size: int) -> np.ndarray:
-    """A new array of ``size`` rows that starts with the first ``keep`` of ``a``."""
-    out = np.empty((size, *a.shape[1:]), a.dtype)
-    out[:keep] = a[:keep]
+def _grown(buf: ctypes.Array, keep: int, nbytes: int) -> ctypes.Array:
+    """A new ``_buffer`` of ``nbytes`` that starts with the first ``keep`` bytes of ``buf``."""
+    out = _buffer(nbytes)
+    ctypes.memmove(out, buf, keep)
     return out
 
 
@@ -313,39 +347,50 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     the kernel returns, and the call after the arrays have grown (at
     least twofold) redoes that block. The threads claim entries from one
     shared count, so the order varies from run to run, and the candidates
-    are sorted by (i, j) at the end. Every address is read once,
-    before the first call, but the candidates', which a growth moves.
+    are sorted by (i, j) at the end. The coordinates' addresses are read
+    once, for the fill and the table.
     """
     n = P.n
     half = n // 2
     stride = checkpoint_stride(n)
     h, w = fill_tile(n)
     xs, ys = np.ascontiguousarray(P.xs, np.float64), np.ascontiguousarray(P.ys, np.float64)
+    x, y = xs.ctypes.data, ys.ctypes.data
     reach = candidate_reach(P)
     kmax = int(reach.max())  # no row above it holds a candidate
-    S = np.zeros((half // stride + 1 + (half % stride != 0), n))
-    edge2 = np.empty(n)
+    rows = half // stride + 1 + (half % stride != 0)
+    S, edge2 = _buffer(8 * rows * n), _buffer(8 * n)
     threads = min(2, usable_cpus())  # the kernel starts no worker where a block is one strip
     # each thread's rows of a block below its top, strip by strip; none where
     # a block is one row of n starts
-    tile = np.empty(0 if h == 1 and w >= n else threads * 2 * min(w + 2 * h, n))
-    rows = np.empty(2 * n)
-    # next block's first row, candidates kept, the count the block needs
-    state = np.array([1, 0, 0], dtype=np.intp)
-    necessary, bases = np.empty((_ROOM, 2), dtype=np.intp), np.empty(_ROOM)
+    tile = 0 if h == 1 and w >= n else threads * 2 * min(w + 2 * h, n)
+    # one scratch: two full rows, the tiles, and the state: next block's
+    # first row, candidates kept, the count the block needs
+    scratch = _buffer(8 * (2 * n + tile + 3))
+    state = np.ndarray(3, np.intp, scratch, 8 * (2 * n + tile))
+    state[0] = 1
+    # room for cap candidates: their (i, j), 16 bytes each, and their values
+    cap = _ROOM
+    ij, values = _buffer(16 * cap), _buffer(8 * cap)
     fill = _kernel().bn_fill
-    fill_args = (xs.ctypes.data, ys.ctypes.data, edge2.ctypes.data, n, S.ctypes.data, stride,
-                 reach.ctypes.data, kmax, h, w, rows.ctypes.data, tile.ctypes.data, threads,
-                 state.ctypes.data)
-    while fill(*fill_args, necessary.ctypes.data, bases.ctypes.data, len(bases)):
-        kept, size = int(state[1]), max(2 * len(bases), int(state[1] + state[2]))
-        necessary, bases = _resized(necessary, kept, size), _resized(bases, kept, size)
+    fill_args = (x, y, edge2, n, S, stride, _arg(reach), kmax, h, w, scratch,
+                 ctypes.byref(scratch, 16 * n), threads, ctypes.byref(scratch, 8 * (2 * n + tile)))
+    while fill(*fill_args, ij, values, cap):
+        kept, cap = int(state[1]), max(2 * cap, int(state[1] + state[2]))
+        ij, values = _grown(ij, 16 * kept, 16 * cap), _grown(values, 8 * kept, 8 * cap)
     count = int(state[1])
-    # in (i, j) order, by the key i * n + j
-    order = np.argsort(necessary[:count].dot((n, 1))) if count else slice(0)
+    del fill_args, reach, state, scratch  # before the sort's temporaries
+    # the candidates in buffers of their own, in (i, j) order by the key i * n + j
+    necessary, bases = _zeros(count, 2, dtype=np.intp), _zeros(count)
+    if count:
+        ij = np.ndarray((count, 2), np.intp, ij)
+        order = np.argsort(ij.dot((n, 1)))
+        np.take(ij, order, axis=0, out=necessary)
+        np.take(np.ndarray(count, np.float64, values), order, out=bases)
     return SubproblemTable(
-        n=n, stride=stride, S=S, choice=np.zeros((0, n), dtype=np.uint8),
-        necessary=necessary[order], bases=bases[order], xs=xs, ys=ys, edge2=edge2,
+        n=n, stride=stride, S=np.ndarray((rows, n), np.float64, S),
+        choice=np.zeros((0, n), dtype=np.uint8), necessary=necessary, bases=bases, xs=xs, ys=ys,
+        edge2=np.ndarray(n, np.float64, edge2), _xy=(x, y),
     )
 
 
@@ -382,6 +427,6 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> np.ndarray:
         raise BadDomainError(f"start {start} outside [0, {n})")
     if size % 2 != 0 or not 0 <= size <= n:
         raise BadDomainError(f"size {size} not even in [0, {n}]")
-    pairs, block = np.empty((size // 2, 2), dtype=np.intp), np.empty((T.stride + 1) ** 2)
-    _kernel().bn_walk(*T._args, start, size // 2, block.ctypes.data, pairs.ctypes.data)
+    pairs = _zeros(size // 2, 2, dtype=np.intp)
+    _kernel().bn_walk(*T._args, start, size // 2, _buffer(8 * (T.stride + 1) ** 2), pairs.base)
     return pairs

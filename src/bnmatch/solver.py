@@ -22,7 +22,6 @@ verifies them. So its traced peak is the fill's (``build_subproblem_table``).
 """
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -81,16 +80,18 @@ def _three_chain(
     candidates that survive the prunes against ``best_one`` and the best
     so far, and its (i, j, k, t), or (inf, None) where none gives less.
 
-    Inputs go as bytes and the scratch and output as ctypes arrays, which
-    ctypes passes by their own buffers: no ``ctypes.data`` read. The
-    scratch, one replay block and its two rows, is freed on return.
+    The candidates go as the buffers the fill made for them, and the
+    scratch, one replay block and its two rows, and the output as ctypes
+    arrays: no address is read. The scratch is freed on return.
     """
     if not len(T.necessary):
         return math.inf, None
-    scratch, out = (ctypes.c_double * ((T.stride + 1) ** 2 + T.n))(), (ctypes.c_ssize_t * 4)()
-    value = dp_core._kernel().bn_search(*T._args, T.necessary.tobytes(), T.bases.tobytes(),
-                                        len(T.bases), best_one, scratch, out)
-    return value, tuple(out) if value < math.inf else None
+    scratch = dp_core._buffer(8 * ((T.stride + 1) ** 2 + T.n))
+    out = dp_core._zeros(4, dtype=np.intp)
+    value = dp_core._kernel().bn_search(*T._args, dp_core._arg(T.necessary),
+                                        dp_core._arg(T.bases), len(T.bases), best_one, scratch,
+                                        out.base)
+    return value, tuple(out.tolist()) if value < math.inf else None
 
 
 def solve(P: ConvexPointSet) -> SolveReport:

@@ -38,7 +38,7 @@ from bnmatch import (
     solve,
     validate_convex_ccw,
 )
-from bnmatch import dp_core
+from bnmatch import dp_core, solver
 from bnmatch.dp_core import candidate_reach, checkpoint_stride
 from bnmatch.errors import BadDomainError
 from conftest import (
@@ -619,10 +619,10 @@ def test_fill_tile_adds_at_most_16_kb():
 def test_edge2_holds_no_fill_scratch(n):
     # T.edge2 outlives the fill: a view of the fill's shared scratch would
     # keep all of it alive through reconstruct; its own allocation holds at
-    # most n + 8 floats
+    # most n + 8 floats, whether NumPy or ctypes owns it
     T = build_subproblem_table(generate(GenSpec(n, "valtr", 2)))
     owner = T.edge2 if T.edge2.base is None else T.edge2.base
-    assert T.edge2.size == n and owner.size <= n + 8
+    assert T.edge2.size == n and memoryview(owner).nbytes <= 8 * (n + 8)
 
 
 # digests of T.S, T.necessary, T.bases, T.edge2 and the solve report at
@@ -855,23 +855,40 @@ def test_fill_calls_once_where_the_candidates_fit():
     copy.copy, copy.deepcopy, lambda T: pickle.loads(pickle.dumps(T)), dataclasses.replace,
 ], ids=["copy", "deepcopy", "pickle", "replace"])
 def test_table_copies_read_their_own_arrays(copy_of):
-    # a table keeps its arrays' addresses for the kernel; a copy must take
-    # its own, and keep reading the right values once the original is gone.
-    # Tables compare by identity, as point sets do, so a copy is unequal and
-    # every table can go in a set
+    # a table keeps its arrays' buffers, or their addresses, for the kernel;
+    # a copy must take its own, and keep reading the right values once the
+    # original and every view of it are gone. So must the arrays that
+    # reconstruct, arc_values and candidate_reach return, once their table
+    # is. Tables compare by identity, as point sets do, so a copy is unequal
+    # and every table can go in a set
     P = validate_convex_ccw(parabola_cap(64))
     T = build_subproblem_table(P)
-    ends = [(0, P.n - 1), (5, 40), (P.n - 1, 17)]
-    want = [[a.tolist() for a in T.arc_values(s, e, P.n // 2)] for s, e in ends]
-    walks = [reconstruct(T, s, P.n).tolist() for s in (0, 9)]
+    assert len(T.necessary) > 0  # the search reads the candidates' buffers too
+
+    def digest(U):
+        h = hashlib.sha256()
+        for s, e in [(0, P.n - 1), (5, 40), (P.n - 1, 17)]:
+            for a in U.arc_values(s, e, P.n // 2):
+                h.update(a.tobytes())
+        for s in (0, 9):
+            h.update(reconstruct(U, s, P.n).tobytes())
+        h.update(repr(solver._three_chain(U, math.inf)).encode())
+        return h.hexdigest()
+
+    want = digest(T)
+    returned = [reconstruct(T, 3, P.n), *T.arc_values(7, 30, P.n // 2), candidate_reach(P)]
+    returned_bytes = [a.tobytes() for a in returned]
     copies = [copy_of(T) for _ in range(2)]
     assert all(C != T for C in copies) and copies[0] != copies[1]
     assert len({T, *copies}) == 3
-    del T
+    views = [T.S, T.S[1:], T.edge2, T.necessary, T.bases, T.necessary.T]
+    del T, views
     gc.collect()
+    reuse = [b"\xff" * 8 * k for k in range(1, 2 * P.n) for _ in range(4)]  # the freed memory
     for C in copies:
-        assert [[a.tolist() for a in C.arc_values(s, e, P.n // 2)] for s, e in ends] == want
-        assert [reconstruct(C, s, P.n).tolist() for s in (0, 9)] == walks
+        assert digest(C) == want
+    assert [a.tobytes() for a in returned] == returned_bytes
+    del reuse
 
 
 @pytest.mark.parametrize("P", [pytest.param(P, id=name) for name, P in tile_seam_inputs()])

@@ -1,5 +1,8 @@
+import cProfile
 import dataclasses
+import gc
 import math
+import pstats
 import tracemalloc
 from unittest import mock
 
@@ -531,3 +534,54 @@ class TestCheckpointStride:
         finally:
             tracemalloc.stop()
         assert peak - rows <= 106 * n, (peak - rows) / n
+
+
+def _address_reads(P) -> int:
+    """How many NumPy ``ctypes`` objects one warm solve of P makes: each is
+    a read of an array's address for the kernel."""
+    solve(P)
+    init = type(np.empty(0).ctypes).__init__.__code__
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        solve(P)
+    finally:
+        profile.disable()
+    key = (init.co_filename, init.co_firstlineno, init.co_name)
+    return pstats.Stats(profile).stats.get(key, (0, 0))[1]
+
+
+@pytest.mark.parametrize("mode, structure", [("valtr", "one-cascade"), ("cluster3", "three-cascade")])
+def test_solve_reads_at_most_four_addresses(mode, structure):
+    # a read costs about 1.3 us, where a small solve takes about 70 us. The
+    # kernel takes its buffers as ctypes arrays, with no read; the fill reads
+    # the coordinates' two addresses, for itself and the table, and
+    # candidate_reach reads them again. With NumPy-owned buffers a solve
+    # read 19 (one cascade) and 23 (three)
+    P = generate(GenSpec(16, mode, 1))
+    assert solve(P).structure == structure
+    assert _address_reads(P) <= 4
+
+
+@pytest.mark.parametrize("mode, n, parent", [("valtr", 16, 5161), ("cluster3", 256, 32749)])
+def test_small_solve_peak(mode, n, parent):
+    # at small n a solve's traced peak is mostly Python objects: the
+    # kernel's buffers, owned by ctypes, each with a NumPy view where
+    # Python reads it, stay within 2% of the peak with NumPy-owned ones.
+    # The least of 20 warm solves, each after a full collection, which
+    # empties the free lists, so every object a solve makes is traced.
+    # Measured in five runs: 4785 to 4993 bytes (valtr) and 27377 to 27665
+    # (cluster3); with NumPy-owned buffers 5161 to 5257 and 32749 to 32981,
+    # whose least is the bound's base
+    P = generate(GenSpec(n, mode, 1))
+    peaks = []
+    for _ in range(20):
+        solve(P)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            solve(P)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert min(peaks) <= 1.02 * parent, min(peaks)
