@@ -18,6 +18,7 @@ import statistics
 import subprocess
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -107,8 +108,8 @@ def cmd_verify(args) -> int:
     "n", then ``MatchingReport.failed_check``'s, whose value check is exact."""
     P = _load_instance(args)
     md = formats.parse_matching(_read(args.matching))
-    # the parse made every index an int
-    rep = structure.verify_matching(P, structure.Matching(md["n"], tuple(md["pairs"])))
+    # the parse made each pair two ints: no type pass
+    rep = structure._verify(P, md["pairs"], list(chain.from_iterable(md["pairs"])))
     failed = "n" if md["n"] != P.n else rep.failed_check(md["value"])
     if failed:
         print(f"FAIL {failed}")

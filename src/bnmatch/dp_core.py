@@ -15,36 +15,30 @@ row r0 at starts t .. t + 2d, so any other value is replayed from the
 checkpoint row below it on a window of at most 2s - 1 starts, with the
 fill's own float operations, and comes out bit for bit as the fill computed
 it. ``checkpoint_stride`` alone picks s from n, isqrt(2n) for every n, so
-values take at most 8n(sqrt(n/8) + 3) bytes instead of 4n(n + 2) (2.2 MB
-at n = 8192, 135 MB at 131072), and replaying a column of n/2 values costs
-about n * s / 2 = n * sqrt(n/2) entry updates. Stride 1, which keeps every
-row, is a value that tests force.
+values take at most 8n(sqrt(n/8) + 3) bytes instead of 4n(n + 2), and
+replaying a column of n/2 values costs about n * s / 2 = n * sqrt(n/2)
+entry updates. Stride 1, which keeps every row, is a value that tests force.
 
 No move is stored: ``reconstruct`` recomputes each move of its walk from
-the values, replaying one block of rows at a time, in O(size * stride)
-time and O(n + stride^2) = O(n) scratch. Of the necessary arcs, the table
-keeps the diagonals (i, j) of the candidates only, those that turn by at
-most 2*pi/3 (``candidate_reach``): none on circle and valtr polygons of
-n = 256 .. 8192 (seed 1), three on cluster3, about n/15 on a parabola
-cap. It also keeps each candidate's value, its base, which the fill has
-at hand where it flags the arc: 8 bytes a candidate, and no base is
-replayed. So the table holds no quadratic field.
+the values. Of the necessary arcs, the table keeps the diagonals (i, j)
+of the candidates only, those that turn by at most 2*pi/3
+(``candidate_reach``), and each one's value, its base, which the fill has
+at hand where it flags the arc: no base is replayed. So the table holds
+no quadratic field.
 
 The fill, the replays of ``arc_values``, the walk of ``reconstruct``,
 the candidate rule and ``solve``'s 3-chain search (``bn_search``, which
 replays as ``arc_values`` does) are one call each into a compiled
-kernel, ``_rowkernel.c``, which holds the recurrence's expressions once.
-It is built on first use, not on import, with the C compiler ``cc``
-(KernelBuildError if that fails), and cached in the package's
-``__pycache__``; see ``_kernel``. Every buffer it uses is passed in, so
-tracemalloc sees all of its memory. Each buffer the kernel writes is a
-ctypes array (``_buffer``), which a call takes as it is, and Python reads
-one through a NumPy view of it; only the coordinates go by address, and
-reading an array's address costs about 1.3 us. The fill goes up the table
-in blocks of rows, each computed strip by strip over a few hundred starts (``fill_tile``),
-so a strip's rows stay in the L1 cache, and two threads share each
-block's strips where the process may use two CPUs. README gives the
-measured times and memory.
+kernel, ``_rowkernel.c``, which holds the recurrence's expressions once,
+built on first use with the C compiler ``cc`` (``_kernel``). Every buffer
+it uses is passed in, so tracemalloc sees all of its memory. Each buffer
+it writes is a ctypes array (``_buffer``), which a call takes as it is,
+and Python reads one through a NumPy view of it; only the coordinates go
+by address. The fill goes up the table in blocks of rows, each computed
+strip by strip over a few hundred starts (``fill_tile``), so a strip's
+rows stay in the L1 cache, and two threads share each block's strips
+where the process may use two CPUs. README gives the measured times and
+memory.
 """
 from __future__ import annotations
 
@@ -101,13 +95,10 @@ def fill_tile(n: int) -> tuple[int, int]:
     From n = 1026 on it is (16, 384). A strip's rows read about 8 floats a
     start over its w + 2h starts (the coordinates and edges at both ends
     of its arcs, two rows of the tile and the reach), so they stay in a
-    48 KB L1 data cache. At n = 8192 strips of 256 to 512 starts and
-    blocks of 8 to 32 rows filled within 10% of each other, and strips of
-    768 took 1.35x as long. Up to n = 1024 a whole row fits that cache,
-    and the fill goes row by row, (1, n): each block is one row of n
-    starts, computed straight into a scratch row, so no tile is needed
-    and no second thread starts; strips of 384 there took up to 1.05x as
-    long.
+    48 KB L1 data cache. Up to n = 1024 a whole row fits that cache, and
+    the fill goes row by row, (1, n): each block is one row of n starts,
+    computed straight into a scratch row, so no tile is needed and no
+    second thread starts. README gives the tile's timings.
     """
     return (1, n) if n <= 1024 else (16, 384)
 
@@ -317,19 +308,12 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
 
     ties pick the earliest move in (pair, left, right) order. An arc is
     necessary iff its float pair strictly beats both float edge moves,
-    pair < min(left, right), so a float tie is not flagged. Whether a
-    rounding can turn an exact win into a float tie, and so lose a
-    candidate, is open (ROADMAP.md, the exact-rational reference). That is
-    tested only in the rows k <= max(``candidate_reach(P)``) and, at a
-    start s, only while k <= reach[s]: past that the pair would have to
-    beat 0, which it never does, so each arc the test flags is a
-    candidate. There the row's value is the pair's, and the fill stores it
-    with the arc's diagonal (i, j).
-
-    The value rows kept are sizes 2k with k % stride == 0, for the stride
-    ``checkpoint_stride(n)`` picks, and the full circle: about
-    8n * sqrt(n/8) bytes in all. No move is stored; ``reconstruct``
-    recomputes the moves it follows.
+    pair < min(left, right), so a float tie is not flagged (whether a
+    rounding can so lose a candidate is open). That is tested only in the
+    rows k <= max(``candidate_reach(P)``) and, at a start s, only while
+    k <= reach[s]: past that the pair would have to beat 0, which it never
+    does, so each arc the test flags is a candidate. There the row's value
+    is the pair's, and the fill stores it with the arc's diagonal (i, j).
 
     One kernel call computes the rows in blocks of h rows, each block strip
     by strip over w starts, for the tile (h, w) ``fill_tile`` picks (see
@@ -341,7 +325,7 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     the same loop, and the values are the same bits. So the fill's
     scratch is those two rows, the reach, a tile of 2 * min(w + 2h, n)
     floats per thread (none where a block is one row of n starts) and
-    the candidates: 33.9 bytes a point at n = 8192, 33.1 with one tile.
+    the candidates.
     The candidates' arrays start with room for 16, so cluster3's few fit
     and its fill is one call. Where a block's candidates pass the room,
     the kernel returns, and the call after the arrays have grown (at
@@ -419,8 +403,8 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> np.ndarray:
     the checkpoint r0 below k, need rows r0 .. k-1 only at starts s .. s +
     2(k - r0), which one block from row r0 gives. That is O(size * stride)
     time and O(stride^2) = O(n) scratch: one block's rows, in the
-    (stride + 1)^2 floats ``arc_values`` uses too, 16 bytes a point at
-    n = 16384, beside the pairs, 16 bytes a pair.
+    (stride + 1)^2 floats ``arc_values`` uses too, beside the pairs, 16
+    bytes a pair.
     """
     n = T.n
     if not 0 <= start < n:

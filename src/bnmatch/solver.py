@@ -19,6 +19,7 @@ The table is freed before the matching is built: the walks return their
 pairs as intp arrays, 16 bytes a pair, and ``solve`` reads the candidate
 count, drops the table, and only then makes the matching's n/2 tuples and
 verifies them. So its traced peak is the fill's (``build_subproblem_table``).
+The walk's array goes to ``structure._verify`` as it is: no type pass.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from . import dp_core
 from .dp_core import SubproblemTable, build_subproblem_table, one_cascade_optimum, reconstruct
 from .errors import InvalidMatchingError
 from .geometry import ConvexPointSet
-from .structure import Matching, verify_matching
+from .structure import Matching, _verify
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def solve(P: ConvexPointSet) -> SolveReport:
     # through a list: a tuple built from an iterator of unknown length grows
     # by repeated reallocs, which left small-n runs about 2% more resident memory
     matching = Matching(n, tuple(list(zip(*pairs.T.tolist()))))
-    report = verify_matching(P, matching)
+    report = _verify(P, matching.pairs, pairs.ravel())
     value = math.sqrt(value_sq)
     failed = report.failed_check(value)
     if failed:

@@ -11,13 +11,16 @@ crossing-freeness and builds their nesting forest, and the cascades and
 3-bounded count follow from the forest's parent links. The pass that
 builds the diagonals' sort keys skips the edges, so no separate list of
 edges or diagonals is made.
+
+The type pass runs only in ``verify_matching``, on pairs from outside;
+``solve`` and ``bnmatch verify`` hand the ints they made (the walk's intp
+array, the parse's ints) to ``_verify``, the checks every path shares.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, starmap
-from operator import eq
+from itertools import chain
 
 import numpy as np
 
@@ -99,40 +102,51 @@ def verify_matching(P: ConvexPointSet, M: Matching) -> MatchingReport:
     The reported value is sqrt of the max squared pair length, computed by
     the same arithmetic the solver uses, so exact equality against solver
     output is meaningful. A perfect non-crossing matching also gets its
-    cascade decomposition, from the same sweep that checked it.
+    cascade decomposition, from the same sweep that checked it. An index
+    that is no Python or NumPy integer (a bool, float, str or None), or a
+    pair that is not two ends, gets the report of one out of range.
     """
-    n = P.n
-    # a bool, float or str index is out of range; each pass runs in C. A
-    # pair that is not two ends raises TypeError in the first or last pass
+    # each pass runs in C; a pair without a length raises TypeError
     try:
         ends = list(chain.from_iterable(M.pairs))
-        indices_ok = (
-            M.n == n
-            and all(t is int or issubclass(t, np.integer) for t in set(map(type, ends)))
-            and (not ends or 0 <= min(ends) and max(ends) < n)
-            and not any(starmap(eq, M.pairs))
-        )
+        typed = M.n == P.n and set(map(len, M.pairs)) <= {2} and all(
+            t is int or issubclass(t, np.integer) for t in set(map(type, ends)))
     except TypeError:
-        indices_ok = False
-    if not indices_ok:
-        return MatchingReport(False, False, math.nan, None, None)
+        typed = False
+    return _verify(P, M.pairs, ends) if typed else _REJECTED
 
-    ends = np.fromiter(ends, np.intp, len(ends))  # the list is freed here
+
+_REJECTED = MatchingReport(False, False, math.nan, None, None)
+
+
+def _verify(P: ConvexPointSet, pairs, ends) -> MatchingReport:
+    """verify_matching past its type pass, on ``pairs`` of two ints each
+    and their ends in order: an intp array, or ints that may lie past the
+    intp range. An end out of range or a pair of one end twice is rejected."""
+    n = P.n
+    try:
+        ends = np.asarray(ends, np.intp)
+    except OverflowError:
+        return _REJECTED
+    if len(ends) and ends.view(np.uintp).max() >= n:  # a negative end too
+        return _REJECTED
     covered = np.zeros(n, dtype=bool)
     covered[ends] = True
-    # n/2 pairs over n distinct ends cover every point once
-    perfect = len(M.pairs) == n // 2 and bool(covered.all())
+    # n/2 pairs over n distinct ends cover every point once, and then no
+    # pair joins an end to itself
+    perfect = len(pairs) == n // 2 and bool(covered.all())
+    if not perfect and (ends[::2] == ends[1::2]).any():
+        return _REJECTED
     value, longest_pair = math.nan, None
-    if M.pairs:
-        a, b = ends.reshape(-1, 2).T
+    if pairs:
         with np.errstate(over="ignore"):  # inf past the float range, as in the fill
-            dx = P.xs[b] - P.xs[a]
-            dy = P.ys[b] - P.ys[a]
+            x, y = P.xs[ends], P.ys[ends]
+            dx, dy = x[1::2] - x[::2], y[1::2] - y[::2]
             d2 = dx * dx + dy * dy
-        k = int(np.argmax(d2))  # the first longest pair
-        value, longest_pair = math.sqrt(d2[k]), tuple(M.pairs[k])
+        k = int(d2.argmax())  # the first longest pair
+        value, longest_pair = math.sqrt(d2[k]), tuple(pairs[k])
 
-    keys, parents = _nesting(M.pairs, n)
+    keys, parents = _nesting(pairs, n)
     non_crossing = parents is not None
     decomposition = _decompose(keys, parents) if perfect and non_crossing else None
     return MatchingReport(perfect, non_crossing, value, longest_pair, decomposition)

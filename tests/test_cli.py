@@ -278,6 +278,14 @@ class TestVerifyCommand:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("index", [2**70, -1])
+    def test_index_out_of_range_fails_perfect(self, sq4_file, tmp_path, capsys, index):
+        # 2**70 does not fit an intp; -1 would wrap to point 3, and
+        # (0, 3), (1, 2) is a perfect matching of value 1
+        m = write(tmp_path / "m.json", '{"n": 4, "value": 1.0, "pairs": [[0, %d], [1, 2]]}' % index)
+        assert main(["verify", sq4_file, m]) == 1
+        assert capsys.readouterr().out == "FAIL perfect\n"
+
     def test_n_mismatch_fails(self, sq4_file, tmp_path, capsys):
         m = write(
             tmp_path / "m.json",

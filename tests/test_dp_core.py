@@ -585,6 +585,7 @@ def test_fill_and_candidates_on_random_polygons(coords):
 def _fill_scratch(n):
     """Bytes tracemalloc sees at the peak of a valtr fill beyond its tables."""
     P = generate(GenSpec(n, "valtr", 3))
+    dp_core._kernel()  # a process's first fill would load the kernel under tracing
     tracemalloc.start()
     try:
         T = build_subproblem_table(P)

@@ -48,8 +48,8 @@ def test_triple_cross_check_circle_seed1():
     rep = solve(P)
     cv, _ = cubic_solve(P)
     ov, _ = oracle_solve(P)
-    assert rep.value == approx(ov, rel=1e-9)
-    assert cv == approx(ov, rel=1e-9)
+    assert rep.value == ov
+    assert cv == ov
 
 
 def test_bad_arguments():

@@ -178,9 +178,23 @@ class TestVerifyMatching:
         assert math.isnan(rep.value)
 
     @pytest.mark.parametrize("pairs", [
+        ((0, 2**70), (1, 2)),  # past the intp range, as the next two
+        ((0, -2**70), (1, 2)),
+        ((0, np.uint64(2**64 - 1)), (1, 2)),
+        ((0, -1), (1, 2)),  # -1 would wrap to point 3: (0, 3), (1, 2) is perfect
+        ((1, 1), (2, 3)),  # a self-pair is rejected, not just imperfect
+        ((0, 1), (2, 2)),
+    ])
+    def test_out_of_range_or_self_pair_is_rejected(self, sq4, pairs):
+        rep = verify_matching(sq4, Matching(4, pairs))
+        assert (rep.perfect, rep.non_crossing, rep.longest_pair) == (False, False, None)
+        assert math.isnan(rep.value) and rep.decomposition is None
+
+    @pytest.mark.parametrize("pairs", [
         (0, 1),
         ((0, 1), (2,)),
         ((0, 1), (2, 3, 1)),
+        ((0, 1, 2), (3,)),  # four ends in all, as a perfect matching has
         ((0, 1), None),
     ])
     def test_malformed_pairs_are_not_perfect(self, sq4, pairs):
