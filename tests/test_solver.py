@@ -212,13 +212,13 @@ class TestReportIntegrity:
     # imperfect, a crossing or a longer matching must not be reported
     @pytest.mark.parametrize("pairs, check", [
         ([[0, 1], [0, 1]], "perfect"),
+        ([[0, 2], [1, 3]], "nonCrossing"),
+        ([[0, 1], [2, 3]], "value"),
         # no type pass runs on the walk's array: range and self-pairs are
         # still checked on it
         ([[0, 4], [1, 2]], "perfect"),
         ([[0, -1], [1, 2]], "perfect"),
         ([[0, 0], [1, 2]], "perfect"),
-        ([[0, 2], [1, 3]], "nonCrossing"),
-        ([[0, 1], [2, 3]], "value"),
     ])
     def test_invalid_output_names_the_failed_check(self, pairs, check):
         P = validate_convex_ccw([(0, 0), (2, 0), (2, 1), (0, 1)])
