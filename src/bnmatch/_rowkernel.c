@@ -23,8 +23,13 @@
    starts it reaches. Every buffer comes from the caller.
 
    An index into a cyclic array wraps at most once along a row, so `row`
-   cuts the row where any operand wraps, and each piece is a plain loop over
-   restrict pointers that the compiler vectorizes for the clone's ISA.
+   splits a row into pieces, each up to where the first of its operand
+   indices wraps: the start s, the end j, the edge j - 1 (mod n), the two
+   upper reads of the row below (mod its length) or the end of the starts
+   that take the necessity test. Read in place in a full row, the row below
+   wraps where s does; read from 0 in a shorter one, it does not. Each piece
+   is one `span`, a plain loop over restrict pointers that the compiler
+   vectorizes for the clone's ISA.
 
    Row k at start s needs row k - 1 at s, s + 1 and s + 2 only, so row k0 +
    d at the starts a .. a + w - 1 needs row k0 at a .. a + w - 1 + 2d and
@@ -100,6 +105,8 @@ INLINE double d2(double xs, double ys, double xj, double yj)
 
 INLINE double max2(double a, double b) { return b > a ? b : a; }
 INLINE double min2(double a, double b) { return b < a ? b : a; }
+INLINE idx least(idx a, idx b) { return b < a ? b : a; }
+INLINE idx wrap(idx i, idx n) { return i < n ? i : i - n; }
 
 INLINE struct moves moves(double b0, double b1, double b2, double xs, double ys,
                           double xj, double yj, double el, double er)
@@ -117,7 +124,7 @@ INLINE double value(struct moves v) { return min2(v.pair, min2(v.left, v.right))
 INLINE int necessary(struct moves v) { return v.pair < min2(v.left, v.right); }
 
 /* out[t] for t < len; with reach, also the count of t that pass the
-   necessity test */
+   necessity test, in a loop of its own: gcc does not unswitch one loop */
 INLINE idx span(double *restrict out, const double *restrict b0, const double *restrict b1,
                 const double *restrict b2, const double *restrict xs, const double *restrict ys,
                 const double *restrict xj, const double *restrict yj, const double *restrict el,
@@ -137,35 +144,22 @@ INLINE idx span(double *restrict out, const double *restrict b0, const double *r
     return c;
 }
 
-/* Row k at the starts s0 + t (mod n), t < len <= lo_n, into out[t], from
-   the row below, whose value at start s0 + t is lo[t % lo_n]. With reach,
-   the reach of start s0 + t is reach[t], and it returns the count of arcs
-   that pass the necessity test. */
-INLINE idx row(double *out, const double *lo, idx lo_n, const poly *P, idx s0, idx len, idx k,
-               const idx *reach)
+/* Row k at the starts s + t (mod n), t < len <= n, into out[t], piece by
+   piece (see above), from the row below, whose value at start s + t is
+   lo[(at + t) % lo_n]. The first nr starts take the necessity test, start
+   s + t with reach reach[t], and it returns the count that pass. */
+INLINE idx row(double *out, const double *lo, idx lo_n, idx at, const poly *P, idx s, idx len,
+               idx k, const idx *reach, idx nr)
 {
-    idx n = P->n, m = 2 * k, c = 0, j0 = s0 + m - 1 < n ? s0 + m - 1 : s0 + m - 1 - n;
-    if (s0 + len <= n && j0 >= 1 && j0 + len <= n && len + 2 <= lo_n) /* no operand wraps */
-        return span(out, lo, lo + 1, lo + 2, P->x + s0, P->y + s0, P->x + j0, P->y + j0,
-                    P->e + s0, P->e + j0 - 1, len, k, reach);
-    /* where each operand's index first wraps, as an offset t */
-    idx cut[8] = {0, len, lo_n, lo_n - 1 % lo_n, lo_n - 2 % lo_n,
-                  n - s0, n - (s0 + m - 1) % n, n - (s0 + m - 2) % n};
-    for (int i = 1; i < 8; i++) {
-        idx v = cut[i] < len ? cut[i] : len;
-        int j = i;
-        for (; j > 0 && cut[j - 1] > v; j--)
-            cut[j] = cut[j - 1];
-        cut[j] = v;
-    }
-    for (int i = 0; i < 7; i++) {
-        idx a = cut[i], b = cut[i + 1];
-        if (a == b)
-            continue;
-        idx s = (s0 + a) % n, j = (s + m - 1) % n, r = (s + m - 2) % n;
-        c += span(out + a, lo + a, lo + (a + 1) % lo_n, lo + (a + 2) % lo_n,
-                  P->x + s, P->y + s, P->x + j, P->y + j, P->e + s, P->e + r, b - a, k,
-                  reach ? reach + a : NULL);
+    idx n = P->n, j = wrap(s + 2 * k - 1, n), r = j ? j - 1 : n - 1, c = 0;
+    idx u = wrap(at + 1, lo_n), v = wrap(u + 1, lo_n);
+    for (idx t = 0, p; t < len; t += p) {
+        p = least(least(least(len, t < nr ? nr : len) - t, least(n - s, n - j)),
+                  least(least(n - r, lo_n - u), lo_n - v));
+        c += span(out + t, lo + at, lo + u, lo + v, P->x + s, P->y + s, P->x + j, P->y + j,
+                  P->e + s, P->e + r, p, k, t < nr ? reach + t : NULL);
+        s = wrap(s + p, n), j = wrap(j + p, n), r = wrap(r + p, n);
+        at = wrap(at + p, lo_n), u = wrap(u + p, lo_n), v = wrap(v + p, lo_n);
     }
     return c;
 }
@@ -202,16 +196,16 @@ typedef struct {
 
 /* The arcs (a + t, 2k), t < len (a + len <= n), that pass the necessity
    test, as diagonals (i, j), with their values, into ij and bases from
-   entry c on. lo is the row below as in row. */
-static void emit(const fill *F, const double *lo, idx lo_n, idx a, idx len, idx k, idx c)
+   entry c on. lo, lo_n and at give the row below as in row. */
+static void emit(const fill *F, const double *lo, idx lo_n, idx at, idx a, idx len, idx k, idx c)
 {
     const double *x = F->P.x, *y = F->P.y, *e = F->P.e;
-    idx n = F->P.n, j = (a + 2 * k - 1) % n;
-    for (idx s = a; s < a + len; s++, j = j + 1 < n ? j + 1 : 0) {
+    idx n = F->P.n, j = wrap(a + 2 * k - 1, n);
+    for (idx s = a; s < a + len; s++, j = wrap(j + 1, n), at = wrap(at + 1, lo_n)) {
         if (F->reach[s] < k)
             continue;
-        idx t = s - a, t1 = t + 1 < lo_n ? t + 1 : 0, t2 = t1 + 1 < lo_n ? t1 + 1 : 0;
-        struct moves v = moves(lo[t], lo[t1], lo[t2], x[s], y[s], x[j], y[j], e[s],
+        idx t1 = wrap(at + 1, lo_n), t2 = wrap(t1 + 1, lo_n);
+        struct moves v = moves(lo[at], lo[t1], lo[t2], x[s], y[s], x[j], y[j], e[s],
                                e[j ? j - 1 : n - 1]);
         if (necessary(v)) {
             F->ij[2 * c] = s;
@@ -229,51 +223,40 @@ static void emit(const fill *F, const double *lo, idx lo_n, idx a, idx len, idx 
 typedef struct {
     fill F;
     double *pp, *tile;
-    idx h, w, tn, cap, *st;
+    idx h, w, tn, cap, k0, *st;
     _Alignas(64) _Atomic idx next;
     _Alignas(64) _Atomic idx done;
     _Alignas(64) _Atomic idx open;
     _Alignas(64) _Atomic idx count;
 } team;
 
-/* One strip of a block, in thread t's tile: rows k0 + 1 .. k0 + h at the
-   w starts a .. a + w - 1 (a + w <= n), from row k0, `in`. Row k0 + d is
-   computed on those starts and, unless the strip is the whole row (w = n),
-   on a halo of the 2(h - d) starts past them, in the two tn-float halves
-   of the tile, and the last row straight into out + a; each row the table
-   keeps is copied into S. Rows <= kmax take the necessity test on the
-   strip's own starts only. A row that flags f arcs claims the entries c ..
-   c + f - 1 with one add to `count`, and writes their arcs into ij and
-   bases there if c + f <= cap. */
+/* One strip of a block, in thread t's tile: rows k0 + 1 .. k0 + h at the w
+   starts a .. a + w - 1 (a + w <= n), from row k0, `in`, read in place from
+   a. Row k0 + d is one `row` over those starts and, unless the strip is the
+   whole row (w = n), a halo of the 2(h - d) starts past them, into the two
+   tn-float halves of the tile, and the last row straight into out + a; each
+   row the table keeps is copied into S. Rows <= kmax take the necessity
+   test on the strip's own starts only. A row that flags f arcs claims the
+   entries c .. c + f - 1 with one add to `count`, and writes their arcs
+   into ij and bases there if c + f <= cap. */
 INLINE void strip(team *T, idx t, const double *in, double *out, idx k0, idx h, idx a, idx w)
 {
     const fill *F = &T->F;
-    idx n = F->P.n, g = w < n ? 2 : 0, lo_n = w + g * h, tn = T->tn;
-    double *tile = T->tile + t * 2 * tn;
-    const double *lo = in + a;
-    if (a + lo_n > n) {
-        gather(tile, in, n, a, lo_n);
-        lo = tile;
-    }
+    idx n = F->P.n, g = w < n ? 2 : 0, lo_n = n, at = a;
+    const double *lo = in;
     for (idx d = 1; d <= h; d++) {
         idx k = k0 + d, len = w + g * (h - d);
-        double *o = d == h ? out + a : tile + (d & 1) * tn;
-        if (k <= F->kmax) {
-            idx f = row(o, lo, lo_n, &F->P, a, w, k, F->reach + a);
-            if (len > w)
-                row(o + w, lo + w, lo_n - w, &F->P, (a + w) % n, len - w, k, NULL);
-            if (f) {
-                idx c = atomic_fetch_add_explicit(&T->count, f, memory_order_relaxed);
-                if (c + f <= T->cap)
-                    emit(F, lo, lo_n, a, w, k, c);
-            }
-        } else {
-            row(o, lo, lo_n, &F->P, a, len, k, NULL);
+        double *o = d == h ? out + a : T->tile + (2 * t + (d & 1)) * T->tn;
+        idx f = row(o, lo, lo_n, at, &F->P, a, len, k, F->reach + a, k <= F->kmax ? w : 0);
+        if (f) {
+            idx c = atomic_fetch_add_explicit(&T->count, f, memory_order_relaxed);
+            if (c + f <= T->cap)
+                emit(F, lo, lo_n, at, a, w, k, c);
         }
         double *keep_row = kept(F->S, n, F->stride, k);
         if (keep_row)
             memcpy(keep_row + a, o, w * sizeof *o);
-        lo = o, lo_n = len;
+        lo = o, lo_n = len, at = 0;
     }
 }
 
@@ -296,18 +279,19 @@ static idx await(_Atomic idx *v, idx at)
 /* The next strip that no thread has taken. */
 static idx take(team *T) { return atomic_fetch_add_explicit(&T->next, 1, memory_order_relaxed); }
 
-/* Thread t's part of the fill, from the block of first row st[0] on, with
+/* Thread t's part of the fill, from the block of first row k0 on (st[0] at
+   the call, which thread 0 may rewrite before a late worker starts), with
    st[1] arcs kept, block 0 open. Each thread takes the next strip that no
-   thread has taken, whichever block it is in, and runs it once its block
-   is open. Once all of a block's strips are done, thread 0 reads `count`:
-   past cap, it stops the worker and sets st = (the block's k0, the count
-   before it, the block's count); else it sets st[1] to it and opens the
-   next block. The load may be relaxed: the worker's release of `done`
-   orders its strips' adds before thread 0's acquire. When the fill is
-   done, st = (the k0 past the last block, the count, 0). */
+   thread has taken, whichever block it is in, and runs it once its block is
+   open. Once all of a block's strips are done, thread 0 reads `count`: past
+   cap, it stops the worker and sets st = (the block's k0, the count before
+   it, the block's count); else it sets st[1] to it and opens the next
+   block. The load may be relaxed: the worker's release of `done` orders its
+   strips' adds before thread 0's acquire. When the fill is done, st = (the
+   k0 past the last block, the count, 0). */
 INLINE void blocks(team *T, idx t)
 {
-    idx n = T->F.P.n, half = n / 2, h = T->h, k0 = T->st[0], first = 0;
+    idx n = T->F.P.n, half = n / 2, h = T->h, k0 = T->k0, first = 0;
     idx mine = take(T);
     for (idx j = 0, b = (k0 - 1) / h; k0 < half; k0 += h, j++, b++) {
         idx hb = half - k0 < h ? half - k0 : h;
@@ -406,7 +390,7 @@ CLONES int bn_fill(const double *x, const double *y, double *e, idx n, double *S
 {
     /* the count starts from st[1], the count before the block to redo */
     team T = {{{x, y, e, n}, S, stride, reach, kmax, ij, bases}, pp, tile, h, w,
-              w + 2 * h < n ? w + 2 * h : n, cap, st, 0, 0, 0, st[1]};
+              w + 2 * h < n ? w + 2 * h : n, cap, st[0], st, 0, 0, 0, st[1]};
     if (st[0] == 1) {
         for (idx s = 0; s + 1 < n; s++)
             e[s] = d2(x[s], y[s], x[s + 1], y[s + 1]);
@@ -435,7 +419,7 @@ INLINE void block(const poly *P, const double *S, idx stride, idx r0, idx h, idx
     idx len = 2 * h + 1;
     gather(tri, S + r0 / stride * P->n, P->n, w0, len);
     for (idx k = r0 + 1; k <= r0 + h; k++, tri += len, len -= 2)
-        row(tri + len, tri, len, P, w0, len - 2, k, NULL);
+        row(tri + len, tri, len, 0, P, w0, len - 2, k, NULL, 0);
 }
 
 /* arc_values: first[k] and last[k], k <= kmax, are the values of the arcs

@@ -46,6 +46,7 @@ import ctypes
 import functools
 import hashlib
 import math
+import operator
 import os
 import platform
 import subprocess
@@ -168,6 +169,10 @@ class SubproblemTable:
         updates each, O(n) memory in all with the two arrays.
         """
         n, stride = self.n, self.stride
+        try:
+            start, end, kmax = operator.index(start), operator.index(end), operator.index(kmax)
+        except TypeError as e:
+            raise BadDomainError(f"start {start!r}, end {end!r}, kmax {kmax!r}: {e}") from None
         if not 0 <= kmax <= n // 2:
             raise BadDomainError(f"kmax {kmax} outside [0, {n // 2}]")
         first, last = _zeros(kmax + 1), _zeros(kmax + 1)
@@ -315,24 +320,11 @@ def build_subproblem_table(P: ConvexPointSet) -> SubproblemTable:
     does, so each arc the test flags is a candidate. There the row's value
     is the pair's, and the fill stores it with the arc's diagonal (i, j).
 
-    One kernel call computes the rows in blocks of h rows, each block strip
-    by strip over w starts, for the tile (h, w) ``fill_tile`` picks (see
-    ``_rowkernel.c``). A block reads one full row and writes the next
-    into the other of two scratch rows, and every row the table keeps
-    into ``S``. Where a block has more than one strip, min(2, CPUs this
-    process may use) threads share its strips, the caller and one worker,
-    each taking the next strip that neither has taken; one thread runs
-    the same loop, and the values are the same bits. So the fill's
-    scratch is those two rows, the reach, a tile of 2 * min(w + 2h, n)
-    floats per thread (none where a block is one row of n starts) and
-    the candidates.
-    The candidates' arrays start with room for 16, so cluster3's few fit
-    and its fill is one call. Where a block's candidates pass the room,
-    the kernel returns, and the call after the arrays have grown (at
-    least twofold) redoes that block. The threads claim entries from one
-    shared count, so the order varies from run to run, and the candidates
-    are sorted by (i, j) at the end. The coordinates' addresses are read
-    once, for the fill and the table.
+    One kernel call, ``bn_fill``, computes the rows; ``_rowkernel.c``
+    gives its tiles (``fill_tile``), its threads and how it grows the
+    candidates' arrays, and the values are the same bits on any tile and
+    thread count. Its scratch is O(n) beside the candidates, which come
+    out sorted by (i, j).
     """
     n = P.n
     half = n // 2
@@ -407,6 +399,10 @@ def reconstruct(T: SubproblemTable, start: int, size: int) -> np.ndarray:
     bytes a pair.
     """
     n = T.n
+    try:
+        start, size = operator.index(start), operator.index(size)
+    except TypeError as e:
+        raise BadDomainError(f"start {start!r}, size {size!r}: {e}") from None
     if not 0 <= start < n:
         raise BadDomainError(f"start {start} outside [0, {n})")
     if size % 2 != 0 or not 0 <= size <= n:

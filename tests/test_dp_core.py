@@ -180,9 +180,18 @@ class TestTableBasics:
 
     def test_bad_domain(self, sq4):
         T = build_subproblem_table(sq4)
-        for start, size in ((0, 3), (4, 2), (0, 6), (0, 5), (-1, 2), (0, -2)):
+        # out of range, or no integer by operator.index; NumPy integers pass
+        for start, size in ((0, 3), (4, 2), (0, 6), (0, 5), (-1, 2), (0, -2), (0.0, 4),
+                            (0, 4.0), (0, "4")):
             with pytest.raises(BadDomainError):
                 reconstruct(T, start, size)
+        for start, end, kmax in ((0, 3, 3), (0, 3, -1), (0.5, 3, 2), (0, 3.0, 2), (0, 3, 2.0)):
+            with pytest.raises(BadDomainError):
+                T.arc_values(start, end, kmax)
+        assert (reconstruct(T, np.int64(1), np.uint8(4)) == reconstruct(T, 1, 4)).all()
+        for got, want in zip(T.arc_values(np.int32(1), np.int64(2), np.intp(2)),
+                             T.arc_values(1, 2, 2)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOneCascadeOptimum:
